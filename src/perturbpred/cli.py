@@ -48,7 +48,7 @@ from .io import (
     write_json_report,
 )
 from .linear import predict_causal_linear, predict_regression, w_to_dag
-from .ode import OdeModel, steady_state
+from .ode import OdeModel, steady_states
 from .simulate import SimSpec, build_dag, build_design, build_targets, simulate_responses
 from .types import (
     A_FORM,
@@ -280,14 +280,7 @@ def cmd_predict(args):
             else:
                 eps = np.ones(W.size)
             ode_model = OdeModel(W, B, eps, envelope=envelope)
-            preds = np.empty((D.n_conditions, W.size))
-            for k in range(D.n_conditions):
-                res = steady_state(ode_model, D.values[k])
-                if not res.converged:
-                    raise NonConvergenceError(
-                        f"steady state did not converge for condition {cond_ids[k]}"
-                    )
-                preds[k] = res.state
+            preds = steady_states(ode_model, D.values).require_converged(cond_ids)
             save_matrix_csv(out, preds, cond_ids, resp_names)
             log.info("wrote predictions to %s", out)
             return EXIT_OK

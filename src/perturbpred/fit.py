@@ -9,8 +9,10 @@ Three fitters live here:
   penalty on the off-diagonal of W by proximal gradient descent with
   backtracking; the loss is nonconvex in W with a singular set at
   det W = 0, so every candidate step is screened for conditioning.
-* ``fit_causal_ode`` fits the nonlinear dynamics by gradient descent with
-  finite-difference gradients taken through the steady-state solver.
+* ``fit_causal_ode`` fits the nonlinear dynamics by gradient descent.  Each
+  loss evaluation is one batched steady-state solve over all conditions, and
+  the gradient is exact: the implicit function theorem at the reached
+  states turns it into one p x p adjoint solve per condition.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionError, NonConvergenceError, SingularMatrixError
+from .errors import DimensionError, DivergenceError, NonConvergenceError, SingularMatrixError
 from .linear import _rcond, safe_inverse
-from .ode import OdeModel, steady_state
+# steady_state stays bound here: perfbench's tracer checks it is patched in this module
+from .ode import OdeModel, envelope_terms, steady_state, steady_states  # noqa: F401
 from .types import (
     RCOND_MIN,
     W_FORM,
@@ -363,14 +366,56 @@ def causal_ode_objective(
     dt=0.05,
 ):
     """Penalized steady-state squared error, or None on non-convergence."""
-    total = 0.0
-    for k in range(D.n_conditions):
-        res = steady_state(model, D.values[k], tol=ss_tol, t_max=t_max, dt=dt)
-        if not res.converged:
-            return None
-        diff = X.values[k] - res.state
-        total += float(diff @ diff)
-    return total + _penalty(model.W.values, lam)
+    res = steady_states(model, D.values, tol=ss_tol, t_max=t_max, dt=dt)
+    if not res.converged.all():
+        return None
+    diff = X.values - res.states
+    return float(np.sum(diff * diff)) + _penalty(model.W.values, lam)
+
+
+def causal_ode_loss_and_gradient(
+    model: OdeModel,
+    D: ConditionMatrix,
+    X: ResponseMatrix,
+    ss_tol=1e-7,
+    t_max=100.0,
+    dt=0.05,
+):
+    """Steady-state squared error and its exact gradients in W and log epsilon.
+
+    At a steady state x_k of condition k, f(x_k; theta) = 0, so the implicit
+    function theorem gives dL/dtheta = -lambda_k^T df/dtheta, where lambda_k
+    solves J_k^T lambda_k = dL/dx_k = -2 (X_k - x_k) and
+    J_k = diag(eps * phi'(s_k)) W_off^T + diag(w_jj) is the Jacobian of f.
+
+    Returns (loss, grad_W, grad_log_eps).  Raises NonConvergenceError when a
+    condition's steady state is not reached, SingularMatrixError when its
+    Jacobian is singular, and DivergenceError when its trajectory blows up.
+    """
+    W = model.W.values
+    diag = np.diag(W)
+    eps = model.epsilon
+    states = steady_states(model, D.values, tol=ss_tol, t_max=t_max, dt=dt).require_converged()
+    resid = X.values - states
+    loss = float(np.sum(resid * resid))
+
+    phi, slope = envelope_terms(model, D.values, states)
+    gain = eps * slope  # n x p: d(eps_j phi(s_kj)) / d s_kj
+    J = gain[:, :, None] * (W - np.diag(diag)).T + np.diag(diag)
+    sv = np.linalg.svd(J, compute_uv=False)
+    rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
+    bad = np.flatnonzero(rcond < RCOND_MIN)
+    if bad.size:
+        raise SingularMatrixError(
+            f"steady-state Jacobian of condition row {bad[0]} is singular or "
+            f"ill-conditioned (rcond {rcond[bad[0]]:.3g})"
+        )
+    adj = np.linalg.solve(np.swapaxes(J, 1, 2), (-2.0 * resid)[:, :, None])[:, :, 0]
+
+    grad_W = -states.T @ (adj * gain)  # off-diagonal: df_j/dw_ij = eps_j phi'(s_j) x_i
+    np.fill_diagonal(grad_W, -np.sum(adj * states, axis=0))  # df_j/dw_jj = x_j
+    grad_log_eps = -np.sum(adj * eps * phi, axis=0)
+    return loss, grad_W, grad_log_eps
 
 
 def fit_causal_ode(
@@ -383,15 +428,18 @@ def fit_causal_ode(
     ss_tol: float = 1e-7,
     t_max: float = 100.0,
     dt: float = 0.05,
-    fd_step: float = 1e-5,
 ):
-    """Fit the nonlinear dynamics by finite-difference gradient descent.
+    """Fit the nonlinear dynamics by proximal gradient descent on exact gradients.
 
     The template fixes the envelope; W starts from cfg.w_init (default -I)
     and epsilon from the template, optimized in log space when fit_epsilon
-    is set so positivity holds by construction.  Candidates whose
-    steady-state integration fails to converge are rejected and the step
-    halved.
+    is set so positivity holds by construction.  Every loss evaluation solves
+    all conditions' steady states in one batch and takes its gradient from
+    :func:`causal_ode_loss_and_gradient`.  A candidate step whose steady
+    state fails to converge, diverges, or has a singular Jacobian is rejected
+    and the step halved; at the initial point the same failures raise.  If
+    no step is accepted the fit stops with "line-search-exhausted" in the
+    report's status.
     """
     check_paired(D, X)
     p = B.n_responses
@@ -406,67 +454,38 @@ def fit_causal_ode(
     free = mask.allowed.copy() if mask is not None else np.ones((p, p), dtype=bool)
     off_mask = ~np.eye(p, dtype=bool)
 
-    def build(Wv, log_eps_v):
-        return OdeModel(
+    def evaluate(Wv, log_eps_v):
+        model = OdeModel(
             InteractionMatrix(Wv, form=W_FORM),
             B,
             np.exp(log_eps_v),
             envelope=model_template.envelope,
             clip_bound=model_template.clip_bound,
         )
-
-    def smooth_loss(Wv, log_eps_v):
-        obj = causal_ode_objective(
-            build(Wv, log_eps_v), D, X, 0.0, ss_tol=ss_tol, t_max=t_max, dt=dt
+        loss, gW, g_eps = causal_ode_loss_and_gradient(
+            model, D, X, ss_tol=ss_tol, t_max=t_max, dt=dt
         )
-        return obj
+        return model, loss, np.where(free, gW, 0.0), g_eps if fit_epsilon else np.zeros(p)
 
-    loss = smooth_loss(W, log_eps)
-    if loss is None:
-        raise NonConvergenceError("steady state does not converge at initialization")
+    model, loss, gW, g_eps = evaluate(W, log_eps)
     obj = loss + _penalty(W, cfg.lam)
     trace = [obj]
+    status = []
     step = 0.1 if cfg.step_size == "backtracking" else float(cfg.step_size)
     converged = False
     it = 0
 
     for it in range(1, cfg.max_iter + 1):
-        # central finite differences on the smooth loss
-        gW = np.zeros_like(W)
-        idx = np.argwhere(free)
-        for i, j in idx:
-            Wp = W.copy()
-            Wm = W.copy()
-            Wp[i, j] += fd_step
-            Wm[i, j] -= fd_step
-            lp = smooth_loss(Wp, log_eps)
-            lm = smooth_loss(Wm, log_eps)
-            if lp is None or lm is None:
-                lp = lp if lp is not None else loss
-                lm = lm if lm is not None else loss
-            gW[i, j] = (lp - lm) / (2.0 * fd_step)
-        g_eps = np.zeros_like(log_eps)
-        if fit_epsilon:
-            for i in range(p):
-                ep = log_eps.copy()
-                em = log_eps.copy()
-                ep[i] += fd_step
-                em[i] -= fd_step
-                lp = smooth_loss(W, ep)
-                lm = smooth_loss(W, em)
-                if lp is None or lm is None:
-                    continue
-                g_eps[i] = (lp - lm) / (2.0 * fd_step)
-
         accepted = False
         trial = step
         while trial > 1e-14:
             W_new = W - trial * gW
             W_new[off_mask] = soft_threshold(W_new[off_mask], trial * cfg.lam)
             W_new = _apply_mask(W_new, mask)
-            eps_new = log_eps - trial * g_eps if fit_epsilon else log_eps
-            loss_new = smooth_loss(W_new, eps_new)
-            if loss_new is None:
+            eps_new = log_eps - trial * g_eps
+            try:
+                model_new, loss_new, gW_new, g_eps_new = evaluate(W_new, eps_new)
+            except (NonConvergenceError, DivergenceError, SingularMatrixError):
                 trial *= 0.5
                 continue
             obj_new = loss_new + _penalty(W_new, cfg.lam)
@@ -475,18 +494,22 @@ def fit_causal_ode(
                 break
             trial *= 0.5
         if not accepted:
+            status.append(
+                f"line-search-exhausted: no acceptable step at iteration {it}"
+            )
             break
 
         rel_change = abs(obj - obj_new) / max(1.0, abs(obj))
-        W, log_eps, loss, obj = W_new, eps_new, loss_new, obj_new
+        W, log_eps, model, obj = W_new, eps_new, model_new, obj_new
+        gW, g_eps = gW_new, g_eps_new
         trace.append(obj)
         step = trial * 2.0
         if rel_change < cfg.tol:
             converged = True
             break
 
-    report = FitReport(obj, it, converged, trace)
-    return build(W, log_eps), report
+    report = FitReport(obj, it, converged, trace, tuple(status))
+    return model, report
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ZeroVarianceError
 from .fit import FitConfig, fit_causal_linear, fit_causal_ode, fit_regression, fit_regression_lodo, least_squares_w_init
 from .linear import predict_causal_linear, predict_regression
-from .ode import OdeModel, steady_state
+from .ode import OdeModel, steady_states
 from .types import ConditionMatrix, ResponseMatrix, TargetMap, check_paired
 
 
@@ -189,7 +189,11 @@ class CausalLinearFamily:
 
 
 class CausalOdeFamily:
-    """Nonlinear dynamics fit; predictions come from the fitted steady states."""
+    """Nonlinear dynamics fit; predictions come from the fitted steady states.
+
+    A test condition whose steady state does not settle raises
+    NonConvergenceError instead of predicting from the unsettled state.
+    """
 
     tag = "causal-ode"
 
@@ -203,10 +207,7 @@ class CausalOdeFamily:
         model, _ = fit_causal_ode(
             D_train, X_train, self.B, self.template, self.cfg, **self.fit_kwargs
         )
-        preds = np.empty((D_test.n_conditions, model.size))
-        for k in range(D_test.n_conditions):
-            preds[k] = steady_state(model, D_test.values[k]).state
-        return preds
+        return steady_states(model, D_test.values).require_converged()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,26 @@ from perturbpred.cli import (
     EXIT_PARSE,
     main,
 )
-from perturbpred.io import load_matrix_csv
+from perturbpred.io import load_matrix_csv, save_matrix_csv
+from perturbpred.ode import OdeModel, steady_states
+from perturbpred.types import InteractionMatrix, TargetMap
+
+
+@pytest.fixture
+def ode_dir(tmp_path):
+    """A tiny sigmoid instance: 2 responses, 3 drugs, every single and pair."""
+    rng = np.random.default_rng(40)
+    W = np.array([[-1.2, 0.3], [-0.2, -0.9]])
+    B = 0.5 * rng.normal(size=(2, 3))
+    D = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]], float)
+    truth = OdeModel(InteractionMatrix(W), TargetMap(B), [0.8, 1.5], envelope="sigmoid")
+    X = steady_states(truth, D).require_converged() + 0.01 * rng.normal(size=(6, 2))
+    ids = [f"c{k}" for k in range(6)]
+    drugs, resp = ["d1", "d2", "d3"], ["r1", "r2"]
+    save_matrix_csv(tmp_path / "cond.csv", D, ids, drugs)
+    save_matrix_csv(tmp_path / "resp.csv", X, ids, resp)
+    save_matrix_csv(tmp_path / "targets.csv", B, resp, drugs)
+    return tmp_path
 
 
 @pytest.fixture
@@ -178,6 +197,53 @@ class TestPredict:
         assert r > 0.95
 
 
+    def test_causal_ode_round_trip_through_files(self, ode_dir):
+        fit_dir = ode_dir / "fit"
+        assert main([
+            "fit", "--model", "causal-ode", "--envelope", "sigmoid", "--fit-epsilon",
+            "--conditions", str(ode_dir / "cond.csv"),
+            "--responses", str(ode_dir / "resp.csv"),
+            "--targets", str(ode_dir / "targets.csv"),
+            "--max-iter", "500", "--tol", "1e-6",
+            "--out-dir", str(fit_dir),
+        ]) == EXIT_OK
+        pred_path = ode_dir / "pred.csv"
+        assert main([
+            "predict", "--model", "causal-ode", "--envelope", "sigmoid",
+            "--params", str(fit_dir / "interaction_w.csv"),
+            "--epsilon", str(fit_dir / "epsilon.csv"),
+            "--conditions", str(ode_dir / "cond.csv"),
+            "--targets", str(ode_dir / "targets.csv"),
+            "--out", str(pred_path),
+        ]) == EXIT_OK
+        W, _, _ = load_matrix_csv(fit_dir / "interaction_w.csv")
+        eps, _, _ = load_matrix_csv(fit_dir / "epsilon.csv")
+        B, _, _ = load_matrix_csv(ode_dir / "targets.csv")
+        D, _, _ = load_matrix_csv(ode_dir / "cond.csv")
+        X, _, _ = load_matrix_csv(ode_dir / "resp.csv")
+        pred, ids, _ = load_matrix_csv(pred_path)
+        fitted = OdeModel(InteractionMatrix(W), TargetMap(B), eps.ravel(), envelope="sigmoid")
+        assert ids == [f"c{k}" for k in range(6)]
+        assert np.array_equal(pred, steady_states(fitted, D).states)
+        with open(fit_dir / "fit_report.json") as fh:
+            report = json.load(fh)
+        # the fit solves to 1e-7 at dt 0.05, predict to 1e-8 at dt 0.01
+        assert np.sum((X - pred) ** 2) == pytest.approx(report["final_objective"], rel=1e-3)
+        assert report["final_objective"] < 0.1 * np.sum(X**2)
+
+    def test_causal_ode_unsettled_condition_exit_code(self, ode_dir):
+        slow = ode_dir / "slow_w.csv"
+        save_matrix_csv(slow, -0.001 * np.eye(2), ["r1", "r2"], ["r1", "r2"])
+        assert main([
+            "predict", "--model", "causal-ode",
+            "--params", str(slow),
+            "--conditions", str(ode_dir / "cond.csv"),
+            "--targets", str(ode_dir / "targets.csv"),
+            "--out", str(ode_dir / "pred.csv"),
+        ]) == EXIT_NONCONVERGENCE
+        assert not (ode_dir / "pred.csv").exists()
+
+
 class TestCv:
     def test_rf_regression(self, sim_dir, tmp_path):
         out = tmp_path / "cv"
@@ -217,6 +283,25 @@ class TestCv:
             reports["regression"]["mean_pearson_r"]
             < reports["causal-linear"]["mean_pearson_r"]
         )
+
+    def test_lodo_causal_ode(self, ode_dir):
+        out = ode_dir / "cv"
+        assert main([
+            "cv", "--scheme", "lodo", "--model", "causal-ode", "--envelope", "sigmoid",
+            "--conditions", str(ode_dir / "cond.csv"),
+            "--responses", str(ode_dir / "resp.csv"),
+            "--targets", str(ode_dir / "targets.csv"),
+            "--max-iter", "10", "--jobs", "1",
+            "--out-dir", str(out),
+        ]) == EXIT_OK
+        with open(out / "cv_report.json") as fh:
+            report = json.load(fh)
+        assert report["metadata"]["model"] == "causal-ode"
+        assert len(report["per_drug"]) == 3
+        assert np.isfinite(report["mean_pearson_r"])
+        scatter = (out / "scatter.csv").read_text().splitlines()
+        # each drug is held out of 3 of the 6 conditions, 2 responses each
+        assert len(scatter) == 1 + 3 * 3 * 2
 
     def test_mismatched_row_counts(self, sim_dir, tmp_path):
         short = tmp_path / "short.csv"

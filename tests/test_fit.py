@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from perturbpred.errors import SingularMatrixError
+import perturbpred.fit as fit_module
+from perturbpred.errors import DivergenceError, SingularMatrixError
 from perturbpred.fit import (
     FitConfig,
     causal_loss_and_gradient,
     causal_objective,
+    causal_ode_loss_and_gradient,
+    causal_ode_objective,
     fit_causal_linear,
     fit_causal_ode,
     fit_regression,
@@ -15,7 +20,7 @@ from perturbpred.fit import (
     soft_threshold,
 )
 from perturbpred.linear import dag_to_w, predict_causal_linear, predict_regression
-from perturbpred.ode import OdeModel, steady_state
+from perturbpred.ode import ENVELOPES, OdeModel, steady_state
 from perturbpred.simulate import (
     SimSpec,
     build_dag,
@@ -367,6 +372,152 @@ class TestFitCausalOde:
         _, report = fit_causal_ode(D, X, B, template, FitConfig(max_iter=50))
         trace = report.objective_trace
         assert np.all(np.diff(trace) <= 1e-8 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+def ode_problem(seed, envelope, p=3, q=2, n=5):
+    rng = np.random.default_rng(seed)
+    B = TargetMap(rng.normal(size=(p, q)))
+    model = OdeModel(
+        InteractionMatrix(random_stable_w(rng, p)), B, rng.uniform(0.5, 2.0, p),
+        envelope=envelope, clip_bound=0.5,
+    )
+    D = ConditionMatrix(rng.uniform(0, 1, (n, q)))
+    X = ResponseMatrix(rng.normal(size=(n, p)))
+    return model, D, X
+
+
+def ode_loss(model, D, X, W=None, log_eps=None):
+    probe = OdeModel(
+        InteractionMatrix(model.W.values if W is None else W), model.B,
+        model.epsilon if log_eps is None else np.exp(log_eps),
+        envelope=model.envelope, clip_bound=model.clip_bound,
+    )
+    return causal_ode_objective(probe, D, X, 0.0, ss_tol=1e-12, t_max=300.0, dt=0.1)
+
+
+def assert_close_relative(got, want, rtol):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestCausalOdeGradient:
+    H = 1e-5
+
+    def fd_gradients(self, model, D, X, entries):
+        W = model.W.values
+        gW = np.zeros_like(W)
+        for i, j in entries:
+            Wp, Wm = W.copy(), W.copy()
+            Wp[i, j] += self.H
+            Wm[i, j] -= self.H
+            gW[i, j] = (ode_loss(model, D, X, W=Wp) - ode_loss(model, D, X, W=Wm)) / (2 * self.H)
+        log_eps = np.log(model.epsilon)
+        g_eps = np.zeros_like(log_eps)
+        for i in range(len(log_eps)):
+            ep, em = log_eps.copy(), log_eps.copy()
+            ep[i] += self.H
+            em[i] -= self.H
+            g_eps[i] = (ode_loss(model, D, X, log_eps=ep) - ode_loss(model, D, X, log_eps=em)) / (
+                2 * self.H
+            )
+        return gW, g_eps
+
+    @pytest.mark.parametrize("envelope", ENVELOPES)
+    def test_adjoint_matches_finite_differences(self, envelope):
+        model, D, X = ode_problem(30, envelope)
+        loss, gW, g_eps = causal_ode_loss_and_gradient(model, D, X, ss_tol=1e-12, t_max=300.0, dt=0.1)
+        assert loss == pytest.approx(ode_loss(model, D, X), rel=1e-12)
+        fd_W, fd_eps = self.fd_gradients(model, D, X, np.argwhere(np.ones((3, 3), dtype=bool)))
+        assert_close_relative(gW, fd_W, 1e-6)
+        assert_close_relative(g_eps, fd_eps, 1e-6)
+
+    def test_masked_entries_on_free_support(self):
+        model, D, X = ode_problem(31, "sigmoid")
+        allowed = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1]], dtype=bool)
+        W = np.where(allowed, model.W.values, 0.0)
+        model = OdeModel(InteractionMatrix(W), model.B, model.epsilon, envelope="sigmoid")
+        _, gW, _ = causal_ode_loss_and_gradient(model, D, X, ss_tol=1e-12, t_max=300.0, dt=0.1)
+        fd_W, _ = self.fd_gradients(model, D, X, np.argwhere(allowed))
+        assert_close_relative(gW[allowed], fd_W[allowed], 1e-6)
+
+        template = OdeModel(InteractionMatrix(-np.eye(3)), model.B, 1.0, envelope="sigmoid")
+        fitted, report = fit_causal_ode(
+            D, X, model.B, template, FitConfig(max_iter=20, mask=EdgeMask(allowed))
+        )
+        assert np.all(fitted.W.values[~allowed] == 0.0)
+        assert report.objective_trace[-1] < report.objective_trace[0]
+
+
+class TestFitCausalOdeFailures:
+    def test_diverging_candidate_rejected_not_raised(self, monkeypatch):
+        # the line search tries steps that blow up; they must be backtracked
+        diverged = []
+        solve = fit_module.steady_states
+
+        def spy(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except DivergenceError:
+                diverged.append(True)
+                raise
+
+        monkeypatch.setattr(fit_module, "steady_states", spy)
+        B = TargetMap(np.eye(2))
+        Dv = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0)
+        _, report = fit_causal_ode(
+            ConditionMatrix(Dv), ResponseMatrix(-300.0 * Dv), B, template, FitConfig(max_iter=5)
+        )
+        assert diverged
+        assert report.iterations == 5
+        trace = report.objective_trace
+        assert np.all(np.diff(trace) <= 1e-8 * np.maximum(1.0, np.abs(trace[:-1])))
+
+    def test_divergence_at_initial_point_raises(self):
+        B = TargetMap(np.eye(2))
+        template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0)
+        cfg = FitConfig(max_iter=5, w_init=InteractionMatrix(20.0 * np.eye(2)))
+        with pytest.raises(DivergenceError):
+            fit_causal_ode(
+                ConditionMatrix([[1.0, 0.0]]), ResponseMatrix(np.zeros((1, 2))), B, template, cfg
+            )
+
+    def test_singular_jacobian_at_initial_point_raises(self):
+        # node 2 has no decay and no input: it sits at 0 with a zero Jacobian row
+        B = TargetMap(np.eye(2))
+        template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0)
+        cfg = FitConfig(max_iter=5, w_init=InteractionMatrix(np.diag([-1.0, 0.0])))
+        with pytest.raises(SingularMatrixError, match="condition row 0"):
+            fit_causal_ode(
+                ConditionMatrix([[1.0, 0.0], [2.0, 0.0]]), ResponseMatrix(np.ones((2, 2))),
+                B, template, cfg,
+            )
+
+    def test_exhausted_line_search_reported(self, monkeypatch):
+        # every solve after the initial one is reported unsettled, so every
+        # candidate is rejected until the step underflows
+        solve = fit_module.steady_states
+        calls = []
+
+        def settle_once(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            calls.append(True)
+            if len(calls) == 1:
+                return res
+            return dataclasses.replace(res, converged=np.zeros_like(res.converged))
+
+        monkeypatch.setattr(fit_module, "steady_states", settle_once)
+        rng = np.random.default_rng(32)
+        B = TargetMap(np.eye(2))
+        D = ConditionMatrix(rng.uniform(0, 1, (4, 2)))
+        X = ResponseMatrix(rng.normal(size=(4, 2)))
+        template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0)
+        _, report = fit_causal_ode(D, X, B, template, FitConfig(max_iter=50))
+        assert not report.converged
+        assert report.iterations == 1
+        assert len(report.objective_trace) == 1
+        assert len(report.status) == 1
+        assert report.status[0].startswith("line-search-exhausted")
+        assert len(calls) > 40  # the step was halved down to its floor
 
 
 def test_select_lambda_cv_returns_grid_member():

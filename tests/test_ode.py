@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from perturbpred.errors import DimensionError, DivergenceError
+from perturbpred.errors import DimensionError, DivergenceError, NonConvergenceError
 from perturbpred.linear import dag_to_w, predict_causal_linear
 from perturbpred.ode import (
     ENVELOPES,
@@ -11,6 +12,7 @@ from perturbpred.ode import (
     integrate,
     make_rhs,
     steady_state,
+    steady_states,
 )
 from perturbpred.types import ConditionMatrix, InteractionMatrix, TargetMap
 
@@ -155,6 +157,89 @@ class TestSteadyState:
         m = simple_model(-np.eye(2))
         with pytest.raises(ValueError):
             steady_state(m, [0.0, 0.0], tol=0.0)
+
+
+def reference_steady_state(model, d, tol, t_max, dt):
+    """The per-condition RK4 loop that steady_states replaced, kept as an oracle."""
+    rhs = make_rhs(model, d)
+    x = np.zeros(model.size)
+    t = 0.0
+    rate = rhs(x)
+    while t < t_max:
+        if np.max(np.abs(rate)) < tol:
+            return x, True, t
+        h = min(dt, t_max - t)
+        k1 = rate
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        rate = rhs(x)
+    return x, bool(np.max(np.abs(rate)) < tol), t
+
+
+def assert_rows_match_single_solves(model, D, tol, t_max, dt):
+    res = steady_states(model, D, tol=tol, t_max=t_max, dt=dt)
+    for k, d in enumerate(D):
+        one = steady_state(model, d, tol=tol, t_max=t_max, dt=dt)
+        ref_x, ref_conv, ref_t = reference_steady_state(model, d, tol, t_max, dt)
+        assert res.t_reached[k] == one.t_reached == ref_t
+        assert bool(res.converged[k]) == one.converged == ref_conv
+        assert np.max(np.abs(res.states[k] - one.state)) <= 1e-12
+        assert np.max(np.abs(res.states[k] - ref_x)) <= 1e-12
+    return res
+
+
+class TestSteadyStates:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        envelope=st.sampled_from(ENVELOPES),
+        n=st.integers(1, 6),
+        slow=st.floats(0.02, 1.0),
+    )
+    def test_rows_match_single_condition_solves(self, seed, envelope, n, slow):
+        # a slowed W leaves some rows still moving at t_max
+        rng = np.random.default_rng(seed)
+        p, q = 3, 2
+        W = slow * random_stable_w(rng, p)
+        m = simple_model(W, B=rng.normal(size=(p, q)), eps=rng.uniform(0.5, 2.0, p),
+                         envelope=envelope, clip_bound=0.5)
+        D = rng.uniform(0.0, 2.0, (n, q)) * (rng.uniform(size=(n, 1)) < 0.8)
+        assert_rows_match_single_solves(m, D, tol=1e-8, t_max=20.0, dt=0.05)
+
+    def test_mixed_batch_settled_unsettled_and_at_rest(self):
+        m = simple_model(np.diag([-1.0, -0.001]))
+        D = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        res = assert_rows_match_single_solves(m, D, tol=1e-8, t_max=30.0, dt=0.05)
+        assert res.converged.tolist() == [True, False, True]
+        assert 0.0 < res.t_reached[0] < 30.0
+        assert res.t_reached[1] >= 30.0
+        assert res.t_reached[2] == 0.0
+
+    def test_require_converged_names_first_unsettled_row(self):
+        m = simple_model(np.diag([-1.0, -0.001]))
+        res = steady_states(m, [[1.0, 0.0], [0.0, 1.0]], t_max=30.0)
+        with pytest.raises(NonConvergenceError, match="condition cond_b"):
+            res.require_converged(["cond_a", "cond_b"])
+        with pytest.raises(NonConvergenceError, match="condition row 1"):
+            res.require_converged()
+
+    def test_divergence_raised_with_time(self):
+        m = simple_model(np.eye(2) * 5.0)
+        with pytest.raises(DivergenceError) as exc:
+            steady_states(m, [[0.0, 0.0], [1.0, 0.0]], dt=0.5)
+        assert exc.value.time is not None
+
+    def test_bad_arguments(self):
+        m = simple_model(-np.eye(2))
+        with pytest.raises(ValueError):
+            steady_states(m, [[1.0, 0.0]], dt=0.0)
+        with pytest.raises(DimensionError):
+            steady_states(m, [[1.0, 0.0, 0.0]])
+        with pytest.raises(DimensionError):
+            steady_state(m, [1.0, 0.0], x0=[0.0])
 
 
 class TestTrajectory:

@@ -1,5 +1,4 @@
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -163,31 +162,10 @@ class TestRunScenario:
     def test_network_recovery_flagged_not_forced(self):
         # every seed must find the right support: the three true edges are
         # the three strongest off-diagonal entries.  Exact edge weights are
-        # noise-limited at sd 0.2, so individual seeds may miss them: count
-        # and warn only
-        hits = 0
-        seeds = range(4)
-        for seed in seeds:
+        # noise-limited at sd 0.2, so they are not asserted per seed
+        for seed in range(4):
             A_hat = run_scenario(Scenario(RF), SimSpec(seed=seed)).fitted_network
             assert strongest_offdiagonal(A_hat, len(TRUE_EDGES)) == set(TRUE_EDGES)
-            edge_ok = all(
-                abs(A_hat[i, j] - v) <= 0.15 for (i, j), v in TRUE_EDGES.items()
-            )
-            off = np.array(
-                [
-                    abs(A_hat[i, j])
-                    for i in range(N_RESPONSES)
-                    for j in range(N_RESPONSES)
-                    if i != j and (i, j) not in TRUE_EDGES
-                ]
-            )
-            if edge_ok and np.all(off < EDGE_DISPLAY_THRESHOLD):
-                hits += 1
-        if hits < len(seeds):
-            warnings.warn(
-                f"exact network recovery in {hits}/{len(seeds)} seeds at noise "
-                "sd 0.2 (expected to be noise-limited)"
-            )
 
     def test_misspecified_b_produces_false_edges(self):
         report = run_scenario(Scenario(RF_MISSPECIFIED_B), SimSpec(seed=0))

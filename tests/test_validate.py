@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from perturbpred.errors import ZeroVarianceError
+from perturbpred.errors import NonConvergenceError, ZeroVarianceError
+from perturbpred.fit import FitConfig
+from perturbpred.ode import OdeModel
 from perturbpred.simulate import SimSpec, build_design, build_targets, simulate_responses
-from perturbpred.types import ConditionMatrix, ResponseMatrix
+from perturbpred.types import ConditionMatrix, InteractionMatrix, ResponseMatrix, TargetMap
 from perturbpred.validate import (
     CausalLinearFamily,
+    CausalOdeFamily,
     MetricReport,
     RegressionFamily,
     SplitPlan,
@@ -257,6 +260,20 @@ class TestLodoEval:
         plan = make_random_folds(105, 0.5, 1, seed=0)
         with pytest.raises(ValueError):
             lodo_eval(RegressionFamily(), D, X, [plan])
+
+
+def test_causal_ode_family_refuses_unsettled_test_condition():
+    # zero training data leaves the slow initial W in place; a dosed test
+    # condition under it is still moving at t_max
+    B = TargetMap(np.eye(2))
+    template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0)
+    cfg = FitConfig(max_iter=5, w_init=InteractionMatrix(-0.01 * np.eye(2)))
+    family = CausalOdeFamily(B, template, cfg)
+    D_train = ConditionMatrix(np.zeros((2, 2)))
+    X_train = ResponseMatrix(np.zeros((2, 2)))
+    D_test = ConditionMatrix([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(NonConvergenceError, match="condition row 1"):
+        family.fit_predict(D_train, X_train, D_test)
 
 
 def test_metric_report_serialization():
