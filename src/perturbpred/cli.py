@@ -12,10 +12,12 @@ steady-state non-convergence, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -53,7 +55,6 @@ from .simulate import SimSpec, build_dag, build_design, build_targets, simulate_
 from .types import (
     A_FORM,
     W_FORM,
-    ConditionMatrix,
     EdgeMask,
     InteractionMatrix,
     RegressionCoefficients,
@@ -68,6 +69,7 @@ from .validate import (
     lodo_eval,
     make_lodo_splits,
     make_random_folds,
+    summarize_fits,
 )
 
 log = logging.getLogger("perturbpred")
@@ -210,8 +212,7 @@ def cmd_fit(args):
         if model == "causal-linear":
             init = least_squares_w_init(D, X, B)
             if init is not None:
-                cfg = FitConfig(lam=lam, max_iter=max_iter, tol=tol, mask=mask,
-                                w_init=init)
+                cfg = replace(cfg, w_init=init)
             W, report = fit_causal_linear(D, X, B, cfg)
         else:
             template = OdeModel(
@@ -329,7 +330,9 @@ def cmd_cv(args):
     lam = _resolve(args, config, "lam", None, float)
     max_iter = _resolve(args, config, "max-iter", 10000, int)
     tol = _resolve(args, config, "tol", 1e-8, float)
-    jobs = _resolve(args, config, "jobs", os.cpu_count() or 1, int)
+    jobs = _resolve(args, config, "jobs", 1, int)
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     out_dir = _ensure_outdir(_resolve(args, config, "out-dir", default_output_dir()))
     mask_path = _resolve(args, config, "mask", None)
     envelope = _resolve(args, config, "envelope", "identity")
@@ -362,88 +365,52 @@ def cmd_cv(args):
 
     family = _make_family(model, B, lam, max_iter, tol, mask, envelope)
 
+    # every fold is fitted once; the report and scatter.csv share the result
     if scheme == "rf":
         plan = make_random_folds(D.n_conditions, train_fraction, reps, seed)
         report = averaged_random_fold_eval(family, D, X, plan, jobs=jobs)
         payload = report.to_dict()
         payload["metadata"].update({"scheme": "rf", "lambda": lam, **lam_meta})
-        # scatter: one row per averaged (condition, response) point
-        scatter_path = os.path.join(out_dir, "scatter.csv")
-        _write_rf_scatter(scatter_path, family, D, X, plan, cond_ids, jobs)
+        scored = [report]
+        labels = [cond_ids[i] for i in report.rows]
     else:
-        plans = make_lodo_splits(D)
-        reports, mean_r = lodo_eval(family, D, X, plans, jobs=jobs)
+        scored, mean_r = lodo_eval(family, D, X, make_lodo_splits(D), jobs=jobs)
         payload = {
             "mean_pearson_r": mean_r,
-            "per_drug": [rep.to_dict() for rep in reports],
-            "metadata": {"scheme": "lodo", "model": model, "lambda": lam, **lam_meta},
+            "per_drug": [rep.to_dict() for rep in scored],
+            "metadata": {
+                "scheme": "lodo", "model": model, "lambda": lam, **lam_meta,
+                "undefined_pearson_r": sum(bool(np.isnan(rep.pearson_r)) for rep in scored),
+                "fits": summarize_fits([fit for rep in scored for fit in rep.fits]),
+            },
         }
-        scatter_path = os.path.join(out_dir, "scatter.csv")
-        _write_lodo_scatter(scatter_path, family, D, X, plans, cond_ids, jobs)
+        labels = [f"{rep.metadata['held_out_drug']}:{cond_ids[i]}"
+                  for rep in scored for i in rep.rows]
 
+    fits = payload["metadata"]["fits"]
+    if fits["unconverged"]:
+        log.warning("%d of %d fold fits stopped unconverged (status: %s)",
+                    fits["unconverged"], fits["folds"], "; ".join(fits["status"]) or "none")
     write_json_report(os.path.join(out_dir, "cv_report.json"), payload)
+    # scatter: one row per scored (condition, response) point
+    _write_scatter(
+        os.path.join(out_dir, "scatter.csv"),
+        labels,
+        X.response_names,
+        np.concatenate([X.values[rep.rows] for rep in scored]),
+        np.concatenate([rep.predicted for rep in scored]),
+    )
     log.info("wrote cv report and scatter data to %s", out_dir)
     return EXIT_OK
 
 
-def _write_rf_scatter(path, family, D, X, plan, cond_ids, jobs):
-    from .validate import _map_folds
-
-    n, p = X.values.shape
-    pred_sum = np.zeros((n, p))
-    pred_count = np.zeros(n, dtype=int)
-
-    def run_fold(fold):
-        train, test = fold
-        D_train = ConditionMatrix(D.values[train], D.drug_names)
-        from .types import ResponseMatrix
-
-        X_train = ResponseMatrix(X.values[train], X.response_names)
-        D_test = ConditionMatrix(D.values[test], D.drug_names)
-        return family.fit_predict(D_train, X_train, D_test)
-
-    for (train, test), preds in zip(plan.folds, _map_folds(run_fold, plan.folds, jobs)):
-        pred_sum[test] += preds
-        pred_count[test] += 1
-    _write_scatter_rows(
-        path,
-        [
-            (cond_ids[i], X.response_names[j], X.values[i, j],
-             pred_sum[i, j] / pred_count[i])
-            for i in range(n)
-            if pred_count[i] > 0
-            for j in range(p)
-        ],
-    )
-
-
-def _write_lodo_scatter(path, family, D, X, plans, cond_ids, jobs):
-    from .types import ResponseMatrix
-
-    rows = []
-    for plan in plans:
-        train, test = plan.folds[0]
-        D_train = ConditionMatrix(D.values[train], D.drug_names)
-        X_train = ResponseMatrix(X.values[train], X.response_names)
-        D_test = ConditionMatrix(D.values[test], D.drug_names)
-        preds = family.fit_predict(D_train, X_train, D_test, held_out_drug=plan.held_out_drug)
-        for local, i in enumerate(test):
-            for j in range(X.values.shape[1]):
-                rows.append(
-                    (f"{plan.drug_name}:{cond_ids[i]}", X.response_names[j],
-                     X.values[i, j], preds[local, j])
-                )
-    _write_scatter_rows(path, rows)
-
-
-def _write_scatter_rows(path, rows):
-    import csv
-
+def _write_scatter(path, labels, response_names, observed, predicted):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["condition", "response", "observed", "predicted"])
-        for cond, resp, obs, pred in rows:
-            writer.writerow([cond, resp, "%.17g" % obs, "%.17g" % pred])
+        for label, obs_row, pred_row in zip(labels, observed, predicted):
+            for resp, obs, pred in zip(response_names, obs_row, pred_row):
+                writer.writerow([label, resp, "%.17g" % obs, "%.17g" % pred])
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 Three fitters live here:
 
 * ``fit_regression`` solves ||X - D R||_F^2 + lambda ||R||_1 exactly
-  (normal equations) when lambda = 0 and by per-column coordinate descent
-  otherwise.
+  (least squares by QR) when lambda = 0 and by per-column coordinate
+  descent otherwise.
 * ``fit_causal_linear`` minimizes ||X - D B^T (-inv(W))||_F^2 plus an L1
   penalty on the off-diagonal of W by proximal gradient descent with
   backtracking; the loss is nonconvex in W with a singular set at
-  det W = 0, so every candidate step is screened for conditioning.
+  det W = 0, so a candidate step that lands near it is rejected.
 * ``fit_causal_ode`` fits the nonlinear dynamics by gradient descent.  Each
   loss evaluation is one batched steady-state solve over all conditions, and
   the gradient is exact: the implicit function theorem at the reached
@@ -17,7 +17,7 @@ Three fitters live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -99,15 +99,44 @@ def soft_threshold(x, thr):
 # regression
 
 
-def _deficient_columns(D, drug_names):
-    """Names of columns that make D rank-deficient (all-zero columns first)."""
-    zero = [drug_names[j] for j in range(D.shape[1]) if not np.any(D[:, j])]
-    if zero:
-        return zero
-    rank = np.linalg.matrix_rank(D)
-    if rank < D.shape[1]:
-        return list(drug_names)  # deficiency from collinearity, no single culprit
-    return []
+def _lstsq_stack(A, Y):
+    """Least-squares solutions of a stack of systems A_f M_f = Y_f.
+
+    A is (F, n, k) and Y is (F, n, m).  Returns (M, rank): M is (F, k, m),
+    solved by QR where A_f has full column rank and NaN elsewhere, and rank
+    holds np.linalg.matrix_rank of each A_f.  Every LAPACK call works on one
+    small fold at a time, so nothing here becomes a large threaded product.
+    """
+    k = A.shape[2]
+    rank = np.linalg.matrix_rank(A)
+    M = np.full((A.shape[0], k, Y.shape[2]), np.nan)
+    full = rank == k
+    if np.any(full):
+        Q, R = np.linalg.qr(A[full])
+        M[full] = np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ Y[full])
+    return M, rank
+
+
+def fit_regression_stack(D, X, drug_names):
+    """Unpenalized regression of a stack of folds: D is (F, n, q), X (F, n, p).
+
+    Returns (R, reports): the (F, q, p) coefficients and one FitReport per
+    fold.  The first rank-deficient fold raises SingularMatrixError naming
+    its all-zero design columns, or every column when the deficiency comes
+    from collinearity (the leave-one-drug-out pathology).
+    """
+    R, rank = _lstsq_stack(D, X)
+    deficient = np.flatnonzero(rank < D.shape[2])
+    if deficient.size:
+        used = np.any(D[deficient[0]], axis=0)
+        bad = [name for name, u in zip(drug_names, used) if not u] or list(drug_names)
+        raise SingularMatrixError(
+            "unregularized regression has no unique solution; deficient "
+            f"design columns: {', '.join(bad)}"
+        )
+    resid = X - D @ R
+    objectives = np.sum(resid * resid, axis=(1, 2))
+    return R, [FitReport(float(obj), 1, True, [obj]) for obj in objectives]
 
 
 def regression_objective(D, X, R, lam):
@@ -120,25 +149,17 @@ def fit_regression(
 ):
     """Penalized multivariate regression of responses on drug doses.
 
-    lambda = 0 solves the normal equations exactly and errors on a
-    rank-deficient design (the leave-one-drug-out pathology).  lambda > 0
-    runs cyclic coordinate descent independently per response column.
+    lambda = 0 is the one-fold case of :func:`fit_regression_stack` and
+    errors on a rank-deficient design.  lambda > 0 runs cyclic coordinate
+    descent independently per response column.
     """
     check_paired(D, X)
     Dv, Xv = D.values, X.values
     q = Dv.shape[1]
 
     if cfg.lam == 0.0:
-        bad = _deficient_columns(Dv, D.drug_names)
-        if bad:
-            raise SingularMatrixError(
-                "unregularized regression has no unique solution; deficient "
-                f"design columns: {', '.join(bad)}"
-            )
-        R = np.linalg.solve(Dv.T @ Dv, Dv.T @ Xv)
-        obj = regression_objective(Dv, Xv, R, 0.0)
-        report = FitReport(obj, 1, True, [obj])
-        return RegressionCoefficients(R), report
+        R, reports = fit_regression_stack(Dv[None], Xv[None], D.drug_names)
+        return RegressionCoefficients(R[0]), reports[0]
 
     col_sq = np.sum(Dv * Dv, axis=0)
     R = np.zeros((q, Xv.shape[1]))
@@ -197,8 +218,7 @@ def fit_regression_lodo(
         )
     keep = [j for j in range(q) if j != held_out_drug]
     D_red = ConditionMatrix(D.values[:, keep], [D.drug_names[j] for j in keep])
-    cfg0 = FitConfig(lam=0.0, max_iter=cfg.max_iter, tol=cfg.tol)
-    R_red, report = fit_regression(D_red, X, cfg0)
+    R_red, report = fit_regression(D_red, X, replace(cfg, lam=0.0))
     R = np.insert(R_red.values, held_out_drug, 0.0, axis=0)
     return RegressionCoefficients(R), report
 
@@ -294,16 +314,13 @@ def fit_causal_linear(
             off_mask = ~np.eye(p, dtype=bool)
             W_new[off_mask] = soft_threshold(W_new[off_mask], trial * cfg.lam)
             W_new = _apply_mask(W_new, cfg.mask)
-            if _rcond(W_new) < RCOND_MIN:
-                if not backtracking:
-                    raise SingularMatrixError(
-                        "fixed-step iterate crossed the singular set; use backtracking"
-                    )
-                trial *= 0.5
-                continue
             try:
                 loss_new, grad_new = causal_loss_and_gradient(W_new, D, X, B)
             except SingularMatrixError:
+                if not backtracking:
+                    raise SingularMatrixError(
+                        "fixed-step iterate crossed the singular set; use backtracking"
+                    ) from None
                 trial *= 0.5
                 continue
             diff = W_new - W
@@ -340,16 +357,30 @@ def least_squares_w_init(D: ConditionMatrix, X: ResponseMatrix, B: TargetMap):
     When D B^T has full column rank, the minimizer over M = -inv(W) of
     ||X - D B^T M||_F^2 is ordinary least squares; inverting it back gives a
     W with zero (or noise-level) loss.  Returns None when the least-squares
-    route is unavailable or produces a near-singular M.
+    route is unavailable or produces a near-singular M.  This is the
+    one-fold case of :func:`least_squares_w_init_stack`.
     """
-    C = D.values @ B.values.T
-    p = C.shape[1]
-    if np.linalg.matrix_rank(C) < p:
-        return None
-    M, *_ = np.linalg.lstsq(C, X.values, rcond=None)
-    if _rcond(M) < 1e-8:
-        return None
-    return InteractionMatrix(-np.linalg.inv(M), form=W_FORM)
+    return least_squares_w_init_stack(D.values[None], X.values[None], B)[0]
+
+
+def least_squares_w_init_stack(D, X, B: TargetMap):
+    """The least-squares warm start of each fold of a stack.
+
+    D is (F, n, q) and X is (F, n, p).  Returns one W-form
+    InteractionMatrix per fold, or None where D_f B^T is rank-deficient or
+    M_f has rcond below 1e-8.
+    """
+    C = D @ B.values.T
+    M, rank = _lstsq_stack(C, X)
+    inits = [None] * len(M)
+    full = np.flatnonzero(rank == C.shape[2])
+    if full.size:
+        sv = np.linalg.svd(M[full], compute_uv=False)
+        rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(full.size), where=sv[:, 0] > 0)
+        keep = full[rcond >= 1e-8]
+        for f, W in zip(keep, -np.linalg.inv(M[keep])):
+            inits[f] = InteractionMatrix(W, form=W_FORM)
+    return inits
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +577,8 @@ def select_lambda_cv(
             Dtr = ConditionMatrix(D.values[train], D.drug_names)
             Xtr = ResponseMatrix(X.values[train], X.response_names)
             Dte = ConditionMatrix(D.values[fold], D.drug_names)
-            fold_cfg = FitConfig(
-                lam=float(lam),
-                max_iter=cfg.max_iter,
-                tol=cfg.tol,
-                mask=cfg.mask,
-                w_init=cfg.w_init,
-            )
             try:
-                W, _ = fit_causal_linear(Dtr, Xtr, B, fold_cfg)
+                W, _ = fit_causal_linear(Dtr, Xtr, B, replace(cfg, lam=float(lam)))
                 pred = predict_causal_linear(W, B, Dte).predicted
             except (SingularMatrixError, NonConvergenceError):
                 sse.append(np.inf)

@@ -178,18 +178,20 @@ def integrate(model: OdeModel, d, x0=None, t_end=50.0, dt=DEFAULT_DT) -> Traject
     times = [0.0]
     states = [x.copy()]
     t = 0.0
-    for _ in range(n_steps):
-        h = min(dt, t_end - t)
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"trajectory diverged at t = {t:g}", time=t)
-        times.append(t)
-        states.append(x.copy())
+    # overflow on the way to a blow-up is reported as DivergenceError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            h = min(dt, t_end - t)
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * h * k1)
+            k3 = rhs(x + 0.5 * h * k2)
+            k4 = rhs(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(f"trajectory diverged at t = {t:g}", time=t)
+            times.append(t)
+            states.append(x.copy())
     return Trajectory(np.array(times), np.array(states))
 
 

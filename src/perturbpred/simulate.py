@@ -15,15 +15,15 @@ reported as 1 instead of 0.5), and leave-one-drug-out.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .fit import FitConfig, fit_causal_linear, fit_regression, fit_regression_lodo, least_squares_w_init
-from .linear import predict_causal_linear, predict_regression, w_to_dag
+from .fit import FitConfig
+from .linear import predict_causal_linear, w_to_dag
 from .types import A_FORM, ConditionMatrix, InteractionMatrix, ResponseMatrix, TargetMap
-from .validate import mae, pearson
+from .validate import CausalLinearFamily, RegressionFamily, mae, pearson
 
 N_RESPONSES = 5
 N_DRUGS = 15
@@ -178,17 +178,12 @@ def run_scenario(scenario: Scenario, spec: SimSpec) -> ScenarioReport:
     X_test = X.values[test]
 
     # regression arm (never uses B)
-    if scenario.kind == LODO:
-        R, _ = fit_regression_lodo(D_train, X_train, scenario.lodo_drug)
-        reg_pred = predict_regression(R, D_test).predicted
-    else:
-        R, _ = fit_regression(D_train, X_train)
-        reg_pred = predict_regression(R, D_test).predicted
+    held_out = scenario.lodo_drug if scenario.kind == LODO else None
+    reg_pred = RegressionFamily().fit_predict(D_train, X_train, D_test, held_out_drug=held_out)
 
     # causal arm, warm-started from the least-squares solution when available
-    init = least_squares_w_init(D_train, X_train, B_fit)
-    cfg = FitConfig(lam=0.0, max_iter=5000, tol=1e-12, w_init=init)
-    W_hat, _ = fit_causal_linear(D_train, X_train, B_fit, cfg)
+    causal = CausalLinearFamily(B_fit, FitConfig(max_iter=5000, tol=1e-12))
+    W_hat, _ = causal.fit(D_train, X_train)
     causal_pred = predict_causal_linear(W_hat, B_fit, D_test).predicted
 
     return ScenarioReport(

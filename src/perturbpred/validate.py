@@ -7,20 +7,31 @@ Two validation protocols:
 * leave-one-drug-out (LODO), which partitions conditions by whether the
   held-out drug was applied at all.
 
-Pearson correlation and MAE are pooled over all (condition, response)
-pairs; per-fold values are kept for diagnostics.
+Both protocols run on one engine, :func:`fit_folds`, which fits every
+fold exactly once.  Pearson correlation and MAE are pooled over all
+(condition, response) pairs; per-fold values and each fold's FitReport are
+kept for diagnostics.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ZeroVarianceError
-from .fit import FitConfig, fit_causal_linear, fit_causal_ode, fit_regression, fit_regression_lodo, least_squares_w_init
+from .fit import (
+    FitConfig,
+    fit_causal_linear,
+    fit_causal_ode,
+    fit_regression,
+    fit_regression_lodo,
+    fit_regression_stack,
+    least_squares_w_init,
+    least_squares_w_init_stack,
+)
 from .linear import predict_causal_linear, predict_regression
 from .ode import OdeModel, steady_states
 from .types import ConditionMatrix, ResponseMatrix, TargetMap, check_paired
@@ -120,13 +131,23 @@ def make_lodo_splits(D: ConditionMatrix):
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Pooled Pearson/MAE plus a per-fold breakdown and provenance metadata."""
+    """Pooled Pearson/MAE plus a per-fold breakdown and provenance metadata.
+
+    The protocol drivers also attach what the metrics were computed from,
+    which ``to_dict`` leaves out: the scored condition ``rows``, their
+    ``predicted`` responses (averaged over repetitions for random folds) and
+    the FitReport of each fold behind them (None for a family that gives
+    none).
+    """
 
     pearson_r: float
     mae: float
     n_points: int
     per_fold: tuple = ()
     metadata: dict = field(default_factory=dict)
+    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    predicted: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    fits: tuple = field(default=(), compare=False, repr=False)
 
     def to_dict(self):
         return {
@@ -138,28 +159,85 @@ class MetricReport:
         }
 
 
+def summarize_fits(reports):
+    """Convergence summary of fold fits, for a report's metadata.
+
+    Folds whose family gives no FitReport (None) count in "folds" only.
+    """
+    folds = len(reports)
+    reports = [r for r in reports if r is not None]
+    iterations = [r.iterations for r in reports]
+    return {
+        "folds": folds,
+        "unconverged": sum(not r.converged for r in reports),
+        "iterations_min": min(iterations, default=None),
+        "iterations_median": float(np.median(iterations)) if iterations else None,
+        "iterations_max": max(iterations, default=None),
+        "status": sorted({s for r in reports for s in r.status}),
+    }
+
+
 # ---------------------------------------------------------------------------
 # model families: uniform fit/predict wrappers around the estimators
+#
+# Besides fit_predict, each family has fit_block(D, X, block): block is a
+# list of (train rows, test rows, held-out drug or None) and the result one
+# (test predictions, FitReport) pair per fold.  The engine hands a family
+# its folds a block at a time so closed-form solves can be stacked.
+
+
+def _fold_data(D, X, train, test):
+    return (
+        ConditionMatrix(D.values[train], D.drug_names),
+        ResponseMatrix(X.values[train], X.response_names),
+        ConditionMatrix(D.values[test], D.drug_names),
+    )
+
+
+def _train_stack(block):
+    """The block's training rows as one (F, n_train) index array, or None
+    when the folds differ in training size."""
+    if len({len(train) for train, _, _ in block}) != 1:
+        return None
+    return np.array([train for train, _, _ in block])
 
 
 class RegressionFamily:
-    """Penalized regression; LODO uses the zero-coefficient convention."""
+    """Penalized regression; LODO uses the zero-coefficient convention.
+
+    At lambda = 0 a block of random folds is solved as one stack.
+    """
 
     tag = "regression"
 
     def __init__(self, cfg: FitConfig = FitConfig()):
         self.cfg = cfg
 
-    def fit_predict(self, D_train, X_train, D_test, held_out_drug=None):
+    def _fit_fold(self, D_train, X_train, D_test, held_out_drug=None):
         if held_out_drug is not None:
-            R, _ = fit_regression_lodo(D_train, X_train, held_out_drug, self.cfg)
+            R, report = fit_regression_lodo(D_train, X_train, held_out_drug, self.cfg)
         else:
-            R, _ = fit_regression(D_train, X_train, self.cfg)
-        return predict_regression(R, D_test).predicted
+            R, report = fit_regression(D_train, X_train, self.cfg)
+        return predict_regression(R, D_test).predicted, report
+
+    def fit_predict(self, D_train, X_train, D_test, held_out_drug=None):
+        return self._fit_fold(D_train, X_train, D_test, held_out_drug)[0]
+
+    def fit_block(self, D, X, block):
+        train = _train_stack(block)
+        if self.cfg.lam != 0.0 or train is None or any(h is not None for _, _, h in block):
+            return [self._fit_fold(*_fold_data(D, X, tr, te), held) for tr, te, held in block]
+        R, reports = fit_regression_stack(D.values[train], X.values[train], D.drug_names)
+        return [(D.values[test] @ R_f, report)
+                for (_, test, _), R_f, report in zip(block, R, reports)]
 
 
 class CausalLinearFamily:
-    """Closed-form causal model; warm-started from least squares when possible."""
+    """Closed-form causal model; warm-started from least squares when possible.
+
+    The warm starts of a block of equal-sized folds are solved as one stack;
+    each fold then runs its own proximal-gradient fit.
+    """
 
     tag = "causal-linear"
 
@@ -168,24 +246,36 @@ class CausalLinearFamily:
         self.cfg = cfg
         self.warm_start = warm_start
 
-    def fit(self, D_train, X_train):
-        cfg = self.cfg
-        if self.warm_start and cfg.w_init is None:
-            init = least_squares_w_init(D_train, X_train, self.B)
-            if init is not None:
-                cfg = FitConfig(
-                    lam=cfg.lam,
-                    max_iter=cfg.max_iter,
-                    tol=cfg.tol,
-                    step_size=cfg.step_size,
-                    mask=cfg.mask,
-                    w_init=init,
-                )
+    @property
+    def _warm(self):
+        return self.warm_start and self.cfg.w_init is None
+
+    def _fit_from(self, D_train, X_train, init):
+        cfg = self.cfg if init is None else replace(self.cfg, w_init=init)
         return fit_causal_linear(D_train, X_train, self.B, cfg)
+
+    def fit(self, D_train, X_train):
+        init = least_squares_w_init(D_train, X_train, self.B) if self._warm else None
+        return self._fit_from(D_train, X_train, init)
 
     def fit_predict(self, D_train, X_train, D_test, held_out_drug=None):
         W, _ = self.fit(D_train, X_train)
         return predict_causal_linear(W, self.B, D_test).predicted
+
+    def fit_block(self, D, X, block):
+        folds = [_fold_data(D, X, train, test) for train, test, _ in block]
+        train = _train_stack(block)
+        if not self._warm:
+            inits = [None] * len(block)
+        elif train is not None:
+            inits = least_squares_w_init_stack(D.values[train], X.values[train], self.B)
+        else:
+            inits = [least_squares_w_init(D_tr, X_tr, self.B) for D_tr, X_tr, _ in folds]
+        results = []
+        for (D_train, X_train, D_test), init in zip(folds, inits):
+            W, report = self._fit_from(D_train, X_train, init)
+            results.append((predict_causal_linear(W, self.B, D_test).predicted, report))
+        return results
 
 
 class CausalOdeFamily:
@@ -203,26 +293,66 @@ class CausalOdeFamily:
         self.cfg = cfg
         self.fit_kwargs = fit_kwargs
 
-    def fit_predict(self, D_train, X_train, D_test, held_out_drug=None):
-        model, _ = fit_causal_ode(
+    def _fit_fold(self, D_train, X_train, D_test):
+        model, report = fit_causal_ode(
             D_train, X_train, self.B, self.template, self.cfg, **self.fit_kwargs
         )
-        return steady_states(model, D_test.values).require_converged()
+        return steady_states(model, D_test.values).require_converged(), report
+
+    def fit_predict(self, D_train, X_train, D_test, held_out_drug=None):
+        return self._fit_fold(D_train, X_train, D_test)[0]
+
+    def fit_block(self, D, X, block):
+        return [self._fit_fold(*_fold_data(D, X, train, test)) for train, test, _ in block]
 
 
 # ---------------------------------------------------------------------------
-# protocol drivers
+# the engine and the two protocols
+
+# Folds handed to a family at once: bounds the stacked training data held in
+# memory while keeping the per-block overhead small.
+_BLOCK = 16
 
 
-def _map_folds(fn, folds, jobs):
-    """Run fn over folds, optionally threaded; results come back in fold order
-    so downstream accumulation is deterministic regardless of jobs."""
-    if jobs == 1 or len(folds) == 1:
-        return [fn(f) for f in folds]
-    from concurrent.futures import ThreadPoolExecutor
+def fit_folds(family, D: ConditionMatrix, X: ResponseMatrix, folds):
+    """Fit every fold once, in order, and predict its test rows.
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, folds))
+    folds holds (train rows, test rows, held-out drug or None) triples.
+    Yields one (test predictions, FitReport) pair per fold, a block at a
+    time, so a caller that pools predictions never holds them all.  A family
+    without fit_block is run fold by fold through fit_predict and yields
+    None for the report.
+    """
+    fit_block = getattr(family, "fit_block", None)
+    for start in range(0, len(folds), _BLOCK):
+        block = folds[start:start + _BLOCK]
+        if fit_block is not None:
+            yield from fit_block(D, X, block)
+        else:
+            for fold in block:
+                yield _fit_predict(family, D, X, *fold), None
+
+
+def _fit_predict(family, D, X, train, test, held_out_drug):
+    data = _fold_data(D, X, train, test)
+    if held_out_drug is None:
+        return family.fit_predict(*data)
+    return family.fit_predict(*data, held_out_drug=held_out_drug)
+
+
+def _check_jobs(jobs):
+    # jobs stays accepted so existing callers keep working; folds always
+    # run in order on the calling thread, so results cannot depend on it
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
+def _scored(observed, predicted):
+    """(Pearson r, status): NaN and an error status when r is undefined."""
+    try:
+        return pearson(observed, predicted), "ok"
+    except ZeroVarianceError:
+        return float("nan"), "error: zero-variance predictions or observations"
 
 
 def averaged_random_fold_eval(
@@ -232,25 +362,24 @@ def averaged_random_fold_eval(
 
     Conditions that never land in a test set are dropped with a warning.
     A constant prediction vector (zero variance) is reported as an error
-    status in the metadata instead of propagating NaN.
+    status in the metadata instead of propagating NaN.  The report carries
+    the covered rows, their averaged predictions and every fold's FitReport;
+    its metadata summarizes the fits under "fits".  Results do not depend
+    on jobs.
     """
     if plan.kind != "random-fold":
         raise ValueError("averaged_random_fold_eval needs a random-fold plan")
     check_paired(D, X)
+    _check_jobs(jobs)
     n, p = X.values.shape
     pred_sum = np.zeros((n, p))
     pred_count = np.zeros(n, dtype=int)
     per_fold = []
+    fits = []
 
-    def run_fold(fold):
-        train, test = fold
-        D_train = ConditionMatrix(D.values[train], D.drug_names)
-        X_train = ResponseMatrix(X.values[train], X.response_names)
-        D_test = ConditionMatrix(D.values[test], D.drug_names)
-        return family.fit_predict(D_train, X_train, D_test)
-
-    all_preds = _map_folds(run_fold, plan.folds, jobs)
-    for rep, ((train, test), preds) in enumerate(zip(plan.folds, all_preds)):
+    results = fit_folds(family, D, X, [(train, test, None) for train, test in plan.folds])
+    for rep, ((train, test), (preds, fit)) in enumerate(zip(plan.folds, results)):
+        fits.append(fit)
         pred_sum[test] += preds
         pred_count[test] += 1
         try:
@@ -271,58 +400,61 @@ def averaged_random_fold_eval(
         )
     avg = pred_sum[covered] / pred_count[covered, None]
     observed = X.values[covered]
+    r, status = _scored(observed, avg)
     meta = {
         "model": family.tag,
         "pooling": "all-pairs",
         "repetitions": plan.repetitions,
         "excluded_conditions": int(np.sum(~covered)),
+        "status": status,
+        "fits": summarize_fits(fits),
     }
-    try:
-        r = pearson(observed, avg)
-        status = "ok"
-    except ZeroVarianceError:
-        r = float("nan")
-        status = "error: zero-variance predictions or observations"
-    meta["status"] = status
     return MetricReport(
         pearson_r=r,
         mae=mae(observed, avg),
         n_points=int(observed.size),
         per_fold=tuple(per_fold),
         metadata=meta,
+        rows=np.flatnonzero(covered),
+        predicted=avg,
+        fits=tuple(fits),
     )
 
 
 def lodo_eval(family, D: ConditionMatrix, X: ResponseMatrix, plans, jobs: int = 1):
     """Evaluate one model family across all LODO folds.
 
-    Returns (per-drug MetricReports, mean Pearson r across drugs).
+    Returns (per-drug MetricReports, mean Pearson r across drugs).  A drug
+    whose r is undefined (zero variance) gets r = NaN and an error status,
+    and the mean is taken over the drugs whose r is defined (NaN if none).
+    Each report carries its test rows, predictions and fold FitReport.
+    Results do not depend on jobs.
     """
     check_paired(D, X)
+    _check_jobs(jobs)
     for plan in plans:
         if plan.kind != "lodo":
             raise ValueError("lodo_eval needs LODO plans")
 
-    def run_plan(plan):
-        train, test = plan.folds[0]
-        D_train = ConditionMatrix(D.values[train], D.drug_names)
-        X_train = ResponseMatrix(X.values[train], X.response_names)
-        D_test = ConditionMatrix(D.values[test], D.drug_names)
-        preds = family.fit_predict(
-            D_train, X_train, D_test, held_out_drug=plan.held_out_drug
-        )
+    folds = [plan.folds[0] + (plan.held_out_drug,) for plan in plans]
+    reports = []
+    for plan, (_, test, _), (preds, fit) in zip(plans, folds, fit_folds(family, D, X, folds)):
         observed = X.values[test]
-        return MetricReport(
-            pearson_r=pearson(observed, preds),
+        r, status = _scored(observed, preds)
+        reports.append(MetricReport(
+            pearson_r=r,
             mae=mae(observed, preds),
             n_points=int(observed.size),
             metadata={
                 "model": family.tag,
                 "held_out_drug": plan.drug_name,
                 "pooling": "all-pairs",
+                "status": status,
             },
-        )
-
-    reports = _map_folds(run_plan, list(plans), jobs)
-    mean_r = float(np.mean([rep.pearson_r for rep in reports]))
+            rows=test,
+            predicted=preds,
+            fits=(fit,),
+        ))
+    defined = [rep.pearson_r for rep in reports if not np.isnan(rep.pearson_r)]
+    mean_r = float(np.mean(defined)) if defined else float("nan")
     return reports, mean_r

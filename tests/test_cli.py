@@ -303,6 +303,58 @@ class TestCv:
         # each drug is held out of 3 of the 6 conditions, 2 responses each
         assert len(scatter) == 1 + 3 * 3 * 2
 
+    def test_lodo_causal_ode_reports_unconverged_folds(self, ode_dir, caplog):
+        out = ode_dir / "cv"
+        assert main([
+            "cv", "--scheme", "lodo", "--model", "causal-ode", "--envelope", "sigmoid",
+            "--conditions", str(ode_dir / "cond.csv"),
+            "--responses", str(ode_dir / "resp.csv"),
+            "--targets", str(ode_dir / "targets.csv"),
+            "--max-iter", "10",
+            "--out-dir", str(out),
+        ]) == EXIT_OK
+        with open(out / "cv_report.json") as fh:
+            fits = json.load(fh)["metadata"]["fits"]
+        assert fits["folds"] == 3
+        assert fits["unconverged"] == 3
+        assert fits["iterations_max"] == 10
+        assert "3 of 3 fold fits stopped unconverged" in caplog.text
+
+    def test_report_and_scatter_from_one_pass(self, sim_dir, tmp_path):
+        out = tmp_path / "cv"
+        assert main([
+            "cv", "--scheme", "rf", "--model", "causal-linear",
+            "--conditions", str(sim_dir / "sim_conditions.csv"),
+            "--responses", str(sim_dir / "sim_responses.csv"),
+            "--targets", str(sim_dir / "sim_targets.csv"),
+            "--reps", "3", "--seed", "1",
+            "--out-dir", str(out),
+        ]) == EXIT_OK
+        with open(out / "cv_report.json") as fh:
+            report = json.load(fh)
+        assert report["metadata"]["fits"]["folds"] == 3
+        assert report["metadata"]["fits"]["unconverged"] == 0
+        rows = [line.split(",") for line in (out / "scatter.csv").read_text().splitlines()[1:]]
+        observed = np.array([float(r[2]) for r in rows])
+        predicted = np.array([float(r[3]) for r in rows])
+        assert len(rows) == report["n_points"]
+        assert np.corrcoef(observed, predicted)[0, 1] == pytest.approx(report["pearson_r"], abs=1e-12)
+        # 3 repetitions leave conditions untested: each row must still carry
+        # its own condition's label
+        assert report["metadata"]["excluded_conditions"] > 0
+        X, ids, names = load_matrix_csv(sim_dir / "sim_responses.csv")
+        index = {cond: k for k, cond in enumerate(ids)}
+        for cond, resp, obs, _ in rows:
+            assert float(obs) == X[index[cond], names.index(resp)]
+
+    def test_jobs_below_one_is_config_error(self, sim_dir):
+        assert main([
+            "cv", "--scheme", "rf", "--model", "regression",
+            "--conditions", str(sim_dir / "sim_conditions.csv"),
+            "--responses", str(sim_dir / "sim_responses.csv"),
+            "--reps", "2", "--jobs", "0",
+        ]) == EXIT_PARSE
+
     def test_mismatched_row_counts(self, sim_dir, tmp_path):
         short = tmp_path / "short.csv"
         lines = (sim_dir / "sim_responses.csv").read_text().splitlines()

@@ -305,6 +305,36 @@ class TestFitCausalLinear:
         obj = causal_objective(init.values, D, X, bench_targets, 0.0)
         assert obj <= 1e-16
 
+    def test_fixed_step_crossing_singular_set_raises(self):
+        # from W = -I one step of size 1 lands on diag(0, -1): W_new = -I + 2 (X - I)
+        D = ConditionMatrix(np.eye(2))
+        X = ResponseMatrix(np.diag([1.5, 1.0]))
+        B = TargetMap(np.eye(2))
+        with pytest.raises(SingularMatrixError, match="crossed the singular set"):
+            fit_causal_linear(D, X, B, FitConfig(step_size=1.0, max_iter=5))
+
+    def test_each_candidate_screened_once(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        D = ConditionMatrix(rng.uniform(0, 1, (20, 4)))
+        B = TargetMap(rng.normal(size=(3, 4)))
+        X = ResponseMatrix(rng.normal(size=(20, 3)))
+        calls = {"rcond": 0, "loss": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(fit_module, "_rcond", counted("rcond", fit_module._rcond))
+        monkeypatch.setattr(
+            fit_module, "causal_loss_and_gradient",
+            counted("loss", fit_module.causal_loss_and_gradient),
+        )
+        _, report = fit_causal_linear(D, X, B, FitConfig(lam=0.1, max_iter=50))
+        assert calls["loss"] > report.iterations
+        assert calls["rcond"] == calls["loss"]
+
 
 class TestFitCausalOde:
     def test_identity_envelope_matches_linear_fit(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +70,13 @@ class TestIntegrate:
         with pytest.raises(DivergenceError) as exc:
             integrate(m, [1.0, 0.0], t_end=200.0, dt=0.5)
         assert exc.value.time is not None
+
+    def test_divergence_raises_without_overflow_warnings(self):
+        m = simple_model(np.eye(2) * 5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError):
+                integrate(m, [1.0, 0.0], t_end=200.0, dt=0.5)
 
     def test_bad_steps(self):
         m = simple_model(-np.eye(2))

@@ -198,6 +198,37 @@ class TestAveragedRandomFoldEval:
         with pytest.raises(ValueError):
             averaged_random_fold_eval(RegressionFamily(), D, X, plans[0])
 
+    def test_jobs_below_one_rejected(self):
+        D = build_design()
+        X = simulate_responses(SimSpec(seed=0), D)
+        plan = make_random_folds(105, 2.0 / 3.0, 2, seed=1)
+        with pytest.raises(ValueError, match="jobs"):
+            averaged_random_fold_eval(RegressionFamily(), D, X, plan, jobs=0)
+
+    def test_report_carries_predictions_and_fit_summary(self):
+        D = build_design()
+        X = simulate_responses(SimSpec(seed=0), D)
+        plan = make_random_folds(105, 2.0 / 3.0, 30, seed=2)
+        report = averaged_random_fold_eval(RegressionFamily(), D, X, plan)
+        assert len(report.rows) == 105
+        assert report.pearson_r == pearson(X.values[report.rows], report.predicted)
+        assert len(report.fits) == 30
+        assert report.metadata["fits"] == {
+            "folds": 30, "unconverged": 0, "iterations_min": 1,
+            "iterations_median": 1.0, "iterations_max": 1, "status": [],
+        }
+        assert "rows" not in report.to_dict()
+
+    def test_duck_typed_family_reports_no_fits(self):
+        D = build_design()
+        X = simulate_responses(SimSpec(seed=0), D)
+        plan = make_random_folds(105, 2.0 / 3.0, 20, seed=0)
+        report = averaged_random_fold_eval(_TruthFamily(X.values, D.values), D, X, plan)
+        assert report.fits == (None,) * 20
+        fits = report.metadata["fits"]
+        assert fits["folds"] == 20 and fits["unconverged"] == 0
+        assert fits["iterations_median"] is None
+
     def test_averaging_reduces_seed_variance(self):
         D = build_design()
         fam = RegressionFamily()
@@ -260,6 +291,43 @@ class TestLodoEval:
         plan = make_random_folds(105, 0.5, 1, seed=0)
         with pytest.raises(ValueError):
             lodo_eval(RegressionFamily(), D, X, [plan])
+
+    def test_zero_variance_drug_reported_as_status(self):
+        D = build_design()
+        X = simulate_responses(SimSpec(seed=0), D)
+        plans = make_lodo_splits(D)[:3]
+        reports, mean_r = lodo_eval(_ZeroFamily(), D, X, plans)
+        assert all(np.isnan(rep.pearson_r) for rep in reports)
+        assert all("zero-variance" in rep.metadata["status"] for rep in reports)
+        assert np.isnan(mean_r)
+
+    def test_mean_skips_undefined_drugs(self):
+        D = build_design()
+        X = simulate_responses(SimSpec(seed=0), D)
+        truth = _TruthFamily(X.values, D.values)
+
+        class FirstDrugZero:
+            tag = "regression"
+
+            def fit_predict(self, D_train, X_train, D_test, held_out_drug=None):
+                if held_out_drug == 0:
+                    return _ZeroFamily().fit_predict(D_train, X_train, D_test)
+                return truth.fit_predict(D_train, X_train, D_test)
+
+        reports, mean_r = lodo_eval(FirstDrugZero(), D, X, make_lodo_splits(D)[:3])
+        assert np.isnan(reports[0].pearson_r)
+        assert [rep.metadata["status"] for rep in reports[1:]] == ["ok", "ok"]
+        assert mean_r == pytest.approx(1.0, abs=1e-12)
+
+    def test_reports_carry_test_rows_and_predictions(self):
+        D = build_design()
+        X = simulate_responses(SimSpec(seed=0), D)
+        plans = make_lodo_splits(D)[:2]
+        reports, _ = lodo_eval(CausalLinearFamily(build_targets()), D, X, plans)
+        for rep, plan in zip(reports, plans):
+            assert np.array_equal(rep.rows, plan.folds[0][1])
+            assert rep.pearson_r == pearson(X.values[rep.rows], rep.predicted)
+            assert len(rep.fits) == 1 and rep.fits[0].converged
 
 
 def test_causal_ode_family_refuses_unsettled_test_condition():
