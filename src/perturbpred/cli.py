@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: simulate, fit, predict, cv, export-network.  Option precedence
-is CLI flag > config file (--config, flat key=value) > built-in default; the
-resolved settings are logged to stderr at startup.  Numeric outputs depend
-only on inputs and --seed; timestamps appear only in the log stream.
+is CLI flag > config file (--config, flat key=value, keyed by flag name) >
+built-in default; every option's resolved value is logged to stderr at
+startup.  Numeric outputs depend only on inputs and --seed; timestamps
+appear only in the log stream.
 
 Exit codes: 0 success, 2 parse/config error, 3 dimension error, 4 fit or
 steady-state non-convergence, 1 anything else.
@@ -31,14 +32,7 @@ from .errors import (
     PerturbpredError,
     SingularMatrixError,
 )
-from .fit import (
-    FitConfig,
-    fit_causal_linear,
-    fit_causal_ode,
-    fit_regression,
-    least_squares_w_init,
-    select_lambda_cv,
-)
+from .fit import FitConfig
 from .io import (
     default_output_dir,
     export_network,
@@ -69,6 +63,7 @@ from .validate import (
     lodo_eval,
     make_lodo_splits,
     make_random_folds,
+    select_lambda_cv,
     summarize_fits,
 )
 
@@ -81,32 +76,58 @@ EXIT_NONCONVERGENCE = 4
 EXIT_OTHER = 1
 
 
-def _resolve(args, config, key, default, convert=str):
-    """CLI flag > config file > built-in default."""
-    cli_value = getattr(args, key.replace("-", "_"), None)
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        try:
-            return convert(config[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return default
+MODELS = ("regression", "causal-linear", "causal-ode")
 
 
-def _load_config(args, known_keys):
-    if getattr(args, "config", None):
-        return load_run_config(args.config, known_keys)
-    return {}
+class _Options:
+    """One command's options: CLI flag > config file > built-in default.
+
+    The config file may set any of the command's flags, by the flag's name
+    without dashes.  Every value resolved is recorded, and log() writes the
+    record as the command's settings line.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.config = load_run_config(args.config, args.config_keys) if args.config else {}
+        self.resolved = {}
+
+    def __call__(self, key, default=None, convert=str):
+        value = getattr(self.args, key.replace("-", "_"))
+        if value is None and key in self.config:
+            try:
+                value = convert(self.config[key])
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+        if value is None:
+            value = default
+        self.resolved[key.replace("-", "_")] = value
+        return value
+
+    def log(self):
+        log.info("command %s settings: %s", self.args.command,
+                 json.dumps(self.resolved, sort_keys=True, default=str))
 
 
-def _log_settings(command, settings):
-    log.info("command %s settings: %s", command, json.dumps(settings, sort_keys=True, default=str))
+def _boolean(text):
+    lowered = text.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return lowered == "true"
 
 
-def _load_targets(path):
-    values, _, _ = load_matrix_csv(path)
-    return TargetMap(values)
+def _check_model(model):
+    if model not in MODELS:
+        raise ConfigError(f"--model must be {'|'.join(MODELS)}, got {model!r}")
+
+
+def _model_targets(model, targets):
+    """The target map a causal model needs; None for regression."""
+    if model == "regression":
+        return None
+    if not targets:
+        raise ConfigError(f"{model} requires --targets")
+    return TargetMap(load_matrix_csv(targets)[0])
 
 
 def _load_interaction(path, form):
@@ -129,11 +150,11 @@ def _ensure_outdir(path):
 
 
 def cmd_simulate(args):
-    config = _load_config(args, {"seed", "noise-sd", "out-dir"})
-    seed = _resolve(args, config, "seed", 0, int)
-    noise_sd = _resolve(args, config, "noise-sd", 0.2, float)
-    out_dir = _ensure_outdir(_resolve(args, config, "out-dir", default_output_dir()))
-    _log_settings("simulate", {"seed": seed, "noise_sd": noise_sd, "out_dir": out_dir})
+    opt = _Options(args)
+    seed = opt("seed", 0, int)
+    noise_sd = opt("noise-sd", 0.2, float)
+    out_dir = _ensure_outdir(opt("out-dir", default_output_dir()))
+    opt.log()
 
     D = build_design()
     B = build_targets()
@@ -170,67 +191,49 @@ def cmd_simulate(args):
 
 
 def cmd_fit(args):
-    keys = {"model", "conditions", "responses", "targets", "lam", "max-iter", "tol",
-            "mask", "envelope", "out-dir"}
-    config = _load_config(args, keys)
-    model = _resolve(args, config, "model", None)
-    if model not in ("regression", "causal-linear", "causal-ode"):
-        raise ConfigError(f"--model must be regression|causal-linear|causal-ode, got {model!r}")
-    conditions = _resolve(args, config, "conditions", None)
-    responses = _resolve(args, config, "responses", None)
+    opt = _Options(args)
+    model = opt("model")
+    _check_model(model)
+    conditions = opt("conditions")
+    responses = opt("responses")
     if not conditions or not responses:
         raise ConfigError("fit requires --conditions and --responses")
-    lam = _resolve(args, config, "lam", 0.0, float)
-    max_iter = _resolve(args, config, "max-iter", 10000, int)
-    tol = _resolve(args, config, "tol", 1e-8, float)
-    out_dir = _ensure_outdir(_resolve(args, config, "out-dir", default_output_dir()))
-    mask_path = _resolve(args, config, "mask", None)
-    envelope = _resolve(args, config, "envelope", "identity")
-    _log_settings("fit", {"model": model, "lam": lam, "max_iter": max_iter,
-                          "tol": tol, "out_dir": out_dir})
+    targets = opt("targets")
+    lam = opt("lam", 0.0, float)
+    max_iter = opt("max-iter", 10000, int)
+    tol = opt("tol", 1e-8, float)
+    mask_path = opt("mask")
+    envelope = opt("envelope", "identity")
+    fit_epsilon = opt("fit-epsilon", False, _boolean)
+    out_dir = _ensure_outdir(opt("out-dir", default_output_dir()))
+    opt.log()
 
     D, _ = load_condition_matrix(conditions)
     X, _ = load_response_matrix(responses)
     check_paired(D, X)
     mask = _load_mask(mask_path) if mask_path else None
+    B = _model_targets(model, targets)
     cfg = FitConfig(lam=lam, max_iter=max_iter, tol=tol, mask=mask)
+    params, report = _make_family(model, B, cfg, envelope, fit_epsilon).fit(D, X)
 
     if model == "regression":
-        R, report = fit_regression(D, X, cfg)
         save_matrix_csv(
             os.path.join(out_dir, "coefficients.csv"),
-            R.values,
+            params.values,
             D.drug_names,
             X.response_names,
             id_header="drug",
         )
     else:
-        targets = _resolve(args, config, "targets", None)
-        if not targets:
-            raise ConfigError(f"{model} requires --targets")
-        B = _load_targets(targets)
-        if model == "causal-linear":
-            init = least_squares_w_init(D, X, B)
-            if init is not None:
-                cfg = replace(cfg, w_init=init)
-            W, report = fit_causal_linear(D, X, B, cfg)
-        else:
-            template = OdeModel(
-                InteractionMatrix(-np.eye(B.n_responses), form=W_FORM),
-                B,
-                np.ones(B.n_responses),
-                envelope=envelope,
-            )
-            ode_model, report = fit_causal_ode(
-                D, X, B, template, cfg, fit_epsilon=args.fit_epsilon
-            )
-            W = ode_model.W
+        W = params
+        if model == "causal-ode":
             save_matrix_csv(
                 os.path.join(out_dir, "epsilon.csv"),
-                ode_model.epsilon[None, :],
+                params.epsilon[None, :],
                 ["epsilon"],
                 X.response_names,
             )
+            W = params.W
         save_matrix_csv(
             os.path.join(out_dir, "interaction_w.csv"),
             W.values,
@@ -248,44 +251,33 @@ def cmd_fit(args):
 
 
 def cmd_predict(args):
-    keys = {"model", "params", "conditions", "targets", "epsilon", "envelope", "out"}
-    config = _load_config(args, keys)
-    model = _resolve(args, config, "model", None)
-    params = _resolve(args, config, "params", None)
-    conditions = _resolve(args, config, "conditions", None)
-    out = _resolve(args, config, "out", None)
-    if model not in ("regression", "causal-linear", "causal-ode"):
-        raise ConfigError(f"--model must be regression|causal-linear|causal-ode, got {model!r}")
+    opt = _Options(args)
+    model = opt("model")
+    params = opt("params")
+    conditions = opt("conditions")
+    targets = opt("targets")
+    eps_path = opt("epsilon")
+    envelope = opt("envelope", "identity")
+    out = opt("out")
+    _check_model(model)
     if not params or not conditions or not out:
         raise ConfigError("predict requires --params, --conditions, and --out")
-    _log_settings("predict", {"model": model, "params": params, "out": out})
+    opt.log()
 
     D, cond_ids = load_condition_matrix(conditions)
+    B = _model_targets(model, targets)
     if model == "regression":
         values, _, resp_names = load_matrix_csv(params)
-        result = predict_regression(RegressionCoefficients(values), D)
+        predicted = predict_regression(RegressionCoefficients(values), D).predicted
     else:
-        targets = _resolve(args, config, "targets", None)
-        if not targets:
-            raise ConfigError(f"{model} requires --targets")
-        B = _load_targets(targets)
         W, resp_names = _load_interaction(params, W_FORM)
         if model == "causal-linear":
-            result = predict_causal_linear(W, B, D)
+            predicted = predict_causal_linear(W, B, D).predicted
         else:
-            envelope = _resolve(args, config, "envelope", "identity")
-            eps_path = _resolve(args, config, "epsilon", None)
-            if eps_path:
-                eps_values, _, _ = load_matrix_csv(eps_path)
-                eps = eps_values.ravel()
-            else:
-                eps = np.ones(W.size)
+            eps = load_matrix_csv(eps_path)[0].ravel() if eps_path else np.ones(W.size)
             ode_model = OdeModel(W, B, eps, envelope=envelope)
-            preds = steady_states(ode_model, D.values).require_converged(cond_ids)
-            save_matrix_csv(out, preds, cond_ids, resp_names)
-            log.info("wrote predictions to %s", out)
-            return EXIT_OK
-    save_matrix_csv(out, result.predicted, cond_ids, resp_names)
+            predicted = steady_states(ode_model, D.values).require_converged(cond_ids)
+    save_matrix_csv(out, predicted, cond_ids, resp_names)
     log.info("wrote predictions to %s", out)
     return EXIT_OK
 
@@ -294,10 +286,10 @@ def cmd_predict(args):
 # cv
 
 
-def _make_family(model, B, lam, max_iter, tol, mask, envelope):
+def _make_family(model, B, cfg, envelope, fit_epsilon=False):
+    """The validate family that fits model; fit and cv both fit through it."""
     if model == "regression":
-        return RegressionFamily(FitConfig(lam=lam, max_iter=max_iter, tol=tol))
-    cfg = FitConfig(lam=lam, max_iter=max_iter, tol=tol, mask=mask)
+        return RegressionFamily(cfg)
     if model == "causal-linear":
         return CausalLinearFamily(B, cfg)
     template = OdeModel(
@@ -306,64 +298,53 @@ def _make_family(model, B, lam, max_iter, tol, mask, envelope):
         np.ones(B.n_responses),
         envelope=envelope,
     )
-    return CausalOdeFamily(B, template, cfg)
+    return CausalOdeFamily(B, template, cfg, fit_epsilon=fit_epsilon)
 
 
 def cmd_cv(args):
-    keys = {"scheme", "model", "conditions", "responses", "targets", "reps",
-            "train-fraction", "seed", "lam", "max-iter", "tol", "mask",
-            "envelope", "jobs", "out-dir"}
-    config = _load_config(args, keys)
-    scheme = _resolve(args, config, "scheme", None)
-    model = _resolve(args, config, "model", None)
+    opt = _Options(args)
+    scheme = opt("scheme")
+    model = opt("model")
     if scheme not in ("rf", "lodo"):
         raise ConfigError(f"--scheme must be rf|lodo, got {scheme!r}")
-    if model not in ("regression", "causal-linear", "causal-ode"):
-        raise ConfigError(f"--model must be regression|causal-linear|causal-ode, got {model!r}")
-    conditions = _resolve(args, config, "conditions", None)
-    responses = _resolve(args, config, "responses", None)
+    _check_model(model)
+    conditions = opt("conditions")
+    responses = opt("responses")
     if not conditions or not responses:
         raise ConfigError("cv requires --conditions and --responses")
-    reps = _resolve(args, config, "reps", 1000, int)
-    train_fraction = _resolve(args, config, "train-fraction", 0.7, float)
-    seed = _resolve(args, config, "seed", 0, int)
-    lam = _resolve(args, config, "lam", None, float)
-    max_iter = _resolve(args, config, "max-iter", 10000, int)
-    tol = _resolve(args, config, "tol", 1e-8, float)
-    jobs = _resolve(args, config, "jobs", 1, int)
+    targets = opt("targets")
+    reps = opt("reps", 1000, int)
+    train_fraction = opt("train-fraction", 0.7, float)
+    seed = opt("seed", 0, int)
+    lam = opt("lam", None, float)
+    max_iter = opt("max-iter", 10000, int)
+    tol = opt("tol", 1e-8, float)
+    mask_path = opt("mask")
+    envelope = opt("envelope", "identity")
+    jobs = opt("jobs", 1, int)
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    out_dir = _ensure_outdir(_resolve(args, config, "out-dir", default_output_dir()))
-    mask_path = _resolve(args, config, "mask", None)
-    envelope = _resolve(args, config, "envelope", "identity")
-    _log_settings("cv", {"scheme": scheme, "model": model, "reps": reps,
-                         "train_fraction": train_fraction, "seed": seed,
-                         "lam": lam, "jobs": jobs, "out_dir": out_dir})
+    out_dir = _ensure_outdir(opt("out-dir", default_output_dir()))
+    opt.log()
 
     D, cond_ids = load_condition_matrix(conditions)
-    X, resp_ids = load_response_matrix(responses)
+    X, _ = load_response_matrix(responses)
     check_paired(D, X)
     mask = _load_mask(mask_path) if mask_path else None
-
-    B = None
-    if model != "regression":
-        targets = _resolve(args, config, "targets", None)
-        if not targets:
-            raise ConfigError(f"{model} requires --targets")
-        B = _load_targets(targets)
+    B = _model_targets(model, targets)
+    cfg = FitConfig(max_iter=max_iter, tol=tol, mask=mask)
 
     lam_meta = {}
     if lam is None:
         if model == "causal-linear" and D.n_drugs < X.n_responses:
             # unregularized W unidentified when q < p: pick lambda by inner CV
-            lam, scores = select_lambda_cv(D, X, B, seed=seed,
-                                           cfg=FitConfig(max_iter=max_iter, tol=tol, mask=mask))
+            lam, scores = select_lambda_cv(D, X, B, seed=seed, cfg=cfg)
             lam_meta = {"lambda_selected_by_cv": lam, "lambda_cv_scores": scores}
             log.info("selected lambda %.4g by inner cross-validation", lam)
         else:
             lam = 0.0
 
-    family = _make_family(model, B, lam, max_iter, tol, mask, envelope)
+    family = _make_family(model, B, replace(cfg, lam=lam), envelope)
 
     # every fold is fitted once; the report and scatter.csv share the result
     if scheme == "rf":
@@ -418,16 +399,14 @@ def _write_scatter(path, labels, response_names, observed, predicted):
 
 
 def cmd_export_network(args):
-    keys = {"network", "form", "threshold", "out-dir"}
-    config = _load_config(args, keys)
-    network = _resolve(args, config, "network", None)
+    opt = _Options(args)
+    network = opt("network")
     if not network:
         raise ConfigError("export-network requires --network")
-    form = _resolve(args, config, "form", "A-form")
-    threshold = _resolve(args, config, "threshold", 0.2, float)
-    out_dir = _ensure_outdir(_resolve(args, config, "out-dir", default_output_dir()))
-    _log_settings("export-network", {"network": network, "form": form,
-                                     "threshold": threshold, "out_dir": out_dir})
+    form = opt("form", "A-form")
+    threshold = opt("threshold", 0.2, float)
+    out_dir = _ensure_outdir(opt("out-dir", default_output_dir()))
+    opt.log()
 
     if form == W_FORM:
         W, names = _load_interaction(network, W_FORM)
@@ -476,7 +455,7 @@ def build_parser():
     p.add_argument("--tol", type=float)
     p.add_argument("--mask")
     p.add_argument("--envelope")
-    p.add_argument("--fit-epsilon", action="store_true")
+    p.add_argument("--fit-epsilon", action="store_true", default=None)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_fit)
 
@@ -518,6 +497,12 @@ def build_parser():
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_export_network)
 
+    # the config keys of a command are its flags, without the dashes
+    for p in sub.choices.values():
+        p.set_defaults(config_keys=frozenset(
+            action.option_strings[0][2:] for action in p._actions
+            if action.option_strings[0] not in ("-h", "--config")
+        ))
     return parser
 
 

@@ -246,8 +246,7 @@ def causal_loss_and_gradient(W, D: ConditionMatrix, X: ResponseMatrix, B: Target
 
 def causal_objective(W, D, X, B, lam):
     loss, _ = causal_loss_and_gradient(W, D, X, B)
-    off = W - np.diag(np.diag(W))
-    return loss + lam * float(np.sum(np.abs(off)))
+    return loss + _penalty(W, lam)
 
 
 def _penalty(W, lam):
@@ -282,12 +281,13 @@ def fit_causal_linear(
         )
 
     status = []
-    C = D.values @ B.values.T
-    if cfg.lam == 0.0 and np.linalg.matrix_rank(C) < p:
-        status.append(
-            "non-unique-solution: rank(D B^T) = "
-            f"{np.linalg.matrix_rank(C)} < p = {p}; unregularized W is not identified"
-        )
+    if cfg.lam == 0.0:
+        rank = np.linalg.matrix_rank(D.values @ B.values.T)
+        if rank < p:
+            status.append(
+                f"non-unique-solution: rank(D B^T) = {rank} < p = {p}; "
+                "unregularized W is not identified"
+            )
 
     if cfg.w_init is not None:
         if cfg.w_init.form != W_FORM:
@@ -303,6 +303,7 @@ def fit_causal_linear(
     trace = [obj]
     step = 1.0 if cfg.step_size == "backtracking" else float(cfg.step_size)
     backtracking = cfg.step_size == "backtracking"
+    off_mask = ~np.eye(p, dtype=bool)
     converged = False
     it = 0
 
@@ -311,7 +312,6 @@ def fit_causal_linear(
         trial = step
         while trial > 1e-20:
             W_new = W - trial * grad
-            off_mask = ~np.eye(p, dtype=bool)
             W_new[off_mask] = soft_threshold(W_new[off_mask], trial * cfg.lam)
             W_new = _apply_mask(W_new, cfg.mask)
             try:
@@ -541,50 +541,3 @@ def fit_causal_ode(
 
     report = FitReport(obj, it, converged, trace, tuple(status))
     return model, report
-
-
-# ---------------------------------------------------------------------------
-# lambda selection
-
-
-def select_lambda_cv(
-    D: ConditionMatrix,
-    X: ResponseMatrix,
-    B: TargetMap,
-    grid=None,
-    n_folds: int = 5,
-    seed: int = 0,
-    cfg: FitConfig = FitConfig(max_iter=2000, tol=1e-7),
-):
-    """Pick lambda for the causal linear fit by k-fold cross-validation.
-
-    Needed when q < p leaves the unregularized fit unidentified.  Returns
-    (best_lambda, {lambda: mean held-out SSE}).
-    """
-    from .linear import predict_causal_linear  # local import avoids cycle at import time
-
-    if grid is None:
-        grid = np.logspace(-3, 1, 9)
-    n = D.n_conditions
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, n_folds)
-    scores = {}
-    for lam in grid:
-        sse = []
-        for fold in folds:
-            train = np.setdiff1d(perm, fold)
-            Dtr = ConditionMatrix(D.values[train], D.drug_names)
-            Xtr = ResponseMatrix(X.values[train], X.response_names)
-            Dte = ConditionMatrix(D.values[fold], D.drug_names)
-            try:
-                W, _ = fit_causal_linear(Dtr, Xtr, B, replace(cfg, lam=float(lam)))
-                pred = predict_causal_linear(W, B, Dte).predicted
-            except (SingularMatrixError, NonConvergenceError):
-                sse.append(np.inf)
-                continue
-            diff = X.values[fold] - pred
-            sse.append(float(np.sum(diff * diff)))
-        scores[float(lam)] = float(np.mean(sse))
-    best = min(scores, key=scores.get)
-    return best, scores

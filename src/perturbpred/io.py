@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .types import ConditionMatrix, ResponseMatrix
+from .types import ConditionMatrix, ResponseMatrix, duplicate_labels
 
 FLOAT_FMT = "%.17g"
 
@@ -39,7 +39,7 @@ def load_matrix_csv(path):
     if len(header) < 2:
         raise ParseError(f"{path}: header must have an ID column plus data columns")
     col_names = header[1:]
-    dup = {c for c in col_names if col_names.count(c) > 1}
+    dup = duplicate_labels(col_names)
     if dup:
         raise ParseError(f"{path}: duplicate column labels: {sorted(dup)}")
 
@@ -64,7 +64,7 @@ def load_matrix_csv(path):
         values.append(parsed)
     if not values:
         raise ParseError(f"{path}: no data rows")
-    dup_ids = {r for r in row_ids if row_ids.count(r) > 1}
+    dup_ids = duplicate_labels(row_ids)
     if dup_ids:
         raise ParseError(f"{path}: duplicate row labels: {sorted(dup_ids)}")
     return np.array(values), row_ids, col_names

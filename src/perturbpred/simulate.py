@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .fit import FitConfig
-from .linear import predict_causal_linear, w_to_dag
+from .linear import w_to_dag
 from .types import A_FORM, ConditionMatrix, InteractionMatrix, ResponseMatrix, TargetMap
 from .validate import CausalLinearFamily, RegressionFamily, mae, pearson
 
@@ -132,17 +132,6 @@ class ScenarioReport:
     regression: ModelScore
     causal: ModelScore
     fitted_network: np.ndarray  # A-form estimate from the causal fit
-    edge_threshold: float = EDGE_DISPLAY_THRESHOLD
-
-    def thresholded_edges(self):
-        """(source, target, weight) for fitted off-diagonal entries over threshold."""
-        edges = []
-        A = self.fitted_network
-        for i in range(A.shape[0]):
-            for j in range(A.shape[1]):
-                if i != j and abs(A[i, j]) >= self.edge_threshold:
-                    edges.append((j, i, float(A[i, j])))  # A[i, j]: j drives i
-        return edges
 
 
 def _rf_split(n, rng):
@@ -184,7 +173,7 @@ def run_scenario(scenario: Scenario, spec: SimSpec) -> ScenarioReport:
     # causal arm, warm-started from the least-squares solution when available
     causal = CausalLinearFamily(B_fit, FitConfig(max_iter=5000, tol=1e-12))
     W_hat, _ = causal.fit(D_train, X_train)
-    causal_pred = predict_causal_linear(W_hat, B_fit, D_test).predicted
+    causal_pred = causal.predict(W_hat, D_test)
 
     return ScenarioReport(
         scenario=scenario,

@@ -49,12 +49,21 @@ def _check_finite(arr, name):
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def _check_unique(labels, what):
+def duplicate_labels(labels):
+    """The labels that occur more than once, in the order they first repeat."""
     seen = set()
+    repeated = {}
     for lab in labels:
         if lab in seen:
-            raise ValueError(f"duplicate {what} label: {lab!r}")
+            repeated[lab] = None
         seen.add(lab)
+    return list(repeated)
+
+
+def _check_unique(labels, what):
+    repeated = duplicate_labels(labels)
+    if repeated:
+        raise ValueError(f"duplicate {what} label: {repeated[0]!r}")
 
 
 @dataclass(frozen=True)

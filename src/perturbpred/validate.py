@@ -7,10 +7,12 @@ Two validation protocols:
 * leave-one-drug-out (LODO), which partitions conditions by whether the
   held-out drug was applied at all.
 
-Both protocols run on one engine, :func:`fit_folds`, which fits every
-fold exactly once.  Pearson correlation and MAE are pooled over all
-(condition, response) pairs; per-fold values and each fold's FitReport are
-kept for diagnostics.
+Both protocols, and the choice of lambda by inner cross-validation, run on
+one engine, :func:`fit_folds`, which fits every fold exactly once through a
+model family.  The families are the one place that says how each model is
+fitted and predicts; the command line fits through them too.  Pearson
+correlation and MAE are pooled over all (condition, response) pairs;
+per-fold values and each fold's FitReport are kept for diagnostics.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ZeroVarianceError
+from .errors import NonConvergenceError, SingularMatrixError, ZeroVarianceError
 from .fit import (
     FitConfig,
     fit_causal_linear,
@@ -178,19 +180,20 @@ def summarize_fits(reports):
 
 
 # ---------------------------------------------------------------------------
-# model families: uniform fit/predict wrappers around the estimators
+# model families: the one place that knows how each model is fitted
 #
-# Besides fit_predict, each family has fit_block(D, X, block): block is a
-# list of (train rows, test rows, held-out drug or None) and the result one
+# Each family has fit(D_train, X_train, held_out_drug=None) -> (params,
+# FitReport) and predict(params, D_test) -> predictions; ModelFamily builds
+# fit_predict and fit_block on those two.  fit_block(D, X, block) takes a
+# list of (train rows, test rows, held-out drug or None) and returns one
 # (test predictions, FitReport) pair per fold.  The engine hands a family
 # its folds a block at a time so closed-form solves can be stacked.
 
 
-def _fold_data(D, X, train, test):
+def _train_data(D, X, train):
     return (
         ConditionMatrix(D.values[train], D.drug_names),
         ResponseMatrix(X.values[train], X.response_names),
-        ConditionMatrix(D.values[test], D.drug_names),
     )
 
 
@@ -202,10 +205,36 @@ def _train_stack(block):
     return np.array([train for train, _, _ in block])
 
 
-class RegressionFamily:
+class ModelFamily:
+    """fit_predict and the engine's fit_block, on top of fit and predict.
+
+    A family that can stack a block's fits overrides _fit_block, which
+    yields one (params, FitReport) pair per fold of the block.  Each fold is
+    predicted before the next one is fitted, so the first fold that fails
+    is the one that raises.
+    """
+
+    def fit_predict(self, D_train, X_train, D_test, held_out_drug=None):
+        params, _ = self.fit(D_train, X_train, held_out_drug)
+        return self.predict(params, D_test)
+
+    def fit_block(self, D, X, block):
+        return [
+            (self.predict(params, ConditionMatrix(D.values[test], D.drug_names)), report)
+            for (_, test, _), (params, report) in zip(block, self._fit_block(D, X, block))
+        ]
+
+    def _fit_block(self, D, X, block):
+        return (self.fit(*_train_data(D, X, train), held) for train, _, held in block)
+
+
+class RegressionFamily(ModelFamily):
     """Penalized regression; LODO uses the zero-coefficient convention.
 
-    At lambda = 0 a block of random folds is solved as one stack.
+    At lambda = 0 a block of equal-sized random folds is solved as one stack
+    and predicted straight from the stacked coefficients: wrapping each
+    fold's coefficients and test rows in checked types would cost more than
+    its solve.
     """
 
     tag = "regression"
@@ -213,26 +242,24 @@ class RegressionFamily:
     def __init__(self, cfg: FitConfig = FitConfig()):
         self.cfg = cfg
 
-    def _fit_fold(self, D_train, X_train, D_test, held_out_drug=None):
+    def fit(self, D_train, X_train, held_out_drug=None):
         if held_out_drug is not None:
-            R, report = fit_regression_lodo(D_train, X_train, held_out_drug, self.cfg)
-        else:
-            R, report = fit_regression(D_train, X_train, self.cfg)
-        return predict_regression(R, D_test).predicted, report
+            return fit_regression_lodo(D_train, X_train, held_out_drug, self.cfg)
+        return fit_regression(D_train, X_train, self.cfg)
 
-    def fit_predict(self, D_train, X_train, D_test, held_out_drug=None):
-        return self._fit_fold(D_train, X_train, D_test, held_out_drug)[0]
+    def predict(self, R, D_test):
+        return predict_regression(R, D_test).predicted
 
     def fit_block(self, D, X, block):
         train = _train_stack(block)
         if self.cfg.lam != 0.0 or train is None or any(h is not None for _, _, h in block):
-            return [self._fit_fold(*_fold_data(D, X, tr, te), held) for tr, te, held in block]
+            return super().fit_block(D, X, block)
         R, reports = fit_regression_stack(D.values[train], X.values[train], D.drug_names)
         return [(D.values[test] @ R_f, report)
                 for (_, test, _), R_f, report in zip(block, R, reports)]
 
 
-class CausalLinearFamily:
+class CausalLinearFamily(ModelFamily):
     """Closed-form causal model; warm-started from least squares when possible.
 
     The warm starts of a block of equal-sized folds are solved as one stack;
@@ -254,31 +281,23 @@ class CausalLinearFamily:
         cfg = self.cfg if init is None else replace(self.cfg, w_init=init)
         return fit_causal_linear(D_train, X_train, self.B, cfg)
 
-    def fit(self, D_train, X_train):
+    def fit(self, D_train, X_train, held_out_drug=None):
         init = least_squares_w_init(D_train, X_train, self.B) if self._warm else None
         return self._fit_from(D_train, X_train, init)
 
-    def fit_predict(self, D_train, X_train, D_test, held_out_drug=None):
-        W, _ = self.fit(D_train, X_train)
+    def predict(self, W, D_test):
         return predict_causal_linear(W, self.B, D_test).predicted
 
-    def fit_block(self, D, X, block):
-        folds = [_fold_data(D, X, train, test) for train, test, _ in block]
+    def _fit_block(self, D, X, block):
         train = _train_stack(block)
-        if not self._warm:
-            inits = [None] * len(block)
-        elif train is not None:
-            inits = least_squares_w_init_stack(D.values[train], X.values[train], self.B)
-        else:
-            inits = [least_squares_w_init(D_tr, X_tr, self.B) for D_tr, X_tr, _ in folds]
-        results = []
-        for (D_train, X_train, D_test), init in zip(folds, inits):
-            W, report = self._fit_from(D_train, X_train, init)
-            results.append((predict_causal_linear(W, self.B, D_test).predicted, report))
-        return results
+        if not self._warm or train is None:
+            return super()._fit_block(D, X, block)
+        inits = least_squares_w_init_stack(D.values[train], X.values[train], self.B)
+        return (self._fit_from(*_train_data(D, X, rows), init)
+                for rows, init in zip(train, inits))
 
 
-class CausalOdeFamily:
+class CausalOdeFamily(ModelFamily):
     """Nonlinear dynamics fit; predictions come from the fitted steady states.
 
     A test condition whose steady state does not settle raises
@@ -293,21 +312,15 @@ class CausalOdeFamily:
         self.cfg = cfg
         self.fit_kwargs = fit_kwargs
 
-    def _fit_fold(self, D_train, X_train, D_test):
-        model, report = fit_causal_ode(
-            D_train, X_train, self.B, self.template, self.cfg, **self.fit_kwargs
-        )
-        return steady_states(model, D_test.values).require_converged(), report
+    def fit(self, D_train, X_train, held_out_drug=None):
+        return fit_causal_ode(D_train, X_train, self.B, self.template, self.cfg, **self.fit_kwargs)
 
-    def fit_predict(self, D_train, X_train, D_test, held_out_drug=None):
-        return self._fit_fold(D_train, X_train, D_test)[0]
-
-    def fit_block(self, D, X, block):
-        return [self._fit_fold(*_fold_data(D, X, train, test)) for train, test, _ in block]
+    def predict(self, model, D_test):
+        return steady_states(model, D_test.values).require_converged()
 
 
 # ---------------------------------------------------------------------------
-# the engine and the two protocols
+# the engine, the two protocols and lambda selection
 
 # Folds handed to a family at once: bounds the stacked training data held in
 # memory while keeping the per-block overhead small.
@@ -334,7 +347,7 @@ def fit_folds(family, D: ConditionMatrix, X: ResponseMatrix, folds):
 
 
 def _fit_predict(family, D, X, train, test, held_out_drug):
-    data = _fold_data(D, X, train, test)
+    data = (*_train_data(D, X, train), ConditionMatrix(D.values[test], D.drug_names))
     if held_out_drug is None:
         return family.fit_predict(*data)
     return family.fit_predict(*data, held_out_drug=held_out_drug)
@@ -458,3 +471,36 @@ def lodo_eval(family, D: ConditionMatrix, X: ResponseMatrix, plans, jobs: int = 
     defined = [rep.pearson_r for rep in reports if not np.isnan(rep.pearson_r)]
     mean_r = float(np.mean(defined)) if defined else float("nan")
     return reports, mean_r
+
+
+def select_lambda_cv(
+    D: ConditionMatrix,
+    X: ResponseMatrix,
+    B: TargetMap,
+    grid=None,
+    n_folds: int = 5,
+    seed: int = 0,
+    cfg: FitConfig = FitConfig(max_iter=2000, tol=1e-7),
+):
+    """Pick lambda for the causal linear fit by k-fold cross-validation.
+
+    Needed when q < p leaves the unregularized fit unidentified.  Every
+    lambda is fitted cold (no least-squares warm start) on the same folds; a
+    lambda whose fit or prediction fails on any fold scores inf.  Returns
+    (best_lambda, {lambda: mean held-out SSE}).
+    """
+    if grid is None:
+        grid = np.logspace(-3, 1, 9)
+    perm = np.random.default_rng(seed).permutation(D.n_conditions)
+    folds = [(np.setdiff1d(perm, test), test, None) for test in np.array_split(perm, n_folds)]
+    scores = {}
+    for lam in grid:
+        family = CausalLinearFamily(B, replace(cfg, lam=float(lam)), warm_start=False)
+        try:
+            sse = [float(np.sum((X.values[test] - preds) ** 2))
+                   for (_, test, _), (preds, _) in zip(folds, fit_folds(family, D, X, folds))]
+        except (SingularMatrixError, NonConvergenceError):
+            sse = [np.inf]
+        scores[float(lam)] = float(np.mean(sse))
+    best = min(scores, key=scores.get)
+    return best, scores

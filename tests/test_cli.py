@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +11,25 @@ from perturbpred.cli import (
     EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
+    build_parser,
     main,
 )
-from perturbpred.io import load_matrix_csv, save_matrix_csv
+from perturbpred.fit import (
+    FitConfig,
+    fit_causal_linear,
+    fit_causal_ode,
+    fit_regression,
+    least_squares_w_init,
+)
+from perturbpred.io import (
+    load_condition_matrix,
+    load_matrix_csv,
+    load_response_matrix,
+    save_matrix_csv,
+    write_json_report,
+)
 from perturbpred.ode import OdeModel, steady_states
-from perturbpred.types import InteractionMatrix, TargetMap
+from perturbpred.types import W_FORM, InteractionMatrix, TargetMap
 
 
 @pytest.fixture
@@ -410,6 +426,149 @@ class TestExportNetwork:
         ]) == EXIT_OK
         lines = (out / "network_edges.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 3
+
+
+def reference_fit(model, conditions, responses, targets, cfg, envelope, fit_epsilon, out_dir):
+    """The fitting code cmd_fit ran before it fitted through the validate
+    families: the warm start and the ODE template were built here."""
+    D, _ = load_condition_matrix(conditions)
+    X, _ = load_response_matrix(responses)
+    os.makedirs(out_dir)
+    if model == "regression":
+        R, report = fit_regression(D, X, cfg)
+        save_matrix_csv(os.path.join(out_dir, "coefficients.csv"), R.values,
+                        D.drug_names, X.response_names, id_header="drug")
+    else:
+        B = TargetMap(load_matrix_csv(targets)[0])
+        if model == "causal-linear":
+            init = least_squares_w_init(D, X, B)
+            if init is not None:
+                cfg = replace(cfg, w_init=init)
+            W, report = fit_causal_linear(D, X, B, cfg)
+        else:
+            template = OdeModel(InteractionMatrix(-np.eye(B.n_responses), form=W_FORM), B,
+                                np.ones(B.n_responses), envelope=envelope)
+            ode_model, report = fit_causal_ode(D, X, B, template, cfg, fit_epsilon=fit_epsilon)
+            W = ode_model.W
+            save_matrix_csv(os.path.join(out_dir, "epsilon.csv"), ode_model.epsilon[None, :],
+                            ["epsilon"], X.response_names)
+        save_matrix_csv(os.path.join(out_dir, "interaction_w.csv"), W.values,
+                        X.response_names, X.response_names)
+    write_json_report(os.path.join(out_dir, "fit_report.json"), report.to_dict())
+
+
+class TestFitThroughFamilies:
+    """fit writes the same bytes through the families as the reference."""
+
+    def check(self, data_dir, files, model, flags, cfg, envelope="identity", fit_epsilon=False):
+        conditions, responses, targets = (str(data_dir / name) for name in files)
+        argv = ["fit", "--model", model, "--conditions", conditions, "--responses", responses,
+                "--targets", targets, "--out-dir", str(data_dir / "got")] + flags
+        main(argv)
+        reference_fit(model, conditions, responses, targets, cfg, envelope, fit_epsilon,
+                      str(data_dir / "want"))
+        written = sorted(os.listdir(data_dir / "want"))
+        assert sorted(os.listdir(data_dir / "got")) == written
+        for name in written:
+            assert (data_dir / "got" / name).read_bytes() == (data_dir / "want" / name).read_bytes(), name
+
+    SIM = ("sim_conditions.csv", "sim_responses.csv", "sim_targets.csv")
+    ODE = ("cond.csv", "resp.csv", "targets.csv")
+
+    def test_regression(self, sim_dir):
+        self.check(sim_dir, self.SIM, "regression", [], FitConfig())
+
+    @pytest.mark.parametrize("lam", ["0", "0.1"])
+    def test_causal_linear(self, sim_dir, lam):
+        self.check(sim_dir, self.SIM, "causal-linear", ["--lam", lam, "--max-iter", "3000"],
+                   FitConfig(lam=float(lam), max_iter=3000))
+
+    @pytest.mark.parametrize("fit_epsilon", [False, True])
+    def test_causal_ode(self, ode_dir, fit_epsilon):
+        flags = ["--envelope", "sigmoid", "--max-iter", "8"] + ["--fit-epsilon"] * fit_epsilon
+        self.check(ode_dir, self.ODE, "causal-ode", flags, FitConfig(max_iter=8),
+                   envelope="sigmoid", fit_epsilon=fit_epsilon)
+
+
+def config_values(sim_dir, tmp_path):
+    """A valid value for every config key of every command."""
+    sim = {key: str(sim_dir / f"sim_{key}.csv") for key in ("conditions", "responses", "targets")}
+    mask = tmp_path / "mask.csv"
+    save_matrix_csv(mask, np.ones((5, 5)))
+    assert main(["fit", "--model", "causal-linear", "--out-dir", str(tmp_path / "fitted"),
+                 *(f"--{k}={v}" for k, v in sim.items())]) == EXIT_OK
+    common = {"out-dir": str(tmp_path / "out"), "envelope": "identity", "mask": str(mask),
+              "max-iter": "50", "tol": "1e-6", "lam": "0.0"}
+    return {
+        "simulate": {"seed": "1", "noise-sd": "0.1", "out-dir": str(tmp_path / "sim")},
+        "fit": {"model": "causal-linear", "fit-epsilon": "False", **sim, **common},
+        "predict": {"model": "causal-linear", "params": str(tmp_path / "fitted" / "interaction_w.csv"),
+                    "conditions": sim["conditions"], "targets": sim["targets"],
+                    # never opened: causal-linear predictions ignore epsilon
+                    "epsilon": str(tmp_path / "none.csv"), "envelope": "identity",
+                    "out": str(tmp_path / "pred.csv")},
+        "cv": {"scheme": "rf", "model": "causal-linear", "reps": "30", "train-fraction": "0.7",
+               "seed": "2", "jobs": "1", **sim, **common},
+        "export-network": {"network": str(sim_dir / "sim_network_a.csv"), "form": "A-form",
+                           "threshold": "0.2", "out-dir": str(tmp_path / "net")},
+    }
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "predict", "cv", "export-network"])
+def test_config_sets_every_flag_and_settings_name_every_option(command, sim_dir, tmp_path, caplog):
+    values = config_values(sim_dir, tmp_path)[command]
+    keys = build_parser().parse_args([command]).config_keys
+    assert set(values) == keys  # the config keys are the command's flags
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="perturbpred")
+    assert main([command, "--config", str(cfg)]) == EXIT_OK
+    line = next(r for r in caplog.records if r.msg.startswith("command %s settings"))
+    assert line.args[0] == command
+    logged = json.loads(line.args[1])
+    assert set(logged) == {key.replace("-", "_") for key in keys}
+    out_key = "out-dir" if "out-dir" in keys else "out"
+    assert logged[out_key.replace("-", "_")] == values[out_key]  # the config value applied
+
+
+def test_settings_name_options_left_at_their_defaults(sim_dir, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="perturbpred")
+    assert main(["fit", "--model", "regression", "--out-dir", str(tmp_path),
+                 "--conditions", str(sim_dir / "sim_conditions.csv"),
+                 "--responses", str(sim_dir / "sim_responses.csv")]) == EXIT_OK
+    line = next(r for r in caplog.records if r.msg.startswith("command %s settings"))
+    logged = json.loads(line.args[1])
+    assert len(logged) == len(build_parser().parse_args(["fit"]).config_keys)
+    assert (logged["targets"], logged["mask"], logged["fit_epsilon"], logged["lam"]) == (
+        None, None, False, 0.0)
+
+
+class TestFitEpsilonConfig:
+    def run(self, ode_dir, text, *flags):
+        cfg = ode_dir / "run.cfg"
+        cfg.write_text(f"fit-epsilon = {text}\n")
+        return main([
+            "fit", "--config", str(cfg), "--model", "causal-ode", "--envelope", "sigmoid",
+            "--conditions", str(ode_dir / "cond.csv"), "--responses", str(ode_dir / "resp.csv"),
+            "--targets", str(ode_dir / "targets.csv"), "--max-iter", "5",
+            "--out-dir", str(ode_dir / text), *flags,
+        ])
+
+    def test_true_and_false_in_any_case(self, ode_dir):
+        for text in ("TRUE", "false"):
+            self.run(ode_dir, text)
+        eps = {t: load_matrix_csv(ode_dir / t / "epsilon.csv")[0] for t in ("TRUE", "false")}
+        assert np.array_equal(eps["false"], np.ones((1, 2)))
+        assert not np.array_equal(eps["TRUE"], eps["false"])
+
+    def test_flag_overrides_config(self, ode_dir):
+        self.run(ode_dir, "false", "--fit-epsilon")
+        assert not np.array_equal(load_matrix_csv(ode_dir / "false" / "epsilon.csv")[0],
+                                  np.ones((1, 2)))
+
+    def test_other_value_is_config_error(self, ode_dir):
+        assert self.run(ode_dir, "yes") == EXIT_PARSE
 
 
 def test_version_flag(capsys):

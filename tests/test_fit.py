@@ -16,7 +16,6 @@ from perturbpred.fit import (
     fit_regression,
     fit_regression_lodo,
     least_squares_w_init,
-    select_lambda_cv,
     soft_threshold,
 )
 from perturbpred.linear import dag_to_w, predict_causal_linear, predict_regression
@@ -35,6 +34,7 @@ from perturbpred.types import (
     ResponseMatrix,
     TargetMap,
 )
+from perturbpred.validate import select_lambda_cv
 
 from conftest import random_stable_w
 

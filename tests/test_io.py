@@ -50,6 +50,15 @@ class TestMatrixCsv:
         with pytest.raises(ParseError, match="duplicate row"):
             load_matrix_csv(path)
 
+    def test_duplicate_labels_listed_sorted_once(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,b,a,b,a,b\nr2,1,2,3,4,5\nr1,1,2,3,4,5\nr2,1,2,3,4,5\nr1,1,2,3,4,5\n")
+        with pytest.raises(ParseError, match=r"duplicate column labels: \['a', 'b'\]"):
+            load_matrix_csv(path)
+        path.write_text("id,a\nr2,1\nr1,2\nr2,3\nr1,4\nr2,5\n")
+        with pytest.raises(ParseError, match=r"duplicate row labels: \['r1', 'r2'\]"):
+            load_matrix_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from perturbpred.io import export_network
 from perturbpred.simulate import (
     EDGE_DISPLAY_THRESHOLD,
     LODO,
@@ -193,4 +194,5 @@ class TestRunScenario:
             causal=None,
             fitted_network=A,
         )
-        assert report.thresholded_edges() == [(0, 1, 0.5)]
+        exported = export_network(report.fitted_network, [0, 1, 2], EDGE_DISPLAY_THRESHOLD)
+        assert exported.edges == ((0, 1, 0.5),)

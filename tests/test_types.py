@@ -13,6 +13,7 @@ from perturbpred.types import (
     ResponseMatrix,
     TargetMap,
     check_paired,
+    duplicate_labels,
 )
 
 
@@ -30,6 +31,10 @@ class TestConditionMatrix:
     def test_duplicate_drug_names_rejected(self):
         with pytest.raises(ValueError):
             ConditionMatrix([[1.0, 0.0]], ["a", "a"])
+
+    def test_first_repeated_name_is_reported(self):
+        with pytest.raises(ValueError, match="duplicate drug label: 'b'"):
+            ConditionMatrix([[1.0, 0.0, 0.0, 0.0]], ["a", "b", "b", "a"])
 
     def test_name_count_mismatch(self):
         with pytest.raises(DimensionError):
@@ -132,3 +137,9 @@ def test_check_paired():
     check_paired(D, X_ok)
     with pytest.raises(DimensionError):
         check_paired(D, X_bad)
+
+
+def test_duplicate_labels_each_once_in_order_of_first_repeat():
+    assert duplicate_labels(["c", "a", "b", "a", "c", "a"]) == ["a", "c"]
+    assert duplicate_labels(["x", "y"]) == []
+    assert duplicate_labels([f"r{i}" for i in range(5000)] + ["r17"]) == ["r17"]

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from perturbpred.errors import NonConvergenceError, ZeroVarianceError
+import perturbpred.validate as validate_module
+from perturbpred.errors import NonConvergenceError, SingularMatrixError, ZeroVarianceError
 from perturbpred.fit import FitConfig
+from perturbpred.linear import predict_causal_linear
 from perturbpred.ode import OdeModel
 from perturbpred.simulate import SimSpec, build_design, build_targets, simulate_responses
 from perturbpred.types import ConditionMatrix, InteractionMatrix, ResponseMatrix, TargetMap
@@ -10,14 +14,17 @@ from perturbpred.validate import (
     CausalLinearFamily,
     CausalOdeFamily,
     MetricReport,
+    ModelFamily,
     RegressionFamily,
     SplitPlan,
     averaged_random_fold_eval,
+    fit_folds,
     lodo_eval,
     mae,
     make_lodo_splits,
     make_random_folds,
     pearson,
+    select_lambda_cv,
 )
 
 
@@ -344,6 +351,35 @@ def test_causal_ode_family_refuses_unsettled_test_condition():
         family.fit_predict(D_train, X_train, D_test)
 
 
+class _CallLog(ModelFamily):
+    """Records the order of its fit and predict calls."""
+
+    tag = "call-log"
+
+    def __init__(self):
+        self.calls = []
+
+    def fit(self, D_train, X_train, held_out_drug=None):
+        self.calls.append(("fit", D_train.n_conditions, held_out_drug))
+        return None, None
+
+    def predict(self, params, D_test):
+        self.calls.append(("predict", D_test.n_conditions))
+        return np.zeros((D_test.n_conditions, 1))
+
+
+def test_model_family_predicts_each_fold_before_fitting_the_next():
+    D = ConditionMatrix(np.eye(4))
+    X = ResponseMatrix(np.ones((4, 1)))
+    folds = [(np.arange(3), np.array([3]), None), (np.arange(2), np.arange(2, 4), 1)]
+    family = _CallLog()
+    assert [preds.shape for preds, _ in fit_folds(family, D, X, folds)] == [(1, 1), (2, 1)]
+    assert family.calls == [("fit", 3, None), ("predict", 1), ("fit", 2, 1), ("predict", 2)]
+    family.calls.clear()
+    family.fit_predict(D, X, D, held_out_drug=2)
+    assert family.calls == [("fit", 4, 2), ("predict", 4)]
+
+
 def test_metric_report_serialization():
     rep = MetricReport(0.9, 0.1, 10, per_fold=({"repetition": 0, "pearson_r": 0.9},),
                        metadata={"model": "regression"})
@@ -351,3 +387,66 @@ def test_metric_report_serialization():
     assert d["pearson_r"] == 0.9
     assert d["per_fold"][0]["repetition"] == 0
     assert d["metadata"]["model"] == "regression"
+
+
+def reference_select_lambda_cv(D, X, B, grid, n_folds, seed, cfg):
+    """The fold loop select_lambda_cv kept before it ran on fit_folds."""
+    perm = np.random.default_rng(seed).permutation(D.n_conditions)
+    folds = np.array_split(perm, n_folds)
+    scores = {}
+    for lam in grid:
+        sse = []
+        for fold in folds:
+            train = np.setdiff1d(perm, fold)
+            Dtr = ConditionMatrix(D.values[train], D.drug_names)
+            Xtr = ResponseMatrix(X.values[train], X.response_names)
+            Dte = ConditionMatrix(D.values[fold], D.drug_names)
+            try:
+                W, _ = validate_module.fit_causal_linear(Dtr, Xtr, B, replace(cfg, lam=float(lam)))
+                pred = predict_causal_linear(W, B, Dte).predicted
+            except (SingularMatrixError, NonConvergenceError):
+                sse.append(np.inf)
+                continue
+            diff = X.values[fold] - pred
+            sse.append(float(np.sum(diff * diff)))
+        scores[float(lam)] = float(np.mean(sse))
+    return min(scores, key=scores.get), scores
+
+
+class TestSelectLambdaCv:
+    GRID = [0.01, 0.1, 1.0]
+    CFG = FitConfig(max_iter=150, tol=1e-7)
+
+    def instance(self, seed):
+        # q < p: the unregularized causal fit is not identified
+        rng = np.random.default_rng(seed)
+        p, q, n = 4, 2, 13
+        B = TargetMap(rng.normal(size=(p, q)))
+        D = ConditionMatrix(rng.uniform(0, 1, (n, q)))
+        X = ResponseMatrix(D.values @ B.values.T + 0.1 * rng.normal(size=(n, p)))
+        return D, X, B
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_loop(self, seed):
+        D, X, B = self.instance(seed)
+        got = select_lambda_cv(D, X, B, grid=self.GRID, n_folds=5, seed=seed, cfg=self.CFG)
+        assert got == reference_select_lambda_cv(D, X, B, self.GRID, 5, seed, self.CFG)
+        assert all(np.isfinite(v) for v in got[1].values())
+
+    def test_a_failing_fold_scores_inf(self, monkeypatch):
+        fit = validate_module.fit_causal_linear
+        calls = {}
+
+        def second_fold_of_lambda_0_1_raises(D, X, B, cfg):
+            calls[cfg.lam] = calls.get(cfg.lam, 0) + 1
+            if cfg.lam == 0.1 and calls[cfg.lam] == 2:
+                raise NonConvergenceError("forced")
+            return fit(D, X, B, cfg)
+
+        monkeypatch.setattr(validate_module, "fit_causal_linear", second_fold_of_lambda_0_1_raises)
+        D, X, B = self.instance(0)
+        got = select_lambda_cv(D, X, B, grid=self.GRID, n_folds=5, seed=0, cfg=self.CFG)
+        calls.clear()
+        assert got == reference_select_lambda_cv(D, X, B, self.GRID, 5, 0, self.CFG)
+        assert got[1][0.1] == np.inf
+        assert sum(np.isfinite(v) for v in got[1].values()) == len(self.GRID) - 1
