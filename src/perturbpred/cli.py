@@ -121,6 +121,22 @@ def _check_model(model):
         raise ConfigError(f"--model must be {'|'.join(MODELS)}, got {model!r}")
 
 
+def _refuse_unused(model, mask=None, envelope="identity", fit_epsilon=False, epsilon=None):
+    """Refuse an option the chosen model would silently ignore.
+
+    The identity envelope and a fixed epsilon are what the linear models
+    already assume, so stating them is accepted; anything else is an error.
+    """
+    unused = [flag for flag, given in (
+        ("--mask", model == "regression" and mask),
+        ("--envelope", model != "causal-ode" and envelope != "identity"),
+        ("--fit-epsilon", model != "causal-ode" and fit_epsilon),
+        ("--epsilon", model != "causal-ode" and epsilon),
+    ) if given]
+    if unused:
+        raise ConfigError(f"{model} does not use {', '.join(unused)}")
+
+
 def _model_targets(model, targets):
     """The target map a causal model needs; None for regression."""
     if model == "regression":
@@ -205,6 +221,7 @@ def cmd_fit(args):
     mask_path = opt("mask")
     envelope = opt("envelope", "identity")
     fit_epsilon = opt("fit-epsilon", False, _boolean)
+    _refuse_unused(model, mask=mask_path, envelope=envelope, fit_epsilon=fit_epsilon)
     out_dir = _ensure_outdir(opt("out-dir", default_output_dir()))
     opt.log()
 
@@ -262,6 +279,7 @@ def cmd_predict(args):
     _check_model(model)
     if not params or not conditions or not out:
         raise ConfigError("predict requires --params, --conditions, and --out")
+    _refuse_unused(model, envelope=envelope, epsilon=eps_path)
     opt.log()
 
     D, cond_ids = load_condition_matrix(conditions)
@@ -321,6 +339,7 @@ def cmd_cv(args):
     tol = opt("tol", 1e-8, float)
     mask_path = opt("mask")
     envelope = opt("envelope", "identity")
+    _refuse_unused(model, mask=mask_path, envelope=envelope)
     jobs = opt("jobs", 1, int)
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")

@@ -6,8 +6,9 @@ Three fitters live here:
   (least squares by QR) when lambda = 0 and by per-column coordinate
   descent otherwise.
 * ``fit_causal_linear`` minimizes ||X - D B^T (-inv(W))||_F^2 plus an L1
-  penalty on the off-diagonal of W by proximal gradient descent with
-  backtracking; the loss is nonconvex in W with a singular set at
+  penalty on the off-diagonal of W by accelerated proximal gradient (FISTA)
+  with backtracking, restarting the momentum whenever a step would raise
+  the objective; the loss is nonconvex in W with a singular set at
   det W = 0, so a candidate step that lands near it is rejected.
 * ``fit_causal_ode`` fits the nonlinear dynamics by gradient descent.  Each
   loss evaluation is one batched steady-state solve over all conditions, and
@@ -266,12 +267,33 @@ def fit_causal_linear(
     B: TargetMap,
     cfg: FitConfig = FitConfig(),
 ):
-    """Fit the interaction matrix W by proximal gradient descent.
+    """Fit the interaction matrix W by accelerated proximal gradient (FISTA).
 
-    Each iteration takes a gradient step on the smooth loss, soft-thresholds
-    the off-diagonal entries by step * lambda (the diagonal is unpenalized),
-    zeroes masked-out entries, and backtracks whenever the candidate is
-    ill-conditioned or fails the proximal sufficient-decrease test.
+    Each iteration extrapolates from the last two iterates to the momentum
+    point Y = W + ((t - 1) / t') (W - W_prev), t' = (1 + sqrt(1 + 4 t^2)) / 2
+    (Beck & Teboulle 2009).  From Y it takes a gradient step on the smooth
+    loss, soft-thresholds the off-diagonal entries by step * lambda (the
+    diagonal is unpenalized) and zeroes masked-out entries, backtracking
+    whenever the candidate is ill-conditioned or fails the proximal
+    sufficient-decrease test at Y.  If Y is singular, no step from Y is
+    feasible, or the candidate's penalized objective is above the current
+    one, the momentum restarts (t = 1; O'Donoghue & Candes 2015) and the
+    iteration takes a plain proximal step from W instead, so the objective
+    trace never goes up.  The fit stops when a plain step changes the
+    objective by less than tol (relative to max(1, objective)); a momentum
+    step that gains that little can still be short of a minimum, so it
+    restarts the momentum instead.  A fixed step_size raises only when a
+    plain step crosses the singular set.
+
+    At lambda = 0 with no mask, D B^T of full column rank and a w_init at
+    which the loss is stationary, w_init is returned unchanged after 0
+    iterations.  The loss is then least squares in M = -inv(W), so the
+    least-squares warm start is its global minimizer and its gradient is
+    round-off.  w_init counts as stationary when step * ||grad||_F^2 <
+    tol * max(1, loss) for the first step size: the loss being convex about
+    its minimizer, that step could lower it by at most step * ||grad||_F^2,
+    so the loop would stop after it, having moved W by at most
+    step * ||grad||_F.
     """
     check_paired(D, X)
     p = B.n_responses
@@ -281,6 +303,7 @@ def fit_causal_linear(
         )
 
     status = []
+    rank = None
     if cfg.lam == 0.0:
         rank = np.linalg.matrix_rank(D.values @ B.values.T)
         if rank < p:
@@ -303,15 +326,19 @@ def fit_causal_linear(
     trace = [obj]
     step = 1.0 if cfg.step_size == "backtracking" else float(cfg.step_size)
     backtracking = cfg.step_size == "backtracking"
-    off_mask = ~np.eye(p, dtype=bool)
-    converged = False
-    it = 0
+    if rank == p and cfg.mask is None and cfg.w_init is not None and (
+        step * float(np.sum(grad * grad)) < cfg.tol * max(1.0, obj)
+    ):
+        status.append("closed-form: w_init is the least-squares minimizer at lambda = 0")
+        return InteractionMatrix(W, form=W_FORM), FitReport(obj, 0, True, trace, tuple(status))
 
-    for it in range(1, cfg.max_iter + 1):
-        accepted = False
+    off_mask = ~np.eye(p, dtype=bool)
+
+    def proximal_step(Y, loss_y, grad_y, step):
+        """(W_new, loss_new, grad_new, obj_new, trial) of the accepted step from Y."""
         trial = step
         while trial > 1e-20:
-            W_new = W - trial * grad
+            W_new = Y - trial * grad_y
             W_new[off_mask] = soft_threshold(W_new[off_mask], trial * cfg.lam)
             W_new = _apply_mask(W_new, cfg.mask)
             try:
@@ -323,29 +350,51 @@ def fit_causal_linear(
                     ) from None
                 trial *= 0.5
                 continue
-            diff = W_new - W
-            quad = loss + float(np.sum(grad * diff)) + float(np.sum(diff * diff)) / (
+            diff = W_new - Y
+            quad = loss_y + float(np.sum(grad_y * diff)) + float(np.sum(diff * diff)) / (
                 2.0 * trial
             )
-            if loss_new <= quad + 1e-12 * max(1.0, abs(loss)) or not backtracking:
-                accepted = True
-                break
+            if not backtracking or loss_new <= quad + 1e-12 * max(1.0, abs(loss_y)):
+                return W_new, loss_new, grad_new, loss_new + _penalty(W_new, cfg.lam), trial
             trial *= 0.5
-        if not accepted:
-            raise NonConvergenceError(
-                "no feasible step found (backtracking exhausted near the "
-                "singular set of W)"
-            )
+        raise NonConvergenceError(
+            "no feasible step found (backtracking exhausted near the "
+            "singular set of W)"
+        )
 
-        obj_new = loss_new + _penalty(W_new, cfg.lam)
+    W_prev = W
+    t = 1.0
+    converged = False
+    it = 0
+
+    for it in range(1, cfg.max_iter + 1):
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        new = None
+        if t > 1.0:
+            Y = W + ((t - 1.0) / t_next) * (W - W_prev)
+            try:
+                new = proximal_step(Y, *causal_loss_and_gradient(Y, D, X, B), step)
+            except (SingularMatrixError, NonConvergenceError):
+                pass
+        momentum = new is not None and new[3] <= obj
+        if not momentum:  # (re)start: t = 1, a plain proximal step from W
+            new = proximal_step(W, loss, grad, step)
+            t_next = (1.0 + np.sqrt(5.0)) / 2.0
+
+        W_new, loss_new, grad_new, obj_new, trial = new
         rel_change = abs(obj - obj_new) / max(1.0, abs(obj))
+        W_prev, t = W, t_next
         W, loss, grad, obj = W_new, loss_new, grad_new, obj_new
         trace.append(obj)
         if backtracking:
             step = trial * 2.0  # cautiously re-grow after a successful step
         if rel_change < cfg.tol:
-            converged = True
-            break
+            if not momentum:
+                converged = True
+                break
+            # a momentum step can gain little far from a minimum; only a
+            # plain step's small gain shows W is stationary, so take one next
+            t = 1.0
 
     report = FitReport(obj, it, converged, trace, tuple(status))
     return InteractionMatrix(W, form=W_FORM), report

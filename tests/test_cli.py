@@ -497,15 +497,17 @@ def config_values(sim_dir, tmp_path):
     save_matrix_csv(mask, np.ones((5, 5)))
     assert main(["fit", "--model", "causal-linear", "--out-dir", str(tmp_path / "fitted"),
                  *(f"--{k}={v}" for k, v in sim.items())]) == EXIT_OK
+    epsilon = tmp_path / "epsilon.csv"
+    save_matrix_csv(epsilon, np.ones((1, 5)))
     common = {"out-dir": str(tmp_path / "out"), "envelope": "identity", "mask": str(mask),
               "max-iter": "50", "tol": "1e-6", "lam": "0.0"}
     return {
         "simulate": {"seed": "1", "noise-sd": "0.1", "out-dir": str(tmp_path / "sim")},
         "fit": {"model": "causal-linear", "fit-epsilon": "False", **sim, **common},
-        "predict": {"model": "causal-linear", "params": str(tmp_path / "fitted" / "interaction_w.csv"),
+        # causal-ode: the one model that reads every predict option
+        "predict": {"model": "causal-ode", "params": str(tmp_path / "fitted" / "interaction_w.csv"),
                     "conditions": sim["conditions"], "targets": sim["targets"],
-                    # never opened: causal-linear predictions ignore epsilon
-                    "epsilon": str(tmp_path / "none.csv"), "envelope": "identity",
+                    "epsilon": str(epsilon), "envelope": "identity",
                     "out": str(tmp_path / "pred.csv")},
         "cv": {"scheme": "rf", "model": "causal-linear", "reps": "30", "train-fraction": "0.7",
                "seed": "2", "jobs": "1", **sim, **common},
@@ -569,6 +571,31 @@ class TestFitEpsilonConfig:
 
     def test_other_value_is_config_error(self, ode_dir):
         assert self.run(ode_dir, "yes") == EXIT_PARSE
+
+
+@pytest.mark.parametrize("command, model, flag, value", [
+    ("fit", "regression", "--mask", "mask.csv"),
+    ("fit", "causal-linear", "--envelope", "sigmoid"),
+    ("fit", "regression", "--fit-epsilon", None),
+    ("predict", "causal-linear", "--epsilon", "missing.csv"),
+    ("cv", "regression", "--mask", "mask.csv"),
+])
+def test_option_the_model_ignores_is_config_error(command, model, flag, value, sim_dir, tmp_path,
+                                                   caplog):
+    save_matrix_csv(tmp_path / "mask.csv", np.ones((5, 5)))
+    files = {"conditions": "sim_conditions.csv", "responses": "sim_responses.csv",
+             "targets": "sim_targets.csv"}
+    if command == "predict":
+        files["params"] = files.pop("responses")
+    argv = [command, "--model", model, "--out-dir" if command != "predict" else "--out",
+            str(tmp_path / "out"), *(f"--{k}={sim_dir / v}" for k, v in files.items()),
+            flag, *([str(tmp_path / value)] if value else [])]
+    if command == "cv":
+        argv += ["--scheme", "rf", "--reps", "2"]
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(argv) == EXIT_PARSE
+    assert [r.getMessage() for r in caplog.records] == [f"{model} does not use {flag}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_version_flag(capsys):
