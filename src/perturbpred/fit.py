@@ -11,9 +11,11 @@ Three fitters live here:
   the objective; the loss is nonconvex in W with a singular set at
   det W = 0, so a candidate step that lands near it is rejected.
 * ``fit_causal_ode`` fits the nonlinear dynamics by gradient descent.  Each
-  loss evaluation is one batched steady-state solve over all conditions, and
-  the gradient is exact: the implicit function theorem at the reached
-  states turns it into one p x p adjoint solve per condition.
+  loss evaluation is one batched steady-state solve over all conditions:
+  Newton steps continued from the last accepted iterate's states, with RK4
+  from rest for the rows Newton cannot certify stable.  The gradient is
+  exact: the implicit function theorem at the reached states turns it into
+  one p x p adjoint solve per condition.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import DimensionError, DivergenceError, NonConvergenceError, SingularMatrixError
 from .linear import _rcond, safe_inverse
 # steady_state stays bound here: perfbench's tracer checks it is patched in this module
-from .ode import OdeModel, envelope_terms, steady_state, steady_states  # noqa: F401
+from .ode import OdeModel, linearize, steady_state, steady_states  # noqa: F401
 from .types import (
     RCOND_MIN,
     W_FORM,
@@ -424,9 +426,7 @@ def least_squares_w_init_stack(D, X, B: TargetMap):
     inits = [None] * len(M)
     full = np.flatnonzero(rank == C.shape[2])
     if full.size:
-        sv = np.linalg.svd(M[full], compute_uv=False)
-        rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(full.size), where=sv[:, 0] > 0)
-        keep = full[rcond >= 1e-8]
+        keep = full[_rcond(M[full]) >= 1e-8]
         for f, W in zip(keep, -np.linalg.inv(M[keep])):
             inits[f] = InteractionMatrix(W, form=W_FORM)
     return inits
@@ -434,23 +434,6 @@ def least_squares_w_init_stack(D, X, B: TargetMap):
 
 # ---------------------------------------------------------------------------
 # causal ODE
-
-
-def causal_ode_objective(
-    model: OdeModel,
-    D: ConditionMatrix,
-    X: ResponseMatrix,
-    lam: float,
-    ss_tol=1e-7,
-    t_max=100.0,
-    dt=0.05,
-):
-    """Penalized steady-state squared error, or None on non-convergence."""
-    res = steady_states(model, D.values, tol=ss_tol, t_max=t_max, dt=dt)
-    if not res.converged.all():
-        return None
-    diff = X.values - res.states
-    return float(np.sum(diff * diff)) + _penalty(model.W.values, lam)
 
 
 def causal_ode_loss_and_gradient(
@@ -463,27 +446,28 @@ def causal_ode_loss_and_gradient(
 ):
     """Steady-state squared error and its exact gradients in W and log epsilon.
 
-    At a steady state x_k of condition k, f(x_k; theta) = 0, so the implicit
-    function theorem gives dL/dtheta = -lambda_k^T df/dtheta, where lambda_k
-    solves J_k^T lambda_k = dL/dx_k = -2 (X_k - x_k) and
+    The steady states are integrated from rest.  At a steady state x_k of
+    condition k, f(x_k; theta) = 0, so the implicit function theorem gives
+    dL/dtheta = -lambda_k^T df/dtheta, where lambda_k solves
+    J_k^T lambda_k = dL/dx_k = -2 (X_k - x_k) and
     J_k = diag(eps * phi'(s_k)) W_off^T + diag(w_jj) is the Jacobian of f.
 
     Returns (loss, grad_W, grad_log_eps).  Raises NonConvergenceError when a
     condition's steady state is not reached, SingularMatrixError when its
     Jacobian is singular, and DivergenceError when its trajectory blows up.
     """
-    W = model.W.values
-    diag = np.diag(W)
-    eps = model.epsilon
-    states = steady_states(model, D.values, tol=ss_tol, t_max=t_max, dt=dt).require_converged()
+    solved = steady_states(model, D.values, tol=ss_tol, t_max=t_max, dt=dt)
+    return _loss_and_gradient_at(model, D, X, solved.require_converged())
+
+
+def _loss_and_gradient_at(model: OdeModel, D: ConditionMatrix, X: ResponseMatrix, states):
+    """(loss, grad_W, grad_log_eps) of :func:`causal_ode_loss_and_gradient`
+    at given steady states."""
     resid = X.values - states
     loss = float(np.sum(resid * resid))
 
-    phi, slope = envelope_terms(model, D.values, states)
-    gain = eps * slope  # n x p: d(eps_j phi(s_kj)) / d s_kj
-    J = gain[:, :, None] * (W - np.diag(diag)).T + np.diag(diag)
-    sv = np.linalg.svd(J, compute_uv=False)
-    rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
+    phi, gain, J = linearize(model, D.values, states)  # gain: d(eps_j phi(s_kj)) / d s_kj
+    rcond = _rcond(J)
     bad = np.flatnonzero(rcond < RCOND_MIN)
     if bad.size:
         raise SingularMatrixError(
@@ -494,8 +478,23 @@ def causal_ode_loss_and_gradient(
 
     grad_W = -states.T @ (adj * gain)  # off-diagonal: df_j/dw_ij = eps_j phi'(s_j) x_i
     np.fill_diagonal(grad_W, -np.sum(adj * states, axis=0))  # df_j/dw_jj = x_j
-    grad_log_eps = -np.sum(adj * eps * phi, axis=0)
+    grad_log_eps = -np.sum(adj * model.epsilon * phi, axis=0)
     return loss, grad_W, grad_log_eps
+
+
+BRANCH_TOL = 1e-4  # largest |fitted - from-rest| steady state on the fitted branch
+
+
+def _reached_from_rest(model: OdeModel, D: ConditionMatrix, states, ss_tol, t_max, dt):
+    """Whether every condition integrated from rest settles within BRANCH_TOL
+    of the given steady states."""
+    try:
+        settled = steady_states(model, D.values, tol=ss_tol, t_max=t_max, dt=dt)
+    except DivergenceError:
+        return False
+    if not settled.converged.all():
+        return False
+    return float(np.max(np.abs(settled.states - states))) <= BRANCH_TOL
 
 
 def fit_causal_ode(
@@ -514,12 +513,21 @@ def fit_causal_ode(
     The template fixes the envelope; W starts from cfg.w_init (default -I)
     and epsilon from the template, optimized in log space when fit_epsilon
     is set so positivity holds by construction.  Every loss evaluation solves
-    all conditions' steady states in one batch and takes its gradient from
-    :func:`causal_ode_loss_and_gradient`.  A candidate step whose steady
-    state fails to converge, diverges, or has a singular Jacobian is rejected
-    and the step halved; at the initial point the same failures raise.  If
-    no step is accepted the fit stops with "line-search-exhausted" in the
-    report's status.
+    all conditions' steady states in one batch and takes the gradient of
+    :func:`causal_ode_loss_and_gradient` at them.  The initial point is
+    integrated from rest; every candidate step is solved by Newton from the
+    states of the last accepted iterate, and the rows Newton cannot certify
+    are integrated from rest (status "steady-state-fallback").  A candidate
+    whose steady state fails to converge, diverges, or has a singular
+    Jacobian is rejected and the step halved; at the initial point the same
+    failures raise.  If no step is accepted the fit stops with
+    "line-search-exhausted" in the report's status.
+
+    Continuation can follow an equilibrium that integration from rest, as
+    prediction does, would not reach.  So a fit that moved ends with one
+    solve from rest at the final parameters; if a row settles more than
+    BRANCH_TOL away from the fitted states, or not at all, the report gets
+    status "steady-state-branch" and converged = False.
     """
     check_paired(D, X)
     p = B.n_responses
@@ -533,8 +541,10 @@ def fit_causal_ode(
 
     free = mask.allowed.copy() if mask is not None else np.ones((p, p), dtype=bool)
     off_mask = ~np.eye(p, dtype=bool)
+    fell_back = False
 
-    def evaluate(Wv, log_eps_v):
+    def evaluate(Wv, log_eps_v, guess=None):
+        nonlocal fell_back
         model = OdeModel(
             InteractionMatrix(Wv, form=W_FORM),
             B,
@@ -542,12 +552,13 @@ def fit_causal_ode(
             envelope=model_template.envelope,
             clip_bound=model_template.clip_bound,
         )
-        loss, gW, g_eps = causal_ode_loss_and_gradient(
-            model, D, X, ss_tol=ss_tol, t_max=t_max, dt=dt
-        )
-        return model, loss, np.where(free, gW, 0.0), g_eps if fit_epsilon else np.zeros(p)
+        solved = steady_states(model, D.values, tol=ss_tol, t_max=t_max, dt=dt, guess=guess)
+        fell_back = fell_back or bool(solved.fallback.any())
+        states = solved.require_converged()
+        loss, gW, g_eps = _loss_and_gradient_at(model, D, X, states)
+        return model, states, loss, np.where(free, gW, 0.0), g_eps if fit_epsilon else np.zeros(p)
 
-    model, loss, gW, g_eps = evaluate(W, log_eps)
+    model, states, loss, gW, g_eps = evaluate(W, log_eps)
     obj = loss + _penalty(W, cfg.lam)
     trace = [obj]
     status = []
@@ -564,8 +575,12 @@ def fit_causal_ode(
             W_new = _apply_mask(W_new, mask)
             eps_new = log_eps - trial * g_eps
             try:
-                model_new, loss_new, gW_new, g_eps_new = evaluate(W_new, eps_new)
-            except (NonConvergenceError, DivergenceError, SingularMatrixError):
+                model_new, states_new, loss_new, gW_new, g_eps_new = evaluate(
+                    W_new, eps_new, guess=states
+                )
+            except (NonConvergenceError, DivergenceError, SingularMatrixError) as err:
+                # only RK4 diverges, so a diverging row is one Newton gave up on
+                fell_back = fell_back or isinstance(err, DivergenceError)
                 trial *= 0.5
                 continue
             obj_new = loss_new + _penalty(W_new, cfg.lam)
@@ -580,7 +595,7 @@ def fit_causal_ode(
             break
 
         rel_change = abs(obj - obj_new) / max(1.0, abs(obj))
-        W, log_eps, model, obj = W_new, eps_new, model_new, obj_new
+        W, log_eps, model, states, obj = W_new, eps_new, model_new, states_new, obj_new
         gW, g_eps = gW_new, g_eps_new
         trace.append(obj)
         step = trial * 2.0
@@ -588,5 +603,16 @@ def fit_causal_ode(
             converged = True
             break
 
+    if fell_back:
+        status.append(
+            "steady-state-fallback: Newton could not certify some candidate steady "
+            "states; those rows were integrated from rest"
+        )
+    if len(trace) > 1 and not _reached_from_rest(model, D, states, ss_tol, t_max, dt):
+        status.append(
+            "steady-state-branch: integrating from rest at the fitted parameters "
+            "does not reach the fitted steady states"
+        )
+        converged = False
     report = FitReport(obj, it, converged, trace, tuple(status))
     return model, report

@@ -24,11 +24,13 @@ from .types import (
 
 
 def _rcond(M):
-    """Reciprocal condition number in the 2-norm (0 for singular input)."""
+    """Reciprocal condition number in the 2-norm of a matrix, or of each
+    matrix of an (F, k, k) stack (0 for a zero matrix)."""
     s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return s[-1] / s[0]
+    if s.ndim == 1:  # scalar arithmetic: the causal-linear fit screens every candidate
+        return s[-1] / s[0] if s[0] > 0 else 0.0
+    largest = s[:, 0]
+    return s[:, -1] / np.where(largest > 0, largest, np.inf)
 
 
 def safe_inverse(M, what="matrix"):

@@ -14,6 +14,16 @@ non-stiff, and a deterministic step sequence keeps tests reproducible.
 ``steady_states`` integrates a whole batch of conditions from rest in
 lockstep and stops each row on its own at the first step where the rate
 falls below tolerance; ``steady_state`` is its one-condition form.
+
+Given starting states (a ``guess``, typically the steady states of a nearby
+model), ``steady_states`` instead solves dx/dt = 0 by batched Newton steps,
+the equilibrium view of the CellBox dynamics (Yuan et al. 2021; Bai et al.
+2019).  A Newton row is accepted only with a stability certificate: every
+eigenvalue of its Jacobian has a negative real part and lies inside RK4's
+stability region at the caller's step, so RK4 would settle there too.  Rows
+without one are integrated by RK4 from rest.  A certificate does not prove
+that the equilibrium is the one reached from rest; the fit checks that once
+at its end.
 """
 
 from __future__ import annotations
@@ -24,11 +34,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, NonConvergenceError
-from .types import InteractionMatrix, TargetMap, W_FORM
+from .linear import _rcond
+from .types import RCOND_MIN, InteractionMatrix, TargetMap, W_FORM
 
 DEFAULT_DT = 0.01
 DEFAULT_T_MAX = 200.0
 DEFAULT_TOL = 1e-8
+NEWTON_MAX_ITER = 20  # Newton steps per row before it falls back to RK4
 
 ENVELOPES = ("identity", "clipped-linear", "sigmoid")
 
@@ -103,10 +115,6 @@ def _envelope(envelope, bound):
             lambda v: (np.abs(v) < bound).astype(float),
         )
     return np.tanh, lambda v: 1.0 - np.tanh(v) ** 2
-
-
-def _apply_envelope(v, envelope, bound):
-    return _envelope(envelope, bound)[0](v)
 
 
 def _rate_function(model: OdeModel, ndim: int):
@@ -207,15 +215,18 @@ class SteadyStateResult:
 
 @dataclass(frozen=True)
 class SteadyStates:
-    """Final states of a batch of run-to-equilibrium integrations.
+    """Final states of a batch of run-to-equilibrium solves.
 
     Row k of ``states`` and entry k of the other arrays belong to dose row k.
+    ``fallback`` marks the rows that Newton could not certify and RK4 solved
+    from rest; ``t_reached`` is NaN on the rows Newton solved.
     """
 
     states: np.ndarray
     converged: np.ndarray
     t_reached: np.ndarray
     rate_norm: np.ndarray
+    fallback: np.ndarray
 
     def require_converged(self, names=None):
         """The states, or NonConvergenceError naming the first unsettled row."""
@@ -237,26 +248,60 @@ def steady_states(
     t_max: float = DEFAULT_T_MAX,
     dt: float = DEFAULT_DT,
     x0=None,
+    guess=None,
 ) -> SteadyStates:
-    """Integrate every dose row of D from rest until its rate settles.
+    """Solve every dose row of D for the steady state its rate settles at.
 
-    All rows advance in lockstep with the same fixed RK4 steps; a row stops
-    at the first step where max|dx/dt| < tol, or at t_max.  Non-convergence
-    is reported per row rather than raised: callers fitting parameters want
-    the partial states to decide how to backtrack.  A non-finite state raises
+    Without a guess, all rows are integrated from rest (or from x0) in
+    lockstep with the same fixed RK4 steps; a row stops at the first step
+    where max|dx/dt| < tol, or at t_max.  Non-convergence is reported per
+    row rather than raised: callers fitting parameters want the partial
+    states to decide how to backtrack.  A non-finite state raises
     DivergenceError with the time it appeared.
+
+    With a guess (n x p starting states), each row takes Newton steps
+    x <- x - J(x)^-1 dx/dt from its guess until max|dx/dt| < tol, and is
+    accepted there only if every eigenvalue lam of its Jacobian J has
+    Re lam < 0 and |R(dt lam)| < 1, R being RK4's amplification factor.  A
+    row that does not get there within NEWTON_MAX_ITER steps, turns
+    non-finite, meets a singular Jacobian or fails that certificate is
+    integrated by RK4 from rest as above, with the same reports and errors.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if x0 is not None and guess is not None:
+        raise ValueError("steady_states takes x0 or guess, not both")
     u = _drives(model, D)
     n, p = u.shape
-    x = np.zeros((n, p)) if x0 is None else np.array(x0, dtype=float)
+    start = x0 if guess is None else guess
+    x = np.zeros((n, p)) if start is None else np.array(start, dtype=float)
     if x.shape != (n, p):
-        raise DimensionError(f"x0 must have shape {(n, p)}, got {x.shape}")
+        name = "x0" if guess is None else "guess"
+        raise DimensionError(f"{name} must have shape {(n, p)}, got {x.shape}")
     rate = _rate_function(model, 2)
+    if guess is None:
+        states, t_reached, rate_norm = _integrate_rows(rate, x, u, tol, t_max, dt)
+        fallback = np.zeros(n, dtype=bool)
+    else:
+        states, rate_norm, certified = _newton_rows(model, x, u, tol, dt)
+        t_reached = np.full(n, np.nan)
+        fallback = ~certified
+        rows = np.flatnonzero(fallback)
+        if rows.size:
+            states[rows], t_reached[rows], rate_norm[rows] = _integrate_rows(
+                rate, np.zeros((rows.size, p)), u[rows], tol, t_max, dt
+            )
+    return SteadyStates(states, rate_norm < tol, t_reached, rate_norm, fallback)
 
+
+def _integrate_rows(rate, x, u, tol, t_max, dt):
+    """RK4 from states x under drives u, each row until it settles or t_max.
+
+    Returns (states, t_reached, rate_norm) per row.
+    """
+    n, p = x.shape
     states = np.empty((n, p))
     t_reached = np.empty(n)
     rate_norm = np.empty(n)
@@ -286,7 +331,49 @@ def steady_states(
             if not np.isfinite(x).all():
                 raise DivergenceError(f"trajectory diverged at t = {t:g}", time=t)
             k1 = rate(x, u)
-    return SteadyStates(states, rate_norm < tol, t_reached, rate_norm)
+    return states, t_reached, rate_norm
+
+
+def _newton_rows(model: OdeModel, x, u, tol, dt):
+    """Batched Newton steps on dx/dt = 0 from states x under drives u.
+
+    Returns (states, rate_norm, certified) per row; a row that is not
+    certified keeps whatever states it stopped at.
+    """
+    n = len(x)
+    states = x.copy()
+    rate_norm = np.full(n, np.inf)
+    certified = np.zeros(n, dtype=bool)
+    diag = np.diag(model.W.values)
+    rows = np.arange(n)  # rows still iterating, aligned with x and u
+    # a step may overshoot to inf; such rows are dropped below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(NEWTON_MAX_ITER + 1):
+            phi, gain, J = _linearize(model, x, u)
+            f = model.epsilon * phi + diag * x
+            norm = np.abs(f).max(axis=1)
+            done = norm < tol
+            if done.any():
+                states[rows[done]] = x[done]
+                rate_norm[rows[done]] = norm[done]
+                certified[rows[done]] = _stability_certificate(J[done], dt)
+            keep = ~done & np.isfinite(f).all(axis=1)
+            if it == NEWTON_MAX_ITER or not keep.any():
+                break
+            keep[keep] = _rcond(J[keep]) >= RCOND_MIN
+            rows, x, u, f, J = rows[keep], x[keep], u[keep], f[keep], J[keep]
+            if not rows.size:
+                break
+            x = x - np.linalg.solve(J, f[:, :, None])[:, :, 0]
+    return states, rate_norm, certified
+
+
+def _stability_certificate(J, dt):
+    """Per Jacobian of the stack J: every eigenvalue lam has Re lam < 0 and
+    RK4's amplification |R(dt lam)| < 1, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    z = dt * np.linalg.eigvals(J)
+    amplification = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    return np.all((z.real < 0.0) & (np.abs(amplification) < 1.0), axis=-1)
 
 
 def steady_state(
@@ -319,13 +406,24 @@ def steady_state(
     )
 
 
-def envelope_terms(model: OdeModel, D, states):
-    """phi(s) and phi'(s) at the drives s = x W_off + B d, one row per condition.
+def _linearize(model: OdeModel, x, u):
+    """phi(s), eps * phi'(s) and the Jacobians of dx/dt at states x under
+    drives u, where s = x W_off + u; one row (one p x p Jacobian) per row of x.
 
-    These are what linearizing the dynamics at a steady state needs: the
-    Jacobian of condition k is diag(eps * phi'(s_k)) W_off^T + diag(w_jj).
+    The Jacobian of row k is J_k = diag(eps * phi'(s_k)) W_off^T + diag(w_jj).
     """
     W = model.W.values
-    s = states @ (W - np.diag(np.diag(W))) + _drives(model, D)
+    diag = np.diag(W)
+    W_off = W - np.diag(diag)
+    s = x @ W_off + u
     phi, slope = _envelope(model.envelope, model.clip_bound)
-    return phi(s), slope(s)
+    gain = model.epsilon * slope(s)
+    return phi(s), gain, gain[:, :, None] * W_off.T + np.diag(diag)
+
+
+def linearize(model: OdeModel, D, states):
+    """phi(s), eps * phi'(s) and the Jacobians J_k of dx/dt at the states of
+    the dose rows of D, s = x W_off + B d: what linearizing the dynamics at a
+    steady state needs.  J_k = diag(eps * phi'(s_k)) W_off^T + diag(w_jj).
+    """
+    return _linearize(model, states, _drives(model, D))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from perturbpred.ode import ENVELOPES, OdeModel
 from perturbpred.types import A_FORM, InteractionMatrix, TargetMap
 
 # scorecard lines recorded by the acceptance tests, echoed after the run
@@ -56,6 +57,30 @@ def random_stable_w(rng, p, off_scale=0.3):
         W += off_scale * rng.normal(size=(p, p)) * (~np.eye(p, dtype=bool))
         if np.max(np.linalg.eigvals(W).real) < -0.2:
             return W
+
+
+def continuation_instance(seed):
+    """A random steady-state continuation problem drawn from seed.
+
+    Returns (model_at, W, W_near, D): model_at(W) builds the model, W is a
+    strongly coupled stable matrix (off-diagonal sd 0.8), W_near = W +
+    0.05 N(0, 1), and D holds 1-8 conditions of 1-3 drugs with doses up to
+    4.  p is 2-6, epsilon 0.5-2, the clip bound 1.5, and the envelope
+    cycles with the seed.
+    """
+    rng = np.random.default_rng(seed)
+    envelope = ENVELOPES[seed % 3]
+    p, q, n = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+    W = random_stable_w(rng, p, off_scale=0.8)
+    B = TargetMap(rng.normal(size=(p, q)))
+    eps = rng.uniform(0.5, 2.0, p)
+    D = rng.uniform(0.0, 4.0, (n, q))
+    W_near = W + 0.05 * rng.normal(size=(p, p))
+
+    def model_at(Wv):
+        return OdeModel(InteractionMatrix(Wv), B, eps, envelope=envelope, clip_bound=1.5)
+
+    return model_at, W, W_near, D
 
 
 def random_negdef_w(rng, p):

@@ -12,7 +12,6 @@ from perturbpred.fit import (
     causal_loss_and_gradient,
     causal_objective,
     causal_ode_loss_and_gradient,
-    causal_ode_objective,
     fit_causal_linear,
     fit_causal_ode,
     fit_regression,
@@ -21,7 +20,7 @@ from perturbpred.fit import (
     soft_threshold,
 )
 from perturbpred.linear import dag_to_w, predict_causal_linear, predict_regression
-from perturbpred.ode import ENVELOPES, OdeModel, steady_state
+from perturbpred.ode import ENVELOPES, OdeModel, steady_state, steady_states
 from perturbpred.simulate import (
     SimSpec,
     build_dag,
@@ -36,9 +35,14 @@ from perturbpred.types import (
     ResponseMatrix,
     TargetMap,
 )
-from perturbpred.validate import select_lambda_cv
+from perturbpred.validate import (
+    CausalOdeFamily,
+    averaged_random_fold_eval,
+    make_random_folds,
+    select_lambda_cv,
+)
 
-from conftest import random_stable_w
+from conftest import continuation_instance, random_stable_w
 
 
 def fd_gradient(W, D, X, B, h=1e-6):
@@ -578,7 +582,7 @@ def ode_loss(model, D, X, W=None, log_eps=None):
         model.epsilon if log_eps is None else np.exp(log_eps),
         envelope=model.envelope, clip_bound=model.clip_bound,
     )
-    return causal_ode_objective(probe, D, X, 0.0, ss_tol=1e-12, t_max=300.0, dt=0.1)
+    return causal_ode_loss_and_gradient(probe, D, X, ss_tol=1e-12, t_max=300.0, dt=0.1)[0]
 
 
 def assert_close_relative(got, want, rtol):
@@ -704,6 +708,118 @@ class TestFitCausalOdeFailures:
         assert len(report.status) == 1
         assert report.status[0].startswith("line-search-exhausted")
         assert len(calls) > 40  # the step was halved down to its floor
+
+
+# Seed 28 of the continuation search in test_ode: at W_near, Newton continued
+# from the steady states at W settles condition 0 on a clipped-linear
+# equilibrium 1.59 away from the one RK4 reaches from rest.
+BRANCH_SWITCH_SEED = 28
+
+
+def plant_branch_switch(monkeypatch):
+    """Start every Newton solve of the fit from the steady states at the
+    search's W, as a continuation from there would, instead of from the
+    last accepted states."""
+    model_at, W, _, _ = continuation_instance(BRANCH_SWITCH_SEED)
+    solve = fit_module.steady_states
+
+    def planted(model, D, guess=None, **kwargs):
+        if guess is not None:
+            guess = solve(model_at(W), D, **kwargs).states
+        return solve(model, D, guess=guess, **kwargs)
+
+    monkeypatch.setattr(fit_module, "steady_states", planted)
+
+
+def branch_switch_problem(from_rest=False, copies=1):
+    """(family, D, X): fit the search's W_near, with small fixed steps, to the
+    states Newton continues to there from W (or, from_rest, to the states
+    RK4 reaches from rest), each condition repeated copies times."""
+    model_at, W, W_near, D = continuation_instance(BRANCH_SWITCH_SEED)
+    template = model_at(W_near)
+    settle = dict(tol=1e-7, t_max=100.0, dt=0.05)
+    guess = None if from_rest else steady_states(model_at(W), D, **settle).states
+    X = steady_states(template, D, guess=guess, **settle).states
+    cfg = FitConfig(max_iter=20, tol=1e-3, step_size=1e-3, w_init=InteractionMatrix(W_near))
+    family = CausalOdeFamily(template.B, template, cfg)
+    return family, ConditionMatrix(np.tile(D, (copies, 1))), ResponseMatrix(np.tile(X, (copies, 1)))
+
+
+class TestSteadyStateContinuation:
+    def test_candidates_start_from_the_last_accepted_states(self, monkeypatch):
+        solve = fit_module.steady_states
+        calls = []
+
+        def spy(model, D, guess=None, **kwargs):
+            res = solve(model, D, guess=guess, **kwargs)
+            calls.append((model, guess, res))
+            return res
+
+        monkeypatch.setattr(fit_module, "steady_states", spy)
+        # the small-amplitude sigmoid instance of TestFitCausalOde
+        rng = np.random.default_rng(16)
+        W_true = random_stable_w(rng, 2, off_scale=0.2)
+        B = TargetMap(0.2 * rng.normal(size=(2, 3)))
+        D = ConditionMatrix(rng.uniform(0, 0.5, (8, 3)))
+        gen = OdeModel(InteractionMatrix(W_true), B, 1.0, envelope="sigmoid")
+        X = ResponseMatrix(steady_states(gen, D.values).states)
+        template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0, envelope="sigmoid")
+        model, report = fit_causal_ode(D, X, B, template, FitConfig(max_iter=10))
+        assert report.status == ()
+        # from rest at the start, and once more for the confirmation at the end
+        assert calls[0][1] is None and calls[-1][1] is None and calls[-1][0] is model
+        sources = []  # the call whose states each candidate started from
+        for k, (_, guess, res) in enumerate(calls[1:-1], start=1):
+            j = next(j for j in range(k) if calls[j][2].states is guess)
+            assert not sources or j >= sources[-1]
+            sources.append(j)
+            assert not res.fallback.any() and np.isnan(res.t_reached).all()
+        # each start is an accepted iterate, in the order of the trace
+        started = sorted(set(sources))
+        assert len(started) == len(report.objective_trace) - 1 == report.iterations
+        for j, obj in zip(started, report.objective_trace):
+            assert np.sum((X.values - calls[j][2].states) ** 2) == obj
+
+    def test_planted_branch_switch_caught_by_confirmation(self, monkeypatch):
+        family, D, X = branch_switch_problem(from_rest=True)
+        _, report = family.fit(D, X)
+        assert report.converged and report.status == ()
+
+        plant_branch_switch(monkeypatch)
+        family, D, X = branch_switch_problem()
+        _, report = family.fit(D, X)
+        assert report.iterations < 20  # stopped by tol, then overruled
+        assert not report.converged
+        assert report.status == (
+            "steady-state-branch: integrating from rest at the fitted parameters "
+            "does not reach the fitted steady states",
+        )
+
+    @pytest.mark.filterwarnings("ignore:.*never appeared in a test set")
+    def test_branch_status_reaches_cv_fit_summary(self, monkeypatch):
+        plant_branch_switch(monkeypatch)
+        family, D, X = branch_switch_problem(copies=4)
+        plan = make_random_folds(len(D.values), 0.7, 2, seed=0)
+        fits = averaged_random_fold_eval(family, D, X, plan).metadata["fits"]
+        assert fits["unconverged"] == fits["folds"] == 2
+        assert fits["status"] == [
+            "steady-state-branch: integrating from rest at the fitted parameters "
+            "does not reach the fitted steady states"
+        ]
+
+    def test_fallback_reported_once_in_status(self):
+        # the diverging instance of TestFitCausalOdeFailures: candidates
+        # Newton cannot certify are integrated from rest and blow up
+        B = TargetMap(np.eye(2))
+        Dv = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0)
+        _, report = fit_causal_ode(
+            ConditionMatrix(Dv), ResponseMatrix(-300.0 * Dv), B, template, FitConfig(max_iter=5)
+        )
+        assert report.status == (
+            "steady-state-fallback: Newton could not certify some candidate steady "
+            "states; those rows were integrated from rest",
+        )
 
 
 def test_select_lambda_cv_returns_grid_member():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from perturbpred.errors import (
     SingularMatrixError,
 )
 from perturbpred.linear import (
+    _rcond,
     dag_to_w,
     matrix_exponential,
     predict_causal_dag,
@@ -267,3 +270,23 @@ class TestSteadyStateLimit:
         residuals = [verify_steady_state_limit(W, B, t) for t in grid]
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
         assert residuals[-1] <= 1e-8
+
+
+class TestRcond:
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(12)
+        stack = np.stack([
+            rng.normal(size=(3, 3)),
+            np.zeros((3, 3)),
+            np.diag([2.0, 1.0, 0.0]),
+            np.diag([4.0, 2.0, 1.0]),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = _rcond(stack)
+            each = [_rcond(M) for M in stack]
+        assert rc.shape == (4,)
+        assert np.array_equal(rc, each)
+        assert rc[1] == 0.0 and rc[2] == 0.0 and rc[3] == 0.25
+        s = np.linalg.svd(stack[0], compute_uv=False)
+        assert rc[0] == s[-1] / s[0]

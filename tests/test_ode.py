@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from perturbpred.errors import DimensionError, DivergenceError, NonConvergenceError
 from perturbpred.linear import dag_to_w, predict_causal_linear
@@ -10,7 +10,7 @@ from perturbpred.ode import (
     ENVELOPES,
     OdeModel,
     Trajectory,
-    _apply_envelope,
+    _envelope,
     integrate,
     make_rhs,
     steady_state,
@@ -18,7 +18,7 @@ from perturbpred.ode import (
 )
 from perturbpred.types import ConditionMatrix, InteractionMatrix, TargetMap
 
-from conftest import random_stable_w
+from conftest import continuation_instance, random_stable_w
 
 
 def simple_model(W, B=None, eps=1.0, envelope="identity", **kw):
@@ -116,13 +116,13 @@ class TestEnvelopes:
 
     def test_clipped_linear_bound(self):
         v = np.array([-30.0, -5.0, 0.0, 5.0, 30.0])
-        out = _apply_envelope(v, "clipped-linear", 10.0)
+        out = _envelope("clipped-linear", 10.0)[0](v)
         assert np.array_equal(out, [-10.0, -5.0, 0.0, 5.0, 10.0])
 
     def test_all_envelopes_nondecreasing(self):
         grid = np.linspace(-20.0, 20.0, 401)
         for env in ENVELOPES:
-            vals = _apply_envelope(grid, env, 10.0)
+            vals = _envelope(env, 10.0)[0](grid)
             assert np.all(np.diff(vals) >= 0.0), env
 
 
@@ -249,6 +249,181 @@ class TestSteadyStates:
             steady_states(m, [[1.0, 0.0, 0.0]])
         with pytest.raises(DimensionError):
             steady_state(m, [1.0, 0.0], x0=[0.0])
+
+
+def reference_batched_steady_states(model, D, tol, t_max, dt):
+    """The batched RK4 loop from rest as it stood before the Newton solver,
+    kept as an oracle: the paths without a guess must match it bit for bit."""
+    W = model.W.values
+    W_off = W - np.diag(np.diag(W))
+    diag = np.diag(W).reshape(1, -1)
+    eps = model.epsilon.reshape(1, -1)
+    phi = _envelope(model.envelope, model.clip_bound)[0]
+
+    def rate(x, u):
+        s = np.dot(x, W_off)
+        s += u
+        r = phi(s)
+        r *= eps
+        r += diag * x
+        return r
+
+    u = np.asarray(D, dtype=float) @ model.B.values.T
+    n, p = u.shape
+    x = np.zeros((n, p))
+    states, t_reached, rate_norm = np.empty((n, p)), np.empty(n), np.empty(n)
+    rows = np.arange(n)
+    t = 0.0
+    k1 = rate(x, u)
+    while rows.size:
+        norm = np.abs(k1).max(axis=1)
+        if t >= t_max or norm.min() < tol:
+            stop = (norm < tol) | (t >= t_max)
+            done = rows[stop]
+            states[done], t_reached[done], rate_norm[done] = x[stop], t, norm[stop]
+            keep = ~stop
+            rows, x, u, k1 = rows[keep], x[keep], u[keep], k1[keep]
+            if not rows.size:
+                break
+        h = min(dt, t_max - t)
+        k2 = rate(x + 0.5 * h * k1, u)
+        k3 = rate(x + 0.5 * h * k2, u)
+        k4 = rate(x + h * k3, u)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        k1 = rate(x, u)
+    return states, t_reached, rate_norm
+
+
+def certified_equilibrium(model, d, x, tol, dt):
+    """Whether x is an equilibrium of dose d (max|dx/dt| < tol) whose
+    Jacobian's eigenvalues all have negative real part and lie in RK4's
+    stability region at dt; computed here from the model's definition."""
+    W = model.W.values
+    W_off = W - np.diag(np.diag(W))
+    s = x @ W_off + model.B.values @ d
+    phi, slope = _envelope(model.envelope, model.clip_bound)
+    rate = model.epsilon * phi(s) + np.diag(W) * x
+    J = np.diag(model.epsilon * slope(s)) @ W_off.T + np.diag(np.diag(W))
+    z = dt * np.linalg.eigvals(J)
+    R = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    return np.max(np.abs(rate)) < tol and np.all(z.real < 0) and np.all(np.abs(R) < 1)
+
+
+class TestNewtonSteadyStates:
+    TOL, T_MAX, DT = 1e-8, 100.0, 0.05
+
+    def solve(self, model, D, guess=None, dt=DT):
+        return steady_states(model, D, tol=self.TOL, t_max=self.T_MAX, dt=dt, guess=guess)
+
+    # seeds 28 and 385 are the two of 3,000 (4,265 clipped-linear rows) on
+    # which Newton settles one clipped-linear row on another equilibrium
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=28)
+    @example(seed=385)
+    def test_newton_continues_the_branch_reached_from_rest(self, seed):
+        # continuation from the steady states at W to those at a nearby W
+        model_at, W, W_near, D = continuation_instance(seed)
+        try:
+            guess = self.solve(model_at(W), D).require_converged()
+            rest = self.solve(model_at(W_near), D)
+        except (DivergenceError, NonConvergenceError):
+            assume(False)
+        assume(rest.converged.all())
+        res = self.solve(model_at(W_near), D, guess=guess)
+        assert res.converged.all()
+        assert np.array_equal(np.isnan(res.t_reached), ~res.fallback)
+        for k in range(len(D)):
+            if res.fallback[k]:
+                assert np.array_equal(res.states[k], rest.states[k])
+                continue
+            assert certified_equilibrium(model_at(W_near), D[k], res.states[k], self.TOL, self.DT)
+            if model_at(W).envelope != "clipped-linear":
+                # one equilibrium within reach: Newton and RK4 agree
+                assert np.max(np.abs(res.states[k] - rest.states[k])) <= 1e-6
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        envelope=st.sampled_from(ENVELOPES),
+        n=st.integers(1, 6),
+        slow=st.floats(0.02, 1.0),
+    )
+    def test_paths_without_a_guess_unchanged_bit_for_bit(self, seed, envelope, n, slow):
+        rng = np.random.default_rng(seed)
+        p, q = 3, 2
+        m = simple_model(slow * random_stable_w(rng, p), B=rng.normal(size=(p, q)),
+                         eps=rng.uniform(0.5, 2.0, p), envelope=envelope, clip_bound=0.5)
+        D = rng.uniform(0.0, 2.0, (n, q)) * (rng.uniform(size=(n, 1)) < 0.8)
+        res = steady_states(m, D, tol=1e-8, t_max=20.0, dt=0.05)
+        states, t_reached, rate_norm = reference_batched_steady_states(m, D, 1e-8, 20.0, 0.05)
+        assert np.array_equal(res.states, states)
+        assert np.array_equal(res.t_reached, t_reached)
+        assert np.array_equal(res.rate_norm, rate_norm)
+        assert not res.fallback.any()
+        one = steady_state(m, D[0], tol=1e-8, t_max=20.0, dt=0.05)
+        first = reference_batched_steady_states(m, D[:1], 1e-8, 20.0, 0.05)[0][0]
+        assert np.array_equal(one.state, first)
+
+    def test_unstable_equilibrium_goes_to_rk4_and_diverges(self):
+        # Newton starts on the unstable equilibrium itself; only the
+        # certificate keeps it from being accepted
+        m = simple_model(np.diag([5.0, -1.0]))
+        D = np.array([[1.0, 1.0]])
+        with pytest.raises(DivergenceError):
+            steady_states(m, D, guess=[[-0.2, 1.0]])
+
+    def test_unstable_equilibrium_inside_rk4_region_falls_back(self):
+        # eigenvalues 0.2 +- 50i: the dynamics leave the equilibrium, though
+        # dt * lam = 0.01 +- 2.5i lies inside RK4's stability region
+        W = np.array([[0.2, 50.0], [-50.0, 0.2]])
+        m = simple_model(W)
+        D = np.array([[1.0, 0.5]])
+        res = self.solve(m, D, guess=-D @ np.linalg.inv(W))
+        assert res.fallback.all()
+
+    def test_stiff_equilibrium_outside_rk4_region_falls_back(self):
+        # eigenvalue -100: stable, but dt * -100 = -5 is outside RK4's region
+        # at dt = 0.05 and inside it at dt = 0.01
+        m = simple_model(np.diag([-100.0, -1.0]))
+        D = np.array([[0.0, 1.0], [0.0, 2.0]])  # the stiff node is never driven
+        guess = [[0.0, 1.0], [0.0, 2.0]]
+        stiff = self.solve(m, D, guess=guess)
+        rest = self.solve(m, D)
+        assert stiff.fallback.all()
+        assert np.array_equal(stiff.states, rest.states)
+        assert np.array_equal(stiff.t_reached, rest.t_reached)
+        fine = self.solve(m, D, guess=guess, dt=0.01)
+        assert not fine.fallback.any()
+        assert np.isnan(fine.t_reached).all()
+        assert np.array_equal(fine.states, guess)
+
+    def test_singular_jacobian_row_falls_back_alone(self):
+        # node 2 has no self-decay; where node 2's drive is clipped its rate
+        # has zero slope in every state, so that row's Jacobian is singular
+        m = simple_model(np.array([[-1.0, -1.0], [1.0, 0.0]]), envelope="clipped-linear",
+                         clip_bound=1.5)
+        D = np.array([[0.2, 0.3], [0.1, 0.4], [0.3, 0.2]])
+        rest = self.solve(m, D)
+        guess = rest.states.copy()
+        guess[:, 1] += 1e-3  # off the equilibrium, so Newton must step
+        guess[1] = [5.0, 0.0]  # node 2's drive -5 + 0.4 is clipped
+        res = self.solve(m, D, guess=guess)
+        assert res.fallback.tolist() == [False, True, False]
+        assert np.array_equal(res.states[1], rest.states[1])
+        assert res.t_reached[1] == rest.t_reached[1]
+        alone = self.solve(m, D[[0, 2]], guess=guess[[0, 2]])
+        assert not alone.fallback.any()
+        assert np.array_equal(res.states[[0, 2]], alone.states)
+        assert np.max(np.abs(res.states[[0, 2]] - rest.states[[0, 2]])) <= 1e-6
+
+    def test_guess_arguments(self):
+        m = simple_model(-np.eye(2))
+        with pytest.raises(DimensionError, match="guess"):
+            steady_states(m, [[1.0, 0.0]], guess=[0.0, 0.0])
+        with pytest.raises(ValueError, match="not both"):
+            steady_states(m, [[1.0, 0.0]], x0=[[0.0, 0.0]], guess=[[0.0, 0.0]])
 
 
 class TestTrajectory:
