@@ -340,6 +340,8 @@ def cmd_cv(args):
     mask_path = opt("mask")
     envelope = opt("envelope", "identity")
     _refuse_unused(model, mask=mask_path, envelope=envelope)
+    # folds always run in order on one thread; --jobs is only checked and
+    # logged, so existing command lines keep working
     jobs = opt("jobs", 1, int)
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
@@ -368,13 +370,13 @@ def cmd_cv(args):
     # every fold is fitted once; the report and scatter.csv share the result
     if scheme == "rf":
         plan = make_random_folds(D.n_conditions, train_fraction, reps, seed)
-        report = averaged_random_fold_eval(family, D, X, plan, jobs=jobs)
+        report = averaged_random_fold_eval(family, D, X, plan)
         payload = report.to_dict()
         payload["metadata"].update({"scheme": "rf", "lambda": lam, **lam_meta})
         scored = [report]
         labels = [cond_ids[i] for i in report.rows]
     else:
-        scored, mean_r = lodo_eval(family, D, X, make_lodo_splits(D), jobs=jobs)
+        scored, mean_r = lodo_eval(family, D, X, make_lodo_splits(D))
         payload = {
             "mean_pearson_r": mean_r,
             "per_drug": [rep.to_dict() for rep in scored],

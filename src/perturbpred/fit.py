@@ -263,6 +263,23 @@ def _apply_mask(W, mask):
     return W
 
 
+def _initial_w(cfg: FitConfig, p):
+    """The fit's starting W: cfg.w_init (which must be W-form) or -I, masked."""
+    if cfg.w_init is not None and cfg.w_init.form != W_FORM:
+        raise ValueError("w_init must be W-form")
+    W = -np.eye(p) if cfg.w_init is None else cfg.w_init.values.copy()
+    return _apply_mask(W, cfg.mask)
+
+
+def _proximal_map(W, grad, step, cfg: FitConfig):
+    """W - step * grad with its off-diagonal soft-thresholded by step * lambda
+    (the diagonal is unpenalized) and masked-out entries zeroed."""
+    W_new = W - step * grad
+    shrunk = soft_threshold(W_new, step * cfg.lam)
+    np.fill_diagonal(shrunk, W_new.diagonal())
+    return _apply_mask(shrunk, cfg.mask)
+
+
 def fit_causal_linear(
     D: ConditionMatrix,
     X: ResponseMatrix,
@@ -314,14 +331,9 @@ def fit_causal_linear(
                 "unregularized W is not identified"
             )
 
+    W = _initial_w(cfg, p)
     if cfg.w_init is not None:
-        if cfg.w_init.form != W_FORM:
-            raise ValueError("w_init must be W-form")
-        W = cfg.w_init.values.copy()
-        safe_inverse(W, "w_init")
-    else:
-        W = -np.eye(p)
-    W = _apply_mask(W, cfg.mask)
+        safe_inverse(cfg.w_init.values, "w_init")
 
     loss, grad = causal_loss_and_gradient(W, D, X, B)
     obj = loss + _penalty(W, cfg.lam)
@@ -334,15 +346,11 @@ def fit_causal_linear(
         status.append("closed-form: w_init is the least-squares minimizer at lambda = 0")
         return InteractionMatrix(W, form=W_FORM), FitReport(obj, 0, True, trace, tuple(status))
 
-    off_mask = ~np.eye(p, dtype=bool)
-
     def proximal_step(Y, loss_y, grad_y, step):
         """(W_new, loss_new, grad_new, obj_new, trial) of the accepted step from Y."""
         trial = step
         while trial > 1e-20:
-            W_new = Y - trial * grad_y
-            W_new[off_mask] = soft_threshold(W_new[off_mask], trial * cfg.lam)
-            W_new = _apply_mask(W_new, cfg.mask)
+            W_new = _proximal_map(Y, grad_y, trial, cfg)
             try:
                 loss_new, grad_new = causal_loss_and_gradient(W_new, D, X, B)
             except SingularMatrixError:
@@ -436,13 +444,20 @@ def least_squares_w_init_stack(D, X, B: TargetMap):
 # causal ODE
 
 
+# The steady-state solves of the causal-ODE fit: rate tolerance, horizon and
+# RK4 step.
+SS_TOL = 1e-7
+SS_T_MAX = 100.0
+SS_DT = 0.05
+
+
 def causal_ode_loss_and_gradient(
     model: OdeModel,
     D: ConditionMatrix,
     X: ResponseMatrix,
-    ss_tol=1e-7,
-    t_max=100.0,
-    dt=0.05,
+    ss_tol=SS_TOL,
+    t_max=SS_T_MAX,
+    dt=SS_DT,
 ):
     """Steady-state squared error and its exact gradients in W and log epsilon.
 
@@ -485,11 +500,11 @@ def _loss_and_gradient_at(model: OdeModel, D: ConditionMatrix, X: ResponseMatrix
 BRANCH_TOL = 1e-4  # largest |fitted - from-rest| steady state on the fitted branch
 
 
-def _reached_from_rest(model: OdeModel, D: ConditionMatrix, states, ss_tol, t_max, dt):
+def _reached_from_rest(model: OdeModel, D: ConditionMatrix, states):
     """Whether every condition integrated from rest settles within BRANCH_TOL
     of the given steady states."""
     try:
-        settled = steady_states(model, D.values, tol=ss_tol, t_max=t_max, dt=dt)
+        settled = steady_states(model, D.values, tol=SS_TOL, t_max=SS_T_MAX, dt=SS_DT)
     except DivergenceError:
         return False
     if not settled.converged.all():
@@ -504,16 +519,14 @@ def fit_causal_ode(
     model_template: OdeModel,
     cfg: FitConfig = FitConfig(max_iter=200),
     fit_epsilon: bool = False,
-    ss_tol: float = 1e-7,
-    t_max: float = 100.0,
-    dt: float = 0.05,
 ):
     """Fit the nonlinear dynamics by proximal gradient descent on exact gradients.
 
-    The template fixes the envelope; W starts from cfg.w_init (default -I)
-    and epsilon from the template, optimized in log space when fit_epsilon
-    is set so positivity holds by construction.  Every loss evaluation solves
-    all conditions' steady states in one batch and takes the gradient of
+    The template fixes the envelope; W starts from cfg.w_init (W-form,
+    default -I) and epsilon from the template, optimized in log space when
+    fit_epsilon is set so positivity holds by construction.  Every loss
+    evaluation solves all conditions' steady states in one batch (to rate
+    SS_TOL, within SS_T_MAX, at RK4 step SS_DT) and takes the gradient of
     :func:`causal_ode_loss_and_gradient` at them.  The initial point is
     integrated from rest; every candidate step is solved by Newton from the
     states of the last accepted iterate, and the rows Newton cannot certify
@@ -531,16 +544,10 @@ def fit_causal_ode(
     """
     check_paired(D, X)
     p = B.n_responses
-    mask = cfg.mask
-    if cfg.w_init is not None:
-        W = cfg.w_init.values.copy()
-    else:
-        W = -np.eye(p)
-    W = _apply_mask(W, mask)
+    W = _initial_w(cfg, p)
     log_eps = np.log(model_template.epsilon.copy())
 
-    free = mask.allowed.copy() if mask is not None else np.ones((p, p), dtype=bool)
-    off_mask = ~np.eye(p, dtype=bool)
+    free = cfg.mask.allowed.copy() if cfg.mask is not None else np.ones((p, p), dtype=bool)
     fell_back = False
 
     def evaluate(Wv, log_eps_v, guess=None):
@@ -552,7 +559,7 @@ def fit_causal_ode(
             envelope=model_template.envelope,
             clip_bound=model_template.clip_bound,
         )
-        solved = steady_states(model, D.values, tol=ss_tol, t_max=t_max, dt=dt, guess=guess)
+        solved = steady_states(model, D.values, tol=SS_TOL, t_max=SS_T_MAX, dt=SS_DT, guess=guess)
         fell_back = fell_back or bool(solved.fallback.any())
         states = solved.require_converged()
         loss, gW, g_eps = _loss_and_gradient_at(model, D, X, states)
@@ -570,9 +577,7 @@ def fit_causal_ode(
         accepted = False
         trial = step
         while trial > 1e-14:
-            W_new = W - trial * gW
-            W_new[off_mask] = soft_threshold(W_new[off_mask], trial * cfg.lam)
-            W_new = _apply_mask(W_new, mask)
+            W_new = _proximal_map(W, gW, trial, cfg)
             eps_new = log_eps - trial * g_eps
             try:
                 model_new, states_new, loss_new, gW_new, g_eps_new = evaluate(
@@ -608,7 +613,7 @@ def fit_causal_ode(
             "steady-state-fallback: Newton could not certify some candidate steady "
             "states; those rows were integrated from rest"
         )
-    if len(trace) > 1 and not _reached_from_rest(model, D, states, ss_tol, t_max, dt):
+    if len(trace) > 1 and not _reached_from_rest(model, D, states):
         status.append(
             "steady-state-branch: integrating from rest at the fitted parameters "
             "does not reach the fitted steady states"

@@ -166,8 +166,8 @@ def make_rhs(model: OdeModel, d):
     return lambda x: rate(x, u)
 
 
-def integrate(model: OdeModel, d, x0=None, t_end=50.0, dt=DEFAULT_DT) -> Trajectory:
-    """Fixed-step RK4 integration from x0 (default 0) to t_end.
+def integrate(model: OdeModel, d, t_end=50.0, dt=DEFAULT_DT) -> Trajectory:
+    """Fixed-step RK4 integration from rest to t_end.
 
     Raises DivergenceError with the offending time if the state leaves the
     finite range (blow-up under an unstable W).
@@ -177,10 +177,7 @@ def integrate(model: OdeModel, d, x0=None, t_end=50.0, dt=DEFAULT_DT) -> Traject
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     rhs = make_rhs(model, d)
-    p = model.size
-    x = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (p,):
-        raise DimensionError(f"x0 must have length {p}, got shape {x.shape}")
+    x = np.zeros(model.size)
 
     n_steps = int(np.ceil(t_end / dt))
     times = [0.0]
@@ -247,17 +244,16 @@ def steady_states(
     tol: float = DEFAULT_TOL,
     t_max: float = DEFAULT_T_MAX,
     dt: float = DEFAULT_DT,
-    x0=None,
     guess=None,
 ) -> SteadyStates:
     """Solve every dose row of D for the steady state its rate settles at.
 
-    Without a guess, all rows are integrated from rest (or from x0) in
-    lockstep with the same fixed RK4 steps; a row stops at the first step
-    where max|dx/dt| < tol, or at t_max.  Non-convergence is reported per
-    row rather than raised: callers fitting parameters want the partial
-    states to decide how to backtrack.  A non-finite state raises
-    DivergenceError with the time it appeared.
+    Without a guess, all rows are integrated from rest in lockstep with the
+    same fixed RK4 steps; a row stops at the first step where
+    max|dx/dt| < tol, or at t_max.  Non-convergence is reported per row
+    rather than raised: callers fitting parameters want the partial states
+    to decide how to backtrack.  A non-finite state raises DivergenceError
+    with the time it appeared.
 
     With a guess (n x p starting states), each row takes Newton steps
     x <- x - J(x)^-1 dx/dt from its guess until max|dx/dt| < tol, and is
@@ -271,20 +267,16 @@ def steady_states(
         raise ValueError("tol must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if x0 is not None and guess is not None:
-        raise ValueError("steady_states takes x0 or guess, not both")
     u = _drives(model, D)
     n, p = u.shape
-    start = x0 if guess is None else guess
-    x = np.zeros((n, p)) if start is None else np.array(start, dtype=float)
-    if x.shape != (n, p):
-        name = "x0" if guess is None else "guess"
-        raise DimensionError(f"{name} must have shape {(n, p)}, got {x.shape}")
     rate = _rate_function(model, 2)
     if guess is None:
-        states, t_reached, rate_norm = _integrate_rows(rate, x, u, tol, t_max, dt)
+        states, t_reached, rate_norm = _integrate_rows(rate, np.zeros((n, p)), u, tol, t_max, dt)
         fallback = np.zeros(n, dtype=bool)
     else:
+        x = np.array(guess, dtype=float)
+        if x.shape != (n, p):
+            raise DimensionError(f"guess must have shape {(n, p)}, got {x.shape}")
         states, rate_norm, certified = _newton_rows(model, x, u, tol, dt)
         t_reached = np.full(n, np.nan)
         fallback = ~certified
@@ -382,7 +374,6 @@ def steady_state(
     tol: float = DEFAULT_TOL,
     t_max: float = DEFAULT_T_MAX,
     dt: float = DEFAULT_DT,
-    x0=None,
 ) -> SteadyStateResult:
     """Integrate one dose vector d until max|dx/dt| < tol or t_max is hit.
 
@@ -394,13 +385,7 @@ def steady_state(
         raise DimensionError(
             f"dose vector must have length {model.B.n_drugs}, got shape {d.shape}"
         )
-    p = model.size
-    if x0 is not None:
-        x0 = np.array(x0, dtype=float)
-        if x0.shape != (p,):
-            raise DimensionError(f"x0 must have length {p}, got shape {x0.shape}")
-        x0 = x0[None, :]
-    res = steady_states(model, d[None, :], tol=tol, t_max=t_max, dt=dt, x0=x0)
+    res = steady_states(model, d[None, :], tol=tol, t_max=t_max, dt=dt)
     return SteadyStateResult(
         res.states[0], bool(res.converged[0]), float(res.t_reached[0]), float(res.rate_norm[0])
     )

@@ -168,7 +168,9 @@ def run_scenario(scenario: Scenario, spec: SimSpec) -> ScenarioReport:
 
     # regression arm (never uses B)
     held_out = scenario.lodo_drug if scenario.kind == LODO else None
-    reg_pred = RegressionFamily().fit_predict(D_train, X_train, D_test, held_out_drug=held_out)
+    regression = RegressionFamily()
+    R_hat, _ = regression.fit(D_train, X_train, held_out)
+    reg_pred = regression.predict(R_hat, D_test)
 
     # causal arm, warm-started from the least-squares solution when available
     causal = CausalLinearFamily(B_fit, FitConfig(max_iter=5000, tol=1e-12))

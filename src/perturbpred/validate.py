@@ -184,10 +184,10 @@ def summarize_fits(reports):
 #
 # Each family has fit(D_train, X_train, held_out_drug=None) -> (params,
 # FitReport) and predict(params, D_test) -> predictions; ModelFamily builds
-# fit_predict and fit_block on those two.  fit_block(D, X, block) takes a
-# list of (train rows, test rows, held-out drug or None) and returns one
-# (test predictions, FitReport) pair per fold.  The engine hands a family
-# its folds a block at a time so closed-form solves can be stacked.
+# the engine's fit_block on those two.  fit_block(D, X, block) takes a list
+# of (train rows, test rows, held-out drug or None) and returns one (test
+# predictions, FitReport) pair per fold.  The engine hands a family its
+# folds a block at a time so closed-form solves can be stacked.
 
 
 def _train_data(D, X, train):
@@ -206,17 +206,13 @@ def _train_stack(block):
 
 
 class ModelFamily:
-    """fit_predict and the engine's fit_block, on top of fit and predict.
+    """The engine's fit_block, on top of a subclass's fit and predict.
 
     A family that can stack a block's fits overrides _fit_block, which
     yields one (params, FitReport) pair per fold of the block.  Each fold is
     predicted before the next one is fitted, so the first fold that fails
     is the one that raises.
     """
-
-    def fit_predict(self, D_train, X_train, D_test, held_out_drug=None):
-        params, _ = self.fit(D_train, X_train, held_out_drug)
-        return self.predict(params, D_test)
 
     def fit_block(self, D, X, block):
         return [
@@ -306,14 +302,15 @@ class CausalOdeFamily(ModelFamily):
 
     tag = "causal-ode"
 
-    def __init__(self, B: TargetMap, template: OdeModel, cfg: FitConfig = FitConfig(max_iter=100), **fit_kwargs):
+    def __init__(self, B: TargetMap, template: OdeModel, cfg: FitConfig = FitConfig(max_iter=100),
+                 fit_epsilon=False):
         self.B = B
         self.template = template
         self.cfg = cfg
-        self.fit_kwargs = fit_kwargs
+        self.fit_epsilon = fit_epsilon
 
     def fit(self, D_train, X_train, held_out_drug=None):
-        return fit_causal_ode(D_train, X_train, self.B, self.template, self.cfg, **self.fit_kwargs)
+        return fit_causal_ode(D_train, X_train, self.B, self.template, self.cfg, self.fit_epsilon)
 
     def predict(self, model, D_test):
         return steady_states(model, D_test.values).require_converged()
@@ -331,33 +328,12 @@ def fit_folds(family, D: ConditionMatrix, X: ResponseMatrix, folds):
     """Fit every fold once, in order, and predict its test rows.
 
     folds holds (train rows, test rows, held-out drug or None) triples.
-    Yields one (test predictions, FitReport) pair per fold, a block at a
-    time, so a caller that pools predictions never holds them all.  A family
-    without fit_block is run fold by fold through fit_predict and yields
-    None for the report.
+    Yields one (test predictions, FitReport) pair per fold from the family's
+    fit_block, a block at a time, so a caller that pools predictions never
+    holds them all.
     """
-    fit_block = getattr(family, "fit_block", None)
     for start in range(0, len(folds), _BLOCK):
-        block = folds[start:start + _BLOCK]
-        if fit_block is not None:
-            yield from fit_block(D, X, block)
-        else:
-            for fold in block:
-                yield _fit_predict(family, D, X, *fold), None
-
-
-def _fit_predict(family, D, X, train, test, held_out_drug):
-    data = (*_train_data(D, X, train), ConditionMatrix(D.values[test], D.drug_names))
-    if held_out_drug is None:
-        return family.fit_predict(*data)
-    return family.fit_predict(*data, held_out_drug=held_out_drug)
-
-
-def _check_jobs(jobs):
-    # jobs stays accepted so existing callers keep working; folds always
-    # run in order on the calling thread, so results cannot depend on it
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        yield from family.fit_block(D, X, folds[start:start + _BLOCK])
 
 
 def _scored(observed, predicted):
@@ -368,22 +344,18 @@ def _scored(observed, predicted):
         return float("nan"), "error: zero-variance predictions or observations"
 
 
-def averaged_random_fold_eval(
-    family, D: ConditionMatrix, X: ResponseMatrix, plan: SplitPlan, jobs: int = 1
-):
+def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, plan: SplitPlan):
     """Fit on each repetition's training rows, average test predictions per point.
 
     Conditions that never land in a test set are dropped with a warning.
     A constant prediction vector (zero variance) is reported as an error
     status in the metadata instead of propagating NaN.  The report carries
     the covered rows, their averaged predictions and every fold's FitReport;
-    its metadata summarizes the fits under "fits".  Results do not depend
-    on jobs.
+    its metadata summarizes the fits under "fits".
     """
     if plan.kind != "random-fold":
         raise ValueError("averaged_random_fold_eval needs a random-fold plan")
     check_paired(D, X)
-    _check_jobs(jobs)
     n, p = X.values.shape
     pred_sum = np.zeros((n, p))
     pred_count = np.zeros(n, dtype=int)
@@ -434,17 +406,15 @@ def averaged_random_fold_eval(
     )
 
 
-def lodo_eval(family, D: ConditionMatrix, X: ResponseMatrix, plans, jobs: int = 1):
+def lodo_eval(family, D: ConditionMatrix, X: ResponseMatrix, plans):
     """Evaluate one model family across all LODO folds.
 
     Returns (per-drug MetricReports, mean Pearson r across drugs).  A drug
     whose r is undefined (zero variance) gets r = NaN and an error status,
     and the mean is taken over the drugs whose r is defined (NaN if none).
     Each report carries its test rows, predictions and fold FitReport.
-    Results do not depend on jobs.
     """
     check_paired(D, X)
-    _check_jobs(jobs)
     for plan in plans:
         if plan.kind != "lodo":
             raise ValueError("lodo_eval needs LODO plans")

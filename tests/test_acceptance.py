@@ -93,8 +93,8 @@ def lodo_sweep():
     causal_means, reg_means = [], []
     for s in SEEDS:
         X = simulate_responses(SimSpec(seed=s), D)
-        _, reg_mean = lodo_eval(RegressionFamily(), D, X, plans, jobs=4)
-        _, causal_mean = lodo_eval(CausalLinearFamily(B), D, X, plans, jobs=4)
+        _, reg_mean = lodo_eval(RegressionFamily(), D, X, plans)
+        _, causal_mean = lodo_eval(CausalLinearFamily(B), D, X, plans)
         reg_means.append(reg_mean)
         causal_means.append(causal_mean)
     return np.array(causal_means), np.array(reg_means)
@@ -367,9 +367,9 @@ def test_criterion_9_melanoma_reproduction():
     t0 = time.perf_counter()
 
     plan = make_random_folds(D.n_conditions, 0.7, 1000, seed=0)
-    rf = averaged_random_fold_eval(RegressionFamily(), D, X, plan, jobs=os.cpu_count() or 1)
+    rf = averaged_random_fold_eval(RegressionFamily(), D, X, plan)
     plans = make_lodo_splits(D)
-    _, lodo_mean = lodo_eval(RegressionFamily(), D, X, plans, jobs=os.cpu_count() or 1)
+    _, lodo_mean = lodo_eval(RegressionFamily(), D, X, plans)
     elapsed = time.perf_counter() - t0
 
     ok = (

@@ -261,6 +261,7 @@ class TestPredict:
 
 
 class TestCv:
+    @pytest.mark.filterwarnings("ignore:.*never appeared in a test set")
     def test_rf_regression(self, sim_dir, tmp_path):
         out = tmp_path / "cv"
         code = main([
@@ -338,14 +339,15 @@ class TestCv:
 
     def test_report_and_scatter_from_one_pass(self, sim_dir, tmp_path):
         out = tmp_path / "cv"
-        assert main([
-            "cv", "--scheme", "rf", "--model", "causal-linear",
-            "--conditions", str(sim_dir / "sim_conditions.csv"),
-            "--responses", str(sim_dir / "sim_responses.csv"),
-            "--targets", str(sim_dir / "sim_targets.csv"),
-            "--reps", "3", "--seed", "1",
-            "--out-dir", str(out),
-        ]) == EXIT_OK
+        with pytest.warns(UserWarning, match="never appeared in a test set"):
+            assert main([
+                "cv", "--scheme", "rf", "--model", "causal-linear",
+                "--conditions", str(sim_dir / "sim_conditions.csv"),
+                "--responses", str(sim_dir / "sim_responses.csv"),
+                "--targets", str(sim_dir / "sim_targets.csv"),
+                "--reps", "3", "--seed", "1",
+                "--out-dir", str(out),
+            ]) == EXIT_OK
         with open(out / "cv_report.json") as fh:
             report = json.load(fh)
         assert report["metadata"]["fits"]["folds"] == 3
@@ -362,6 +364,22 @@ class TestCv:
         index = {cond: k for k, cond in enumerate(ids)}
         for cond, resp, obs, _ in rows:
             assert float(obs) == X[index[cond], names.index(resp)]
+
+    @pytest.mark.filterwarnings("ignore:.*never appeared in a test set")
+    def test_outputs_do_not_depend_on_jobs(self, sim_dir, tmp_path):
+        outputs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"cv-jobs{jobs}"
+            assert main([
+                "cv", "--scheme", "rf", "--model", "causal-linear",
+                "--conditions", str(sim_dir / "sim_conditions.csv"),
+                "--responses", str(sim_dir / "sim_responses.csv"),
+                "--targets", str(sim_dir / "sim_targets.csv"),
+                "--reps", "20", "--seed", "3", "--jobs", jobs,
+                "--out-dir", str(out),
+            ]) == EXIT_OK
+            outputs.append([(out / name).read_bytes() for name in ("cv_report.json", "scatter.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_jobs_below_one_is_config_error(self, sim_dir):
         assert main([

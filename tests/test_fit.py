@@ -29,6 +29,7 @@ from perturbpred.simulate import (
     simulate_responses,
 )
 from perturbpred.types import (
+    A_FORM,
     ConditionMatrix,
     EdgeMask,
     InteractionMatrix,
@@ -638,6 +639,17 @@ class TestCausalOdeGradient:
 
 
 class TestFitCausalOdeFailures:
+    def test_a_form_w_init_rejected_like_the_linear_fit(self):
+        B = TargetMap(np.eye(2))
+        template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0)
+        cfg = FitConfig(max_iter=3, w_init=InteractionMatrix(-0.5 * np.eye(2) + 0.1, form=A_FORM))
+        D = ConditionMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        X = ResponseMatrix(0.5 * D.values)
+        with pytest.raises(ValueError, match="w_init must be W-form"):
+            fit_causal_linear(D, X, B, cfg)
+        with pytest.raises(ValueError, match="w_init must be W-form"):
+            fit_causal_ode(D, X, B, template, cfg)
+
     def test_diverging_candidate_rejected_not_raised(self, monkeypatch):
         # the line search tries steps that blow up; they must be backtracked
         diverged = []

@@ -247,8 +247,6 @@ class TestSteadyStates:
             steady_states(m, [[1.0, 0.0]], dt=0.0)
         with pytest.raises(DimensionError):
             steady_states(m, [[1.0, 0.0, 0.0]])
-        with pytest.raises(DimensionError):
-            steady_state(m, [1.0, 0.0], x0=[0.0])
 
 
 def reference_batched_steady_states(model, D, tol, t_max, dt):
@@ -422,8 +420,6 @@ class TestNewtonSteadyStates:
         m = simple_model(-np.eye(2))
         with pytest.raises(DimensionError, match="guess"):
             steady_states(m, [[1.0, 0.0]], guess=[0.0, 0.0])
-        with pytest.raises(ValueError, match="not both"):
-            steady_states(m, [[1.0, 0.0]], x0=[[0.0, 0.0]], guess=[[0.0, 0.0]])
 
 
 class TestTrajectory:
