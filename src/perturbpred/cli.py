@@ -156,6 +156,15 @@ def _load_mask(path):
     return EdgeMask(values != 0.0)
 
 
+def _built(build, *args, **kwargs):
+    """build(*args, **kwargs), with the ValueError it raises for an option
+    value out of range turned into a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _ensure_outdir(path):
     os.makedirs(path, exist_ok=True)
     return path
@@ -175,7 +184,7 @@ def cmd_simulate(args):
     D = build_design()
     B = build_targets()
     A = build_dag()
-    spec = SimSpec(noise_sd=noise_sd, seed=seed)
+    spec = _built(SimSpec, noise_sd=noise_sd, seed=seed)
     X = simulate_responses(spec, D)
 
     cond_ids = [f"cond_{i + 1}" for i in range(D.n_conditions)]
@@ -230,7 +239,7 @@ def cmd_fit(args):
     check_paired(D, X)
     mask = _load_mask(mask_path) if mask_path else None
     B = _model_targets(model, targets)
-    cfg = FitConfig(lam=lam, max_iter=max_iter, tol=tol, mask=mask)
+    cfg = _built(FitConfig, lam=lam, max_iter=max_iter, tol=tol, mask=mask)
     params, report = _make_family(model, B, cfg, envelope, fit_epsilon).fit(D, X)
 
     if model == "regression":
@@ -345,6 +354,8 @@ def cmd_cv(args):
     jobs = opt("jobs", 1, int)
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     out_dir = _ensure_outdir(opt("out-dir", default_output_dir()))
     opt.log()
 
@@ -353,7 +364,11 @@ def cmd_cv(args):
     check_paired(D, X)
     mask = _load_mask(mask_path) if mask_path else None
     B = _model_targets(model, targets)
-    cfg = FitConfig(max_iter=max_iter, tol=tol, mask=mask)
+    # option values are checked here, before lambda selection can take long
+    cfg = _built(FitConfig, lam=0.0 if lam is None else lam, max_iter=max_iter, tol=tol, mask=mask)
+    plan = None
+    if scheme == "rf":
+        plan = _built(make_random_folds, D.n_conditions, train_fraction, reps, seed)
 
     lam_meta = {}
     if lam is None:
@@ -369,7 +384,6 @@ def cmd_cv(args):
 
     # every fold is fitted once; the report and scatter.csv share the result
     if scheme == "rf":
-        plan = make_random_folds(D.n_conditions, train_fraction, reps, seed)
         report = averaged_random_fold_eval(family, D, X, plan)
         payload = report.to_dict()
         payload["metadata"].update({"scheme": "rf", "lambda": lam, **lam_meta})

@@ -280,6 +280,43 @@ def _proximal_map(W, grad, step, cfg: FitConfig):
     return _apply_mask(shrunk, cfg.mask)
 
 
+CLOSED_FORM = "closed-form: w_init is the least-squares minimizer at lambda = 0"
+
+
+def _first_step(cfg: FitConfig):
+    return 1.0 if cfg.step_size == "backtracking" else float(cfg.step_size)
+
+
+def _closed_form_stack(C, X, inits, cfg: FitConfig):
+    """The closed-form fit of each fold of a stack, where it holds.
+
+    C is (F, n, p) with each fold's D B^T, X (F, n, p) its responses and
+    inits its W-form w_init, given only where C_f has full column rank (None
+    elsewhere).  Returns per fold (inv(W_f), FitReport) where the closed
+    form holds, else None.  It holds at lambda = 0 with no mask, where
+    W_f = w_init passes the rcond screen of safe_inverse and the loss and
+    the loss is stationary at W_f by the test :func:`fit_causal_linear`
+    describes.
+    """
+    closed = [None] * len(inits)
+    folds = [f for f, init in enumerate(inits) if init is not None]
+    if cfg.lam != 0.0 or cfg.mask is not None or not folds:
+        return closed
+    W = np.array([inits[f].values for f in folds])
+    screened = _rcond(W) >= RCOND_MIN
+    folds = np.array(folds)[screened]
+    Winv = np.linalg.inv(W[screened])
+    Cs = C[folds]
+    E = X[folds] + Cs @ Winv
+    loss = np.sum(E * E, axis=(1, 2))
+    grad = -2.0 * np.swapaxes(Winv @ np.swapaxes(E, 1, 2) @ Cs @ Winv, 1, 2)
+    step = _first_step(cfg)
+    stationary = step * np.sum(grad * grad, axis=(1, 2)) < cfg.tol * np.maximum(1.0, loss)
+    for f, inv, obj in zip(folds[stationary], Winv[stationary], loss[stationary].tolist()):
+        closed[f] = (inv, FitReport(obj, 0, True, [obj], (CLOSED_FORM,)))
+    return closed
+
+
 def fit_causal_linear(
     D: ConditionMatrix,
     X: ResponseMatrix,
@@ -312,7 +349,9 @@ def fit_causal_linear(
     tol * max(1, loss) for the first step size: the loss being convex about
     its minimizer, that step could lower it by at most step * ||grad||_F^2,
     so the loop would stop after it, having moved W by at most
-    step * ||grad||_F.
+    step * ||grad||_F.  This early return is the one-fold case of the
+    closed form that :func:`fit_causal_linear_stack` applies to a stack of
+    folds.
     """
     check_paired(D, X)
     p = B.n_responses
@@ -324,7 +363,8 @@ def fit_causal_linear(
     status = []
     rank = None
     if cfg.lam == 0.0:
-        rank = np.linalg.matrix_rank(D.values @ B.values.T)
+        C = D.values @ B.values.T
+        rank = np.linalg.matrix_rank(C)
         if rank < p:
             status.append(
                 f"non-unique-solution: rank(D B^T) = {rank} < p = {p}; "
@@ -332,19 +372,18 @@ def fit_causal_linear(
             )
 
     W = _initial_w(cfg, p)
+    if rank == p and cfg.w_init is not None:
+        closed = _closed_form_stack(C[None], X.values[None], [cfg.w_init], cfg)[0]
+        if closed is not None:
+            return InteractionMatrix(W, form=W_FORM), closed[1]
     if cfg.w_init is not None:
         safe_inverse(cfg.w_init.values, "w_init")
 
     loss, grad = causal_loss_and_gradient(W, D, X, B)
     obj = loss + _penalty(W, cfg.lam)
     trace = [obj]
-    step = 1.0 if cfg.step_size == "backtracking" else float(cfg.step_size)
+    step = _first_step(cfg)
     backtracking = cfg.step_size == "backtracking"
-    if rank == p and cfg.mask is None and cfg.w_init is not None and (
-        step * float(np.sum(grad * grad)) < cfg.tol * max(1.0, obj)
-    ):
-        status.append("closed-form: w_init is the least-squares minimizer at lambda = 0")
-        return InteractionMatrix(W, form=W_FORM), FitReport(obj, 0, True, trace, tuple(status))
 
     def proximal_step(Y, loss_y, grad_y, step):
         """(W_new, loss_new, grad_new, obj_new, trial) of the accepted step from Y."""
@@ -438,6 +477,20 @@ def least_squares_w_init_stack(D, X, B: TargetMap):
         for f, W in zip(keep, -np.linalg.inv(M[keep])):
             inits[f] = InteractionMatrix(W, form=W_FORM)
     return inits
+
+
+def fit_causal_linear_stack(D, X, B: TargetMap, cfg: FitConfig):
+    """Warm starts of a stack of folds, and the closed-form fit where it holds.
+
+    D is (F, n, q) and X is (F, n, p).  Returns (inits, closed): inits as
+    :func:`least_squares_w_init_stack` gives them, and per fold (inv(W_f),
+    FitReport) where fit_causal_linear from that warm start would return it
+    unchanged, else None.  The warm start is None wherever its least-squares
+    solve found D_f B^T rank-deficient, so the closed form needs no rank of
+    its own; it screens each W_f's rcond once.
+    """
+    inits = least_squares_w_init_stack(D, X, B)
+    return inits, _closed_form_stack(D @ B.values.T, X, inits, cfg)
 
 
 # ---------------------------------------------------------------------------

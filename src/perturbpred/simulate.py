@@ -48,6 +48,8 @@ class SimSpec:
     def __post_init__(self):
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

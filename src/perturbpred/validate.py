@@ -8,11 +8,12 @@ Two validation protocols:
   held-out drug was applied at all.
 
 Both protocols, and the choice of lambda by inner cross-validation, run on
-one engine, :func:`fit_folds`, which fits every fold exactly once through a
-model family.  The families are the one place that says how each model is
-fitted and predicts; the command line fits through them too.  Pearson
-correlation and MAE are pooled over all (condition, response) pairs;
-per-fold values and each fold's FitReport are kept for diagnostics.
+one engine, :func:`fit_blocks`, which fits every fold exactly once through a
+model family, a block of folds at a time.  The families are the one place
+that says how each model is fitted and predicts; the command line fits
+through them too.  Pearson correlation and MAE are pooled over all
+(condition, response) pairs; per-fold values and each fold's FitReport are
+kept for diagnostics.
 """
 
 from __future__ import annotations
@@ -27,39 +28,57 @@ from .errors import NonConvergenceError, SingularMatrixError, ZeroVarianceError
 from .fit import (
     FitConfig,
     fit_causal_linear,
+    fit_causal_linear_stack,
     fit_causal_ode,
     fit_regression,
     fit_regression_lodo,
     fit_regression_stack,
     least_squares_w_init,
-    least_squares_w_init_stack,
 )
 from .linear import predict_causal_linear, predict_regression
 from .ode import OdeModel, steady_states
 from .types import ConditionMatrix, ResponseMatrix, TargetMap, check_paired
 
 
+def pearson_rows(x, y):
+    """Sample Pearson correlation of each row pair of two (F, m) arrays: a
+    list of F floats, with None for a row pair where either has zero
+    variance."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    denom = np.sqrt(np.sum(xc * xc, axis=1) * np.sum(yc * yc, axis=1))
+    defined = denom != 0.0
+    r = np.divide(np.sum(xc * yc, axis=1), denom, out=np.zeros_like(denom), where=defined)
+    return [v if ok else None for v, ok in zip(r.tolist(), defined.tolist())]
+
+
+def mae_rows(x, y):
+    """Mean absolute error of each row pair of two (F, m) arrays."""
+    return np.mean(np.abs(x - y), axis=1)
+
+
 def pearson(x, y):
-    """Sample Pearson correlation; errors on zero variance instead of NaN."""
+    """Sample Pearson correlation; errors on zero variance instead of NaN.
+
+    The one-row case of :func:`pearson_rows`."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape or x.size < 2:
         raise ValueError("pearson needs two equal-length vectors with >= 2 entries")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt(np.sum(xc * xc) * np.sum(yc * yc))
-    if denom == 0.0:
+    r = pearson_rows(x[None], y[None])[0]
+    if r is None:
         raise ZeroVarianceError("pearson undefined: an argument has zero variance")
-    return float(np.sum(xc * yc) / denom)
+    return r
 
 
 def mae(x, y):
-    """Mean absolute error between two equal-length vectors."""
+    """Mean absolute error between two equal-length vectors; the one-row
+    case of :func:`mae_rows`."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise ValueError("mae needs two equal-length vectors")
-    return float(np.mean(np.abs(x - y)))
+    return float(mae_rows(x[None], y[None])[0])
 
 
 @dataclass(frozen=True)
@@ -75,9 +94,17 @@ class SplitPlan:
     drug_name: Optional[str] = None
 
     def __post_init__(self):
-        for train, test in self.folds:
-            combined = np.sort(np.concatenate([train, test]))
-            if not np.array_equal(combined, np.arange(self.n)):
+        # folds of one size are checked as stacks of up to _BLOCK folds, which
+        # bounds the copies the check makes
+        sizes = {(len(train), len(test)) for train, test in self.folds}
+        if len(sizes) == 1:
+            groups = [self.folds[k:k + _BLOCK] for k in range(0, len(self.folds), _BLOCK)]
+        else:
+            groups = [(fold,) for fold in self.folds]
+        for group in groups:
+            trains, tests = (np.array(part) for part in zip(*group))
+            combined = np.sort(np.hstack([trains, tests]), axis=1)
+            if combined.shape[1] != self.n or np.any(combined != np.arange(self.n)):
                 raise ValueError("train/test must partition all rows exactly")
 
     @property
@@ -98,9 +125,13 @@ def make_random_folds(n, train_fraction, reps, seed):
         )
     rng = np.random.default_rng(seed)
     folds = []
-    for _ in range(reps):
-        perm = rng.permutation(n)
-        folds.append((np.sort(perm[:n_train]), np.sort(perm[n_train:])))
+    # the permutations of _BLOCK reps at a time are sorted as one array; one
+    # (reps, n) array would be large enough to raise the process's peak memory
+    for start in range(0, reps, _BLOCK):
+        perms = np.array([rng.permutation(n) for _ in range(min(_BLOCK, reps - start))])
+        perms[:, :n_train].sort(axis=1)
+        perms[:, n_train:].sort(axis=1)
+        folds += zip(perms[:, :n_train], perms[:, n_train:])
     return SplitPlan(
         kind="random-fold",
         n=n,
@@ -187,7 +218,12 @@ def summarize_fits(reports):
 # the engine's fit_block on those two.  fit_block(D, X, block) takes a list
 # of (train rows, test rows, held-out drug or None) and returns one (test
 # predictions, FitReport) pair per fold.  The engine hands a family its
-# folds a block at a time so closed-form solves can be stacked.
+# folds a block at a time so closed-form solves can be stacked.  At lambda =
+# 0 a block of equal-sized folds is fitted, checked and predicted as one
+# stack: by stacked least squares for regression (random folds only; a
+# LODO fold drops its drug's column) and by the stacked warm start and closed
+# form (fit.fit_causal_linear_stack) for the causal-linear model.  Folds the
+# closed form does not settle run their own fit, in order.
 
 
 def _train_data(D, X, train):
@@ -208,20 +244,18 @@ def _train_stack(block):
 class ModelFamily:
     """The engine's fit_block, on top of a subclass's fit and predict.
 
-    A family that can stack a block's fits overrides _fit_block, which
-    yields one (params, FitReport) pair per fold of the block.  Each fold is
-    predicted before the next one is fitted, so the first fold that fails
-    is the one that raises.
+    Each fold is predicted before the next one is fitted, so the first fold
+    that fails is the one that raises.  A family that can stack a block's
+    fits overrides fit_block and keeps that order.
     """
 
     def fit_block(self, D, X, block):
-        return [
-            (self.predict(params, ConditionMatrix(D.values[test], D.drug_names)), report)
-            for (_, test, _), (params, report) in zip(block, self._fit_block(D, X, block))
-        ]
+        return [self._predicted(D, test, *self.fit(*_train_data(D, X, train), held))
+                for train, test, held in block]
 
-    def _fit_block(self, D, X, block):
-        return (self.fit(*_train_data(D, X, train), held) for train, _, held in block)
+    def _predicted(self, D, test, params, report):
+        """(test predictions, report) of one fitted fold."""
+        return self.predict(params, ConditionMatrix(D.values[test], D.drug_names)), report
 
 
 class RegressionFamily(ModelFamily):
@@ -258,8 +292,11 @@ class RegressionFamily(ModelFamily):
 class CausalLinearFamily(ModelFamily):
     """Closed-form causal model; warm-started from least squares when possible.
 
-    The warm starts of a block of equal-sized folds are solved as one stack;
-    each fold then runs its own proximal-gradient fit.
+    The warm starts of a block of equal-sized folds are solved as one stack.
+    At lambda = 0 with no mask the same stack checks, per fold, whether the
+    fit would return its warm start unchanged (the closed form); those folds
+    are predicted straight from the stacked inverses.  Every other fold runs
+    its own proximal-gradient fit from its warm start, in order.
     """
 
     tag = "causal-linear"
@@ -284,13 +321,20 @@ class CausalLinearFamily(ModelFamily):
     def predict(self, W, D_test):
         return predict_causal_linear(W, self.B, D_test).predicted
 
-    def _fit_block(self, D, X, block):
+    def fit_block(self, D, X, block):
         train = _train_stack(block)
         if not self._warm or train is None:
-            return super()._fit_block(D, X, block)
-        inits = least_squares_w_init_stack(D.values[train], X.values[train], self.B)
-        return (self._fit_from(*_train_data(D, X, rows), init)
-                for rows, init in zip(train, inits))
+            return super().fit_block(D, X, block)
+        inits, closed = fit_causal_linear_stack(D.values[train], X.values[train], self.B, self.cfg)
+        results = []
+        for (_, test, _), rows, init, fold in zip(block, train, inits, closed):
+            if fold is None:
+                fitted = self._fit_from(*_train_data(D, X, rows), init)
+                results.append(self._predicted(D, test, *fitted))
+            else:
+                Winv, report = fold
+                results.append((D.values[test] @ self.B.values.T @ (-Winv), report))
+        return results
 
 
 class CausalOdeFamily(ModelFamily):
@@ -324,16 +368,33 @@ class CausalOdeFamily(ModelFamily):
 _BLOCK = 16
 
 
-def fit_folds(family, D: ConditionMatrix, X: ResponseMatrix, folds):
-    """Fit every fold once, in order, and predict its test rows.
+def fit_blocks(family, D: ConditionMatrix, X: ResponseMatrix, folds):
+    """Fit every fold once, in order, and predict its test rows, a block at a time.
 
     folds holds (train rows, test rows, held-out drug or None) triples.
-    Yields one (test predictions, FitReport) pair per fold from the family's
-    fit_block, a block at a time, so a caller that pools predictions never
-    holds them all.
+    Yields (block, results) per block of up to _BLOCK folds: results holds
+    one (test predictions, FitReport) pair per fold of the block, from the
+    family's fit_block.  A caller that pools predictions never holds them all.
     """
     for start in range(0, len(folds), _BLOCK):
-        yield from family.fit_block(D, X, folds[start:start + _BLOCK])
+        block = folds[start:start + _BLOCK]
+        yield block, family.fit_block(D, X, block)
+
+
+def fit_folds(family, D: ConditionMatrix, X: ResponseMatrix, folds):
+    """The (test predictions, FitReport) pair of each fold of fit_blocks."""
+    for _, results in fit_blocks(family, D, X, folds):
+        yield from results
+
+
+def _fold_scores(observed, predicted):
+    """(Pearson r or None, MAE) of each fold, from lists of the folds' test
+    responses and predictions; folds of one size are scored as one stack."""
+    if len({obs.shape for obs in observed}) > 1:
+        return [_fold_scores([obs], [pred])[0] for obs, pred in zip(observed, predicted)]
+    x = np.reshape(observed, (len(observed), -1))
+    y = np.reshape(predicted, (len(predicted), -1))
+    return list(zip(pearson_rows(x, y), mae_rows(x, y).tolist()))
 
 
 def _scored(observed, predicted):
@@ -351,7 +412,9 @@ def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, pla
     A constant prediction vector (zero variance) is reported as an error
     status in the metadata instead of propagating NaN.  The report carries
     the covered rows, their averaged predictions and every fold's FitReport;
-    its metadata summarizes the fits under "fits".
+    its metadata summarizes the fits under "fits".  Each block's folds are
+    scored as one (F, m) stack of Pearson r and MAE (:func:`pearson_rows`,
+    :func:`mae_rows`); a fold with zero variance gets pearson_r None.
     """
     if plan.kind != "random-fold":
         raise ValueError("averaged_random_fold_eval needs a random-fold plan")
@@ -362,19 +425,17 @@ def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, pla
     per_fold = []
     fits = []
 
-    results = fit_folds(family, D, X, [(train, test, None) for train, test in plan.folds])
-    for rep, ((train, test), (preds, fit)) in enumerate(zip(plan.folds, results)):
-        fits.append(fit)
-        pred_sum[test] += preds
-        pred_count[test] += 1
-        try:
-            fold_r = pearson(X.values[test], preds)
-        except ZeroVarianceError:
-            fold_r = None
-        per_fold.append(
-            {"repetition": rep, "n_test": len(test), "pearson_r": fold_r,
-             "mae": mae(X.values[test], preds)}
-        )
+    folds = [(train, test, None) for train, test in plan.folds]
+    for block, results in fit_blocks(family, D, X, folds):
+        tests = [test for _, test, _ in block]
+        preds = [pred for pred, _ in results]
+        scores = _fold_scores([X.values[test] for test in tests], preds)
+        for test, pred, (_, fit), (fold_r, fold_mae) in zip(tests, preds, results, scores):
+            fits.append(fit)
+            pred_sum[test] += pred
+            pred_count[test] += 1
+            per_fold.append({"repetition": len(per_fold), "n_test": len(test),
+                             "pearson_r": fold_r, "mae": fold_mae})
 
     covered = pred_count > 0
     if not np.all(covered):

@@ -616,6 +616,35 @@ def test_option_the_model_ignores_is_config_error(command, model, flag, value, s
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--noise-sd", "-1"], "noise_sd must be nonnegative"),
+    (["simulate", "--seed", "-1"], "seed must be nonnegative"),
+    (["fit", "--model", "causal-linear", "--lam", "-1"], "lambda must be nonnegative"),
+    (["fit", "--model", "regression", "--max-iter", "0"], "max_iter must be positive"),
+    (["fit", "--model", "causal-ode", "--tol", "0"], "tol must be positive"),
+    (["cv", "--scheme", "rf", "--model", "regression", "--reps", "0"], "reps must be >= 1"),
+    (["cv", "--scheme", "rf", "--model", "regression", "--train-fraction", "1.5"],
+     "train_fraction must lie strictly between 0 and 1"),
+    (["cv", "--scheme", "rf", "--model", "regression", "--train-fraction", "0.001"],
+     "degenerate split: 0 training rows out of 105"),
+    (["cv", "--scheme", "lodo", "--model", "regression", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["cv", "--scheme", "lodo", "--model", "causal-linear", "--lam", "-1"],
+     "lambda must be nonnegative"),
+    (["cv", "--scheme", "lodo", "--model", "regression", "--max-iter", "0"],
+     "max_iter must be positive"),
+    (["cv", "--scheme", "rf", "--model", "causal-linear", "--tol", "0"], "tol must be positive"),
+])
+def test_out_of_range_numeric_option_is_config_error(argv, message, sim_dir, tmp_path, caplog):
+    if argv[0] != "simulate":
+        argv = argv + [f"--{k}={sim_dir / f'sim_{k}.csv'}"
+                       for k in ("conditions", "responses", "targets")]
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_PARSE
+    [record] = caplog.records
+    assert message in record.getMessage()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

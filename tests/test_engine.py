@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from perturbpred.errors import PerturbpredError, SingularMatrixError, ZeroVarianceError
 from perturbpred.fit import (
     FitConfig,
+    causal_loss_and_gradient,
     fit_causal_linear,
     fit_causal_ode,
     fit_regression,
@@ -37,6 +38,7 @@ from perturbpred.validate import (
     lodo_eval,
     mae,
     make_lodo_splits,
+    make_random_folds,
     pearson,
 )
 
@@ -202,6 +204,38 @@ class TestEngineMatchesPerFoldLoop:
         assert_close(got.predicted, avg)
         assert_same_reports(got.fits, reports)
 
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), rare_drug=st.booleans())
+    def test_blocks_mixing_closed_form_and_proximal_gradient(self, seed, rare_drug):
+        # tol at the gradient's round-off level, between the warm starts'
+        # stationarity ratios: in each block some folds take the closed form
+        # and the others run the proximal-gradient fit (from -I where the
+        # warm start is unavailable)
+        D, X, B = instance(seed, 12, 3, 3, rare_drug)
+        plan = random_plan(seed + 1, 12, 9, 32)
+        ratios = []
+        for train, _ in plan.folds:
+            D_train = ConditionMatrix(D.values[train])
+            X_train = ResponseMatrix(X.values[train])
+            init = least_squares_w_init(D_train, X_train, B)
+            if init is not None:
+                loss, grad = causal_loss_and_gradient(init.values, D_train, X_train, B)
+                ratios.append(np.sum(grad * grad) / max(1.0, loss))
+        family = CausalLinearFamily(B, FitConfig(tol=float(np.median(ratios)), max_iter=20))
+        got = outcome(lambda: averaged_random_fold_eval(family, D, X, plan))
+        want = outcome(lambda: reference_random_folds(family, D, X, plan))
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        avg, per_fold, reports = want
+        # every fold runs the same arithmetic as in the loop, so the results are equal
+        np.testing.assert_array_equal(got.predicted, avg)
+        assert [(entry["pearson_r"], entry["mae"]) for entry in got.per_fold] == per_fold
+        assert_same_reports(got.fits, reports)
+        for start in range(0, plan.repetitions, 16):
+            closed = {fit.iterations == 0 for fit in got.fits[start:start + 16]}
+            assert closed == {True, False}
+
     def test_mixed_train_sizes_run_fold_by_fold(self):
         D, X, B = instance(3, 12, 3, 3, rare_drug=False)
         folds = [(np.arange(0, 8), np.arange(8, 12), None),
@@ -212,6 +246,58 @@ class TestEngineMatchesPerFoldLoop:
                 want_preds, want_report = reference_fold(family, D, X, *fold)
                 assert_close(preds, want_preds)
                 assert_same_reports([report], [want_report])
+
+
+class TestRandomFoldPlan:
+    @pytest.mark.parametrize("n, train_fraction, reps, seed",
+                             [(105, 0.7, 1000, 5), (12, 0.75, 37, 0), (5, 0.5, 1, 3)])
+    def test_plan_equals_the_per_fold_loop(self, n, train_fraction, reps, seed):
+        plan = make_random_folds(n, train_fraction, reps, seed)
+        want = random_plan(seed, n, int(np.floor(train_fraction * n)), reps)
+        assert len(plan.folds) == len(want.folds)
+        for (train, test), (want_train, want_test) in zip(plan.folds, want.folds):
+            assert train.dtype == want_train.dtype and test.dtype == want_test.dtype
+            np.testing.assert_array_equal(train, want_train)
+            np.testing.assert_array_equal(test, want_test)
+
+    @pytest.mark.parametrize("fold", [
+        (np.array([0, 1, 2, 2]), np.array([4, 5])),  # a row twice, one missing
+        (np.array([0, 1, 2, 3]), np.array([3, 5])),  # a row in train and test
+        (np.array([0, 1, 2, 3]), np.array([4, 6])),  # a row out of range
+        (np.array([0, 1, 2]), np.array([3, 4])),  # a row missing, folds of mixed sizes
+    ])
+    @pytest.mark.parametrize("at", [0, 37])
+    def test_a_non_partition_raises(self, fold, at):
+        folds = list(random_plan(1, 6, 4, 40).folds)
+        folds[at] = fold
+        with pytest.raises(ValueError, match="partition"):
+            SplitPlan(kind="random-fold", n=6, folds=tuple(folds))
+
+
+def test_stacked_fold_scores_equal_the_one_fold_metrics():
+    # rows 0-8 observe the same value everywhere, so a fold testing only
+    # those rows has zero variance; the mixed plan scores fold by fold
+    D, X, B = instance(4, 12, 3, 3, rare_drug=False)
+    Xv = X.values.copy()
+    Xv[:9] = 1.0
+    X = ResponseMatrix(Xv)
+    equal = random_plan(5, 12, 9, 48)
+    mixed = SplitPlan(kind="random-fold", n=12,
+                      folds=random_plan(6, 12, 8, 8).folds + equal.folds[:8])
+    for family in (RegressionFamily(), CausalLinearFamily(B, FitConfig(max_iter=50))):
+        for plan in (equal, mixed):
+            report = averaged_random_fold_eval(family, D, X, plan)
+            preds = fit_folds(family, D, X, [(train, test, None) for train, test in plan.folds])
+            for entry, (_, test), (pred, _) in zip(report.per_fold, plan.folds, preds):
+                observed = X.values[test]
+                assert entry["mae"] == mae(observed, pred)
+                if np.all(observed == 1.0):
+                    assert entry["pearson_r"] is None
+                else:
+                    assert entry["pearson_r"] == pearson(observed, pred)
+            for start in range(0, plan.repetitions, 16):
+                block = report.per_fold[start:start + 16]
+                assert {entry["pearson_r"] is None for entry in block} == {True, False}
 
 
 class TestStackedSolvers:

@@ -329,6 +329,23 @@ class TestFitCausalLinear:
             _, report = fit_causal_linear(D, X, bench_targets, dataclasses.replace(cfg, max_iter=3))
             assert report.iterations > 0 and report.status == ()
 
+    def test_closed_form_needs_d_bt_of_full_rank(self):
+        # q < p: every M = M0 + N with D B^T N = 0 minimizes the loss, so
+        # W = -inv(M) is stationary, but W is not identified
+        rng = np.random.default_rng(15)
+        D = ConditionMatrix(rng.uniform(0, 1, (10, 2)))
+        B = TargetMap(rng.normal(size=(3, 2)))
+        X = ResponseMatrix(rng.normal(size=(10, 3)))
+        C = D.values @ B.values.T
+        M0 = np.linalg.lstsq(C, X.values, rcond=None)[0]
+        null = np.linalg.svd(C)[2][2:]
+        init = InteractionMatrix(-np.linalg.inv(M0 + null.T @ rng.normal(size=(1, 3))))
+        loss, grad = causal_loss_and_gradient(init.values, D, X, B)
+        assert np.sum(grad * grad) < 1e-8 * max(1.0, loss)
+        _, report = fit_causal_linear(D, X, B, FitConfig(w_init=init, max_iter=3))
+        assert report.iterations > 0
+        assert len(report.status) == 1 and report.status[0].startswith("non-unique-solution")
+
     def test_fixed_step_crossing_singular_set_raises(self):
         # from W = -I one step of size 1 lands on diag(0, -1): W_new = -I + 2 (X - I)
         D = ConditionMatrix(np.eye(2))
