@@ -20,8 +20,8 @@ Three fitters live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -44,16 +44,15 @@ from .types import (
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Shared fitting knobs.
-
-    step_size "backtracking" (the default) uses Armijo halving on the smooth
-    part of the objective; a float requests that fixed step instead.
+    """What a command sets for a fit: the L1 weight lam, the iteration cap
+    max_iter, the stopping tolerance tol and an edge mask.  w_init is the
+    starting W, which the model families fill with their warm or cold start.
+    The step rule is not a setting: each fitter has one, in its docstring.
     """
 
     lam: float = 0.0
     max_iter: int = 10000
     tol: float = 1e-8
-    step_size: Union[str, float] = "backtracking"
     mask: Optional[EdgeMask] = None
     w_init: Optional[InteractionMatrix] = None
 
@@ -64,8 +63,6 @@ class FitConfig:
             raise ValueError("max_iter must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if isinstance(self.step_size, str) and self.step_size != "backtracking":
-            raise ValueError(f"unknown step_size {self.step_size!r}")
 
 
 @dataclass(frozen=True)
@@ -203,11 +200,11 @@ def fit_regression_lodo(
     held_out_drug: int,
     cfg: FitConfig = FitConfig(),
 ):
-    """Unregularized regression with the held-out drug's coefficients forced to 0.
+    """Penalized regression with the held-out drug's coefficients forced to 0.
 
     The held-out drug must be absent from every training condition; its row
-    of the coefficient matrix is inserted as zeros after fitting on the
-    remaining columns.
+    of the coefficient matrix is inserted as zeros after fitting the
+    remaining columns at cfg.lam.
     """
     check_paired(D, X)
     q = D.n_drugs
@@ -221,7 +218,7 @@ def fit_regression_lodo(
         )
     keep = [j for j in range(q) if j != held_out_drug]
     D_red = ConditionMatrix(D.values[:, keep], [D.drug_names[j] for j in keep])
-    R_red, report = fit_regression(D_red, X, replace(cfg, lam=0.0))
+    R_red, report = fit_regression(D_red, X, cfg)
     R = np.insert(R_red.values, held_out_drug, 0.0, axis=0)
     return RegressionCoefficients(R), report
 
@@ -282,9 +279,8 @@ def _proximal_map(W, grad, step, cfg: FitConfig):
 
 CLOSED_FORM = "closed-form: w_init is the least-squares minimizer at lambda = 0"
 
-
-def _first_step(cfg: FitConfig):
-    return 1.0 if cfg.step_size == "backtracking" else float(cfg.step_size)
+# The first trial step of the causal-linear fit's backtracking line search.
+LINEAR_FIRST_STEP = 1.0
 
 
 def _closed_form_stack(C, X, inits, cfg: FitConfig):
@@ -310,8 +306,8 @@ def _closed_form_stack(C, X, inits, cfg: FitConfig):
     E = X[folds] + Cs @ Winv
     loss = np.sum(E * E, axis=(1, 2))
     grad = -2.0 * np.swapaxes(Winv @ np.swapaxes(E, 1, 2) @ Cs @ Winv, 1, 2)
-    step = _first_step(cfg)
-    stationary = step * np.sum(grad * grad, axis=(1, 2)) < cfg.tol * np.maximum(1.0, loss)
+    gain = LINEAR_FIRST_STEP * np.sum(grad * grad, axis=(1, 2))
+    stationary = gain < cfg.tol * np.maximum(1.0, loss)
     for f, inv, obj in zip(folds[stationary], Winv[stationary], loss[stationary].tolist()):
         closed[f] = (inv, FitReport(obj, 0, True, [obj], (CLOSED_FORM,)))
     return closed
@@ -338,18 +334,18 @@ def fit_causal_linear(
     trace never goes up.  The fit stops when a plain step changes the
     objective by less than tol (relative to max(1, objective)); a momentum
     step that gains that little can still be short of a minimum, so it
-    restarts the momentum instead.  A fixed step_size raises only when a
-    plain step crosses the singular set.
+    restarts the momentum instead.  Each iteration's first trial step is
+    twice the last accepted one, LINEAR_FIRST_STEP at the start.
 
     At lambda = 0 with no mask, D B^T of full column rank and a w_init at
     which the loss is stationary, w_init is returned unchanged after 0
     iterations.  The loss is then least squares in M = -inv(W), so the
     least-squares warm start is its global minimizer and its gradient is
     round-off.  w_init counts as stationary when step * ||grad||_F^2 <
-    tol * max(1, loss) for the first step size: the loss being convex about
-    its minimizer, that step could lower it by at most step * ||grad||_F^2,
-    so the loop would stop after it, having moved W by at most
-    step * ||grad||_F.  This early return is the one-fold case of the
+    tol * max(1, loss) for step = LINEAR_FIRST_STEP: the loss being convex
+    about its minimizer, that step could lower it by at most
+    step * ||grad||_F^2, so the loop would stop after it, having moved W by
+    at most step * ||grad||_F.  This early return is the one-fold case of the
     closed form that :func:`fit_causal_linear_stack` applies to a stack of
     folds.
     """
@@ -382,8 +378,7 @@ def fit_causal_linear(
     loss, grad = causal_loss_and_gradient(W, D, X, B)
     obj = loss + _penalty(W, cfg.lam)
     trace = [obj]
-    step = _first_step(cfg)
-    backtracking = cfg.step_size == "backtracking"
+    step = LINEAR_FIRST_STEP
 
     def proximal_step(Y, loss_y, grad_y, step):
         """(W_new, loss_new, grad_new, obj_new, trial) of the accepted step from Y."""
@@ -393,17 +388,13 @@ def fit_causal_linear(
             try:
                 loss_new, grad_new = causal_loss_and_gradient(W_new, D, X, B)
             except SingularMatrixError:
-                if not backtracking:
-                    raise SingularMatrixError(
-                        "fixed-step iterate crossed the singular set; use backtracking"
-                    ) from None
                 trial *= 0.5
                 continue
             diff = W_new - Y
             quad = loss_y + float(np.sum(grad_y * diff)) + float(np.sum(diff * diff)) / (
                 2.0 * trial
             )
-            if not backtracking or loss_new <= quad + 1e-12 * max(1.0, abs(loss_y)):
+            if loss_new <= quad + 1e-12 * max(1.0, abs(loss_y)):
                 return W_new, loss_new, grad_new, loss_new + _penalty(W_new, cfg.lam), trial
             trial *= 0.5
         raise NonConvergenceError(
@@ -435,8 +426,7 @@ def fit_causal_linear(
         W_prev, t = W, t_next
         W, loss, grad, obj = W_new, loss_new, grad_new, obj_new
         trace.append(obj)
-        if backtracking:
-            step = trial * 2.0  # cautiously re-grow after a successful step
+        step = trial * 2.0  # cautiously re-grow after a successful step
         if rel_change < cfg.tol:
             if not momentum:
                 converged = True
@@ -502,6 +492,9 @@ def fit_causal_linear_stack(D, X, B: TargetMap, cfg: FitConfig):
 SS_TOL = 1e-7
 SS_T_MAX = 100.0
 SS_DT = 0.05
+
+# The first trial step of the causal-ODE fit's halving line search.
+ODE_FIRST_STEP = 0.1
 
 
 def causal_ode_loss_and_gradient(
@@ -585,9 +578,11 @@ def fit_causal_ode(
     states of the last accepted iterate, and the rows Newton cannot certify
     are integrated from rest (status "steady-state-fallback").  A candidate
     whose steady state fails to converge, diverges, or has a singular
-    Jacobian is rejected and the step halved; at the initial point the same
-    failures raise.  If no step is accepted the fit stops with
-    "line-search-exhausted" in the report's status.
+    Jacobian, or that raises the objective, is rejected and the step halved;
+    at the initial point the same failures raise.  Each iteration's first
+    trial step is twice the last accepted one, ODE_FIRST_STEP at the start.
+    If no step is accepted the fit stops with "line-search-exhausted" in the
+    report's status.
 
     Continuation can follow an equilibrium that integration from rest, as
     prediction does, would not reach.  So a fit that moved ends with one
@@ -622,7 +617,7 @@ def fit_causal_ode(
     obj = loss + _penalty(W, cfg.lam)
     trace = [obj]
     status = []
-    step = 0.1 if cfg.step_size == "backtracking" else float(cfg.step_size)
+    step = ODE_FIRST_STEP
     converged = False
     it = 0
 

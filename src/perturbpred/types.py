@@ -21,7 +21,7 @@ are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -211,16 +211,14 @@ class PredictionResult:
 
     predicted: np.ndarray
     model_tag: str
-    response_names: tuple = field(default=())
 
-    def __init__(self, predicted, model_tag, response_names=()):
+    def __init__(self, predicted, model_tag):
         arr = _as_readonly(predicted, "PredictionResult")
         _check_finite(arr, "PredictionResult")
         if model_tag not in ("regression", "causal-linear", "causal-ode"):
             raise ValueError(f"unknown model tag {model_tag!r}")
         object.__setattr__(self, "predicted", arr)
         object.__setattr__(self, "model_tag", model_tag)
-        object.__setattr__(self, "response_names", tuple(response_names))
 
 
 def check_paired(D: ConditionMatrix, X: ResponseMatrix):

@@ -37,7 +37,7 @@ from .fit import (
 )
 from .linear import predict_causal_linear, predict_regression
 from .ode import OdeModel, steady_states
-from .types import ConditionMatrix, ResponseMatrix, TargetMap, check_paired
+from .types import ConditionMatrix, InteractionMatrix, ResponseMatrix, TargetMap, check_paired
 
 
 def pearson_rows(x, y):
@@ -88,8 +88,6 @@ class SplitPlan:
     kind: str  # "random-fold" or "lodo"
     n: int
     folds: tuple  # tuple of (train_idx, test_idx) pairs, each a np.ndarray
-    seed: Optional[int] = None
-    train_fraction: Optional[float] = None
     held_out_drug: Optional[int] = None
     drug_name: Optional[str] = None
 
@@ -132,13 +130,7 @@ def make_random_folds(n, train_fraction, reps, seed):
         perms[:, :n_train].sort(axis=1)
         perms[:, n_train:].sort(axis=1)
         folds += zip(perms[:, :n_train], perms[:, n_train:])
-    return SplitPlan(
-        kind="random-fold",
-        n=n,
-        folds=tuple(folds),
-        seed=seed,
-        train_fraction=train_fraction,
-    )
+    return SplitPlan(kind="random-fold", n=n, folds=tuple(folds))
 
 
 def make_lodo_splits(D: ConditionMatrix):
@@ -292,23 +284,23 @@ class RegressionFamily(ModelFamily):
 class CausalLinearFamily(ModelFamily):
     """Closed-form causal model; warm-started from least squares when possible.
 
-    The warm starts of a block of equal-sized folds are solved as one stack.
-    At lambda = 0 with no mask the same stack checks, per fold, whether the
-    fit would return its warm start unchanged (the closed form); those folds
-    are predicted straight from the stacked inverses.  Every other fold runs
-    its own proximal-gradient fit from its warm start, in order.
+    With cfg.w_init given, every fold fits from it instead.  The warm starts
+    of a block of equal-sized folds are solved as one stack.  At lambda = 0
+    with no mask the same stack checks, per fold, whether the fit would
+    return its warm start unchanged (the closed form); those folds are
+    predicted straight from the stacked inverses.  Every other fold runs its
+    own proximal-gradient fit from its warm start, in order.
     """
 
     tag = "causal-linear"
 
-    def __init__(self, B: TargetMap, cfg: FitConfig = FitConfig(max_iter=5000), warm_start=True):
+    def __init__(self, B: TargetMap, cfg: FitConfig = FitConfig(max_iter=5000)):
         self.B = B
         self.cfg = cfg
-        self.warm_start = warm_start
 
     @property
     def _warm(self):
-        return self.warm_start and self.cfg.w_init is None
+        return self.cfg.w_init is None
 
     def _fit_from(self, D_train, X_train, init):
         cfg = self.cfg if init is None else replace(self.cfg, w_init=init)
@@ -516,17 +508,20 @@ def select_lambda_cv(
     """Pick lambda for the causal linear fit by k-fold cross-validation.
 
     Needed when q < p leaves the unregularized fit unidentified.  Every
-    lambda is fitted cold (no least-squares warm start) on the same folds; a
-    lambda whose fit or prediction fails on any fold scores inf.  Returns
-    (best_lambda, {lambda: mean held-out SSE}).
+    lambda is fitted on the same folds from the same start, cfg.w_init or
+    -I (no least-squares warm start); a lambda whose fit or prediction fails
+    on any fold scores inf.  Returns (best_lambda, {lambda: mean held-out
+    SSE}).
     """
     if grid is None:
         grid = np.logspace(-3, 1, 9)
     perm = np.random.default_rng(seed).permutation(D.n_conditions)
     folds = [(np.setdiff1d(perm, test), test, None) for test in np.array_split(perm, n_folds)]
+    if cfg.w_init is None:
+        cfg = replace(cfg, w_init=InteractionMatrix(-np.eye(B.n_responses)))
     scores = {}
     for lam in grid:
-        family = CausalLinearFamily(B, replace(cfg, lam=float(lam)), warm_start=False)
+        family = CausalLinearFamily(B, replace(cfg, lam=float(lam)))
         try:
             sse = [float(np.sum((X.values[test] - preds) ** 2))
                    for (_, test, _), (preds, _) in zip(folds, fit_folds(family, D, X, folds))]

@@ -61,7 +61,7 @@ def reference_fold(family, D, X, train, test, held_out_drug=None):
         return predict_regression(R, D_test).predicted, report
     if isinstance(family, CausalLinearFamily):
         cfg = family.cfg
-        if family.warm_start and cfg.w_init is None:
+        if cfg.w_init is None:
             init = least_squares_w_init(D_train, X_train, family.B)
             if init is not None:
                 cfg = replace(cfg, w_init=init)

@@ -346,14 +346,6 @@ class TestFitCausalLinear:
         assert report.iterations > 0
         assert len(report.status) == 1 and report.status[0].startswith("non-unique-solution")
 
-    def test_fixed_step_crossing_singular_set_raises(self):
-        # from W = -I one step of size 1 lands on diag(0, -1): W_new = -I + 2 (X - I)
-        D = ConditionMatrix(np.eye(2))
-        X = ResponseMatrix(np.diag([1.5, 1.0]))
-        B = TargetMap(np.eye(2))
-        with pytest.raises(SingularMatrixError, match="crossed the singular set"):
-            fit_causal_linear(D, X, B, FitConfig(step_size=1.0, max_iter=5))
-
     def test_each_candidate_screened_once(self, monkeypatch):
         rng = np.random.default_rng(15)
         D = ConditionMatrix(rng.uniform(0, 1, (20, 4)))
@@ -378,33 +370,49 @@ class TestFitCausalLinear:
 
 
 def test_momentum_restarts_where_the_momentum_point_is_singular(monkeypatch):
-    # fixed steps evaluate one candidate per step, so the calls run:
-    # W0 | W1 | Y2, W2 | Y3 (made singular), W3 from W2 | Y4, W4
+    # the loss is evaluated at W0, at each momentum point Y2, Y3, Y4 and at
+    # every trial step of the proximal map; a point that is not the trial
+    # step just made is W0 or a Y, and the third of them, Y3, is made singular
     rng = np.random.default_rng(16)
     D = ConditionMatrix(rng.uniform(0, 1, (20, 4)))
     B = TargetMap(rng.normal(size=(3, 4)))
     X = ResponseMatrix(rng.normal(size=(20, 3)))
-    points = []
+    events = []  # ("point", W) and ("trial", start, step, W_new), in call order
     loss_and_gradient = fit_module.causal_loss_and_gradient
+    proximal_map = fit_module._proximal_map
 
-    def spy(W, *args):
-        points.append(W.copy())
-        if len(points) == 5:
-            raise SingularMatrixError("planted")
+    def trial_spy(W, grad, step, cfg):
+        W_new = proximal_map(W, grad, step, cfg)
+        events.append(("trial", W, step, W_new))
+        return W_new
+
+    def loss_spy(W, *args):
+        if not (events and events[-1][0] == "trial" and events[-1][3] is W):
+            events.append(("point", W))
+            if sum(e[0] == "point" for e in events) == 3:
+                raise SingularMatrixError("planted")
         return loss_and_gradient(W, *args)
 
-    monkeypatch.setattr(fit_module, "causal_loss_and_gradient", spy)
-    _, report = fit_causal_linear(D, X, B, FitConfig(lam=0.1, step_size=0.01, max_iter=4))
-    assert report.iterations == 4 and len(points) == 8
-    W0, W1, Y2, W2, _, W3, Y4, _ = points
+    monkeypatch.setattr(fit_module, "_proximal_map", trial_spy)
+    monkeypatch.setattr(fit_module, "causal_loss_and_gradient", loss_spy)
+    _, report = fit_causal_linear(D, X, B, FitConfig(lam=0.1, max_iter=4))
+    assert report.iterations == 4
+    starts = [k for k, e in enumerate(events) if e[0] == "point"]
+    W0, Y2, _, Y4 = (events[k][1] for k in starts)
+    # iteration k's trials run from its point to the next; the last is W_k
+    trials = [events[a + 1:b] for a, b in zip(starts, starts[1:] + [len(events)])]
+    W1, W2, W3 = (steps[-1][3] for steps in trials[:3])
     # after the restart t = 1 again, so Y4 extrapolates as Y2 did after the start
     t = (1.0 + np.sqrt(5.0)) / 2.0
     beta = (t - 1.0) / ((1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0)
     assert np.allclose(Y2, W1 + beta * (W1 - W0), rtol=0.0, atol=1e-14)
     assert np.allclose(Y4, W3 + beta * (W3 - W2), rtol=0.0, atol=1e-14)
+    # with Y3 singular every trial of iteration 3 is a plain step from W2
+    assert all(start is W2 for _, start, _, _ in trials[2])
+    step = trials[2][-1][2]
     off = ~np.eye(3, dtype=bool)
-    plain = W2 - 0.01 * loss_and_gradient(W2, D, X, B)[1]
-    plain[off] = soft_threshold(plain[off], 0.01 * 0.1)
+    plain = W2 - step * loss_and_gradient(W2, D, X, B)[1]
+    plain[off] = soft_threshold(plain[off], step * 0.1)
     assert np.allclose(W3, plain, rtol=0.0, atol=1e-14)
 
 
@@ -416,8 +424,7 @@ def reference_proximal_gradient(D, X, B, cfg):
     loss, grad = causal_loss_and_gradient(W, D, X, B)
     obj = loss + fit_module._penalty(W, cfg.lam)
     trace = [obj]
-    step = 1.0 if cfg.step_size == "backtracking" else float(cfg.step_size)
-    backtracking = cfg.step_size == "backtracking"
+    step = 1.0
     off_mask = ~np.eye(p, dtype=bool)
     converged = False
     it = 0
@@ -431,13 +438,11 @@ def reference_proximal_gradient(D, X, B, cfg):
             try:
                 loss_new, grad_new = causal_loss_and_gradient(W_new, D, X, B)
             except SingularMatrixError:
-                if not backtracking:
-                    raise
                 trial *= 0.5
                 continue
             diff = W_new - W
             quad = loss + float(np.sum(grad * diff)) + float(np.sum(diff * diff)) / (2.0 * trial)
-            if loss_new <= quad + 1e-12 * max(1.0, abs(loss)) or not backtracking:
+            if loss_new <= quad + 1e-12 * max(1.0, abs(loss)):
                 accepted = True
                 break
             trial *= 0.5
@@ -447,8 +452,7 @@ def reference_proximal_gradient(D, X, B, cfg):
         rel_change = abs(obj - obj_new) / max(1.0, abs(obj))
         W, loss, grad, obj = W_new, loss_new, grad_new, obj_new
         trace.append(obj)
-        if backtracking:
-            step = trial * 2.0
+        step = trial * 2.0
         if rel_change < cfg.tol:
             converged = True
             break
@@ -760,16 +764,17 @@ def plant_branch_switch(monkeypatch):
     monkeypatch.setattr(fit_module, "steady_states", planted)
 
 
-def branch_switch_problem(from_rest=False, copies=1):
-    """(family, D, X): fit the search's W_near, with small fixed steps, to the
-    states Newton continues to there from W (or, from_rest, to the states
+def branch_switch_problem(monkeypatch, from_rest=False, copies=1):
+    """(family, D, X): fit the search's W_near, from a small first step, to
+    the states Newton continues to there from W (or, from_rest, to the states
     RK4 reaches from rest), each condition repeated copies times."""
+    monkeypatch.setattr(fit_module, "ODE_FIRST_STEP", 1e-3)
     model_at, W, W_near, D = continuation_instance(BRANCH_SWITCH_SEED)
     template = model_at(W_near)
     settle = dict(tol=1e-7, t_max=100.0, dt=0.05)
     guess = None if from_rest else steady_states(model_at(W), D, **settle).states
     X = steady_states(template, D, guess=guess, **settle).states
-    cfg = FitConfig(max_iter=20, tol=1e-3, step_size=1e-3, w_init=InteractionMatrix(W_near))
+    cfg = FitConfig(max_iter=20, tol=1e-3, w_init=InteractionMatrix(W_near))
     family = CausalOdeFamily(template.B, template, cfg)
     return family, ConditionMatrix(np.tile(D, (copies, 1))), ResponseMatrix(np.tile(X, (copies, 1)))
 
@@ -810,12 +815,12 @@ class TestSteadyStateContinuation:
             assert np.sum((X.values - calls[j][2].states) ** 2) == obj
 
     def test_planted_branch_switch_caught_by_confirmation(self, monkeypatch):
-        family, D, X = branch_switch_problem(from_rest=True)
+        family, D, X = branch_switch_problem(monkeypatch, from_rest=True)
         _, report = family.fit(D, X)
         assert report.converged and report.status == ()
 
         plant_branch_switch(monkeypatch)
-        family, D, X = branch_switch_problem()
+        family, D, X = branch_switch_problem(monkeypatch)
         _, report = family.fit(D, X)
         assert report.iterations < 20  # stopped by tol, then overruled
         assert not report.converged
@@ -827,7 +832,7 @@ class TestSteadyStateContinuation:
     @pytest.mark.filterwarnings("ignore:.*never appeared in a test set")
     def test_branch_status_reaches_cv_fit_summary(self, monkeypatch):
         plant_branch_switch(monkeypatch)
-        family, D, X = branch_switch_problem(copies=4)
+        family, D, X = branch_switch_problem(monkeypatch, copies=4)
         plan = make_random_folds(len(D.values), 0.7, 2, seed=0)
         fits = averaged_random_fold_eval(family, D, X, plan).metadata["fits"]
         assert fits["unconverged"] == fits["folds"] == 2

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import perturbpred.fit as fit_module
 import perturbpred.validate as validate_module
 from perturbpred.errors import NonConvergenceError, SingularMatrixError, ZeroVarianceError
-from perturbpred.fit import FitConfig
+from perturbpred.fit import FitConfig, fit_regression
 from perturbpred.linear import predict_causal_linear
 from perturbpred.ode import OdeModel
 from perturbpred.simulate import SimSpec, build_design, build_targets, simulate_responses
@@ -273,6 +274,22 @@ class TestLodoEval:
             assert rep.n_points == 14 * 5
         assert mean_r == pytest.approx(np.mean([r.pearson_r for r in reports]))
 
+    def test_regression_fits_at_the_given_lambda(self):
+        D = build_design()
+        X = simulate_responses(SimSpec(seed=0), D)
+        plans = make_lodo_splits(D)[:3]
+        unpenalized, _ = lodo_eval(RegressionFamily(), D, X, plans)
+        cfg = FitConfig(lam=0.5)
+        reports, _ = lodo_eval(RegressionFamily(cfg), D, X, plans)
+        for rep, rep_0, plan in zip(reports, unpenalized, plans):
+            train, test = plan.folds[0]
+            keep = [j for j in range(D.n_drugs) if j != plan.held_out_drug]
+            D_red = ConditionMatrix(D.values[np.ix_(train, keep)])
+            R, _ = fit_regression(D_red, ResponseMatrix(X.values[train]), cfg)
+            R = np.insert(R.values, plan.held_out_drug, 0.0, axis=0)
+            np.testing.assert_allclose(rep.predicted, D.values[test] @ R, rtol=0.0, atol=1e-12)
+            assert not np.allclose(rep.predicted, rep_0.predicted)
+
     def test_wrong_plan_kind_rejected(self):
         D = build_design()
         X = simulate_responses(SimSpec(seed=0), D)
@@ -437,3 +454,30 @@ class TestSelectLambdaCv:
         assert got == reference_select_lambda_cv(D, X, B, self.GRID, 5, 0, self.CFG)
         assert got[1][0.1] == np.inf
         assert sum(np.isfinite(v) for v in got[1].values()) == len(self.GRID) - 1
+
+    def test_fits_start_from_minus_identity_or_the_callers_w_init(self, monkeypatch):
+        fit, loss = validate_module.fit_causal_linear, fit_module.causal_loss_and_gradient
+        starts = []  # the first W each fit evaluates its loss at
+
+        def fit_spy(D, X, B, cfg):
+            starts.append(None)
+            return fit(D, X, B, cfg)
+
+        def loss_spy(W, *args):
+            if starts[-1] is None:
+                starts[-1] = W.copy()
+            return loss(W, *args)
+
+        monkeypatch.setattr(validate_module, "fit_causal_linear", fit_spy)
+        monkeypatch.setattr(fit_module, "causal_loss_and_gradient", loss_spy)
+        # q > p, so every training fold has a least-squares warm start not taken
+        rng = np.random.default_rng(0)
+        B = TargetMap(rng.normal(size=(4, 5)))
+        D = ConditionMatrix(rng.uniform(0, 1, (13, 5)))
+        X = ResponseMatrix(D.values @ B.values.T + 0.1 * rng.normal(size=(13, 4)))
+        w_init = InteractionMatrix(-1.5 * np.eye(4) + 0.1)
+        for cfg, start in [(self.CFG, -np.eye(4)), (replace(self.CFG, w_init=w_init), w_init.values)]:
+            starts.clear()
+            select_lambda_cv(D, X, B, grid=self.GRID, n_folds=5, seed=0, cfg=cfg)
+            assert len(starts) == 5 * len(self.GRID)
+            assert all(np.array_equal(W, start) for W in starts)
