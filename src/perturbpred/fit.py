@@ -11,11 +11,11 @@ Three fitters live here:
   the objective; the loss is nonconvex in W with a singular set at
   det W = 0, so a candidate step that lands near it is rejected.
 * ``fit_causal_ode`` fits the nonlinear dynamics by gradient descent.  Each
-  loss evaluation is one batched steady-state solve over all conditions:
-  Newton steps continued from the last accepted iterate's states, with RK4
-  from rest for the rows Newton cannot certify stable.  The gradient is
-  exact: the implicit function theorem at the reached states turns it into
-  one p x p adjoint solve per condition.
+  loss evaluation is one batched steady-state solve over all conditions by
+  Newton steps, from rest at a contracting start and from the last accepted
+  iterate's states for each candidate; RK4 from rest solves only any other
+  start and checks the end.  The gradient is exact: the implicit function
+  theorem at the reached states gives one p x p adjoint solve per condition.
 """
 
 from __future__ import annotations
@@ -161,6 +161,8 @@ def fit_regression(
         R, reports = fit_regression_stack(Dv[None], Xv[None], D.drug_names)
         return RegressionCoefficients(R[0]), reports[0]
 
+    # one layout, so equal inputs give equal column dot products
+    Dv = np.asfortranarray(Dv)
     col_sq = np.sum(Dv * Dv, axis=0)
     R = np.zeros((q, Xv.shape[1]))
     trace = [regression_objective(Dv, Xv, R, cfg.lam)]
@@ -546,6 +548,14 @@ def _loss_and_gradient_at(model: OdeModel, D: ConditionMatrix, X: ResponseMatrix
 BRANCH_TOL = 1e-4  # largest |fitted - from-rest| steady state on the fitted branch
 
 
+def _contracts(W, eps):
+    """Whether w_jj + eps_j sum_{i != j} |w_ij| < 0 for every response j.
+    As 0 <= phi' <= 1, every Jacobian's infinity-norm log-norm is then below
+    zero: the dynamics contract (Lohmiller & Slotine 1998), and their one
+    equilibrium attracts every trajectory."""
+    return bool(np.all(np.diag(W) + eps * np.abs(W - np.diag(np.diag(W))).sum(axis=0) < 0))
+
+
 def _reached_from_rest(model: OdeModel, D: ConditionMatrix, states):
     """Whether every condition integrated from rest settles within BRANCH_TOL
     of the given steady states."""
@@ -574,15 +584,15 @@ def fit_causal_ode(
     evaluation solves all conditions' steady states in one batch (to rate
     SS_TOL, within SS_T_MAX, at RK4 step SS_DT) and takes the gradient of
     :func:`causal_ode_loss_and_gradient` at them.  The initial point is
-    integrated from rest; every candidate step is solved by Newton from the
-    states of the last accepted iterate, and the rows Newton cannot certify
-    are integrated from rest (status "steady-state-fallback").  A candidate
-    whose steady state fails to converge, diverges, or has a singular
+    solved by Newton from rest when its dynamics contract (:func:`_contracts`;
+    the default -I does), and integrated from rest otherwise or when Newton
+    cannot certify a row.  Each candidate is solved by Newton from the last
+    accepted states.  A candidate with an uncertified row or a singular
     Jacobian, or that raises the objective, is rejected and the step halved;
-    at the initial point the same failures raise.  Each iteration's first
-    trial step is twice the last accepted one, ODE_FIRST_STEP at the start.
-    If no step is accepted the fit stops with "line-search-exhausted" in the
-    report's status.
+    a start that RK4 cannot settle, or with a singular Jacobian, raises.
+    Each iteration's first trial step is twice the last accepted one,
+    ODE_FIRST_STEP at the start.  If no step is accepted the fit stops with
+    "line-search-exhausted" in the report's status.
 
     Continuation can follow an equilibrium that integration from rest, as
     prediction does, would not reach.  So a fit that moved ends with one
@@ -596,10 +606,8 @@ def fit_causal_ode(
     log_eps = np.log(model_template.epsilon.copy())
 
     free = cfg.mask.allowed.copy() if cfg.mask is not None else np.ones((p, p), dtype=bool)
-    fell_back = False
 
     def evaluate(Wv, log_eps_v, guess=None):
-        nonlocal fell_back
         model = OdeModel(
             InteractionMatrix(Wv, form=W_FORM),
             B,
@@ -608,12 +616,17 @@ def fit_causal_ode(
             clip_bound=model_template.clip_bound,
         )
         solved = steady_states(model, D.values, tol=SS_TOL, t_max=SS_T_MAX, dt=SS_DT, guess=guess)
-        fell_back = fell_back or bool(solved.fallback.any())
         states = solved.require_converged()
         loss, gW, g_eps = _loss_and_gradient_at(model, D, X, states)
         return model, states, loss, np.where(free, gW, 0.0), g_eps if fit_epsilon else np.zeros(p)
 
-    model, states, loss, gW, g_eps = evaluate(W, log_eps)
+    start = None
+    if _contracts(W, np.exp(log_eps)):
+        try:
+            start = evaluate(W, log_eps, guess=np.zeros(X.values.shape))
+        except NonConvergenceError:
+            pass
+    model, states, loss, gW, g_eps = start or evaluate(W, log_eps)
     obj = loss + _penalty(W, cfg.lam)
     trace = [obj]
     status = []
@@ -631,9 +644,7 @@ def fit_causal_ode(
                 model_new, states_new, loss_new, gW_new, g_eps_new = evaluate(
                     W_new, eps_new, guess=states
                 )
-            except (NonConvergenceError, DivergenceError, SingularMatrixError) as err:
-                # only RK4 diverges, so a diverging row is one Newton gave up on
-                fell_back = fell_back or isinstance(err, DivergenceError)
+            except (NonConvergenceError, SingularMatrixError):
                 trial *= 0.5
                 continue
             obj_new = loss_new + _penalty(W_new, cfg.lam)
@@ -656,11 +667,6 @@ def fit_causal_ode(
             converged = True
             break
 
-    if fell_back:
-        status.append(
-            "steady-state-fallback: Newton could not certify some candidate steady "
-            "states; those rows were integrated from rest"
-        )
     if len(trace) > 1 and not _reached_from_rest(model, D, states):
         status.append(
             "steady-state-branch: integrating from rest at the fitted parameters "

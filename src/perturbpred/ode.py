@@ -16,14 +16,15 @@ lockstep and stops each row on its own at the first step where the rate
 falls below tolerance; ``steady_state`` is its one-condition form.
 
 Given starting states (a ``guess``, typically the steady states of a nearby
-model), ``steady_states`` instead solves dx/dt = 0 by batched Newton steps,
-the equilibrium view of the CellBox dynamics (Yuan et al. 2021; Bai et al.
-2019).  A Newton row is accepted only with a stability certificate: every
-eigenvalue of its Jacobian has a negative real part and lies inside RK4's
-stability region at the caller's step, so RK4 would settle there too.  Rows
-without one are integrated by RK4 from rest.  A certificate does not prove
-that the equilibrium is the one reached from rest; the fit checks that once
-at its end.
+model), ``steady_states`` instead solves dx/dt = 0 by batched Newton steps
+alone, the equilibrium view of the CellBox dynamics (Yuan et al. 2021; Bai
+et al. 2019).  A Newton row is accepted only with a stability certificate:
+every eigenvalue of its Jacobian has a negative real part and lies inside
+RK4's stability region at the caller's step, so RK4 would settle there too.
+Rows without one are reported unconverged, not integrated; the caller
+decides what to do with them.  A certificate does not prove that the
+equilibrium is the one reached from rest; the fit checks that once at its
+end.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .types import RCOND_MIN, InteractionMatrix, TargetMap, W_FORM
 DEFAULT_DT = 0.01
 DEFAULT_T_MAX = 200.0
 DEFAULT_TOL = 1e-8
-NEWTON_MAX_ITER = 20  # Newton steps per row before it falls back to RK4
+NEWTON_MAX_ITER = 20  # Newton steps per row before it is reported unconverged
 
 ENVELOPES = ("identity", "clipped-linear", "sigmoid")
 
@@ -215,15 +216,14 @@ class SteadyStates:
     """Final states of a batch of run-to-equilibrium solves.
 
     Row k of ``states`` and entry k of the other arrays belong to dose row k.
-    ``fallback`` marks the rows that Newton could not certify and RK4 solved
-    from rest; ``t_reached`` is NaN on the rows Newton solved.
+    ``t_reached`` is NaN on every row of a Newton solve; there ``converged``
+    means that Newton certified the row.
     """
 
     states: np.ndarray
     converged: np.ndarray
     t_reached: np.ndarray
     rate_norm: np.ndarray
-    fallback: np.ndarray
 
     def require_converged(self, names=None):
         """The states, or NonConvergenceError naming the first unsettled row."""
@@ -231,9 +231,11 @@ class SteadyStates:
         if bad.size:
             k = bad[0]
             name = names[k] if names is not None else f"row {k}"
+            t = self.t_reached[k]
+            where = ", not certified by Newton" if np.isnan(t) else f" at t = {t:g}"
             raise NonConvergenceError(
                 f"steady state did not converge for condition {name} "
-                f"(max |dx/dt| = {self.rate_norm[k]:.3g} at t = {self.t_reached[k]:g})"
+                f"(max |dx/dt| = {self.rate_norm[k]:.3g}{where})"
             )
         return self.states
 
@@ -261,7 +263,7 @@ def steady_states(
     Re lam < 0 and |R(dt lam)| < 1, R being RK4's amplification factor.  A
     row that does not get there within NEWTON_MAX_ITER steps, turns
     non-finite, meets a singular Jacobian or fails that certificate is
-    integrated by RK4 from rest as above, with the same reports and errors.
+    reported unconverged; t_max is unused and nothing is integrated.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -269,35 +271,27 @@ def steady_states(
         raise ValueError("dt must be positive")
     u = _drives(model, D)
     n, p = u.shape
-    rate = _rate_function(model, 2)
     if guess is None:
-        states, t_reached, rate_norm = _integrate_rows(rate, np.zeros((n, p)), u, tol, t_max, dt)
-        fallback = np.zeros(n, dtype=bool)
-    else:
-        x = np.array(guess, dtype=float)
-        if x.shape != (n, p):
-            raise DimensionError(f"guess must have shape {(n, p)}, got {x.shape}")
-        states, rate_norm, certified = _newton_rows(model, x, u, tol, dt)
-        t_reached = np.full(n, np.nan)
-        fallback = ~certified
-        rows = np.flatnonzero(fallback)
-        if rows.size:
-            states[rows], t_reached[rows], rate_norm[rows] = _integrate_rows(
-                rate, np.zeros((rows.size, p)), u[rows], tol, t_max, dt
-            )
-    return SteadyStates(states, rate_norm < tol, t_reached, rate_norm, fallback)
+        states, t_reached, rate_norm = _integrate_rows(model, u, tol, t_max, dt)
+        return SteadyStates(states, rate_norm < tol, t_reached, rate_norm)
+    x = np.array(guess, dtype=float)
+    if x.shape != (n, p):
+        raise DimensionError(f"guess must have shape {(n, p)}, got {x.shape}")
+    states, rate_norm, certified = _newton_rows(model, x, u, tol, dt)
+    return SteadyStates(states, certified, np.full(n, np.nan), rate_norm)
 
 
-def _integrate_rows(rate, x, u, tol, t_max, dt):
-    """RK4 from states x under drives u, each row until it settles or t_max.
+def _integrate_rows(model: OdeModel, u, tol, t_max, dt):
+    """RK4 from rest under drives u, each row until it settles or t_max.
 
     Returns (states, t_reached, rate_norm) per row.
     """
-    n, p = x.shape
-    states = np.empty((n, p))
-    t_reached = np.empty(n)
-    rate_norm = np.empty(n)
-    rows = np.arange(n)  # rows still integrating, aligned with x and u
+    rate = _rate_function(model, 2)
+    x = np.zeros_like(u)
+    states = np.empty_like(u)
+    t_reached = np.empty(len(u))
+    rate_norm = np.empty(len(u))
+    rows = np.arange(len(u))  # rows still integrating, aligned with x and u
     t = 0.0
     k1 = rate(x, u)  # rate at the current states, doubles as RK4's k1
     # overflow on the way to a blow-up is reported as DivergenceError below

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import perturbpred.fit as fit_module
+import perturbpred.ode as ode_module
 from perturbpred.errors import DivergenceError, NonConvergenceError, SingularMatrixError
 from perturbpred.fit import (
     FitConfig,
@@ -20,7 +21,7 @@ from perturbpred.fit import (
     soft_threshold,
 )
 from perturbpred.linear import dag_to_w, predict_causal_linear, predict_regression
-from perturbpred.ode import ENVELOPES, OdeModel, steady_state, steady_states
+from perturbpred.ode import ENVELOPES, OdeModel, linearize, steady_state, steady_states
 from perturbpred.simulate import (
     SimSpec,
     build_dag,
@@ -39,6 +40,7 @@ from perturbpred.types import (
 from perturbpred.validate import (
     CausalOdeFamily,
     averaged_random_fold_eval,
+    make_lodo_splits,
     make_random_folds,
     select_lambda_cv,
 )
@@ -139,6 +141,21 @@ class TestFitRegression:
         R1, _ = fit_regression(D, X, FitConfig(lam=0.7))
         R2, _ = fit_regression(D, X, FitConfig(lam=0.7))
         assert np.array_equal(R1.values, R2.values)
+
+    def test_lasso_independent_of_memory_layout(self):
+        # the LODO folds of the simulated benchmark: D[train][:, keep] is
+        # Fortran-ordered, D[ix_(train, keep)] C-ordered, with equal entries
+        D = build_design()
+        X = simulate_responses(SimSpec(seed=0), D)
+        for plan in make_lodo_splits(D):
+            train, _ = plan.folds[0]
+            keep = [j for j in range(D.n_drugs) if j != plan.held_out_drug]
+            Xt = ResponseMatrix(X.values[train])
+            by_c, _ = fit_regression(ConditionMatrix(D.values[np.ix_(train, keep)]), Xt,
+                                     FitConfig(lam=0.5))
+            by_f, _ = fit_regression(ConditionMatrix(D.values[train][:, keep]), Xt,
+                                     FitConfig(lam=0.5))
+            assert np.array_equal(by_c.values, by_f.values)
 
 
 class TestFitRegressionLodo:
@@ -672,16 +689,16 @@ class TestFitCausalOdeFailures:
             fit_causal_ode(D, X, B, template, cfg)
 
     def test_diverging_candidate_rejected_not_raised(self, monkeypatch):
-        # the line search tries steps that blow up; they must be backtracked
-        diverged = []
+        # the line search tries steps whose dynamics blow up from rest; Newton
+        # cannot certify their equilibria, so they must be backtracked
+        rejected = []
         solve = fit_module.steady_states
 
-        def spy(*args, **kwargs):
-            try:
-                return solve(*args, **kwargs)
-            except DivergenceError:
-                diverged.append(True)
-                raise
+        def spy(model, D, **kwargs):
+            res = solve(model, D, **kwargs)
+            if not res.converged.all():
+                rejected.append(model)
+            return res
 
         monkeypatch.setattr(fit_module, "steady_states", spy)
         B = TargetMap(np.eye(2))
@@ -690,7 +707,11 @@ class TestFitCausalOdeFailures:
         _, report = fit_causal_ode(
             ConditionMatrix(Dv), ResponseMatrix(-300.0 * Dv), B, template, FitConfig(max_iter=5)
         )
-        assert diverged
+        assert rejected
+        for model in rejected:
+            with pytest.raises(DivergenceError):
+                solve(model, Dv, tol=fit_module.SS_TOL, t_max=fit_module.SS_T_MAX,
+                      dt=fit_module.SS_DT)
         assert report.iterations == 5
         trace = report.objective_trace
         assert np.all(np.diff(trace) <= 1e-8 * np.maximum(1.0, np.abs(trace[:-1])))
@@ -801,13 +822,14 @@ class TestSteadyStateContinuation:
         model, report = fit_causal_ode(D, X, B, template, FitConfig(max_iter=10))
         assert report.status == ()
         # from rest at the start, and once more for the confirmation at the end
-        assert calls[0][1] is None and calls[-1][1] is None and calls[-1][0] is model
+        assert calls[0][1] is None or not np.any(calls[0][1])
+        assert calls[-1][1] is None and calls[-1][0] is model
         sources = []  # the call whose states each candidate started from
         for k, (_, guess, res) in enumerate(calls[1:-1], start=1):
             j = next(j for j in range(k) if calls[j][2].states is guess)
             assert not sources or j >= sources[-1]
             sources.append(j)
-            assert not res.fallback.any() and np.isnan(res.t_reached).all()
+            assert res.converged.all() and np.isnan(res.t_reached).all()  # certified Newton rows
         # each start is an accepted iterate, in the order of the trace
         started = sorted(set(sources))
         assert len(started) == len(report.objective_trace) - 1 == report.iterations
@@ -841,19 +863,80 @@ class TestSteadyStateContinuation:
             "does not reach the fitted steady states"
         ]
 
-    def test_fallback_reported_once_in_status(self):
-        # the diverging instance of TestFitCausalOdeFailures: candidates
-        # Newton cannot certify are integrated from rest and blow up
+    def test_uncertified_candidate_rejected_without_rk4(self, monkeypatch):
+        # the diverging instance of TestFitCausalOdeFailures: the candidates
+        # Newton cannot certify are rejected, not integrated; the contracting
+        # start is solved by Newton, so RK4 runs once, for the confirmation
+        integrate_rows = ode_module._integrate_rows
+        rk4_calls = []
+
+        def count(*args):
+            rk4_calls.append(True)
+            return integrate_rows(*args)
+
+        monkeypatch.setattr(ode_module, "_integrate_rows", count)
         B = TargetMap(np.eye(2))
         Dv = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0)
         _, report = fit_causal_ode(
             ConditionMatrix(Dv), ResponseMatrix(-300.0 * Dv), B, template, FitConfig(max_iter=5)
         )
-        assert report.status == (
-            "steady-state-fallback: Newton could not certify some candidate steady "
-            "states; those rows were integrated from rest",
-        )
+        assert report.iterations == 5 and report.status == ()
+        assert len(rk4_calls) == 1
+
+    def test_multistable_start_integrated_from_rest(self, monkeypatch):
+        # W_near has two equilibria for condition 0 under its clipped-linear
+        # envelope, so its dynamics cannot contract: the fit must start from
+        # RK4 from rest, which reaches the one prediction reaches
+        family, D, X = branch_switch_problem(monkeypatch, from_rest=True)
+        model_at, _, W_near, _ = continuation_instance(BRANCH_SWITCH_SEED)
+        assert not fit_module._contracts(W_near, model_at(W_near).epsilon)
+        solve = fit_module.steady_states
+        guesses = []
+
+        def spy(model, D, guess=None, **kwargs):
+            guesses.append(guess)
+            return solve(model, D, guess=guess, **kwargs)
+
+        monkeypatch.setattr(fit_module, "steady_states", spy)
+        family.fit(D, X)
+        assert guesses[0] is None
+
+
+def contracting_instance(rng, envelope, p, margin):
+    """(model, D): random dynamics whose every response j has
+    w_jj + eps_j sum_{i != j} |w_ij| = -margin_j, with margin_j >= margin."""
+    W = rng.normal(0.0, 0.8, (p, p)) * (rng.uniform(size=(p, p)) < 0.7)
+    np.fill_diagonal(W, 0.0)
+    eps = rng.uniform(0.5, 2.0, p)
+    np.fill_diagonal(W, -eps * np.abs(W).sum(axis=0) - margin - rng.exponential(0.5, p))
+    B = TargetMap(rng.normal(size=(p, 3)))
+    model = OdeModel(InteractionMatrix(W), B, eps, envelope=envelope, clip_bound=1.5)
+    return model, rng.uniform(0.0, 4.0, (int(rng.integers(1, 9)), 3))
+
+
+class TestContractingStart:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        envelope=st.sampled_from(ENVELOPES),
+        p=st.integers(1, 6),
+        margin=st.floats(0.2, 2.0),
+    )
+    def test_newton_from_rest_matches_rk4_from_rest(self, seed, envelope, p, margin):
+        model, D = contracting_instance(np.random.default_rng(seed), envelope, p, margin)
+        W = model.W.values
+        assert fit_module._contracts(W, model.epsilon)
+        c = -np.max(np.diag(W) + model.epsilon * np.abs(W - np.diag(np.diag(W))).sum(axis=0))
+        settle = dict(tol=fit_module.SS_TOL, t_max=fit_module.SS_T_MAX, dt=fit_module.SS_DT)
+        newton = steady_states(model, D, guess=np.zeros((len(D), p)), **settle)
+        rk4 = steady_states(model, D, **settle)
+        assert newton.converged.all() and rk4.converged.all()
+        assert np.max(np.abs(newton.states - rk4.states)) <= 2.0 * fit_module.SS_TOL / c
+        # the bound behind the test: every Jacobian's infinity-norm log-norm <= -c
+        J = linearize(model, D, newton.states)[2]
+        off = np.abs(J).sum(axis=2) - np.abs(np.diagonal(J, axis1=1, axis2=2))
+        assert np.max(np.diagonal(J, axis1=1, axis2=2) + off) <= -c + 1e-12
 
 
 def test_select_lambda_cv_returns_grid_member():

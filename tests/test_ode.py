@@ -330,13 +330,14 @@ class TestNewtonSteadyStates:
             assume(False)
         assume(rest.converged.all())
         res = self.solve(model_at(W_near), D, guess=guess)
-        assert res.converged.all()
-        assert np.array_equal(np.isnan(res.t_reached), ~res.fallback)
+        assert np.isnan(res.t_reached).all()
         for k in range(len(D)):
-            if res.fallback[k]:
-                assert np.array_equal(res.states[k], rest.states[k])
+            certified = certified_equilibrium(
+                model_at(W_near), D[k], res.states[k], self.TOL, self.DT
+            )
+            assert certified == res.converged[k]  # uncertified: reported, not integrated
+            if not certified:
                 continue
-            assert certified_equilibrium(model_at(W_near), D[k], res.states[k], self.TOL, self.DT)
             if model_at(W).envelope != "clipped-linear":
                 # one equilibrium within reach: Newton and RK4 agree
                 assert np.max(np.abs(res.states[k] - rest.states[k])) <= 1e-6
@@ -359,18 +360,22 @@ class TestNewtonSteadyStates:
         assert np.array_equal(res.states, states)
         assert np.array_equal(res.t_reached, t_reached)
         assert np.array_equal(res.rate_norm, rate_norm)
-        assert not res.fallback.any()
         one = steady_state(m, D[0], tol=1e-8, t_max=20.0, dt=0.05)
         first = reference_batched_steady_states(m, D[:1], 1e-8, 20.0, 0.05)[0][0]
         assert np.array_equal(one.state, first)
 
-    def test_unstable_equilibrium_goes_to_rk4_and_diverges(self):
+    def test_unstable_equilibrium_reported_unconverged(self):
         # Newton starts on the unstable equilibrium itself; only the
-        # certificate keeps it from being accepted
+        # certificate keeps it from being accepted, and nothing is integrated
         m = simple_model(np.diag([5.0, -1.0]))
         D = np.array([[1.0, 1.0]])
+        res = steady_states(m, D, guess=[[-0.2, 1.0]])
+        assert not res.converged[0] and np.isnan(res.t_reached[0])
+        assert res.rate_norm[0] < 1e-8 and np.array_equal(res.states, [[-0.2, 1.0]])
+        with pytest.raises(NonConvergenceError, match="row 0 .* not certified by Newton"):
+            res.require_converged()
         with pytest.raises(DivergenceError):
-            steady_states(m, D, guess=[[-0.2, 1.0]])
+            steady_states(m, D)  # from rest the dynamics blow up
 
     def test_unstable_equilibrium_inside_rk4_region_falls_back(self):
         # eigenvalues 0.2 +- 50i: the dynamics leave the equilibrium, though
@@ -379,7 +384,8 @@ class TestNewtonSteadyStates:
         m = simple_model(W)
         D = np.array([[1.0, 0.5]])
         res = self.solve(m, D, guess=-D @ np.linalg.inv(W))
-        assert res.fallback.all()
+        assert res.rate_norm[0] < self.TOL
+        assert not res.converged.any() and np.isnan(res.t_reached).all()
 
     def test_stiff_equilibrium_outside_rk4_region_falls_back(self):
         # eigenvalue -100: stable, but dt * -100 = -5 is outside RK4's region
@@ -388,12 +394,11 @@ class TestNewtonSteadyStates:
         D = np.array([[0.0, 1.0], [0.0, 2.0]])  # the stiff node is never driven
         guess = [[0.0, 1.0], [0.0, 2.0]]
         stiff = self.solve(m, D, guess=guess)
-        rest = self.solve(m, D)
-        assert stiff.fallback.all()
-        assert np.array_equal(stiff.states, rest.states)
-        assert np.array_equal(stiff.t_reached, rest.t_reached)
+        assert not stiff.converged.any()
+        assert np.isnan(stiff.t_reached).all()
+        assert np.array_equal(stiff.states, guess)
         fine = self.solve(m, D, guess=guess, dt=0.01)
-        assert not fine.fallback.any()
+        assert fine.converged.all()
         assert np.isnan(fine.t_reached).all()
         assert np.array_equal(fine.states, guess)
 
@@ -408,11 +413,10 @@ class TestNewtonSteadyStates:
         guess[:, 1] += 1e-3  # off the equilibrium, so Newton must step
         guess[1] = [5.0, 0.0]  # node 2's drive -5 + 0.4 is clipped
         res = self.solve(m, D, guess=guess)
-        assert res.fallback.tolist() == [False, True, False]
-        assert np.array_equal(res.states[1], rest.states[1])
-        assert res.t_reached[1] == rest.t_reached[1]
+        assert res.converged.tolist() == [True, False, True]
+        assert np.isnan(res.t_reached).all()
         alone = self.solve(m, D[[0, 2]], guess=guess[[0, 2]])
-        assert not alone.fallback.any()
+        assert alone.converged.all()
         assert np.array_equal(res.states[[0, 2]], alone.states)
         assert np.max(np.abs(res.states[[0, 2]] - rest.states[[0, 2]])) <= 1e-6
 

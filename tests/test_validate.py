@@ -287,7 +287,7 @@ class TestLodoEval:
             D_red = ConditionMatrix(D.values[np.ix_(train, keep)])
             R, _ = fit_regression(D_red, ResponseMatrix(X.values[train]), cfg)
             R = np.insert(R.values, plan.held_out_drug, 0.0, axis=0)
-            np.testing.assert_allclose(rep.predicted, D.values[test] @ R, rtol=0.0, atol=1e-12)
+            assert np.array_equal(rep.predicted, D.values[test] @ R)
             assert not np.allclose(rep.predicted, rep_0.predicted)
 
     def test_wrong_plan_kind_rejected(self):
