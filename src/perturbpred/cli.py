@@ -34,6 +34,7 @@ from .errors import (
 )
 from .fit import FitConfig
 from .io import (
+    FLOAT_FMT,
     default_output_dir,
     export_network,
     load_condition_matrix,
@@ -425,8 +426,8 @@ def _write_scatter(path, labels, response_names, observed, predicted):
         writer = csv.writer(fh)
         writer.writerow(["condition", "response", "observed", "predicted"])
         for label, obs_row, pred_row in zip(labels, observed, predicted):
-            for resp, obs, pred in zip(response_names, obs_row, pred_row):
-                writer.writerow([label, resp, "%.17g" % obs, "%.17g" % pred])
+            for resp, obs, pred in zip(response_names, obs_row.tolist(), pred_row.tolist()):
+                writer.writerow([label, resp, FLOAT_FMT % obs, FLOAT_FMT % pred])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ Three fitters live here:
   iterate's states for each candidate; RK4 from rest solves only any other
   start and checks the end.  The gradient is exact: the implicit function
   theorem at the reached states gives one p x p adjoint solve per condition.
+
+A fit that stops at its iteration cap says so in its report's status
+(MAX_ITER_REACHED).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, NonConvergenceError, SingularMatrixError
-from .linear import _rcond, safe_inverse
+from .linear import _rcond, _screened_inverse, safe_inverse
 # steady_state stays bound here: perfbench's tracer checks it is patched in this module
 from .ode import OdeModel, linearize, steady_state, steady_states  # noqa: F401
 from .types import (
@@ -90,6 +93,11 @@ class FitReport:
         }
 
 
+# The status of a fit that stopped at its iteration cap, unconverged; every
+# fitter formats it with its cfg.max_iter.
+MAX_ITER_REACHED = "max-iter-reached: the fit stopped at max_iter = {} before its stop rule held"
+
+
 def soft_threshold(x, thr):
     """Closed-form proximal operator of thr * |.|: shrink toward 0 by thr."""
     return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
@@ -99,22 +107,52 @@ def soft_threshold(x, thr):
 # regression
 
 
+def _full_column_rank(A):
+    """(full, Q, R) of a stack A of (F, n, k) matrices: whether each A_f has
+    full column rank, as np.linalg.matrix_rank decides it, and the reduced
+    QR of every A_f (None when n < k, where no A_f has full column rank).
+
+    matrix_rank counts the singular values above max(n, k) * eps times the
+    largest, so A_f has full column rank when its 2-norm rcond exceeds
+    max(n, k) * eps.  A_f and R_f have the same singular values, so the
+    screened inverse of R_f settles most folds; an exact zero on the diagonal
+    of R_f makes it singular, and matrix_rank(A_f) itself settles those and
+    the folds the screen's bound leaves open.
+    """
+    F, n, k = A.shape
+    if n < k:
+        return np.zeros(F, dtype=bool), None, None
+    Q, R = np.linalg.qr(A)
+
+    def rank_decides(idx):
+        return np.linalg.matrix_rank(A[idx]) == k
+
+    full = np.empty(F, dtype=bool)
+    zero = np.any(np.diagonal(R, axis1=1, axis2=2) == 0.0, axis=1)
+    if zero.any():
+        full[zero] = rank_decides(np.flatnonzero(zero))
+    rest = np.flatnonzero(~zero)
+    full[rest] = _screened_inverse(
+        R[rest], max(n, k) * np.finfo(float).eps, lambda idx: rank_decides(rest[idx])
+    )[1]
+    return full, Q, R
+
+
 def _lstsq_stack(A, Y):
     """Least-squares solutions of a stack of systems A_f M_f = Y_f.
 
-    A is (F, n, k) and Y is (F, n, m).  Returns (M, rank): M is (F, k, m),
-    solved by QR where A_f has full column rank and NaN elsewhere, and rank
-    holds np.linalg.matrix_rank of each A_f.  Every LAPACK call works on one
-    small fold at a time, so nothing here becomes a large threaded product.
+    A is (F, n, k) and Y is (F, n, m).  Returns (M, full): M is (F, k, m),
+    solved by QR where A_f has full column rank and NaN elsewhere, and full
+    says where, as :func:`_full_column_rank` decides it: one QR per fold,
+    with an SVD only where the QR cannot settle the rank.  Every LAPACK call
+    works on one small fold at a time, so nothing here becomes a large
+    threaded product.
     """
-    k = A.shape[2]
-    rank = np.linalg.matrix_rank(A)
-    M = np.full((A.shape[0], k, Y.shape[2]), np.nan)
-    full = rank == k
+    full, Q, R = _full_column_rank(A)
+    M = np.full((A.shape[0], A.shape[2], Y.shape[2]), np.nan)
     if np.any(full):
-        Q, R = np.linalg.qr(A[full])
-        M[full] = np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ Y[full])
-    return M, rank
+        M[full] = np.linalg.solve(R[full], np.swapaxes(Q[full], 1, 2) @ Y[full])
+    return M, full
 
 
 def fit_regression_stack(D, X, drug_names):
@@ -125,8 +163,8 @@ def fit_regression_stack(D, X, drug_names):
     its all-zero design columns, or every column when the deficiency comes
     from collinearity (the leave-one-drug-out pathology).
     """
-    R, rank = _lstsq_stack(D, X)
-    deficient = np.flatnonzero(rank < D.shape[2])
+    R, full = _lstsq_stack(D, X)
+    deficient = np.flatnonzero(~full)
     if deficient.size:
         used = np.any(D[deficient[0]], axis=0)
         bad = [name for name, u in zip(drug_names, used) if not u] or list(drug_names)
@@ -192,7 +230,8 @@ def fit_regression(
             total_sweeps += cfg.max_iter
         R[:, col] = r
     trace.append(regression_objective(Dv, Xv, R, cfg.lam))
-    report = FitReport(trace[-1], total_sweeps, converged, trace)
+    status = () if converged else (MAX_ITER_REACHED.format(cfg.max_iter),)
+    report = FitReport(trace[-1], total_sweeps, converged, trace, status)
     return RegressionCoefficients(R), report
 
 
@@ -235,10 +274,9 @@ def causal_loss_and_gradient(W, D: ConditionMatrix, X: ResponseMatrix, B: Target
     With C = D B^T and E = X + C inv(W), matrix calculus through the inverse
     gives  grad = -2 (inv(W) E^T C inv(W))^T.
     """
-    W = np.asarray(W, dtype=float)
-    if _rcond(W) < RCOND_MIN:
+    Winv, ok = _screened_inverse(np.asarray(W, dtype=float), RCOND_MIN)
+    if not ok:
         raise SingularMatrixError("W is singular or ill-conditioned in loss evaluation")
-    Winv = np.linalg.inv(W)
     C = D.values @ B.values.T
     E = X.values + C @ Winv
     loss = float(np.sum(E * E))
@@ -292,18 +330,16 @@ def _closed_form_stack(C, X, inits, cfg: FitConfig):
     inits its W-form w_init, given only where C_f has full column rank (None
     elsewhere).  Returns per fold (inv(W_f), FitReport) where the closed
     form holds, else None.  It holds at lambda = 0 with no mask, where
-    W_f = w_init passes the rcond screen of safe_inverse and the loss and
-    the loss is stationary at W_f by the test :func:`fit_causal_linear`
-    describes.
+    W_f = w_init passes the rcond screen of safe_inverse and the loss is
+    stationary at W_f by the test :func:`fit_causal_linear` describes.
     """
     closed = [None] * len(inits)
     folds = [f for f, init in enumerate(inits) if init is not None]
     if cfg.lam != 0.0 or cfg.mask is not None or not folds:
         return closed
-    W = np.array([inits[f].values for f in folds])
-    screened = _rcond(W) >= RCOND_MIN
+    Winv, screened = _screened_inverse(np.array([inits[f].values for f in folds]), RCOND_MIN)
     folds = np.array(folds)[screened]
-    Winv = np.linalg.inv(W[screened])
+    Winv = Winv[screened]
     Cs = C[folds]
     E = X[folds] + Cs @ Winv
     loss = np.sum(E * E, axis=(1, 2))
@@ -349,7 +385,10 @@ def fit_causal_linear(
     step * ||grad||_F^2, so the loop would stop after it, having moved W by
     at most step * ||grad||_F.  This early return is the one-fold case of the
     closed form that :func:`fit_causal_linear_stack` applies to a stack of
-    folds.
+    folds.  The rank of D B^T is np.linalg.matrix_rank's, settled by
+    :func:`_full_column_rank`; the rank itself is computed only to name it
+    in the "non-unique-solution" status of a deficient D B^T.
+    Each loss evaluation inverts W once and screens it as safe_inverse does.
     """
     check_paired(D, X)
     p = B.n_responses
@@ -359,18 +398,18 @@ def fit_causal_linear(
         )
 
     status = []
-    rank = None
+    full = False
     if cfg.lam == 0.0:
         C = D.values @ B.values.T
-        rank = np.linalg.matrix_rank(C)
-        if rank < p:
+        full = _full_column_rank(C[None])[0][0]
+        if not full:
             status.append(
-                f"non-unique-solution: rank(D B^T) = {rank} < p = {p}; "
+                f"non-unique-solution: rank(D B^T) = {np.linalg.matrix_rank(C)} < p = {p}; "
                 "unregularized W is not identified"
             )
 
     W = _initial_w(cfg, p)
-    if rank == p and cfg.w_init is not None:
+    if full and cfg.w_init is not None:
         closed = _closed_form_stack(C[None], X.values[None], [cfg.w_init], cfg)[0]
         if closed is not None:
             return InteractionMatrix(W, form=W_FORM), closed[1]
@@ -436,6 +475,8 @@ def fit_causal_linear(
             # a momentum step can gain little far from a minimum; only a
             # plain step's small gain shows W is stationary, so take one next
             t = 1.0
+    else:
+        status.append(MAX_ITER_REACHED.format(cfg.max_iter))
 
     report = FitReport(obj, it, converged, trace, tuple(status))
     return InteractionMatrix(W, form=W_FORM), report
@@ -461,12 +502,12 @@ def least_squares_w_init_stack(D, X, B: TargetMap):
     M_f has rcond below 1e-8.
     """
     C = D @ B.values.T
-    M, rank = _lstsq_stack(C, X)
+    M, full = _lstsq_stack(C, X)
     inits = [None] * len(M)
-    full = np.flatnonzero(rank == C.shape[2])
-    if full.size:
-        keep = full[_rcond(M[full]) >= 1e-8]
-        for f, W in zip(keep, -np.linalg.inv(M[keep])):
+    folds = np.flatnonzero(full)
+    if folds.size:
+        Minv, ok = _screened_inverse(M[folds], 1e-8)
+        for f, W in zip(folds[ok], -Minv[ok]):
             inits[f] = InteractionMatrix(W, form=W_FORM)
     return inits
 
@@ -666,6 +707,8 @@ def fit_causal_ode(
         if rel_change < cfg.tol:
             converged = True
             break
+    else:
+        status.append(MAX_ITER_REACHED.format(cfg.max_iter))
 
     if len(trace) > 1 and not _reached_from_rest(model, D, states):
         status.append(

@@ -27,20 +27,71 @@ def _rcond(M):
     """Reciprocal condition number in the 2-norm of a matrix, or of each
     matrix of an (F, k, k) stack (0 for a zero matrix)."""
     s = np.linalg.svd(M, compute_uv=False)
-    if s.ndim == 1:  # scalar arithmetic: the causal-linear fit screens every candidate
+    if s.ndim == 1:  # one matrix: scalar arithmetic
         return s[-1] / s[0] if s[0] > 0 else 0.0
     largest = s[:, 0]
     return s[:, -1] / np.where(largest > 0, largest, np.inf)
 
 
+def _screened_inverse(M, threshold, decide=None):
+    """The inverse of a matrix, or of each matrix of an (F, k, k) stack, and
+    whether its rcond (see :func:`_rcond`) is at least threshold.
+
+    Returns (inv, ok); inv is meaningful only where ok.  Each matrix is
+    inverted once, by LU, and passes without an SVD when
+    ||M||_F ||inv(M)||_F <= 1 / (2 threshold): the 2-norm condition number is
+    at most the Frobenius one, and the factor 2 covers the rounding of the
+    inverse.  The SVD screen _rcond(M) >= threshold settles the matrices this
+    bound leaves open, so ok is what that screen says of every matrix.  For
+    a stack, decide(idx) may replace it: it settles the matrices at indices
+    idx.  inv refuses a whole stack if one matrix in it is exactly singular;
+    such a stack is settled by decide first and only its passing matrices
+    are inverted.
+    """
+    bound = 0.25 / threshold**2
+    if M.ndim == 2:  # plain floats: the causal-linear fit screens every candidate
+        try:
+            inv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            inv = None
+        if inv is not None and float(np.vdot(M, M)) * float(np.vdot(inv, inv)) <= bound:
+            return inv, True
+        if _rcond(M) < threshold:
+            return inv, False
+        return (np.linalg.inv(M) if inv is None else inv), True
+
+    if decide is None:
+        def decide(idx):
+            return _rcond(M[idx]) >= threshold
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        ok = decide(np.arange(len(M)))
+        inv = np.full(M.shape, np.nan)
+        inv[ok] = np.linalg.inv(M[ok])
+        return inv, ok
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN leaves a matrix open
+        ok = np.sum(M * M, axis=(1, 2)) * np.sum(inv * inv, axis=(1, 2)) <= bound
+    open_ = np.flatnonzero(~ok)
+    if open_.size:
+        ok[open_] = decide(open_)
+    return inv, ok
+
+
 def safe_inverse(M, what="matrix"):
-    """Invert M, refusing near-singular input instead of silently degrading."""
-    if _rcond(M) < RCOND_MIN:
+    """Invert M, refusing near-singular input instead of silently degrading.
+
+    M is refused when its rcond is below RCOND_MIN, as :func:`_screened_inverse`
+    decides it: an SVD runs only where the inverse does not bound the
+    condition number well enough.
+    """
+    inv, ok = _screened_inverse(M, RCOND_MIN)
+    if not ok:
         raise SingularMatrixError(
             f"{what} is singular or ill-conditioned (rcond < {RCOND_MIN:g}); "
             "refusing to invert"
         )
-    return np.linalg.inv(M)
+    return inv
 
 
 def predict_regression(R: RegressionCoefficients, D: ConditionMatrix) -> PredictionResult:

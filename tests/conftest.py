@@ -95,3 +95,12 @@ def strongest_offdiagonal(A, k):
     mag = np.where(np.eye(p, dtype=bool), -np.inf, np.abs(A))
     flat = np.argsort(mag, axis=None, kind="stable")[::-1][:k]
     return {(int(i), int(j)) for i, j in zip(*np.unravel_index(flat, A.shape))}
+
+
+def planted_matrix(rng, n, k, cond):
+    """An n x k matrix whose min(n, k) singular values fall geometrically
+    from 1 to 1 / cond, in random orthonormal bases."""
+    r = min(n, k)
+    U = np.linalg.qr(rng.normal(size=(n, r)))[0]
+    V = np.linalg.qr(rng.normal(size=(k, r)))[0]
+    return (U * np.geomspace(1.0, 1.0 / cond, r)) @ V.T

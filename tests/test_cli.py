@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -15,6 +16,7 @@ from perturbpred.cli import (
     main,
 )
 from perturbpred.fit import (
+    MAX_ITER_REACHED,
     FitConfig,
     fit_causal_linear,
     fit_causal_ode,
@@ -148,6 +150,10 @@ class TestFit:
             "--out-dir", str(out),
         ])
         assert code == EXIT_NONCONVERGENCE
+        with open(out / "fit_report.json") as fh:
+            report = json.load(fh)
+        assert not report["converged"]
+        assert report["status"] == [MAX_ITER_REACHED.format(1)]
 
     def test_missing_model_is_config_error(self, sim_dir):
         assert main([
@@ -335,6 +341,7 @@ class TestCv:
         assert fits["folds"] == 3
         assert fits["unconverged"] == 3
         assert fits["iterations_max"] == 10
+        assert fits["status"] == [MAX_ITER_REACHED.format(10)]
         assert "3 of 3 fold fits stopped unconverged" in caplog.text
 
     def test_report_and_scatter_from_one_pass(self, sim_dir, tmp_path):
@@ -380,6 +387,48 @@ class TestCv:
             ]) == EXIT_OK
             outputs.append([(out / name).read_bytes() for name in ("cv_report.json", "scatter.csv")])
         assert outputs[0] == outputs[1]
+
+    # sha256 of (cv_report.json, scatter.csv) on `simulate --seed 5`, recorded
+    # with numpy 2.4 on OpenBLAS 0.3.31; another BLAS may move the last bits.
+    # A change that moves these outputs on purpose updates them and says so.
+    GOLDEN = {
+        ("rf", "regression"): (
+            "47e0e27c9bd13e675e3118027b8022624c8584981336f9cc46cbf067df99bfa2",
+            "6d9992a3263ccc65fa8425ab1f9dbbe4a265bae7cf4e5937d8bc3a60c13207c0",
+        ),
+        ("rf", "causal-linear"): (
+            "c44ef863ad5ea310772a209fe5f6203719a448aee85d619037d6062303053759",
+            "d7ec2b49c2c28cdde19b6ed14a8e104ad80af698a8ef9ab6a589736df45e3a30",
+        ),
+        ("lodo", "regression"): (
+            "f3fb02050ae135b461cd6b80433efa5c192d293f6f21d2a243c4bb6edc17c533",
+            "d3e6b1c1b387d30f4d62ef20e2924d7a926c83f322057e942fd11795f2ffa64b",
+        ),
+        ("lodo", "causal-linear"): (
+            "f200ee76b0a46a45e9b56eb39326d13c523db074adf708b6a65d16305826dd50",
+            "44750349c898c26f7ccb3ee399b3491e0b7366488b59a9eb4cf48e8e2cb1d106",
+        ),
+    }
+
+    @pytest.mark.parametrize("scheme,model", sorted(GOLDEN))
+    def test_outputs_match_golden_hashes(self, scheme, model, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--seed", "5", "--out-dir", str(sim)]) == EXIT_OK
+        out = tmp_path / "cv"
+        argv = [
+            "cv", "--scheme", scheme, "--model", model,
+            "--conditions", str(sim / "sim_conditions.csv"),
+            "--responses", str(sim / "sim_responses.csv"),
+            "--out-dir", str(out),
+        ]
+        if scheme == "rf":
+            argv += ["--reps", "50"]
+        if model != "regression":
+            argv += ["--targets", str(sim / "sim_targets.csv")]
+        assert main(argv) == EXIT_OK
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("cv_report.json", "scatter.csv"))
+        assert got == self.GOLDEN[scheme, model]
 
     def test_jobs_below_one_is_config_error(self, sim_dir):
         assert main([

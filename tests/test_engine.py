@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from perturbpred.errors import PerturbpredError, SingularMatrixError, ZeroVarianceError
 from perturbpred.fit import (
     FitConfig,
+    _lstsq_stack,
     causal_loss_and_gradient,
     fit_causal_linear,
     fit_causal_ode,
@@ -41,6 +42,8 @@ from perturbpred.validate import (
     make_random_folds,
     pearson,
 )
+
+from conftest import planted_matrix
 
 TOL = 1e-12
 
@@ -368,6 +371,51 @@ class TestStackedSolvers:
         for f in range(3):
             want = np.linalg.lstsq(A[f], Y[f], rcond=None)[0]
             np.testing.assert_allclose(R[f], want, rtol=1e-9, atol=1e-10)
+
+
+DESIGN_KINDS = ("random", "binary", "planted", "boundary", "zero-column", "duplicate-column")
+
+
+def design_matrix(rng, kind, n, k):
+    """An n x k design of one kind: Gaussian, sparse 0/1 doses (often
+    rank-deficient), rcond from 1e-16 to 1e-6, rcond within 5x of
+    matrix_rank's tolerance max(n, k) * eps, an all-zero column (an exact
+    zero on R's diagonal) or a repeated column."""
+    if kind == "planted":
+        return planted_matrix(rng, n, k, 10.0 ** rng.uniform(6, 16))
+    if kind == "boundary":
+        return planted_matrix(rng, n, k, rng.uniform(0.2, 5.0) / (max(n, k) * np.finfo(float).eps))
+    if kind == "binary":
+        return (rng.uniform(size=(n, k)) < 0.3).astype(float)
+    A = rng.normal(size=(n, k))
+    if kind == "zero-column":
+        A[:, rng.integers(k)] = 0.0
+    elif kind == "duplicate-column" and k > 1:
+        A[:, rng.integers(1, k)] = A[:, 0]
+    return A
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    k=st.integers(1, 6),
+    kinds=st.lists(st.sampled_from(DESIGN_KINDS), min_size=1, max_size=8),
+    scale=st.sampled_from([1.0, 1e-160, 1e160]),
+)
+def test_lstsq_stack_matches_matrix_rank_then_qr(seed, n, k, kinds, scale):
+    # the route it replaces: matrix_rank of every design, then QR of the
+    # full-rank ones; fewer rows than columns is never full rank
+    rng = np.random.default_rng(seed)
+    A = scale * np.stack([design_matrix(rng, kind, n, k) for kind in kinds])
+    Y = rng.normal(size=(len(A), n, 2))
+    M, full = _lstsq_stack(A, Y)
+    want = np.linalg.matrix_rank(A) == k
+    assert np.array_equal(full, want)
+    assert np.isnan(M[~want]).all()
+    if want.any():
+        Q, R = np.linalg.qr(A[want])
+        assert np.array_equal(M[want], np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ Y[want]))
 
 
 def test_near_singular_warm_start_refused():

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import perturbpred.fit as fit_module
+import perturbpred.linear as linear_module
 import perturbpred.ode as ode_module
 from perturbpred.errors import DivergenceError, NonConvergenceError, SingularMatrixError
 from perturbpred.fit import (
+    LINEAR_FIRST_STEP,
+    MAX_ITER_REACHED,
     FitConfig,
     FitReport,
     causal_loss_and_gradient,
@@ -31,6 +34,7 @@ from perturbpred.simulate import (
 )
 from perturbpred.types import (
     A_FORM,
+    RCOND_MIN,
     ConditionMatrix,
     EdgeMask,
     InteractionMatrix,
@@ -341,10 +345,14 @@ class TestFitCausalLinear:
         # the loop runs where the closed form does not apply
         nudged = InteractionMatrix(init.values + 1e-3)
         everywhere = EdgeMask(np.ones((5, 5), dtype=bool))
-        for cfg in (FitConfig(w_init=nudged), FitConfig(w_init=init, mask=everywhere),
-                    FitConfig(w_init=init, lam=1e-3), FitConfig()):
+        capped = (MAX_ITER_REACHED.format(3),)
+        for cfg, status in ((FitConfig(w_init=nudged), capped),
+                            (FitConfig(w_init=init, mask=everywhere), ()),
+                            (FitConfig(w_init=init, lam=1e-3), ()),
+                            (FitConfig(), capped)):
             _, report = fit_causal_linear(D, X, bench_targets, dataclasses.replace(cfg, max_iter=3))
-            assert report.iterations > 0 and report.status == ()
+            assert report.iterations > 0 and report.status == status
+            assert report.converged == (status == ())
 
     def test_closed_form_needs_d_bt_of_full_rank(self):
         # q < p: every M = M0 + N with D B^T N = 0 minimizes the loss, so
@@ -364,11 +372,13 @@ class TestFitCausalLinear:
         assert len(report.status) == 1 and report.status[0].startswith("non-unique-solution")
 
     def test_each_candidate_screened_once(self, monkeypatch):
+        # one screened inverse per loss evaluation, and on this
+        # well-conditioned instance the inverse's bound settles every screen
         rng = np.random.default_rng(15)
         D = ConditionMatrix(rng.uniform(0, 1, (20, 4)))
         B = TargetMap(rng.normal(size=(3, 4)))
         X = ResponseMatrix(rng.normal(size=(20, 3)))
-        calls = {"rcond": 0, "loss": 0}
+        calls = {"screen": 0, "svd": 0, "loss": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -376,14 +386,54 @@ class TestFitCausalLinear:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(fit_module, "_rcond", counted("rcond", fit_module._rcond))
+        monkeypatch.setattr(
+            fit_module, "_screened_inverse", counted("screen", fit_module._screened_inverse)
+        )
+        monkeypatch.setattr(linear_module, "_rcond", counted("svd", linear_module._rcond))
         monkeypatch.setattr(
             fit_module, "causal_loss_and_gradient",
             counted("loss", fit_module.causal_loss_and_gradient),
         )
         _, report = fit_causal_linear(D, X, B, FitConfig(lam=0.1, max_iter=50))
         assert calls["loss"] > report.iterations
-        assert calls["rcond"] == calls["loss"]
+        assert calls["screen"] == calls["loss"]
+        assert calls["svd"] == 0
+
+    def test_near_singular_candidate_rejected_by_the_svd_fallback(self, monkeypatch):
+        # the first trial step is replaced by a W with rcond 1e-13: its
+        # inverse cannot pass the bound, the SVD screen rejects it, and the
+        # line search halves the step
+        rng = np.random.default_rng(15)
+        D = ConditionMatrix(rng.uniform(0, 1, (20, 4)))
+        B = TargetMap(rng.normal(size=(3, 4)))
+        X = ResponseMatrix(rng.normal(size=(20, 3)))
+        near_singular = -np.diag([1.0, 1.0, 1e-13])
+        proximal_map = fit_module._proximal_map
+        trials = []
+
+        def first_trial_near_singular(W, grad, step, cfg):
+            trials.append(step)
+            if len(trials) == 1:
+                return near_singular.copy()
+            return proximal_map(W, grad, step, cfg)
+
+        rcond = linear_module._rcond
+        screened = []
+
+        def svd_spy(M):
+            screened.append((M, rcond(M)))
+            return screened[-1][1]
+
+        monkeypatch.setattr(fit_module, "_proximal_map", first_trial_near_singular)
+        monkeypatch.setattr(linear_module, "_rcond", svd_spy)
+        _, report = fit_causal_linear(D, X, B, FitConfig(lam=0.1, max_iter=5))
+        assert len(screened) == 1
+        M, rc = screened[0]
+        assert np.array_equal(M, near_singular) and rc < RCOND_MIN
+        assert trials[:2] == [LINEAR_FIRST_STEP, LINEAR_FIRST_STEP / 2]
+        assert np.all(np.diff(report.objective_trace) <= 0)
+        with pytest.raises(SingularMatrixError):
+            causal_loss_and_gradient(near_singular, D, X, B)
 
 
 def test_momentum_restarts_where_the_momentum_point_is_singular(monkeypatch):
@@ -820,7 +870,7 @@ class TestSteadyStateContinuation:
         X = ResponseMatrix(steady_states(gen, D.values).states)
         template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0, envelope="sigmoid")
         model, report = fit_causal_ode(D, X, B, template, FitConfig(max_iter=10))
-        assert report.status == ()
+        assert report.status == (MAX_ITER_REACHED.format(10),)
         # from rest at the start, and once more for the confirmation at the end
         assert calls[0][1] is None or not np.any(calls[0][1])
         assert calls[-1][1] is None and calls[-1][0] is model
@@ -881,7 +931,7 @@ class TestSteadyStateContinuation:
         _, report = fit_causal_ode(
             ConditionMatrix(Dv), ResponseMatrix(-300.0 * Dv), B, template, FitConfig(max_iter=5)
         )
-        assert report.iterations == 5 and report.status == ()
+        assert report.iterations == 5 and report.status == (MAX_ITER_REACHED.format(5),)
         assert len(rk4_calls) == 1
 
     def test_multistable_start_integrated_from_rest(self, monkeypatch):

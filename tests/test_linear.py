@@ -2,14 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perturbpred.errors import (
     DimensionError,
     NotNegativeDefiniteError,
     SingularMatrixError,
 )
+import perturbpred.linear as linear_module
 from perturbpred.linear import (
     _rcond,
+    _screened_inverse,
     dag_to_w,
     matrix_exponential,
     predict_causal_dag,
@@ -20,13 +23,14 @@ from perturbpred.linear import (
 )
 from perturbpred.types import (
     A_FORM,
+    RCOND_MIN,
     ConditionMatrix,
     InteractionMatrix,
     RegressionCoefficients,
     TargetMap,
 )
 
-from conftest import neumann_propagate, random_negdef_w, random_stable_w
+from conftest import neumann_propagate, planted_matrix, random_negdef_w, random_stable_w
 
 
 def one_drug(j, q=15, dose=1.0):
@@ -290,3 +294,72 @@ class TestRcond:
         assert rc[1] == 0.0 and rc[2] == 0.0 and rc[3] == 0.25
         s = np.linalg.svd(stack[0], compute_uv=False)
         assert rc[0] == s[-1] / s[0]
+
+
+SQUARE_KINDS = ("random", "planted", "boundary", "zero-row", "rank-deficient", "zero")
+
+
+def square_matrix(rng, kind, k, threshold):
+    """A k x k matrix of one kind: well-conditioned, rcond from 1e-16 to 1e-6,
+    rcond within 5x of threshold, exactly singular for LU, singular up to
+    rounding, or zero."""
+    if kind == "planted":
+        return planted_matrix(rng, k, k, 10.0 ** rng.uniform(6, 16))
+    if kind == "boundary":
+        return planted_matrix(rng, k, k, rng.uniform(0.2, 5.0) / threshold)
+    if kind == "zero":
+        return np.zeros((k, k))
+    M = rng.normal(size=(k, k))
+    if kind == "zero-row":
+        M[rng.integers(k)] = 0.0
+    elif kind == "rank-deficient":
+        M = M[:, : k - 1] @ rng.normal(size=(k - 1, k))
+    return M
+
+
+class TestScreenedInverse:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 6),
+        kinds=st.lists(st.sampled_from(SQUARE_KINDS), min_size=1, max_size=8),
+        scale=st.sampled_from([1.0, 1e-160, 1e160]),
+        threshold=st.sampled_from([RCOND_MIN, 1e-8]),
+    )
+    def test_matches_svd_screen_then_inv(self, seed, k, kinds, scale, threshold):
+        # the screen it replaces: the SVD's rcond, then inv of what passed
+        rng = np.random.default_rng(seed)
+        M = scale * np.stack([square_matrix(rng, kind, k, threshold) for kind in kinds])
+        want = _rcond(M) >= threshold
+        inv, ok = _screened_inverse(M, threshold)
+        assert np.array_equal(ok, want)
+        if want.any():
+            assert np.array_equal(inv[ok], np.linalg.inv(M[want]))
+        for f in range(len(M)):
+            one_inv, one_ok = _screened_inverse(M[f], threshold)
+            assert one_ok is bool(want[f])
+            if one_ok:
+                assert np.array_equal(one_inv, np.linalg.inv(M[f]))
+
+    def test_svd_only_where_the_bound_cannot_decide(self, monkeypatch):
+        # rcond 1.5e-10 passes and 5e-11 fails, but the bound ||M||_F
+        # ||inv(M)||_F <= 1 / (2 RCOND_MIN) settles neither: the SVD does
+        rcond = linear_module._rcond
+        screened = []
+
+        def svd_spy(M):
+            screened.append(M)
+            return rcond(M)
+
+        monkeypatch.setattr(linear_module, "_rcond", svd_spy)
+        M = np.stack([np.diag([1.0, 1.0, s]) for s in (0.5, 1.5e-10, 5e-11)])
+        inv, ok = _screened_inverse(M, RCOND_MIN)
+        assert ok.tolist() == [True, True, False]
+        assert len(screened) == 1 and np.array_equal(screened[0], M[1:])
+        assert np.array_equal(inv[:2], np.linalg.inv(M[:2]))
+        # a stack with an exactly singular matrix is screened whole, as before
+        M[0, 2, 2] = 0.0
+        inv, ok = _screened_inverse(M, RCOND_MIN)
+        assert ok.tolist() == [False, True, False]
+        assert np.array_equal(screened[-1], M)
+        assert np.array_equal(inv[1], np.linalg.inv(M[1]))
