@@ -2,14 +2,12 @@
 
 Three fitters live here:
 
-* ``fit_regression`` solves ||X - D R||_F^2 + lambda ||R||_1 exactly
-  (least squares by QR) when lambda = 0 and by per-column coordinate
-  descent otherwise.
+* ``fit_regression`` solves ||X - D R||_F^2 + lambda ||R||_1, exactly
+  (least squares by QR) when lambda = 0.
 * ``fit_causal_linear`` minimizes ||X - D B^T (-inv(W))||_F^2 plus an L1
-  penalty on the off-diagonal of W by accelerated proximal gradient (FISTA)
-  with backtracking, restarting the momentum whenever a step would raise
-  the objective; the loss is nonconvex in W with a singular set at
-  det W = 0, so a candidate step that lands near it is rejected.
+  penalty on the off-diagonal of W; the loss is nonconvex in W with a
+  singular set at det W = 0, so a candidate step that lands near it is
+  rejected.
 * ``fit_causal_ode`` fits the nonlinear dynamics by gradient descent.  Each
   loss evaluation is one batched steady-state solve over all conditions by
   Newton steps, from rest at a contracting start and from the last accepted
@@ -17,13 +15,14 @@ Three fitters live here:
   start and checks the end.  The gradient is exact: the implicit function
   theorem at the reached states gives one p x p adjoint solve per condition.
 
-A fit that stops at its iteration cap says so in its report's status
-(MAX_ITER_REACHED).
+Both linear fits, wherever no closed form holds, run one solver: ``_fista``,
+accelerated proximal gradient with backtracking and restart.  A fit that
+stops at its iteration cap says so in its report's status (MAX_ITER_REACHED).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -70,7 +69,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one fit: final objective, iteration count, trace, notes."""
+    """Outcome of one fit: final objective, iteration count, trace, notes.
+    The linear fits count FISTA iterations (0 for a closed form, 1 for least
+    squares), the causal-ODE fit its gradient steps."""
 
     final_objective: float
     iterations: int
@@ -101,6 +102,90 @@ MAX_ITER_REACHED = "max-iter-reached: the fit stopped at max_iter = {} before it
 def soft_threshold(x, thr):
     """Closed-form proximal operator of thr * |.|: shrink toward 0 by thr."""
     return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
+
+
+# The first trial step of the linear fits' backtracking line search.
+LINEAR_FIRST_STEP = 1.0
+
+
+def _fista(loss_and_gradient, start, cfg: FitConfig, penalty, proximal_map):
+    """(x, FitReport) of accelerated proximal gradient (FISTA) on
+    loss(x) + penalty(x) from start.
+
+    loss_and_gradient(x) raises SingularMatrixError where x is infeasible;
+    proximal_map(y, grad, step) is penalty's proximal step from y.  Each
+    iteration takes that step from the momentum point
+    Y = x + ((t - 1) / t') (x - x_prev), t' = (1 + sqrt(1 + 4 t^2)) / 2
+    (Beck & Teboulle 2009), backtracking while the candidate is infeasible
+    or fails the proximal sufficient-decrease test at Y.  If Y is
+    infeasible, no step from Y is, or the candidate's objective is above the
+    current one, the momentum restarts (t = 1; O'Donoghue & Candes 2015)
+    with a plain proximal step from x, so the objective trace never goes
+    up.  The fit stops when a plain step changes the objective by less than
+    tol (relative to max(1, objective)); a momentum step that gains that
+    little can still be short of a minimum, so it restarts the momentum
+    instead.  Each iteration's first trial step is twice the last accepted
+    one, LINEAR_FIRST_STEP at the start.
+    """
+    x = start
+    loss, grad = loss_and_gradient(x)
+    obj = loss + penalty(x)
+    trace = [obj]
+    step = LINEAR_FIRST_STEP
+
+    def proximal_step(y, loss_y, grad_y, step):
+        """(x_new, loss_new, grad_new, obj_new, trial) of the accepted step from y."""
+        trial = step
+        while trial > 1e-20:
+            x_new = proximal_map(y, grad_y, trial)
+            try:
+                loss_new, grad_new = loss_and_gradient(x_new)
+            except SingularMatrixError:
+                trial *= 0.5
+                continue
+            diff = x_new - y
+            quad = loss_y + float(np.sum(grad_y * diff)) + float(np.sum(diff * diff)) / (
+                2.0 * trial
+            )
+            if loss_new <= quad + 1e-12 * max(1.0, abs(loss_y)):
+                return x_new, loss_new, grad_new, loss_new + penalty(x_new), trial
+            trial *= 0.5
+        raise NonConvergenceError("no feasible step found (backtracking exhausted)")
+
+    x_prev = x
+    t = 1.0
+    converged = False
+    it = 0
+
+    for it in range(1, cfg.max_iter + 1):
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        new = None
+        if t > 1.0:
+            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            try:
+                new = proximal_step(y, *loss_and_gradient(y), step)
+            except (SingularMatrixError, NonConvergenceError):
+                pass
+        momentum = new is not None and new[3] <= obj
+        if not momentum:  # (re)start: t = 1, a plain proximal step from x
+            new = proximal_step(x, loss, grad, step)
+            t_next = (1.0 + np.sqrt(5.0)) / 2.0
+
+        x_new, loss_new, grad_new, obj_new, trial = new
+        rel_change = abs(obj - obj_new) / max(1.0, abs(obj))
+        x_prev, t = x, t_next
+        x, loss, grad, obj = x_new, loss_new, grad_new, obj_new
+        trace.append(obj)
+        step = trial * 2.0  # cautiously re-grow after a successful step
+        if rel_change < cfg.tol:
+            if not momentum:
+                converged = True
+                break
+            # a momentum step can gain little far from a minimum; only a
+            # plain step's small gain shows x is stationary, so take one next
+            t = 1.0
+    status = () if converged else (MAX_ITER_REACHED.format(cfg.max_iter),)
+    return x, FitReport(obj, it, converged, trace, status)
 
 
 # ---------------------------------------------------------------------------
@@ -177,61 +262,34 @@ def fit_regression_stack(D, X, drug_names):
     return R, [FitReport(float(obj), 1, True, [obj]) for obj in objectives]
 
 
-def regression_objective(D, X, R, lam):
-    resid = X - D @ R
-    return float(np.sum(resid * resid) + lam * np.sum(np.abs(R)))
-
-
 def fit_regression(
     D: ConditionMatrix, X: ResponseMatrix, cfg: FitConfig = FitConfig()
 ):
     """Penalized multivariate regression of responses on drug doses.
 
     lambda = 0 is the one-fold case of :func:`fit_regression_stack` and
-    errors on a rank-deficient design.  lambda > 0 runs cyclic coordinate
-    descent independently per response column.
+    errors on a rank-deficient design.  lambda > 0 runs :func:`_fista` from
+    R = 0 on the loss ||X - D R||_F^2, with every entry of R penalized.  A
+    never-dosed drug's row of the gradient is 0, so its row of R stays 0.
     """
     check_paired(D, X)
     Dv, Xv = D.values, X.values
-    q = Dv.shape[1]
 
     if cfg.lam == 0.0:
         R, reports = fit_regression_stack(Dv[None], Xv[None], D.drug_names)
         return RegressionCoefficients(R[0]), reports[0]
 
-    # one layout, so equal inputs give equal column dot products
-    Dv = np.asfortranarray(Dv)
-    col_sq = np.sum(Dv * Dv, axis=0)
-    R = np.zeros((q, Xv.shape[1]))
-    trace = [regression_objective(Dv, Xv, R, cfg.lam)]
-    converged = True
-    total_sweeps = 0
-    for col in range(Xv.shape[1]):
-        x = Xv[:, col]
-        r = R[:, col]
-        resid = x - Dv @ r
-        for sweep in range(cfg.max_iter):
-            max_delta = 0.0
-            for k in range(q):
-                if col_sq[k] == 0.0:
-                    continue
-                old = r[k]
-                rho = Dv[:, k] @ resid + col_sq[k] * old
-                new = soft_threshold(rho, cfg.lam / 2.0) / col_sq[k]
-                if new != old:
-                    resid += Dv[:, k] * (old - new)
-                    r[k] = new
-                    max_delta = max(max_delta, abs(new - old))
-            if max_delta < cfg.tol * max(1.0, np.max(np.abs(r))):
-                total_sweeps += sweep + 1
-                break
-        else:
-            converged = False
-            total_sweeps += cfg.max_iter
-        R[:, col] = r
-    trace.append(regression_objective(Dv, Xv, R, cfg.lam))
-    status = () if converged else (MAX_ITER_REACHED.format(cfg.max_iter),)
-    report = FitReport(trace[-1], total_sweeps, converged, trace, status)
+    def loss_and_gradient(R):
+        resid = Dv @ R - Xv
+        return float(np.sum(resid * resid)), 2.0 * (Dv.T @ resid)
+
+    R, report = _fista(
+        loss_and_gradient,
+        np.zeros((Dv.shape[1], Xv.shape[1])),
+        cfg,
+        lambda R: cfg.lam * float(np.sum(np.abs(R))),
+        lambda R, grad, step: soft_threshold(R - step * grad, step * cfg.lam),
+    )
     return RegressionCoefficients(R), report
 
 
@@ -268,16 +326,18 @@ def fit_regression_lodo(
 # causal linear
 
 
-def causal_loss_and_gradient(W, D: ConditionMatrix, X: ResponseMatrix, B: TargetMap):
+def causal_loss_and_gradient(W, D: ConditionMatrix, X: ResponseMatrix, B: TargetMap, C=None):
     """Smooth Frobenius loss ||X - D B^T (-inv(W))||_F^2 and its gradient in W.
 
     With C = D B^T and E = X + C inv(W), matrix calculus through the inverse
-    gives  grad = -2 (inv(W) E^T C inv(W))^T.
+    gives  grad = -2 (inv(W) E^T C inv(W))^T.  A fit passes its C, which is
+    fixed, so that no evaluation recomputes it.
     """
     Winv, ok = _screened_inverse(np.asarray(W, dtype=float), RCOND_MIN)
     if not ok:
         raise SingularMatrixError("W is singular or ill-conditioned in loss evaluation")
-    C = D.values @ B.values.T
+    if C is None:
+        C = D.values @ B.values.T
     E = X.values + C @ Winv
     loss = float(np.sum(E * E))
     grad = -2.0 * (Winv @ E.T @ C @ Winv).T
@@ -319,9 +379,6 @@ def _proximal_map(W, grad, step, cfg: FitConfig):
 
 CLOSED_FORM = "closed-form: w_init is the least-squares minimizer at lambda = 0"
 
-# The first trial step of the causal-linear fit's backtracking line search.
-LINEAR_FIRST_STEP = 1.0
-
 
 def _closed_form_stack(C, X, inits, cfg: FitConfig):
     """The closed-form fit of each fold of a stack, where it holds.
@@ -359,21 +416,12 @@ def fit_causal_linear(
 ):
     """Fit the interaction matrix W by accelerated proximal gradient (FISTA).
 
-    Each iteration extrapolates from the last two iterates to the momentum
-    point Y = W + ((t - 1) / t') (W - W_prev), t' = (1 + sqrt(1 + 4 t^2)) / 2
-    (Beck & Teboulle 2009).  From Y it takes a gradient step on the smooth
-    loss, soft-thresholds the off-diagonal entries by step * lambda (the
-    diagonal is unpenalized) and zeroes masked-out entries, backtracking
-    whenever the candidate is ill-conditioned or fails the proximal
-    sufficient-decrease test at Y.  If Y is singular, no step from Y is
-    feasible, or the candidate's penalized objective is above the current
-    one, the momentum restarts (t = 1; O'Donoghue & Candes 2015) and the
-    iteration takes a plain proximal step from W instead, so the objective
-    trace never goes up.  The fit stops when a plain step changes the
-    objective by less than tol (relative to max(1, objective)); a momentum
-    step that gains that little can still be short of a minimum, so it
-    restarts the momentum instead.  Each iteration's first trial step is
-    twice the last accepted one, LINEAR_FIRST_STEP at the start.
+    :func:`_fista` runs from the starting W on the smooth loss of
+    :func:`causal_loss_and_gradient`.  Its proximal map soft-thresholds the
+    off-diagonal entries by step * lambda (the diagonal is unpenalized) and
+    zeroes masked-out entries; a W that fails the loss's rcond screen is
+    infeasible, so a singular momentum point restarts the momentum and an
+    ill-conditioned candidate halves the step.
 
     At lambda = 0 with no mask, D B^T of full column rank and a w_init at
     which the loss is stationary, w_init is returned unchanged after 0
@@ -399,8 +447,8 @@ def fit_causal_linear(
 
     status = []
     full = False
+    C = D.values @ B.values.T
     if cfg.lam == 0.0:
-        C = D.values @ B.values.T
         full = _full_column_rank(C[None])[0][0]
         if not full:
             status.append(
@@ -416,69 +464,15 @@ def fit_causal_linear(
     if cfg.w_init is not None:
         safe_inverse(cfg.w_init.values, "w_init")
 
-    loss, grad = causal_loss_and_gradient(W, D, X, B)
-    obj = loss + _penalty(W, cfg.lam)
-    trace = [obj]
-    step = LINEAR_FIRST_STEP
-
-    def proximal_step(Y, loss_y, grad_y, step):
-        """(W_new, loss_new, grad_new, obj_new, trial) of the accepted step from Y."""
-        trial = step
-        while trial > 1e-20:
-            W_new = _proximal_map(Y, grad_y, trial, cfg)
-            try:
-                loss_new, grad_new = causal_loss_and_gradient(W_new, D, X, B)
-            except SingularMatrixError:
-                trial *= 0.5
-                continue
-            diff = W_new - Y
-            quad = loss_y + float(np.sum(grad_y * diff)) + float(np.sum(diff * diff)) / (
-                2.0 * trial
-            )
-            if loss_new <= quad + 1e-12 * max(1.0, abs(loss_y)):
-                return W_new, loss_new, grad_new, loss_new + _penalty(W_new, cfg.lam), trial
-            trial *= 0.5
-        raise NonConvergenceError(
-            "no feasible step found (backtracking exhausted near the "
-            "singular set of W)"
-        )
-
-    W_prev = W
-    t = 1.0
-    converged = False
-    it = 0
-
-    for it in range(1, cfg.max_iter + 1):
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        new = None
-        if t > 1.0:
-            Y = W + ((t - 1.0) / t_next) * (W - W_prev)
-            try:
-                new = proximal_step(Y, *causal_loss_and_gradient(Y, D, X, B), step)
-            except (SingularMatrixError, NonConvergenceError):
-                pass
-        momentum = new is not None and new[3] <= obj
-        if not momentum:  # (re)start: t = 1, a plain proximal step from W
-            new = proximal_step(W, loss, grad, step)
-            t_next = (1.0 + np.sqrt(5.0)) / 2.0
-
-        W_new, loss_new, grad_new, obj_new, trial = new
-        rel_change = abs(obj - obj_new) / max(1.0, abs(obj))
-        W_prev, t = W, t_next
-        W, loss, grad, obj = W_new, loss_new, grad_new, obj_new
-        trace.append(obj)
-        step = trial * 2.0  # cautiously re-grow after a successful step
-        if rel_change < cfg.tol:
-            if not momentum:
-                converged = True
-                break
-            # a momentum step can gain little far from a minimum; only a
-            # plain step's small gain shows W is stationary, so take one next
-            t = 1.0
-    else:
-        status.append(MAX_ITER_REACHED.format(cfg.max_iter))
-
-    report = FitReport(obj, it, converged, trace, tuple(status))
+    W, report = _fista(
+        lambda W: causal_loss_and_gradient(W, D, X, B, C),
+        W,
+        cfg,
+        lambda W: _penalty(W, cfg.lam),
+        lambda W, grad, step: _proximal_map(W, grad, step, cfg),
+    )
+    if status:
+        report = replace(report, status=(*status, *report.status))
     return InteractionMatrix(W, form=W_FORM), report
 
 

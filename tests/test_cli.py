@@ -388,30 +388,42 @@ class TestCv:
             outputs.append([(out / name).read_bytes() for name in ("cv_report.json", "scatter.csv")])
         assert outputs[0] == outputs[1]
 
-    # sha256 of (cv_report.json, scatter.csv) on `simulate --seed 5`, recorded
-    # with numpy 2.4 on OpenBLAS 0.3.31; another BLAS may move the last bits.
-    # A change that moves these outputs on purpose updates them and says so.
+    # sha256 of (cv_report.json, scatter.csv) on `simulate --seed 5`, keyed by
+    # (scheme, model, --lam or None), recorded with numpy 2.4 on OpenBLAS
+    # 0.3.31; another BLAS may move the last bits.  A change that moves these
+    # outputs on purpose updates them and says so.
     GOLDEN = {
-        ("rf", "regression"): (
+        ("rf", "regression", None): (
             "47e0e27c9bd13e675e3118027b8022624c8584981336f9cc46cbf067df99bfa2",
             "6d9992a3263ccc65fa8425ab1f9dbbe4a265bae7cf4e5937d8bc3a60c13207c0",
         ),
-        ("rf", "causal-linear"): (
+        ("rf", "causal-linear", None): (
             "c44ef863ad5ea310772a209fe5f6203719a448aee85d619037d6062303053759",
             "d7ec2b49c2c28cdde19b6ed14a8e104ad80af698a8ef9ab6a589736df45e3a30",
         ),
-        ("lodo", "regression"): (
+        ("lodo", "regression", None): (
             "f3fb02050ae135b461cd6b80433efa5c192d293f6f21d2a243c4bb6edc17c533",
             "d3e6b1c1b387d30f4d62ef20e2924d7a926c83f322057e942fd11795f2ffa64b",
         ),
-        ("lodo", "causal-linear"): (
+        ("lodo", "causal-linear", None): (
             "f200ee76b0a46a45e9b56eb39326d13c523db074adf708b6a65d16305826dd50",
             "44750349c898c26f7ccb3ee399b3491e0b7366488b59a9eb4cf48e8e2cb1d106",
         ),
+        ("rf", "causal-linear", "0.1"): (
+            "4993129137898b3e6b9973177fc67e11ef96c317fef82d752534047561937098",
+            "41771ac28e5e8ddfddd3b91c9cbbb11c7fb8733ee02ec04417bf0734ba9bbd59",
+        ),
+        ("lodo", "regression", "0.5"): (
+            "8aef3d9a0c6f2ce803c330332e7a57e80f0b4cdbc3f0ad8182ee4a0982d03378",
+            "fcaad1599ac9d7ed4400bebfdd65f50a6c109a09ff1193a6182e1b53657b6cf5",
+        ),
     }
 
-    @pytest.mark.parametrize("scheme,model", sorted(GOLDEN))
-    def test_outputs_match_golden_hashes(self, scheme, model, tmp_path):
+    @pytest.mark.parametrize(
+        "scheme,model,lam",
+        [pytest.param(*key, id="-".join(filter(None, key))) for key in GOLDEN],
+    )
+    def test_outputs_match_golden_hashes(self, scheme, model, lam, tmp_path):
         sim = tmp_path / "sim"
         assert main(["simulate", "--seed", "5", "--out-dir", str(sim)]) == EXIT_OK
         out = tmp_path / "cv"
@@ -425,10 +437,12 @@ class TestCv:
             argv += ["--reps", "50"]
         if model != "regression":
             argv += ["--targets", str(sim / "sim_targets.csv")]
+        if lam is not None:
+            argv += ["--lam", lam]
         assert main(argv) == EXIT_OK
         got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in ("cv_report.json", "scatter.csv"))
-        assert got == self.GOLDEN[scheme, model]
+        assert got == self.GOLDEN[scheme, model, lam]
 
     def test_jobs_below_one_is_config_error(self, sim_dir):
         assert main([

@@ -161,6 +161,17 @@ class TestFitRegression:
                                      FitConfig(lam=0.5))
             assert np.array_equal(by_c.values, by_f.values)
 
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+    def test_never_dosed_drug_row_stays_exactly_zero(self, lam):
+        # the row's gradient is exactly 0, so from R = 0 no step moves it
+        rng = np.random.default_rng(5)
+        Dv = rng.uniform(0, 2, (20, 4))
+        Dv[:, 2] = 0.0
+        X = ResponseMatrix(Dv @ rng.normal(size=(4, 3)) + rng.normal(size=(20, 3)))
+        R, report = fit_regression(ConditionMatrix(Dv), X, FitConfig(lam=lam))
+        assert report.converged and report.iterations > 0
+        assert np.all(R.values[2] == 0.0)
+
 
 class TestFitRegressionLodo:
     def _split(self):
@@ -524,6 +535,68 @@ def reference_proximal_gradient(D, X, B, cfg):
             converged = True
             break
     return W, FitReport(obj, it, converged, trace)
+
+
+def reference_coordinate_descent(D, X, cfg):
+    """The cyclic coordinate descent that fit_regression ran at lambda > 0:
+    per response column, sweeps over the drugs until no coefficient moves by
+    tol relative to the column's largest; a never-dosed drug is skipped."""
+    Dv, Xv = D.values, X.values
+    q = Dv.shape[1]
+    col_sq = np.sum(Dv * Dv, axis=0)
+    R = np.zeros((q, Xv.shape[1]))
+    converged = True
+    for col in range(Xv.shape[1]):
+        r = R[:, col]
+        resid = Xv[:, col] - Dv @ r
+        for _ in range(cfg.max_iter):
+            max_delta = 0.0
+            for k in range(q):
+                if col_sq[k] == 0.0:
+                    continue
+                old = r[k]
+                new = soft_threshold(Dv[:, k] @ resid + col_sq[k] * old, cfg.lam / 2.0) / col_sq[k]
+                if new != old:
+                    resid += Dv[:, k] * (old - new)
+                    r[k] = new
+                    max_delta = max(max_delta, abs(new - old))
+            if max_delta < cfg.tol * max(1.0, np.max(np.abs(r))):
+                break
+        else:
+            converged = False
+    resid = Xv - Dv @ R
+    return R, converged, float(np.sum(resid * resid) + cfg.lam * np.sum(np.abs(R)))
+
+
+def test_regression_fista_matches_the_coordinate_descent_it_replaced():
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        lam=st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+        never_dosed=st.booleans(),
+    )
+    def check(seed, lam, never_dosed):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(1, 6))
+        p = int(rng.integers(1, 5))
+        n = 3 * q + int(rng.integers(3, 20))
+        Dv = rng.uniform(0, 2, (n, q))
+        if never_dosed:
+            Dv[:, rng.integers(q)] = 0.0
+        X = ResponseMatrix(Dv @ rng.normal(size=(q, p)) + 0.1 * rng.normal(size=(n, p)))
+        D = ConditionMatrix(Dv)
+        cfg = FitConfig(lam=lam, max_iter=100000, tol=1e-12)
+        R_ref, ref_converged, ref_obj = reference_coordinate_descent(D, X, cfg)
+        R, report = fit_regression(D, X, cfg)
+        assert ref_converged and report.converged
+        assert report.final_objective <= ref_obj + 1e-9 * max(1.0, ref_obj)
+        assert np.max(np.abs(R.values - R_ref)) <= 1e-5
+        assert np.all(R.values[~Dv.any(axis=0)] == 0.0)
+        # never up, beyond the 1e-12 slack of the sufficient-decrease test
+        trace = report.objective_trace
+        assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, trace[:-1]))
+
+    check()
 
 
 def well_conditioned_instance(seed, masked):
