@@ -13,7 +13,6 @@ steady-state non-convergence, 1 anything else.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -35,6 +34,7 @@ from .errors import (
 from .fit import FitConfig
 from .io import (
     FLOAT_FMT,
+    csv_labels,
     default_output_dir,
     export_network,
     load_condition_matrix,
@@ -422,12 +422,15 @@ def cmd_cv(args):
 
 
 def _write_scatter(path, labels, response_names, observed, predicted):
+    line = f"%s,%s,{FLOAT_FMT},{FLOAT_FMT}\r\n"
+    response_names = csv_labels(response_names)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["condition", "response", "observed", "predicted"])
-        for label, obs_row, pred_row in zip(labels, observed, predicted):
-            for resp, obs, pred in zip(response_names, obs_row.tolist(), pred_row.tolist()):
-                writer.writerow([label, resp, FLOAT_FMT % obs, FLOAT_FMT % pred])
+        fh.write("condition,response,observed,predicted\r\n")
+        fh.writelines(
+            line % (label, resp, obs, pred)
+            for label, obs_row, pred_row in zip(csv_labels(labels), observed, predicted)
+            for resp, obs, pred in zip(response_names, obs_row.tolist(), pred_row.tolist())
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Matrices travel as comma-separated tables with a header row of column names
 and a first column of condition/row IDs.  Values are written with 17
-significant digits so a write/read round trip is exact.  Reports are JSON;
+significant digits so a write/read round trip is exact.  Rows are parsed
+and formatted whole, one float() pass or one format string per row; a row
+that fails the whole-row parse is re-read cell by cell, so a ParseError
+names the file line and column of the first bad cell.  Reports are JSON;
 fitted networks export as an edge-list CSV and Graphviz dot text.
 """
 
@@ -11,6 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,23 +24,30 @@ from .errors import ConfigError, ParseError
 from .types import ConditionMatrix, ResponseMatrix, duplicate_labels
 
 FLOAT_FMT = "%.17g"
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def load_matrix_csv(path):
     """Parse a labeled matrix file.
 
-    Returns (values, row_ids, col_names).  Every structural problem is
-    reported with its row/column position.
+    Returns (values, row_ids, col_names).  Blank and whitespace-only lines
+    are skipped.  Every structural problem is reported with its file line
+    (as "row N") and column.
     """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            return _parse_matrix(path, csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows:
+
+
+def _parse_matrix(path, reader):
+    """load_matrix_csv on an open csv.reader, one row at a time."""
+    rows = (row for row in reader if any(map(str.strip, row)))
+    header = next(rows, None)
+    if header is None:
         raise ParseError(f"{path}: file is empty")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in header]
     if len(header) < 2:
         raise ParseError(f"{path}: header must have an ID column plus data columns")
     col_names = header[1:]
@@ -45,29 +57,57 @@ def load_matrix_csv(path):
 
     n_cols = len(header)
     row_ids = []
-    values = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != n_cols:
-            raise ParseError(
-                f"{path}: row {i} has {len(row)} cells, expected {n_cols} (ragged table)"
-            )
+    values = array("d")  # one buffer of doubles, not a float object per cell
+    for row in rows:
+        try:
+            if len(row) != n_cols:
+                raise ValueError("ragged row")
+            values.fromlist([*map(float, row[1:])])
+        except ValueError:
+            values.fromlist(_parse_cells(path, row, reader.line_num, n_cols))
         row_ids.append(row[0].strip())
-        parsed = []
-        for j, cell in enumerate(row[1:], start=2):
-            text = cell.strip()
-            try:
-                parsed.append(float(text))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell {text!r} at row {i}, column {j}"
-                ) from None
-        values.append(parsed)
-    if not values:
+    if not row_ids:
         raise ParseError(f"{path}: no data rows")
     dup_ids = duplicate_labels(row_ids)
     if dup_ids:
         raise ParseError(f"{path}: duplicate row labels: {sorted(dup_ids)}")
-    return np.array(values), row_ids, col_names
+    return np.frombuffer(values).reshape(len(row_ids), n_cols - 1), row_ids, col_names
+
+
+def _parse_cells(path, row, line, n_cols):
+    """One row checked cell by cell: ParseError at its first fault.
+
+    Runs only where the whole-row float() pass failed, so the message names
+    the same fault a cell-by-cell reader meets first.  It can also succeed:
+    str.strip() removes U+001C..U+001F, which float() rejects.
+    """
+    if len(row) != n_cols:
+        raise ParseError(
+            f"{path}: row {line} has {len(row)} cells, expected {n_cols} (ragged table)"
+        )
+    parsed = []
+    for j, cell in enumerate(row[1:], start=2):
+        text = cell.strip()
+        try:
+            parsed.append(float(text))
+        except ValueError:
+            raise ParseError(
+                f"{path}: non-numeric cell {text!r} at row {line}, column {j}"
+            ) from None
+    return parsed
+
+
+def csv_labels(labels):
+    """Each label as csv.writer writes it in a row of two or more fields:
+    quoted, with its quotes doubled, where it holds a comma, quote or line
+    break.  Called once per file, not per row: perfbench's tracer records a
+    span for every call of a public io function."""
+    fields = []
+    for text in map(str, labels):
+        if _NEEDS_QUOTES.search(text):
+            text = '"' + text.replace('"', '""') + '"'
+        fields.append(text)
+    return fields
 
 
 def save_matrix_csv(path, values, row_ids=None, col_names=None, id_header="id"):
@@ -77,11 +117,12 @@ def save_matrix_csv(path, values, row_ids=None, col_names=None, id_header="id"):
         row_ids = [f"row_{i + 1}" for i in range(n)]
     if col_names is None:
         col_names = [f"col_{j + 1}" for j in range(m)]
+    line = "%s" + ("," + FLOAT_FMT) * m + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([id_header] + list(col_names))
-        for rid, row in zip(row_ids, values):  # Python floats format faster
-            writer.writerow([rid] + [FLOAT_FMT % v for v in row.tolist()])
+        csv.writer(fh).writerow([id_header] + list(col_names))
+        fh.writelines(  # Python floats format faster
+            line % (rid, *row.tolist()) for rid, row in zip(csv_labels(row_ids), values)
+        )
 
 
 def load_condition_matrix(path):

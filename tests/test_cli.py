@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -218,6 +220,37 @@ class TestPredict:
         r = np.corrcoef(preds.ravel(), responses.ravel())[0, 1]
         assert r > 0.95
 
+    # sha256 of the files `simulate --seed 5`, then `fit --model causal-linear`
+    # and `predict --model causal-linear` on its fixtures write; recorded like
+    # TestCv.GOLDEN, whose note applies.
+    GOLDEN = {
+        "sim/sim_conditions.csv": "d53233880eee093d9c708e1fa8f1567a6de1a42c9857768613613364fa3904e7",
+        "sim/sim_responses.csv": "aed16165e31b13a9493674433d0e4503485d581d3dd1cf91029b1d97ca07d375",
+        "fit/interaction_w.csv": "b70df77ac345bcaf141da5119b042c35119bd97f90cd5aadfd6309172be91071",
+        "pred.csv": "537a8e0c991d40dbbe329ac3cf190c74d4b44da7501ca2c895d05d9a9e77d718",
+    }
+
+    def test_causal_linear_outputs_match_golden_hashes(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--seed", "5", "--out-dir", str(sim)]) == EXIT_OK
+        inputs = [
+            "--conditions", str(sim / "sim_conditions.csv"),
+            "--targets", str(sim / "sim_targets.csv"),
+        ]
+        assert main([
+            "fit", "--model", "causal-linear", *inputs,
+            "--responses", str(sim / "sim_responses.csv"),
+            "--out-dir", str(tmp_path / "fit"),
+        ]) == EXIT_OK
+        assert main([
+            "predict", "--model", "causal-linear", *inputs,
+            "--params", str(tmp_path / "fit" / "interaction_w.csv"),
+            "--out", str(tmp_path / "pred.csv"),
+        ]) == EXIT_OK
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.GOLDEN}
+        assert got == self.GOLDEN
+
 
     def test_causal_ode_round_trip_through_files(self, ode_dir):
         fit_dir = ode_dir / "fit"
@@ -343,6 +376,27 @@ class TestCv:
         assert fits["iterations_max"] == 10
         assert fits["status"] == [MAX_ITER_REACHED.format(10)]
         assert "3 of 3 fold fits stopped unconverged" in caplog.text
+
+    def test_scatter_quotes_labels_as_the_csv_module_does(self, sim_dir, tmp_path):
+        D, ids, drugs = load_matrix_csv(sim_dir / "sim_conditions.csv")
+        X, _, responses = load_matrix_csv(sim_dir / "sim_responses.csv")
+        ids = [("c,{}", 'q"{}', "n\n{}")[k % 3].format(k) for k in range(len(ids))]
+        responses = ["p,1", 'p"2', *responses[2:]]
+        save_matrix_csv(tmp_path / "d.csv", D, ids, drugs)
+        save_matrix_csv(tmp_path / "x.csv", X, ids, responses)
+        out = tmp_path / "cv"
+        assert main([
+            "cv", "--scheme", "lodo", "--model", "regression",
+            "--conditions", str(tmp_path / "d.csv"), "--responses", str(tmp_path / "x.csv"),
+            "--out-dir", str(out),
+        ]) == EXIT_OK
+        with open(out / "scatter.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {row[0].split(":", 1)[1] for row in rows[1:]} == set(ids)  # drug:condition
+        assert {row[1] for row in rows[1:]} == set(responses)
+        rewritten = io.StringIO(newline="")
+        csv.writer(rewritten).writerows(rows)
+        assert (out / "scatter.csv").read_bytes() == rewritten.getvalue().encode()
 
     def test_report_and_scatter_from_one_pass(self, sim_dir, tmp_path):
         out = tmp_path / "cv"

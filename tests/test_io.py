@@ -1,5 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perturbpred.errors import ConfigError, ParseError
 from perturbpred.io import (
@@ -13,6 +16,113 @@ from perturbpred.io import (
     save_matrix_csv,
     write_json_report,
 )
+from perturbpred.types import duplicate_labels
+
+
+def reference_load_matrix_csv(path):
+    """The cell-by-cell reader load_matrix_csv replaced, kept as its oracle.
+
+    Positions are file lines (csv.reader.line_num), as load_matrix_csv
+    reports them.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if r and any(cell.strip() for cell in r)]
+    if not rows:
+        raise ParseError(f"{path}: file is empty")
+    header = [c.strip() for c in rows[0][1]]
+    if len(header) < 2:
+        raise ParseError(f"{path}: header must have an ID column plus data columns")
+    col_names = header[1:]
+    dup = duplicate_labels(col_names)
+    if dup:
+        raise ParseError(f"{path}: duplicate column labels: {sorted(dup)}")
+
+    n_cols = len(header)
+    row_ids = []
+    values = []
+    for i, row in rows[1:]:
+        if len(row) != n_cols:
+            raise ParseError(
+                f"{path}: row {i} has {len(row)} cells, expected {n_cols} (ragged table)"
+            )
+        row_ids.append(row[0].strip())
+        parsed = []
+        for j, cell in enumerate(row[1:], start=2):
+            text = cell.strip()
+            try:
+                parsed.append(float(text))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: non-numeric cell {text!r} at row {i}, column {j}"
+                ) from None
+        values.append(parsed)
+    if not values:
+        raise ParseError(f"{path}: no data rows")
+    dup_ids = duplicate_labels(row_ids)
+    if dup_ids:
+        raise ParseError(f"{path}: duplicate row labels: {sorted(dup_ids)}")
+    return np.array(values), row_ids, col_names
+
+
+def reference_save_matrix_csv(path, values, row_ids, col_names, id_header="id"):
+    """The csv.writer loop save_matrix_csv replaced, kept as its oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([id_header] + list(col_names))
+        for rid, row in zip(row_ids, np.asarray(values)):
+            writer.writerow([rid] + ["%.17g" % v for v in row.tolist()])
+
+
+def _outcome(load, path):
+    """(values' bit pattern, row ids, column names), or the ParseError text."""
+    try:
+        values, row_ids, col_names = load(path)
+    except ParseError as exc:
+        return str(exc)
+    return values.shape, values.tobytes(), row_ids, col_names
+
+
+# Cells that float() reads, with padding str.strip() removes: U+001C..U+001F
+# are whitespace to strip() but not to float().
+NUMBERS = ["0", "1", "-2.5", "1e-300", "4.9e-324", "-0.0", "nan", "-NaN", "inf",
+           "-Infinity", "1_000", "1e400", ".5", "5.", "+3", "1.7976931348623157e308"]
+PADDINGS = [["", " ", "\t", "  "], ["", "\xa0", "\u2003 "], ["", "\x1c", " \x1f"]]
+BLANK_ROWS = [[], [""], ["   "], ["", "", ""], [" ", "\t"]]
+LABEL_TEXT = st.text(st.sampled_from('ab ,"\n_'), max_size=3)
+
+
+@st.composite
+def tables(draw):
+    """Rows of a matrix file, blank rows included, with up to two faults."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5))
+    pad = st.sampled_from(draw(st.sampled_from(PADDINGS)))
+    number = st.sampled_from(NUMBERS) | st.floats().map(repr)
+    cell = st.builds(lambda left, x, right: left + x + right, pad, number, pad)
+    rows = [["id"] + [draw(LABEL_TEXT) + f"c{j}" for j in range(m)]]
+    rows += [[draw(LABEL_TEXT) + f"r{i}"] + draw(st.lists(cell, min_size=m, max_size=m))
+             for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        j = draw(st.integers(0, len(row) - 1))
+        fault = draw(st.sampled_from(["short", "long", "text", "empty", "same-label"]))
+        if fault == "short" and len(row) > 1:
+            del row[j]
+        elif fault == "long":
+            row.insert(j, "7")
+        elif fault == "text":
+            row[j] = "oops"
+        elif fault == "empty":
+            row[j] = " "
+        elif fault == "same-label" and k == 0:
+            row[j] = row[-1]
+        elif fault == "same-label":
+            row[0] = rows[-1][0]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BLANK_ROWS)))
+    return rows
 
 
 class TestMatrixCsv:
@@ -37,6 +147,49 @@ class TestMatrixCsv:
         path.write_text("id,a,b\nr1,1,oops\n")
         with pytest.raises(ParseError, match="row 2, column 3"):
             load_matrix_csv(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("id,a,b\n\n,,\nr1,1,2\nr2,1,oops\n", "non-numeric cell 'oops' at row 5, column 3"),
+        ("id,a,b\n  \n\t,\nr1,1,2\n\nr2,3\n", "row 6 has 2 cells, expected 3"),
+        ("\n \nid,a\nr1,x\n", "non-numeric cell 'x' at row 4, column 2"),
+    ])
+    def test_positions_are_file_lines_across_blank_lines(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_matrix_csv(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=tables(), newline=st.sampled_from(["\r\n", "\n"]))
+    def test_reader_matches_the_cell_by_cell_reader(self, tmp_path_factory, rows, newline):
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator=newline).writerows(rows)
+        assert _outcome(load_matrix_csv, path) == _outcome(reference_load_matrix_csv, path)
+
+    @pytest.mark.parametrize("row_ids", [
+        ["plain", "a,b", 'say "hi"', "cr\rin", "lf\nin", ""],
+        [" padded ", "\u00e9t\u00e9", '"', ",", "\r\n", "x"],
+    ])
+    def test_writer_matches_the_csv_writer_loop(self, tmp_path, row_ids):
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array([
+            [tiny, -tiny, 2.2250738585072014e-308, 1e-310],
+            [0.0, -0.0, 1e308, -1e308],
+            [1.0, -3.0, 2.0**53, 1e16],
+            [np.nan, np.inf, -np.inf, 0.1],
+            [np.pi, -1 / 3, 123456.0, 5e-324],
+            [1e22, 1e-5, 12345678901234567890.0, -7.0],
+        ])
+        names = ["a", "b,c", 'd"e', ""]
+        for header in ("id", "drug"):
+            new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+            save_matrix_csv(new, values, row_ids, names, id_header=header)
+            reference_save_matrix_csv(ref, values, row_ids, names, id_header=header)
+            assert new.read_bytes() == ref.read_bytes()
+            back, ids, cols = load_matrix_csv(new)
+            assert back.tobytes() == values.tobytes()
+            assert (ids, cols) == ([r.strip() for r in row_ids], [c.strip() for c in names])
 
     def test_duplicate_column_labels(self, tmp_path):
         path = tmp_path / "bad.csv"
