@@ -12,8 +12,9 @@ Three fitters live here:
   loss evaluation is one batched steady-state solve over all conditions by
   Newton steps, from rest at a contracting start and from the last accepted
   iterate's states for each candidate; RK4 from rest solves only any other
-  start and checks the end.  The gradient is exact: the implicit function
-  theorem at the reached states gives one p x p adjoint solve per condition.
+  start, and checks the end unless a contraction certificate settles it.
+  The gradient is exact: the implicit function theorem at the reached
+  states gives one p x p adjoint solve per condition.
 
 Both linear fits, wherever no closed form holds, run one solver: ``_fista``,
 accelerated proximal gradient with backtracking and restart.  A fit that
@@ -22,6 +23,7 @@ stops at its iteration cap says so in its report's status (MAX_ITER_REACHED).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -583,17 +585,70 @@ def _loss_and_gradient_at(model: OdeModel, D: ConditionMatrix, X: ResponseMatrix
 BRANCH_TOL = 1e-4  # largest |fitted - from-rest| steady state on the fitted branch
 
 
+def _contraction_margin(W, eps):
+    """(c, diag, spread): the diagonal w_jj of W, spread_j =
+    eps_j sum_{i != j} |w_ij| and c = -max_j (w_jj + spread_j).
+
+    As 0 <= phi' <= 1, row j of every Jacobian of the dynamics, and of any
+    convex combination of them, has diagonal w_jj and off-diagonal absolute
+    sum at most spread_j; so its infinity-norm log-norm is at most -c and
+    its infinity norm at most max_j (|w_jj| + spread_j).
+    """
+    diag = np.diag(W)
+    spread = eps * np.abs(W - np.diag(diag)).sum(axis=0)
+    return -float(np.max(diag + spread)), diag, spread
+
+
 def _contracts(W, eps):
-    """Whether w_jj + eps_j sum_{i != j} |w_ij| < 0 for every response j.
-    As 0 <= phi' <= 1, every Jacobian's infinity-norm log-norm is then below
-    zero: the dynamics contract (Lohmiller & Slotine 1998), and their one
-    equilibrium attracts every trajectory."""
-    return bool(np.all(np.diag(W) + eps * np.abs(W - np.diag(np.diag(W))).sum(axis=0) < 0))
+    """Whether the margin c of :func:`_contraction_margin` is positive: every
+    Jacobian's infinity-norm log-norm is then below zero, the dynamics
+    contract (Lohmiller & Slotine 1998), and their one equilibrium attracts
+    every trajectory."""
+    return _contraction_margin(W, eps)[0] > 0
+
+
+def _rk4_settling_steps(model: OdeModel, states):
+    """A number of RK4 steps from rest (step SS_DT, rate SS_TOL) within
+    which every condition provably settles within BRANCH_TOL of states, the
+    certified steady states (max|dx/dt| < SS_TOL) of contracting dynamics;
+    None where the proof below does not apply.
+
+    With c, diag and spread from :func:`_contraction_margin`, L = max_j
+    (|w_jj| + spread_j) bounds every Jacobian's infinity norm, and with
+    h = SS_DT, z = h L,
+        rho = max_j (|1 + h w_jj| + h spread_j) + z^2/2 + z^3/6 + z^4/24
+    bounds the infinity-norm Lipschitz constant of one RK4 step: its
+    Jacobian is I + h (a convex combination of Jacobians, which has their
+    form) plus products of two to four stage Jacobians.  The equilibrium x*
+    is within SS_TOL / c of states, so from rest
+    |f(x_n)| <= L rho^n (|states| + SS_TOL / c), and where RK4 stops,
+    |x_n - states| < 2 SS_TOL / c.  So the proof needs rho < 1 and
+    2 SS_TOL / c <= BRANCH_TOL; the count is the step at which the bound
+    first falls below SS_TOL / 2, plus one for rounding.
+    """
+    c, diag, spread = _contraction_margin(model.W.values, model.epsilon)
+    if c <= 0 or 2.0 * SS_TOL / c > BRANCH_TOL:
+        return None
+    h = SS_DT
+    L = float(np.max(np.abs(diag) + spread))
+    z = h * L
+    rho = float(np.max(np.abs(1.0 + h * diag) + h * spread)) + z**2 / 2 + z**3 / 6 + z**4 / 24
+    if not rho < 1.0:
+        return None
+    start = L * (float(np.max(np.abs(states))) + SS_TOL / c)  # bounds |f(x_0)|
+    if start < 0.5 * SS_TOL:
+        return 1
+    return math.floor(math.log(0.5 * SS_TOL / start) / math.log(rho)) + 2
 
 
 def _reached_from_rest(model: OdeModel, D: ConditionMatrix, states):
     """Whether every condition integrated from rest settles within BRANCH_TOL
-    of the given steady states."""
+    of the given steady states.  Where :func:`_rk4_settling_steps` proves
+    that RK4 does so before SS_T_MAX, nothing is integrated; everywhere else
+    RK4 from rest judges."""
+    steps = _rk4_settling_steps(model, states)
+    if steps is not None and steps * SS_DT < SS_T_MAX:
+        return True
     try:
         settled = steady_states(model, D.values, tol=SS_TOL, t_max=SS_T_MAX, dt=SS_DT)
     except DivergenceError:
@@ -630,8 +685,11 @@ def fit_causal_ode(
     "line-search-exhausted" in the report's status.
 
     Continuation can follow an equilibrium that integration from rest, as
-    prediction does, would not reach.  So a fit that moved ends with one
-    solve from rest at the final parameters; if a row settles more than
+    prediction does, would not reach.  So a fit that moved ends with a
+    check from rest at the final parameters (:func:`_reached_from_rest`):
+    where the fitted dynamics contract with enough margin, the certificate
+    of :func:`_rk4_settling_steps` confirms it without integrating; any
+    other fitted model is solved from rest by RK4.  If a row settles more than
     BRANCH_TOL away from the fitted states, or not at all, the report gets
     status "steady-state-branch" and converged = False.
     """

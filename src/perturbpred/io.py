@@ -39,6 +39,8 @@ def load_matrix_csv(path):
             return _parse_matrix(path, csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not {exc.encoding} text ({exc.reason})") from exc
 
 
 def _parse_matrix(path, reader):
@@ -189,6 +191,10 @@ def load_run_config(path, known_keys):
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"cannot read config {path}: not {exc.encoding} text ({exc.reason})"
+        ) from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

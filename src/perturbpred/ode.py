@@ -24,7 +24,8 @@ RK4's stability region at the caller's step, so RK4 would settle there too.
 Rows without one are reported unconverged, not integrated; the caller
 decides what to do with them.  A certificate does not prove that the
 equilibrium is the one reached from rest; the fit checks that once at its
-end.
+end, by a contraction certificate where the fitted dynamics contract with
+enough margin and by RK4 from rest everywhere else.
 """
 
 from __future__ import annotations

@@ -111,6 +111,12 @@ class TestSimulate:
         cfg.write_text("volume = 11\n")
         assert main(["simulate", "--config", str(cfg)]) == EXIT_PARSE
 
+    def test_config_file_not_text_is_parse_error(self, tmp_path, caplog):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 5\n\xff\n")
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_PARSE
+        assert f"cannot read config {cfg}: not " in caplog.text
+
 
 class TestFit:
     def test_regression_fit(self, sim_dir, tmp_path):
@@ -297,6 +303,25 @@ class TestPredict:
             "--out", str(ode_dir / "pred.csv"),
         ]) == EXIT_NONCONVERGENCE
         assert not (ode_dir / "pred.csv").exists()
+
+    def test_matrix_file_not_text_is_parse_error(self, sim_dir, tmp_path, caplog):
+        fit_out = tmp_path / "fit"
+        assert main([
+            "fit", "--model", "regression",
+            "--conditions", str(sim_dir / "sim_conditions.csv"),
+            "--responses", str(sim_dir / "sim_responses.csv"),
+            "--out-dir", str(fit_out),
+        ]) == EXIT_OK
+        conditions = tmp_path / "conditions.csv"
+        conditions.write_bytes(b"id,d1\n\xff,1\n")
+        assert main([
+            "predict", "--model", "regression",
+            "--params", str(fit_out / "coefficients.csv"),
+            "--conditions", str(conditions),
+            "--out", str(tmp_path / "pred.csv"),
+        ]) == EXIT_PARSE
+        assert f"cannot read {conditions}: not " in caplog.text
+        assert not (tmp_path / "pred.csv").exists()
 
 
 class TestCv:

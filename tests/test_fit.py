@@ -887,6 +887,10 @@ class TestFitCausalOdeFailures:
         assert len(calls) > 40  # the step was halved down to its floor
 
 
+# the steady-state solves of the causal-ODE fit
+SETTLE = dict(tol=fit_module.SS_TOL, t_max=fit_module.SS_T_MAX, dt=fit_module.SS_DT)
+
+
 # Seed 28 of the continuation search in test_ode: at W_near, Newton continued
 # from the steady states at W settles condition 0 on a clipped-linear
 # equilibrium 1.59 away from the one RK4 reaches from rest.
@@ -944,11 +948,18 @@ class TestSteadyStateContinuation:
         template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0, envelope="sigmoid")
         model, report = fit_causal_ode(D, X, B, template, FitConfig(max_iter=10))
         assert report.status == (MAX_ITER_REACHED.format(10),)
-        # from rest at the start, and once more for the confirmation at the end
+        # from rest at the start only: the fitted W contracts, so the end
+        # confirmation is the certificate and no solve from rest follows
         assert calls[0][1] is None or not np.any(calls[0][1])
-        assert calls[-1][1] is None and calls[-1][0] is model
+        assert all(guess is not None for _, guess, _ in calls[1:])
+        fitted = next(res.states for m, _, res in calls if m is model)
+        steps = fit_module._rk4_settling_steps(model, fitted)
+        assert steps is not None and steps * fit_module.SS_DT < fit_module.SS_T_MAX
+        rk4 = solve(model, D.values, **SETTLE)
+        assert rk4.converged.all()
+        assert np.max(np.abs(rk4.states - fitted)) <= fit_module.BRANCH_TOL
         sources = []  # the call whose states each candidate started from
-        for k, (_, guess, res) in enumerate(calls[1:-1], start=1):
+        for k, (_, guess, res) in enumerate(calls[1:], start=1):
             j = next(j for j in range(k) if calls[j][2].states is guess)
             assert not sources or j >= sources[-1]
             sources.append(j)
@@ -1050,16 +1061,114 @@ class TestContractingStart:
         model, D = contracting_instance(np.random.default_rng(seed), envelope, p, margin)
         W = model.W.values
         assert fit_module._contracts(W, model.epsilon)
-        c = -np.max(np.diag(W) + model.epsilon * np.abs(W - np.diag(np.diag(W))).sum(axis=0))
-        settle = dict(tol=fit_module.SS_TOL, t_max=fit_module.SS_T_MAX, dt=fit_module.SS_DT)
-        newton = steady_states(model, D, guess=np.zeros((len(D), p)), **settle)
-        rk4 = steady_states(model, D, **settle)
+        c = fit_module._contraction_margin(W, model.epsilon)[0]
+        newton = steady_states(model, D, guess=np.zeros((len(D), p)), **SETTLE)
+        rk4 = steady_states(model, D, **SETTLE)
         assert newton.converged.all() and rk4.converged.all()
         assert np.max(np.abs(newton.states - rk4.states)) <= 2.0 * fit_module.SS_TOL / c
         # the bound behind the test: every Jacobian's infinity-norm log-norm <= -c
         J = linearize(model, D, newton.states)[2]
         off = np.abs(J).sum(axis=2) - np.abs(np.diagonal(J, axis1=1, axis2=2))
         assert np.max(np.diagonal(J, axis1=1, axis2=2) + off) <= -c + 1e-12
+
+
+# the regimes of rest_certificate_instance, each near one edge of the proof
+REST_REGIMES = ("stiff", "slow", "branch", "drive", "any")
+
+
+def rest_certificate_instance(rng, envelope, p, regime):
+    """(model, D): random contracting dynamics with eps != 1.  "stiff" puts
+    h |w_jj| near 1, "slow" puts rho near 1, "branch" puts c near
+    2 SS_TOL / BRANCH_TOL, and "drive" takes drives up to 1e4, so that the
+    step bound nears SS_T_MAX."""
+    h = fit_module.SS_DT
+    eps = rng.uniform(0.3, 3.0, p)
+    W = rng.normal(0.0, 1.0, (p, p)) * (rng.uniform(size=(p, p)) < 0.6)
+    np.fill_diagonal(W, 0.0)
+    if regime == "stiff":
+        W *= 0.3
+    spread = eps * np.abs(W).sum(axis=0)
+    if regime == "stiff":
+        diag = np.minimum(-rng.uniform(0.8, 1.4, p) / h, -spread - 0.05)
+    elif regime == "slow":
+        diag = -spread - rng.uniform(0.01, 0.6, p)
+    elif regime == "branch":
+        c_edge = 2.0 * fit_module.SS_TOL / fit_module.BRANCH_TOL
+        diag = -spread - c_edge * 10.0 ** rng.uniform(-0.2, 1.5, p)
+    else:
+        diag = -spread - rng.exponential(1.0, p)
+    np.fill_diagonal(W, diag)
+    model = OdeModel(
+        InteractionMatrix(W), TargetMap(rng.normal(size=(p, 3))), eps,
+        envelope=envelope, clip_bound=1.5,
+    )
+    scale = 10.0 ** rng.uniform(-6.0, 4.0 if regime == "drive" else 1.0)
+    return model, scale * rng.uniform(0.0, 1.0, (int(rng.integers(1, 7)), 3))
+
+
+class TestRestCertificate:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        envelope=st.sampled_from(ENVELOPES),
+        p=st.integers(1, 6),
+        regime=st.sampled_from(REST_REGIMES),
+        nudge=st.booleans(),
+    )
+    def test_certified_rows_settle_from_rest(self, seed, envelope, p, regime, nudge):
+        # Newton's certified states, or (nudge) states moved toward rest as
+        # far as max|dx/dt| < SS_TOL allows; wherever the certificate holds,
+        # RK4 from rest settles every row within its step count, within
+        # BRANCH_TOL of those states
+        model, D = rest_certificate_instance(np.random.default_rng(seed), envelope, p, regime)
+        newton = steady_states(model, D, guess=np.zeros((len(D), p)), **SETTLE)
+        if not newton.converged.all():
+            return
+        states = newton.states
+        if nudge:
+            _, diag, spread = fit_module._contraction_margin(model.W.values, model.epsilon)
+            L = np.max(np.abs(diag) + spread)
+            room = 0.99 * (fit_module.SS_TOL - newton.rate_norm.max()) / L
+            states = np.sign(states) * np.maximum(np.abs(states) - room, 0.0)
+        steps = fit_module._rk4_settling_steps(model, states)
+        if steps is None or steps * fit_module.SS_DT >= fit_module.SS_T_MAX:
+            return
+        rk4 = steady_states(model, D, **SETTLE)
+        assert rk4.converged.all()
+        assert np.max(rk4.t_reached) <= steps * fit_module.SS_DT + 1e-9
+        assert np.max(np.abs(rk4.states - states)) <= fit_module.BRANCH_TOL
+
+    def test_stiff_decay_outside_the_proof_is_integrated(self, monkeypatch):
+        # h |w_jj| = 1.2: rho = |1 - 1.2| + 1.2^2/2 + 1.2^3/6 + 1.2^4/24 = 1.29,
+        # so the certificate does not hold and RK4 from rest judges
+        model = OdeModel(InteractionMatrix(np.array([[-24.0]])), TargetMap(np.eye(1)), 1.7)
+        D = ConditionMatrix(np.array([[0.5], [1.0]]))
+        states = 1.7 * D.values / 24.0  # the equilibria eps u / 24
+        assert fit_module._rk4_settling_steps(model, states) is None
+        guesses = []
+        solve = fit_module.steady_states
+
+        def spy(model, D, guess=None, **kwargs):
+            guesses.append(guess)
+            return solve(model, D, guess=guess, **kwargs)
+
+        monkeypatch.setattr(fit_module, "steady_states", spy)
+        assert fit_module._reached_from_rest(model, D, states)
+        assert guesses == [None]
+
+    def test_states_that_only_meet_the_rate_tolerance(self):
+        # dx/dt = u - c x with c = 0.0025 and u = 1.4 SS_TOL: from rest the
+        # rate stays above SS_TOL until t = ln(1.4) / c = 135 > SS_T_MAX.  The
+        # given states sit 0.99 SS_TOL / c below the equilibrium, where the
+        # rate is 0.99 SS_TOL; the certificate must count that distance
+        c, tol = 0.0025, fit_module.SS_TOL
+        model = OdeModel(InteractionMatrix(np.array([[-c]])), TargetMap(np.eye(1)), 1.0)
+        D = ConditionMatrix(np.array([[1.4 * tol]]))
+        states = np.array([[(1.4 - 0.99) * tol / c]])
+        steps = fit_module._rk4_settling_steps(model, states)
+        assert steps is None or steps * fit_module.SS_DT >= fit_module.SS_T_MAX
+        assert not fit_module._reached_from_rest(model, D, states)
+        assert not steady_states(model, D.values, **SETTLE).converged.any()
 
 
 def test_select_lambda_cv_returns_grid_member():
