@@ -146,7 +146,7 @@ def _fista(loss_and_gradient, start, cfg: FitConfig, penalty, proximal_map):
                 trial *= 0.5
                 continue
             diff = x_new - y
-            quad = loss_y + float(np.sum(grad_y * diff)) + float(np.sum(diff * diff)) / (
+            quad = loss_y + float((grad_y * diff).sum()) + float((diff * diff).sum()) / (
                 2.0 * trial
             )
             if loss_new <= quad + 1e-12 * max(1.0, abs(loss_y)):
@@ -160,7 +160,7 @@ def _fista(loss_and_gradient, start, cfg: FitConfig, penalty, proximal_map):
     it = 0
 
     for it in range(1, cfg.max_iter + 1):
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         new = None
         if t > 1.0:
             y = x + ((t - 1.0) / t_next) * (x - x_prev)
@@ -171,7 +171,7 @@ def _fista(loss_and_gradient, start, cfg: FitConfig, penalty, proximal_map):
         momentum = new is not None and new[3] <= obj
         if not momentum:  # (re)start: t = 1, a plain proximal step from x
             new = proximal_step(x, loss, grad, step)
-            t_next = (1.0 + np.sqrt(5.0)) / 2.0
+            t_next = (1.0 + math.sqrt(5.0)) / 2.0
 
         x_new, loss_new, grad_new, obj_new, trial = new
         rel_change = abs(obj - obj_new) / max(1.0, abs(obj))
@@ -283,13 +283,13 @@ def fit_regression(
 
     def loss_and_gradient(R):
         resid = Dv @ R - Xv
-        return float(np.sum(resid * resid)), 2.0 * (Dv.T @ resid)
+        return float((resid * resid).sum()), 2.0 * (Dv.T @ resid)
 
     R, report = _fista(
         loss_and_gradient,
         np.zeros((Dv.shape[1], Xv.shape[1])),
         cfg,
-        lambda R: cfg.lam * float(np.sum(np.abs(R))),
+        lambda R: cfg.lam * float(np.abs(R).sum()),
         lambda R, grad, step: soft_threshold(R - step * grad, step * cfg.lam),
     )
     return RegressionCoefficients(R), report
@@ -341,7 +341,7 @@ def causal_loss_and_gradient(W, D: ConditionMatrix, X: ResponseMatrix, B: Target
     if C is None:
         C = D.values @ B.values.T
     E = X.values + C @ Winv
-    loss = float(np.sum(E * E))
+    loss = float((E * E).sum())
     grad = -2.0 * (Winv @ E.T @ C @ Winv).T
     return loss, grad
 
@@ -352,8 +352,8 @@ def causal_objective(W, D, X, B, lam):
 
 
 def _penalty(W, lam):
-    off = W - np.diag(np.diag(W))
-    return lam * float(np.sum(np.abs(off)))
+    off = W - np.diag(W.diagonal())
+    return lam * float(np.abs(off).sum())
 
 
 def _apply_mask(W, mask):
