@@ -489,12 +489,12 @@ class TestCv:
             "44750349c898c26f7ccb3ee399b3491e0b7366488b59a9eb4cf48e8e2cb1d106",
         ),
         ("rf", "causal-linear", "0.1"): (
-            "4993129137898b3e6b9973177fc67e11ef96c317fef82d752534047561937098",
-            "41771ac28e5e8ddfddd3b91c9cbbb11c7fb8733ee02ec04417bf0734ba9bbd59",
+            "e9a520c7d4b08656a6edc38bc2137df85711810fd73b0fca4f9c393637f188d8",
+            "4859fe95c6946857b4b08b0995479dcf672b82df08479385b0124503c248d741",
         ),
         ("lodo", "regression", "0.5"): (
-            "8aef3d9a0c6f2ce803c330332e7a57e80f0b4cdbc3f0ad8182ee4a0982d03378",
-            "fcaad1599ac9d7ed4400bebfdd65f50a6c109a09ff1193a6182e1b53657b6cf5",
+            "9e4aaedec39943f797f10177a0da1ccb284dbf28ddebaefc06d5111128180dfd",
+            "fea42e3ac65437a9980902ecbba6c25409c9287b08d0053257fd2d28d3ff2857",
         ),
     }
 

@@ -330,8 +330,27 @@ class TestFitCausalLinear:
         B = TargetMap(rng.normal(size=(3, 3)))
         X = ResponseMatrix(rng.normal(size=(10, 3)))
         cfg = FitConfig(w_init=InteractionMatrix(np.zeros((3, 3))))
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="w_init, the starting W, is singular"):
             fit_causal_linear(D, X, B, cfg)
+
+    def test_w_init_screened_as_masked(self):
+        # w_init is singular, but the mask zeroes its off-diagonal and the fit
+        # starts from -I: it runs exactly as the fit from the default start,
+        # while a mask that keeps the start singular still raises
+        rng = np.random.default_rng(14)
+        D = ConditionMatrix(rng.uniform(0, 1, (10, 2)))
+        B = TargetMap(rng.normal(size=(2, 2)))
+        X = ResponseMatrix(rng.normal(size=(10, 2)))
+        singular = InteractionMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        diagonal = EdgeMask(np.eye(2, dtype=bool))
+        W, report = fit_causal_linear(D, X, B, FitConfig(mask=diagonal, w_init=singular))
+        W_ref, ref = fit_causal_linear(D, X, B, FitConfig(mask=diagonal))
+        assert report.converged
+        assert np.array_equal(W.values, W_ref.values)
+        assert np.array_equal(report.objective_trace, ref.objective_trace)
+        everywhere = EdgeMask(np.ones((2, 2), dtype=bool))
+        with pytest.raises(SingularMatrixError, match="w_init after the mask, the starting W"):
+            fit_causal_linear(D, X, B, FitConfig(mask=everywhere, w_init=singular))
 
     def test_warm_start_hits_global_optimum_noiselessly(self, bench_dag, bench_targets):
         D = build_design()
@@ -656,6 +675,29 @@ def test_fista_matches_the_proximal_gradient_it_replaced():
     check()
     fista, ista = np.sum(iterations, axis=0)
     assert fista < ista
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_step_growth_spares_most_rejected_trials(warm, monkeypatch):
+    # each iteration evaluates the loss at its momentum point and at its
+    # trial steps; a first trial that is mostly accepted keeps that near 2,
+    # where re-growing the step by 2 made it about 3
+    D, X, B, _ = well_conditioned_instance(0, False)
+    init = least_squares_w_init(D, X, B) if warm else None
+    calls = []
+    loss_and_gradient = fit_module.causal_loss_and_gradient
+
+    def counted(*args):
+        calls.append(None)
+        return loss_and_gradient(*args)
+
+    monkeypatch.setattr(fit_module, "causal_loss_and_gradient", counted)
+    _, report = fit_causal_linear(D, X, B, FitConfig(lam=0.1, w_init=init))
+    assert report.converged and report.iterations > 50
+    assert len(calls) / report.iterations <= 2.5
+    # never up, beyond the 1e-12 slack of the sufficient-decrease test
+    trace = report.objective_trace
+    assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, trace[:-1]))
 
 
 class TestFitCausalOde:
