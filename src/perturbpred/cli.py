@@ -545,8 +545,13 @@ def build_parser():
     return parser
 
 
+# main's parser, built once per process: an argparse parser can parse any
+# number of command lines, and building this one costs about 1 ms
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.INFO,

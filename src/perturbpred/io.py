@@ -138,9 +138,10 @@ def load_response_matrix(path):
 
 
 def write_json_report(path, payload):
+    # one write: json.dump would issue one per token
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 @dataclass(frozen=True)

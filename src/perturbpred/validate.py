@@ -123,10 +123,12 @@ def make_random_folds(n, train_fraction, reps, seed):
         )
     rng = np.random.default_rng(seed)
     folds = []
-    # the permutations of _BLOCK reps at a time are sorted as one array; one
-    # (reps, n) array would be large enough to raise the process's peak memory
+    # the permutations of _BLOCK reps at a time are drawn and sorted as one
+    # array; one (reps, n) array would be large enough to raise the process's
+    # peak memory.  Permuting each row of the block in one call draws what one
+    # rng.permutation(n) per rep would, from the same stream.
     for start in range(0, reps, _BLOCK):
-        perms = np.array([rng.permutation(n) for _ in range(min(_BLOCK, reps - start))])
+        perms = rng.permuted(np.tile(np.arange(n), (min(_BLOCK, reps - start), 1)), axis=1)
         perms[:, :n_train].sort(axis=1)
         perms[:, n_train:].sort(axis=1)
         folds += zip(perms[:, :n_train], perms[:, n_train:])

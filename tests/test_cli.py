@@ -489,8 +489,8 @@ class TestCv:
             "44750349c898c26f7ccb3ee399b3491e0b7366488b59a9eb4cf48e8e2cb1d106",
         ),
         ("rf", "causal-linear", "0.1"): (
-            "e9a520c7d4b08656a6edc38bc2137df85711810fd73b0fca4f9c393637f188d8",
-            "4859fe95c6946857b4b08b0995479dcf672b82df08479385b0124503c248d741",
+            "ce7d63f58dd037e344d8d333a1bb9dd1ccc354f1228f33375b324e8ff4427b9f",
+            "1ece66246bc5b4536db73c624d8f3db7499514793aa85e454b026c34f080bde7",
         ),
         ("lodo", "regression", "0.5"): (
             "9e4aaedec39943f797f10177a0da1ccb284dbf28ddebaefc06d5111128180dfd",
@@ -692,6 +692,17 @@ def test_config_sets_every_flag_and_settings_name_every_option(command, sim_dir,
     assert set(logged) == {key.replace("-", "_") for key in keys}
     out_key = "out-dir" if "out-dir" in keys else "out"
     assert logged[out_key.replace("-", "_")] == values[out_key]  # the config value applied
+
+
+def test_a_flag_does_not_carry_over_to_the_next_command(sim_dir, tmp_path, caplog):
+    # main parses every command of a process with one parser
+    caplog.set_level(logging.INFO, logger="perturbpred")
+    fit = ["fit", "--model", "regression", "--conditions", str(sim_dir / "sim_conditions.csv"),
+           "--responses", str(sim_dir / "sim_responses.csv")]
+    assert main([*fit, "--lam", "0.5", "--out-dir", str(tmp_path / "a")]) == EXIT_OK
+    assert main([*fit, "--out-dir", str(tmp_path / "b")]) == EXIT_OK
+    lines = [r for r in caplog.records if r.msg.startswith("command %s settings")]
+    assert [json.loads(r.args[1])["lam"] for r in lines] == [0.5, 0.0]
 
 
 def test_settings_name_options_left_at_their_defaults(sim_dir, tmp_path, caplog):

@@ -303,6 +303,18 @@ def test_write_json_report(tmp_path):
     assert back["nested"]["a"] == [1, 2]
 
 
+def test_json_report_bytes_are_json_dumps_streamed(tmp_path):
+    import json
+
+    payload = {"b": [1.5, {"z": None, "a": "x"}], "a": {"k": [0.1, 2e-300]}, "c": True}
+    path = tmp_path / "report.json"
+    write_json_report(path, payload)
+    with open(tmp_path / "streamed.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "streamed.json").read_bytes()
+
+
 def test_default_output_dir_env(monkeypatch):
     monkeypatch.delenv("PERTURBPRED_OUT_DIR", raising=False)
     assert default_output_dir() == "."

@@ -99,6 +99,18 @@ class TestRandomFolds:
                 np.sort(np.concatenate([train, test])), np.arange(23)
             )
 
+    @pytest.mark.parametrize("n,reps,seed", [(2, 1, 0), (23, 16, 4), (105, 40, 3), (300, 17, 9)])
+    def test_folds_match_one_permutation_per_rep(self, n, reps, seed):
+        # each block's rows are permuted in one call, drawing what one
+        # rng.permutation(n) per rep, in order, draws from the same stream
+        plan = make_random_folds(n, 0.7, reps, seed)
+        rng = np.random.default_rng(seed)
+        n_train = int(np.floor(0.7 * n))
+        for train, test in plan.folds:
+            perm = rng.permutation(n)
+            assert np.array_equal(train, np.sort(perm[:n_train]))
+            assert np.array_equal(test, np.sort(perm[n_train:]))
+
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(ValueError):
             make_random_folds(3, 0.1, 1, seed=0)  # zero training rows
