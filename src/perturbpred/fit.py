@@ -3,7 +3,11 @@
 Three fitters live here:
 
 * ``fit_regression`` solves ||X - D R||_F^2 + lambda ||R||_1, exactly
-  (least squares by QR) when lambda = 0.
+  (least squares by QR) when lambda = 0.  Cross-validation solves a block of
+  lambda = 0 folds, each a row subset of one design, in that design's
+  orthonormal basis (:func:`_basis_lstsq`): one k x k system per fold, taken
+  only where a Cholesky certificate shows the fold's rank and conditioning;
+  any other fold is solved by QR as a single fit is.
 * ``fit_causal_linear`` minimizes ||X - D B^T (-inv(W))||_F^2 plus an L1
   penalty on the off-diagonal of W; the loss is nonconvex in W with a
   singular set at det W = 0, so a candidate step that lands near it is
@@ -291,8 +295,104 @@ def fit_regression_stack(D, X, drug_names):
             f"design columns: {', '.join(bad)}"
         )
     resid = X - D @ R
+    return R, _least_squares_reports(resid)
+
+
+def _least_squares_reports(resid):
+    """The FitReport of each fold of a least-squares stack, from its (F, n, m)
+    residuals."""
     objectives = np.sum(resid * resid, axis=(1, 2))
-    return R, [FitReport(float(obj), 1, True, [obj]) for obj in objectives]
+    return [FitReport(float(obj), 1, True, [obj]) for obj in objectives]
+
+
+# A fold passes the certificate of :func:`_basis_lstsq` when the least
+# eigenvalue of G = Q0[S]^T Q0[S] is at least BASIS_DELTA.  The fold's basis
+# Q0[S] then has singular values in [1/4, 1], so its condition number is at
+# most 4, and solving the normal equations in G adds a rounding error of about
+# 16 u to the one that R0 carries (Bjorck 1996, sections 2.1-2.2), of the order
+# of a QR's error bound.  On simulated designs every random fold clears it at
+# least twice over.
+BASIS_DELTA = 1.0 / 16.0
+
+
+def _basis_lstsq(A, X, train):
+    """Least squares of a block of folds of one design, in the orthonormal
+    basis of the whole design.
+
+    A is the (n, k) design, X its (n, m) responses and train an (F, s) array
+    holding each fold's training rows S.  A = Q0 R0 is factored once, so a
+    fold's design is A[S] = Q0[S] R0 and, with G = Q0[S]^T Q0[S], its
+    least-squares solution is M = inv(R0) y for y = solve(G, Q0[S]^T X[S]):
+    one k x k system per fold in place of a QR of its s x k design.
+
+    Returns (Q0, R0, y, certified): y is (F, k, m) and holds a solution only
+    where certified says the fold passed, NaN elsewhere (Q0 and R0 are None
+    when s < k).  A fold passes when a Cholesky factorization of
+    G - BASIS_DELTA I succeeds, so that lambda_min(G) >= BASIS_DELTA.  Q0[S]
+    is a block of rows of an orthonormal matrix, so its largest singular
+    value is at most 1 and rcond(A[S]) >= sqrt(BASIS_DELTA) rcond(R0), with
+    rcond(R0) from one SVD.  Folds pass only where that bound clears
+    np.linalg.matrix_rank's threshold max(s, k) eps by 8 n k eps, which
+    covers the rounding of the QR of A, of G and of its Cholesky factor
+    (Higham 2002, Thm 19.4 and section 10.1); so every fold that passes is
+    one that matrix_rank calls full rank.  When the whole design falls
+    short, or s < k, no fold passes.
+    """
+    F, s = train.shape
+    n, k = A.shape
+    y = np.full((F, k, X.shape[1]), np.nan)
+    certified = np.zeros(F, dtype=bool)
+    if s < k:
+        return None, None, y, certified
+    Q0, R0 = np.linalg.qr(A)
+    eps = np.finfo(float).eps
+    if math.sqrt(BASIS_DELTA) * _rcond(R0) <= (max(s, k) + 8 * n * k) * eps:
+        return Q0, R0, y, certified
+    QS = Q0[train]
+    QSt = np.swapaxes(QS, 1, 2)
+    G = QSt @ QS
+    shifted = G - BASIS_DELTA * np.eye(k)
+    try:
+        np.linalg.cholesky(shifted)
+        certified[:] = True
+    except np.linalg.LinAlgError:  # the rare block with a failing fold: find it
+        for f in range(F):
+            try:
+                np.linalg.cholesky(shifted[f])
+                certified[f] = True
+            except np.linalg.LinAlgError:
+                pass
+    if certified.any():
+        y[certified] = np.linalg.solve(G[certified], QSt[certified] @ X[train[certified]])
+    return Q0, R0, y, certified
+
+
+def fit_regression_folds(D, X, train, tests, drug_names):
+    """Unpenalized regression of a block of folds of one design, and the
+    predictions of each fold's test rows.
+
+    D is (n, q), X (n, p), train an (F, s) array of each fold's training rows
+    and tests one array of test rows per fold.  Returns (predictions,
+    reports), one per fold.  A fold that :func:`_basis_lstsq` certifies is
+    solved in the basis of D and predicts D[T] R = Q0[T] y, with objective
+    ||X[S] - Q0[S] y||^2; every other fold is solved as
+    :func:`fit_regression_stack` solves it, and the first rank-deficient one
+    raises its SingularMatrixError.
+    """
+    Q0, _, y, certified = _basis_lstsq(D, X, train)
+    bases = [Q0 if passed else D for passed in certified]
+    reports = [None] * len(train)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        y[rest], rest_reports = fit_regression_stack(D[train[rest]], X[train[rest]], drug_names)
+        for f, report in zip(rest, rest_reports):
+            reports[f] = report
+    done = np.flatnonzero(certified)
+    if done.size:
+        rows = train[done]
+        for f, report in zip(done, _least_squares_reports(X[rows] - Q0[rows] @ y[done])):
+            reports[f] = report
+    return [basis[test] @ coef for basis, test, coef in zip(bases, tests, y)], reports
 
 
 def fit_regression(
@@ -439,17 +539,18 @@ def _closed_form_stack(C, X, inits, cfg: FitConfig):
     """The closed-form fit of each fold of a stack, where it holds.
 
     C is (F, n, p) with each fold's D B^T, X (F, n, p) its responses and
-    inits its W-form w_init, given only where C_f has full column rank (None
-    elsewhere).  Returns per fold (inv(W_f), FitReport) where the closed
-    form holds, else None.  It holds at lambda = 0 with no mask, where
-    W_f = w_init passes the rcond screen of safe_inverse and the loss is
-    stationary at W_f by the test :func:`fit_causal_linear` describes.
+    inits the values of its W-form w_init, given only where C_f has full
+    column rank (None elsewhere).  Returns per fold (inv(W_f), FitReport)
+    where the closed form holds, else None.  It holds at lambda = 0 with no
+    mask, where W_f = w_init passes the rcond screen of safe_inverse and the
+    loss is stationary at W_f by the test :func:`fit_causal_linear`
+    describes.
     """
     closed = [None] * len(inits)
     folds = [f for f, init in enumerate(inits) if init is not None]
     if cfg.lam != 0.0 or cfg.mask is not None or not folds:
         return closed
-    Winv, screened = _screened_inverse(np.array([inits[f].values for f in folds]), RCOND_MIN)
+    Winv, screened = _screened_inverse(np.array([inits[f] for f in folds]), RCOND_MIN)
     folds = np.array(folds)[screened]
     Winv = Winv[screened]
     Cs = C[folds]
@@ -488,7 +589,7 @@ def fit_causal_linear(
     about its minimizer, that step could lower it by at most
     step * ||grad||_F^2, so the loop would stop after it, having moved W by
     at most step * ||grad||_F.  This early return is the one-fold case of the
-    closed form that :func:`fit_causal_linear_stack` applies to a stack of
+    closed form that :func:`fit_causal_linear_folds` applies to a block of
     folds.  The rank of D B^T is np.linalg.matrix_rank's, settled by
     :func:`_full_column_rank`; the rank itself is computed only to name it
     in the "non-unique-solution" status of a deficient D B^T.
@@ -516,7 +617,7 @@ def fit_causal_linear(
 
     W = _initial_w(cfg, p)
     if full and cfg.w_init is not None:
-        closed = _closed_form_stack(C[None], X.values[None], [cfg.w_init], cfg)[0]
+        closed = _closed_form_stack(C[None], X.values[None], [cfg.w_init.values], cfg)[0]
         if closed is not None:
             return InteractionMatrix(W, form=W_FORM), closed[1]
 
@@ -561,29 +662,51 @@ def least_squares_w_init_stack(D, X, B: TargetMap):
     InteractionMatrix per fold, or None where D_f B^T is rank-deficient or
     M_f has rcond below 1e-8.
     """
-    C = D @ B.values.T
-    M, full = _lstsq_stack(C, X)
+    return [None if W is None else InteractionMatrix(W, form=W_FORM)
+            for W in _warm_starts(*_lstsq_stack(D @ B.values.T, X))]
+
+
+def _warm_starts(M, full):
+    """W_f = -inv(M_f) of each fold's least-squares M_f, or None where full
+    says C_f is rank-deficient or M_f has rcond below 1e-8."""
     inits = [None] * len(M)
     folds = np.flatnonzero(full)
     if folds.size:
         Minv, ok = _screened_inverse(M[folds], 1e-8)
         for f, W in zip(folds[ok], -Minv[ok]):
-            inits[f] = InteractionMatrix(W, form=W_FORM)
+            inits[f] = W
     return inits
 
 
-def fit_causal_linear_stack(D, X, B: TargetMap, cfg: FitConfig):
-    """Warm starts of a stack of folds, and the closed-form fit where it holds.
+def fit_causal_linear_folds(D, X, B: TargetMap, train, cfg: FitConfig):
+    """Warm starts of a block of folds of one design, and the closed-form fit
+    where it holds.
 
-    D is (F, n, q) and X is (F, n, p).  Returns (inits, closed): inits as
-    :func:`least_squares_w_init_stack` gives them, and per fold (inv(W_f),
-    FitReport) where fit_causal_linear from that warm start would return it
-    unchanged, else None.  The warm start is None wherever its least-squares
-    solve found D_f B^T rank-deficient, so the closed form needs no rank of
+    D is (n, q), X (n, p) and train an (F, s) array of each fold's training
+    rows.  Returns (inits, closed): per fold the values of its least-squares
+    warm start as :func:`least_squares_w_init_stack` defines it (None where
+    that is unavailable), and (inv(W_f), FitReport) where fit_causal_linear
+    from that warm start would return it unchanged, else None.  At lambda = 0
+    the least-squares M_f of the folds that :func:`_basis_lstsq` certifies is
+    solve(R0, y_f) in the basis of C = D B^T; every other fold, and every
+    fold at lambda > 0, where the proximal-gradient fit dominates, is solved
+    by QR as :func:`least_squares_w_init_stack` solves it.  The warm start is
+    None wherever C_f is rank-deficient, so the closed form needs no rank of
     its own; it screens each W_f's rcond once.
     """
-    inits = least_squares_w_init_stack(D, X, B)
-    return inits, _closed_form_stack(D @ B.values.T, X, inits, cfg)
+    Xs = X[train]
+    C = D[train] @ B.values.T
+    M = np.full((len(train), B.n_responses, X.shape[1]), np.nan)
+    full = np.zeros(len(train), dtype=bool)
+    if cfg.lam == 0.0:
+        _, R0, y, full = _basis_lstsq(D @ B.values.T, X, train)
+        if full.any():
+            M[full] = np.linalg.solve(R0, y[full])
+    rest = np.flatnonzero(~full)
+    if rest.size:
+        M[rest], full[rest] = _lstsq_stack(C[rest], Xs[rest])
+    inits = _warm_starts(M, full)
+    return inits, _closed_form_stack(C, Xs, inits, cfg)
 
 
 # ---------------------------------------------------------------------------

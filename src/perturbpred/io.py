@@ -138,10 +138,48 @@ def load_response_matrix(path):
 
 
 def write_json_report(path, payload):
-    # one write: json.dump would issue one per token
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write payload as the text of json.dumps(payload, indent=2,
+    sort_keys=True) and a newline, in one write (json.dump would issue one
+    per token).
+
+    indent=2 makes json.dumps use its pure-Python encoder, a generator per
+    value, so a cv report's list of per_fold entries, flat dicts of scalars,
+    is written by :func:`_flat_dicts_json` with the C encoder instead.  The
+    rest of the report is encoded with an empty list in its place, and
+    '\n  "per_fold": []' can only be that top-level key: JSON text holds a
+    newline only between tokens, and nested keys sit deeper.
+    """
+    entries = payload.get("per_fold") if isinstance(payload, dict) else None
+    if entries and all(isinstance(entry, dict) and entry and _scalars_only(entry)
+                       for entry in entries):
+        text = json.dumps({**payload, "per_fold": []}, indent=2, sort_keys=True).replace(
+            '\n  "per_fold": []', '\n  "per_fold": ' + _flat_dicts_json(entries, "  "), 1
+        )
+    else:
+        text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(text + "\n")
+
+
+def _scalars_only(entry):
+    return all(isinstance(value, (str, int, float, type(None))) for value in entry.values())
+
+
+def _flat_dicts_json(entries, indent):
+    """json.dumps(entries, indent=2, sort_keys=True) for a non-empty list of
+    non-empty dicts of scalars, with every line after the first indented by
+    indent, from one call of the C encoder.
+
+    The C encoder runs without indent, so the newline and indent of a dict's
+    items go into its item separator.  That separator also falls between the
+    dicts, always as "}" + separator + "{", which nothing inside a dict of
+    scalars forms (no scalar ends in "}" or starts with "{"), so one replace
+    indents those boundaries.
+    """
+    inner, items = indent + "  ", indent + "    "
+    core = json.dumps(entries, sort_keys=True, separators=(",\n" + items, ": "))[2:-2]
+    core = core.replace("},\n" + items + "{", "\n" + inner + "},\n" + inner + "{\n" + items)
+    return "[\n" + inner + "{\n" + items + core + "\n" + inner + "}\n" + indent + "]"
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,23 @@ from .errors import NonConvergenceError, SingularMatrixError, ZeroVarianceError
 from .fit import (
     FitConfig,
     fit_causal_linear,
-    fit_causal_linear_stack,
+    fit_causal_linear_folds,
     fit_causal_ode,
     fit_regression,
+    fit_regression_folds,
     fit_regression_lodo,
-    fit_regression_stack,
     least_squares_w_init,
 )
 from .linear import predict_causal_linear, predict_regression
 from .ode import OdeModel, steady_states
-from .types import ConditionMatrix, InteractionMatrix, ResponseMatrix, TargetMap, check_paired
+from .types import (
+    W_FORM,
+    ConditionMatrix,
+    InteractionMatrix,
+    ResponseMatrix,
+    TargetMap,
+    check_paired,
+)
 
 
 def pearson_rows(x, y):
@@ -213,11 +220,14 @@ def summarize_fits(reports):
 # of (train rows, test rows, held-out drug or None) and returns one (test
 # predictions, FitReport) pair per fold.  The engine hands a family its
 # folds a block at a time so closed-form solves can be stacked.  At lambda =
-# 0 a block of equal-sized folds is fitted, checked and predicted as one
-# stack: by stacked least squares for regression (random folds only; a
-# LODO fold drops its drug's column) and by the stacked warm start and closed
-# form (fit.fit_causal_linear_stack) for the causal-linear model.  Folds the
-# closed form does not settle run their own fit, in order.
+# 0 a block of equal-sized folds is fitted, checked and predicted together:
+# by least squares for regression (fit.fit_regression_folds; random folds
+# only, as a LODO fold drops its drug's column) and by the warm start and
+# closed form (fit.fit_causal_linear_folds) for the causal-linear model.
+# Both solve each fold's least squares in the orthonormal basis of the whole
+# design where a Cholesky certificate shows the fold is well-conditioned, and
+# by its own QR, as a single fit does, elsewhere.  Folds the closed form does
+# not settle run their own fit, in order.
 
 
 def _train_data(D, X, train):
@@ -255,10 +265,10 @@ class ModelFamily:
 class RegressionFamily(ModelFamily):
     """Penalized regression; LODO uses the zero-coefficient convention.
 
-    At lambda = 0 a block of equal-sized random folds is solved as one stack
-    and predicted straight from the stacked coefficients: wrapping each
-    fold's coefficients and test rows in checked types would cost more than
-    its solve.
+    At lambda = 0 a block of equal-sized random folds is solved together by
+    fit.fit_regression_folds and predicted straight from its coefficients:
+    wrapping each fold's coefficients and test rows in checked types would
+    cost more than its solve.
     """
 
     tag = "regression"
@@ -278,20 +288,22 @@ class RegressionFamily(ModelFamily):
         train = _train_stack(block)
         if self.cfg.lam != 0.0 or train is None or any(h is not None for _, _, h in block):
             return super().fit_block(D, X, block)
-        R, reports = fit_regression_stack(D.values[train], X.values[train], D.drug_names)
-        return [(D.values[test] @ R_f, report)
-                for (_, test, _), R_f, report in zip(block, R, reports)]
+        preds, reports = fit_regression_folds(
+            D.values, X.values, train, [test for _, test, _ in block], D.drug_names
+        )
+        return list(zip(preds, reports))
 
 
 class CausalLinearFamily(ModelFamily):
     """Closed-form causal model; warm-started from least squares when possible.
 
     With cfg.w_init given, every fold fits from it instead.  The warm starts
-    of a block of equal-sized folds are solved as one stack.  At lambda = 0
-    with no mask the same stack checks, per fold, whether the fit would
-    return its warm start unchanged (the closed form); those folds are
-    predicted straight from the stacked inverses.  Every other fold runs its
-    own proximal-gradient fit from its warm start, in order.
+    of a block of equal-sized folds are solved together by
+    fit.fit_causal_linear_folds.  At lambda = 0 with no mask the same call
+    checks, per fold, whether the fit would return its warm start unchanged
+    (the closed form); those folds are predicted straight from the stacked
+    inverses.  Every other fold runs its own proximal-gradient fit from its
+    warm start, in order.
     """
 
     tag = "causal-linear"
@@ -319,10 +331,11 @@ class CausalLinearFamily(ModelFamily):
         train = _train_stack(block)
         if not self._warm or train is None:
             return super().fit_block(D, X, block)
-        inits, closed = fit_causal_linear_stack(D.values[train], X.values[train], self.B, self.cfg)
+        inits, closed = fit_causal_linear_folds(D.values, X.values, self.B, train, self.cfg)
         results = []
         for (_, test, _), rows, init, fold in zip(block, train, inits, closed):
             if fold is None:
+                init = None if init is None else InteractionMatrix(init, form=W_FORM)
                 fitted = self._fit_from(*_train_data(D, X, rows), init)
                 results.append(self._predicted(D, test, *fitted))
             else:
@@ -381,16 +394,6 @@ def fit_folds(family, D: ConditionMatrix, X: ResponseMatrix, folds):
         yield from results
 
 
-def _fold_scores(observed, predicted):
-    """(Pearson r or None, MAE) of each fold, from lists of the folds' test
-    responses and predictions; folds of one size are scored as one stack."""
-    if len({obs.shape for obs in observed}) > 1:
-        return [_fold_scores([obs], [pred])[0] for obs, pred in zip(observed, predicted)]
-    x = np.reshape(observed, (len(observed), -1))
-    y = np.reshape(predicted, (len(predicted), -1))
-    return list(zip(pearson_rows(x, y), mae_rows(x, y).tolist()))
-
-
 def _scored(observed, predicted):
     """(Pearson r, status): NaN and an error status when r is undefined."""
     try:
@@ -408,7 +411,10 @@ def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, pla
     the covered rows, their averaged predictions and every fold's FitReport;
     its metadata summarizes the fits under "fits".  Each block's folds are
     scored as one (F, m) stack of Pearson r and MAE (:func:`pearson_rows`,
-    :func:`mae_rows`); a fold with zero variance gets pearson_r None.
+    :func:`mae_rows`), and pooled with one np.add.at, which adds in fold
+    order, as a loop over the folds would; a block whose folds differ in
+    test size is scored and pooled fold by fold.  A fold with zero variance
+    gets pearson_r None.
     """
     if plan.kind != "random-fold":
         raise ValueError("averaged_random_fold_eval needs a random-fold plan")
@@ -421,15 +427,21 @@ def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, pla
 
     folds = [(train, test, None) for train, test in plan.folds]
     for block, results in fit_blocks(family, D, X, folds):
-        tests = [test for _, test, _ in block]
-        preds = [pred for pred, _ in results]
-        scores = _fold_scores([X.values[test] for test in tests], preds)
-        for test, pred, (_, fit), (fold_r, fold_mae) in zip(tests, preds, results, scores):
-            fits.append(fit)
-            pred_sum[test] += pred
-            pred_count[test] += 1
-            per_fold.append({"repetition": len(per_fold), "n_test": len(test),
-                             "pearson_r": fold_r, "mae": fold_mae})
+        fits += [fit for _, fit in results]
+        if len({len(test) for _, test, _ in block}) == 1:
+            groups = [slice(0, len(block))]
+        else:
+            groups = [slice(f, f + 1) for f in range(len(block))]
+        for group in groups:
+            tests = np.array([test for _, test, _ in block[group]])
+            preds = np.array([pred for pred, _ in results[group]])
+            np.add.at(pred_sum, tests, preds)
+            pred_count += np.bincount(tests.ravel(), minlength=n)
+            x = X.values[tests].reshape(len(tests), -1)
+            y = preds.reshape(len(tests), -1)
+            for fold_r, fold_mae in zip(pearson_rows(x, y), mae_rows(x, y).tolist()):
+                per_fold.append({"repetition": len(per_fold), "n_test": tests.shape[1],
+                                 "pearson_r": fold_r, "mae": fold_mae})
 
     covered = pred_count > 0
     if not np.all(covered):

@@ -473,20 +473,20 @@ class TestCv:
     # outputs on purpose updates them and says so.
     GOLDEN = {
         ("rf", "regression", None): (
-            "47e0e27c9bd13e675e3118027b8022624c8584981336f9cc46cbf067df99bfa2",
-            "6d9992a3263ccc65fa8425ab1f9dbbe4a265bae7cf4e5937d8bc3a60c13207c0",
+            "0d5e9e0e330a13f4a97649c7179095a3fae8eb0cb2fe47f920f8069f55cde8d1",
+            "4fc867bc7e3d3a9342b55cd2ddcf7bb6e2e5215aaf0a1ece4c8440320bb1a426",
         ),
         ("rf", "causal-linear", None): (
-            "c44ef863ad5ea310772a209fe5f6203719a448aee85d619037d6062303053759",
-            "d7ec2b49c2c28cdde19b6ed14a8e104ad80af698a8ef9ab6a589736df45e3a30",
+            "57226cb48238df96abde73ec0532e7a093943a0d7b6e47a7bd7402579637c0f4",
+            "d650a89d49d58988b0ea0346b069c11e6f6db1dd09dcede641cef7e5a58503e9",
         ),
         ("lodo", "regression", None): (
             "f3fb02050ae135b461cd6b80433efa5c192d293f6f21d2a243c4bb6edc17c533",
             "d3e6b1c1b387d30f4d62ef20e2924d7a926c83f322057e942fd11795f2ffa64b",
         ),
         ("lodo", "causal-linear", None): (
-            "f200ee76b0a46a45e9b56eb39326d13c523db074adf708b6a65d16305826dd50",
-            "44750349c898c26f7ccb3ee399b3491e0b7366488b59a9eb4cf48e8e2cb1d106",
+            "1fa95a72e1116246d50c1ad11673a8db9b379fb5e4866d14a42a7cfd22facbd7",
+            "55d557bd61a820b576f2ec2542e282b23cf2db0c710c350eb532edd3cc22242c",
         ),
         ("rf", "causal-linear", "0.1"): (
             "ce7d63f58dd037e344d8d333a1bb9dd1ccc354f1228f33375b324e8ff4427b9f",

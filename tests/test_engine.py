@@ -16,11 +16,15 @@ from hypothesis import given, settings, strategies as st
 from perturbpred.errors import PerturbpredError, SingularMatrixError, ZeroVarianceError
 from perturbpred.fit import (
     FitConfig,
+    _basis_lstsq,
+    _closed_form_stack,
     _lstsq_stack,
     causal_loss_and_gradient,
     fit_causal_linear,
+    fit_causal_linear_folds,
     fit_causal_ode,
     fit_regression,
+    fit_regression_folds,
     fit_regression_lodo,
     fit_regression_stack,
     least_squares_w_init,
@@ -28,7 +32,14 @@ from perturbpred.fit import (
 )
 from perturbpred.linear import predict_causal_linear, predict_regression
 from perturbpred.ode import OdeModel, steady_states
-from perturbpred.types import ConditionMatrix, InteractionMatrix, ResponseMatrix, TargetMap
+from perturbpred.simulate import SimSpec, build_design, build_targets, simulate_responses
+from perturbpred.types import (
+    W_FORM,
+    ConditionMatrix,
+    InteractionMatrix,
+    ResponseMatrix,
+    TargetMap,
+)
 from perturbpred.validate import (
     CausalLinearFamily,
     CausalOdeFamily,
@@ -51,8 +62,10 @@ TOL = 1e-12
 pytestmark = pytest.mark.filterwarnings("ignore:.*never appeared in a test set")
 
 
-def reference_fold(family, D, X, train, test, held_out_drug=None):
-    """(predictions, FitReport) of one fold through the one-fold estimators."""
+def reference_fold(family, D, X, train, test, held_out_drug=None, warm_start=None):
+    """(predictions, FitReport) of one fold through the one-fold estimators.
+    warm_start(train), if given, replaces least_squares_w_init as the
+    causal-linear warm start."""
     D_train = ConditionMatrix(D.values[train], D.drug_names)
     X_train = ResponseMatrix(X.values[train], X.response_names)
     D_test = ConditionMatrix(D.values[test], D.drug_names)
@@ -65,7 +78,10 @@ def reference_fold(family, D, X, train, test, held_out_drug=None):
     if isinstance(family, CausalLinearFamily):
         cfg = family.cfg
         if cfg.w_init is None:
-            init = least_squares_w_init(D_train, X_train, family.B)
+            if warm_start is None:
+                init = least_squares_w_init(D_train, X_train, family.B)
+            else:
+                init = warm_start(train)
             if init is not None:
                 cfg = replace(cfg, w_init=init)
         W, report = fit_causal_linear(D_train, X_train, family.B, cfg)
@@ -74,14 +90,14 @@ def reference_fold(family, D, X, train, test, held_out_drug=None):
     return steady_states(model, D_test.values).require_converged(), report
 
 
-def reference_random_folds(family, D, X, plan):
+def reference_random_folds(family, D, X, plan, warm_start=None):
     """(averaged predictions, per-fold (r, mae), reports) of the old loop."""
     n, p = X.values.shape
     pred_sum = np.zeros((n, p))
     pred_count = np.zeros(n, dtype=int)
     per_fold, reports = [], []
     for train, test in plan.folds:
-        preds, report = reference_fold(family, D, X, train, test)
+        preds, report = reference_fold(family, D, X, train, test, warm_start=warm_start)
         pred_sum[test] += preds
         pred_count[test] += 1
         try:
@@ -213,20 +229,28 @@ class TestEngineMatchesPerFoldLoop:
         # tol at the gradient's round-off level, between the warm starts'
         # stationarity ratios: in each block some folds take the closed form
         # and the others run the proximal-gradient fit (from -I where the
-        # warm start is unavailable)
+        # warm start is unavailable).  The loop takes each fold's warm start
+        # from the engine's solver, one fold at a time, so the two must agree
+        # bit for bit, and the loop pins how the blocks interleave the closed
+        # form with the proximal-gradient fits.
         D, X, B = instance(seed, 12, 3, 3, rare_drug)
         plan = random_plan(seed + 1, 12, 9, 32)
+
+        def warm_start(train):
+            init = fit_causal_linear_folds(D.values, X.values, B, train[None], FitConfig())[0][0]
+            return None if init is None else InteractionMatrix(init, form=W_FORM)
+
         ratios = []
         for train, _ in plan.folds:
             D_train = ConditionMatrix(D.values[train])
             X_train = ResponseMatrix(X.values[train])
-            init = least_squares_w_init(D_train, X_train, B)
+            init = warm_start(train)
             if init is not None:
                 loss, grad = causal_loss_and_gradient(init.values, D_train, X_train, B)
                 ratios.append(np.sum(grad * grad) / max(1.0, loss))
         family = CausalLinearFamily(B, FitConfig(tol=float(np.median(ratios)), max_iter=20))
         got = outcome(lambda: averaged_random_fold_eval(family, D, X, plan))
-        want = outcome(lambda: reference_random_folds(family, D, X, plan))
+        want = outcome(lambda: reference_random_folds(family, D, X, plan, warm_start))
         if isinstance(want[0], type):
             assert got == want
             return
@@ -416,6 +440,116 @@ def test_lstsq_stack_matches_matrix_rank_then_qr(seed, n, k, kinds, scale):
     if want.any():
         Q, R = np.linalg.qr(A[want])
         assert np.array_equal(M[want], np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ Y[want]))
+
+
+def rare_drug_design(rng, n, k, faint):
+    """A Gaussian design whose column 0 is dosed at 1 in two rows and at
+    faint (up to 1e-4, or 0) in the others: a fold that trains without both
+    rows is ill-conditioned or rank-deficient."""
+    A = rng.normal(size=(n, k))
+    A[:, 0] = faint * rng.uniform(size=n)
+    A[rng.choice(n, 2, replace=False), 0] = 1.0
+    return A
+
+
+BASIS_KINDS = ("random", "binary", "rare-drug", "faint-drug", "duplicate-column", "boundary")
+
+
+def assert_equal_reports(got, want):
+    for a, b in zip(got, want):
+        assert (a.final_objective, a.iterations, a.converged, a.status) == (
+            b.final_objective, b.iterations, b.converged, b.status)
+        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 20),
+    k=st.integers(1, 5),
+    kind=st.sampled_from(BASIS_KINDS),
+    scale=st.sampled_from([1.0, 1e-160, 1e160]),
+)
+def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scale):
+    # a block of 16 folds of one design, each training on s of its n rows
+    rng = np.random.default_rng(seed)
+    if kind in ("rare-drug", "faint-drug"):
+        design = rare_drug_design(rng, n, k, 1e-4 if kind == "faint-drug" else 0.0)
+    else:
+        design = design_matrix(rng, kind, n, k)
+    A = scale * design
+    X = rng.normal(size=(n, k))
+    s = int(rng.integers(min(max(1, k - 1), n - 1), n))
+    perms = np.array([rng.permutation(n) for _ in range(16)])
+    train = np.sort(perms[:, :s], axis=1)
+    tests = list(np.sort(perms[:, s:], axis=1))
+    names = [f"d{j}" for j in range(k)]
+
+    # a fold the basis route takes is full rank; the others keep the QR
+    # route's decision, which is matrix_rank's
+    certified = _basis_lstsq(A, X, train)[3]
+    full = np.linalg.matrix_rank(A[train]) == k
+    assert np.array_equal(certified | _lstsq_stack(A[train], X[train])[1], full)
+
+    # regression: certified folds agree with QR within TOL, the others bit for bit
+    got = outcome(lambda: fit_regression_folds(A, X, train, tests, names))
+    want = outcome(lambda: fit_regression_stack(A[train], X[train], names))
+    if isinstance(want[0], type):
+        assert got == want  # the same error from the same fold
+    else:
+        for f, (pred, report, R, want_report) in enumerate(zip(*got, *want)):
+            if certified[f]:
+                assert_close(pred, A[tests[f]] @ R)
+                assert_same_reports([report], [want_report])
+            else:
+                np.testing.assert_array_equal(pred, A[tests[f]] @ R)
+                assert_equal_reports([report], [want_report])
+
+    # causal-linear with B = I, so that D B^T is the design itself: the warm
+    # start predicts A[T] M with M = -inv(W).  The closed-form test compares
+    # ||grad||^2, round-off divided by the design's scale at the
+    # least-squares M, with tol; at scale 1e-160 it passes only where that
+    # round-off is exactly 0, a toss-up in either route, so there the closed
+    # form is compared only on the folds that keep the QR route
+    B = TargetMap(np.eye(k))
+    inits, closed = fit_causal_linear_folds(A, X, B, train, FitConfig())
+    want_inits = [None if W is None else W.values
+                  for W in least_squares_w_init_stack(A[train], X[train], B)]
+    want_closed = _closed_form_stack(A[train] @ B.values.T, X[train], want_inits, FitConfig())
+    for f, test in enumerate(tests):
+        assert (inits[f] is None) == (want_inits[f] is None)
+        if not certified[f]:
+            assert (closed[f] is None) == (want_closed[f] is None)
+            if inits[f] is not None:
+                np.testing.assert_array_equal(inits[f], want_inits[f])
+            if closed[f] is not None:
+                np.testing.assert_array_equal(closed[f][0], want_closed[f][0])
+                assert_equal_reports([closed[f][1]], [want_closed[f][1]])
+            continue
+        if inits[f] is not None:
+            assert_close(A[test] @ -np.linalg.inv(inits[f]),
+                         A[test] @ -np.linalg.inv(want_inits[f]))
+        if scale >= 1.0:
+            assert (closed[f] is None) == (want_closed[f] is None)
+            if closed[f] is not None:
+                assert_close(A[test] @ -closed[f][0], A[test] @ -want_closed[f][0])
+                assert_same_reports([closed[f][1]], [want_closed[f][1]])
+
+
+def test_every_simulated_random_fold_takes_the_basis_route():
+    # the 1000-rep plan of `cv --scheme rf` on `simulate --seed 5`, and the
+    # LODO folds, certified for the regression and causal-linear designs: the
+    # basis route cannot fall back to QR there unnoticed
+    D = build_design()
+    B = build_targets()
+    X = simulate_responses(SimSpec(seed=5), D).values
+    plan = make_random_folds(D.n_conditions, 0.7, 1000, 0)
+    trains = np.array([train for train, _ in plan.folds])
+    lodo = np.array([p.folds[0][0] for p in make_lodo_splits(D)])
+    for design in (D.values, D.values @ B.values.T):
+        for start in range(0, len(trains), 16):
+            assert _basis_lstsq(design, X, trains[start:start + 16])[3].all()
+    assert _basis_lstsq(D.values @ B.values.T, X, lodo)[3].all()
 
 
 def test_near_singular_warm_start_refused():

@@ -1,8 +1,9 @@
 import csv
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from perturbpred.errors import ConfigError, ParseError
 from perturbpred.io import (
@@ -292,9 +293,43 @@ class TestRunConfig:
             load_run_config(tmp_path / "nope.cfg", {"seed"})
 
 
-def test_write_json_report(tmp_path):
-    import json
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2**80, 2**80),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 10**30]),
+    st.text(max_size=6),
+)
+FLAT_ENTRIES = st.dictionaries(st.text(max_size=6), JSON_SCALARS, max_size=5)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, FLAT_ENTRIES),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=20,
+)
 
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    per_fold=st.lists(FLAT_ENTRIES, max_size=6),
+    rest=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4),
+)
+@example(per_fold=[{"mae": float("nan"), "n_test": 32, "pearson_r": None, "repetition": 0},
+                   {"mae": -0.0, "n_test": 10**30, "pearson_r": float("-inf"), "repetition": 1}],
+         rest={"lambda_cv_scores": {0.001: float("inf"), 0.1: 2.5}, "status": [], "fits": {}})
+def test_json_report_bytes_equal_json_dumps(per_fold, rest, tmp_path_factory):
+    # per_fold holds the flat entries a cv report writes, rest anything else
+    # json can encode, nested
+    payload = {**rest, "per_fold": per_fold}
+    path = tmp_path_factory.mktemp("json") / "report.json"
+    write_json_report(path, payload)
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_write_json_report(tmp_path):
     path = tmp_path / "report.json"
     payload = {"pearson_r": 0.9, "nested": {"a": [1, 2]}, "b": [1.5, {"z": None, "a": "x"}]}
     write_json_report(path, payload)
