@@ -367,9 +367,10 @@ def cmd_cv(args):
     B = _model_targets(model, targets)
     # option values are checked here, before lambda selection can take long
     cfg = _built(FitConfig, lam=0.0 if lam is None else lam, max_iter=max_iter, tol=tol, mask=mask)
-    plan = None
     if scheme == "rf":
         plan = _built(make_random_folds, D.n_conditions, train_fraction, reps, seed)
+    else:
+        plans = _built(make_lodo_splits, D)
 
     lam_meta = {}
     if lam is None:
@@ -391,7 +392,7 @@ def cmd_cv(args):
         scored = [report]
         labels = [cond_ids[i] for i in report.rows]
     else:
-        scored, mean_r = lodo_eval(family, D, X, make_lodo_splits(D))
+        scored, mean_r = lodo_eval(family, D, X, plans)
         payload = {
             "mean_pearson_r": mean_r,
             "per_drug": [rep.to_dict() for rep in scored],

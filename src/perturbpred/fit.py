@@ -3,11 +3,13 @@
 Three fitters live here:
 
 * ``fit_regression`` solves ||X - D R||_F^2 + lambda ||R||_1, exactly
-  (least squares by QR) when lambda = 0.  Cross-validation solves a block of
-  lambda = 0 folds, each a row subset of one design, in that design's
-  orthonormal basis (:func:`_basis_lstsq`): one k x k system per fold, taken
-  only where a Cholesky certificate shows the fold's rank and conditioning;
-  any other fold is solved by QR as a single fit is.
+  (least squares by QR) when lambda = 0.  Cross-validation factors its
+  design once per command (:func:`factor_design`) and solves each block of
+  lambda = 0 folds, each a row subset of that design, in its orthonormal
+  basis (:func:`_basis_lstsq`): one k x k system per fold, taken only where
+  a Cholesky certificate shows the fold's rank and conditioning; any other
+  fold is solved by QR as a single fit is.  A block's test rows are
+  predicted as one (F, t, p) stack.
 * ``fit_causal_linear`` minimizes ||X - D B^T (-inv(W))||_F^2 plus an L1
   penalty on the off-diagonal of W; the loss is nonconvex in W with a
   singular set at det W = 0, so a candidate step that lands near it is
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -135,12 +137,15 @@ def _diagonal_metric(h):
     return metric
 
 
-def _fista(loss_and_gradient, start, cfg: FitConfig, penalty, proximal_map, metric):
+def _fista(loss_and_gradient, start, first, cfg: FitConfig, penalty, proximal_map, metric):
     """(x, FitReport) of accelerated proximal gradient (FISTA) on
     loss(x) + penalty(x) from start, in a fixed diagonal metric.
 
     loss_and_gradient(x) raises SingularMatrixError where x is infeasible;
-    proximal_map(y, grad, step) is penalty's proximal step from y, where
+    first is its (loss, gradient) at start, which the caller evaluates, so
+    that a start it rejects raises there, and the metric can reuse what that
+    evaluation computed.  proximal_map(y, grad, step) is penalty's proximal
+    step from y, where
     step holds one step per entry of x.  metric (from
     :func:`_diagonal_metric`, largest entry 1) is the inverse of the loss's
     Gauss-Newton Hessian diagonal at start: a trial step s moves each entry,
@@ -161,11 +166,10 @@ def _fista(loss_and_gradient, start, cfg: FitConfig, penalty, proximal_map, metr
     tol (relative to max(1, objective)); a momentum step that gains that
     little can still be short of a minimum, so it restarts the momentum
     instead.  Each iteration's first trial step is the last accepted one
-    times LINEAR_STEP_GROWTH, LINEAR_FIRST_STEP at the start.  A start that
-    loss_and_gradient rejects raises its SingularMatrixError.
+    times LINEAR_STEP_GROWTH, LINEAR_FIRST_STEP at the start.
     """
     x = start
-    loss, grad = loss_and_gradient(x)
+    loss, grad = first
     obj = loss + penalty(x)
     trace = [obj]
     step = LINEAR_FIRST_STEP
@@ -300,9 +304,11 @@ def fit_regression_stack(D, X, drug_names):
 
 def _least_squares_reports(resid):
     """The FitReport of each fold of a least-squares stack, from its (F, n, m)
-    residuals."""
+    residuals: the objectives are summed as one array, and each fold's trace
+    is a row of it."""
     objectives = np.sum(resid * resid, axis=(1, 2))
-    return [FitReport(float(obj), 1, True, [obj]) for obj in objectives]
+    return [FitReport(obj, 1, True, trace)
+            for obj, trace in zip(objectives.tolist(), objectives[:, None])]
 
 
 # A fold passes the certificate of :func:`_basis_lstsq` when the least
@@ -315,23 +321,49 @@ def _least_squares_reports(resid):
 BASIS_DELTA = 1.0 / 16.0
 
 
-def _basis_lstsq(A, X, train):
+class DesignBasis(NamedTuple):
+    """A whole (n, k) design A, its thin QR A = Q0 R0 and rcond(R0), as
+    :func:`factor_design` gives them; Q0 and R0 are None, and rcond 0, when
+    n < k."""
+
+    A: np.ndarray
+    Q0: Optional[np.ndarray]
+    R0: Optional[np.ndarray]
+    rcond: float
+
+
+def factor_design(A):
+    """The DesignBasis of a design A: one QR of A and one SVD of R0.
+
+    Cross-validation factors each design once per command, and every block
+    of folds of that design reuses the factorization (:func:`_basis_lstsq`).
+    """
+    n, k = A.shape
+    if n < k:  # every fold has fewer rows than columns, so none passes
+        return DesignBasis(A, None, None, 0.0)
+    Q0, R0 = np.linalg.qr(A)
+    return DesignBasis(A, Q0, R0, _rcond(R0))
+
+
+def _basis_lstsq(basis, XS, train):
     """Least squares of a block of folds of one design, in the orthonormal
     basis of the whole design.
 
-    A is the (n, k) design, X its (n, m) responses and train an (F, s) array
-    holding each fold's training rows S.  A = Q0 R0 is factored once, so a
-    fold's design is A[S] = Q0[S] R0 and, with G = Q0[S]^T Q0[S], its
-    least-squares solution is M = inv(R0) y for y = solve(G, Q0[S]^T X[S]):
-    one k x k system per fold in place of a QR of its s x k design.
+    basis is the DesignBasis of the (n, k) design A, train an (F, s) array
+    holding each fold's training rows S and XS = X[train] the (F, s, m)
+    stack of their responses.  A =
+    Q0 R0 is factored once per design, so a fold's design is A[S] = Q0[S] R0
+    and, with G = Q0[S]^T Q0[S], its least-squares solution is M = inv(R0) y
+    for y = solve(G, Q0[S]^T X[S]): one k x k system per fold in place of a
+    QR of its s x k design.
 
-    Returns (Q0, R0, y, certified): y is (F, k, m) and holds a solution only
-    where certified says the fold passed, NaN elsewhere (Q0 and R0 are None
-    when s < k).  A fold passes when a Cholesky factorization of
-    G - BASIS_DELTA I succeeds, so that lambda_min(G) >= BASIS_DELTA.  Q0[S]
-    is a block of rows of an orthonormal matrix, so its largest singular
-    value is at most 1 and rcond(A[S]) >= sqrt(BASIS_DELTA) rcond(R0), with
-    rcond(R0) from one SVD.  Folds pass only where that bound clears
+    Returns (y, certified, QS): y is (F, k, m) and holds a solution only
+    where certified says the fold passed, NaN elsewhere, and QS is the
+    (F, s, k) stack Q0[train] (None where no fold passes).  A fold passes when a
+    Cholesky factorization of G - BASIS_DELTA I succeeds, so that
+    lambda_min(G) >= BASIS_DELTA.  Q0[S] is a block of rows of an orthonormal
+    matrix, so its largest singular value is at most 1 and rcond(A[S]) >=
+    sqrt(BASIS_DELTA) rcond(R0).  Folds pass only where that bound clears
     np.linalg.matrix_rank's threshold max(s, k) eps by 8 n k eps, which
     covers the rounding of the QR of A, of G and of its Cholesky factor
     (Higham 2002, Thm 19.4 and section 10.1); so every fold that passes is
@@ -339,16 +371,13 @@ def _basis_lstsq(A, X, train):
     short, or s < k, no fold passes.
     """
     F, s = train.shape
-    n, k = A.shape
-    y = np.full((F, k, X.shape[1]), np.nan)
+    n, k = basis.A.shape
+    y = np.full((F, k, XS.shape[2]), np.nan)
     certified = np.zeros(F, dtype=bool)
-    if s < k:
-        return None, None, y, certified
-    Q0, R0 = np.linalg.qr(A)
     eps = np.finfo(float).eps
-    if math.sqrt(BASIS_DELTA) * _rcond(R0) <= (max(s, k) + 8 * n * k) * eps:
-        return Q0, R0, y, certified
-    QS = Q0[train]
+    if s < k or math.sqrt(BASIS_DELTA) * basis.rcond <= (max(s, k) + 8 * n * k) * eps:
+        return y, certified, None
+    QS = basis.Q0[train]
     QSt = np.swapaxes(QS, 1, 2)
     G = QSt @ QS
     shifted = G - BASIS_DELTA * np.eye(k)
@@ -363,36 +392,42 @@ def _basis_lstsq(A, X, train):
             except np.linalg.LinAlgError:
                 pass
     if certified.any():
-        y[certified] = np.linalg.solve(G[certified], QSt[certified] @ X[train[certified]])
-    return Q0, R0, y, certified
+        y[certified] = np.linalg.solve(G[certified], QSt[certified] @ XS[certified])
+    return y, certified, QS
 
 
-def fit_regression_folds(D, X, train, tests, drug_names):
+def fit_regression_folds(basis, X, train, tests, drug_names):
     """Unpenalized regression of a block of folds of one design, and the
     predictions of each fold's test rows.
 
-    D is (n, q), X (n, p), train an (F, s) array of each fold's training rows
-    and tests one array of test rows per fold.  Returns (predictions,
-    reports), one per fold.  A fold that :func:`_basis_lstsq` certifies is
-    solved in the basis of D and predicts D[T] R = Q0[T] y, with objective
-    ||X[S] - Q0[S] y||^2; every other fold is solved as
-    :func:`fit_regression_stack` solves it, and the first rank-deficient one
-    raises its SingularMatrixError.
+    basis is the DesignBasis of the (n, q) design D (:func:`factor_design`),
+    X is (n, p), and train and tests are (F, s) and (F, t) arrays of each
+    fold's training and test rows.  Returns (predictions, reports): the
+    (F, t, p) test predictions and one FitReport per fold.  A fold that
+    :func:`_basis_lstsq` certifies is solved in the basis of D and predicts
+    D[T] R = Q0[T] y, with objective ||X[S] - Q0[S] y||^2; every other fold
+    is solved as :func:`fit_regression_stack` solves it and predicts D[T] R,
+    and the first rank-deficient one raises its SingularMatrixError.  Each
+    route predicts its folds with one batched product.
     """
-    Q0, _, y, certified = _basis_lstsq(D, X, train)
-    bases = [Q0 if passed else D for passed in certified]
+    XS = X[train]
+    y, certified, QS = _basis_lstsq(basis, XS, train)
+    D = basis.A
+    preds = np.empty((len(train), tests.shape[1], X.shape[1]))
     reports = [None] * len(train)
     rest = np.flatnonzero(~certified)
     if rest.size:
-        y[rest], rest_reports = fit_regression_stack(D[train[rest]], X[train[rest]], drug_names)
-        for f, report in zip(rest, rest_reports):
+        R, rest_reports = fit_regression_stack(D[train[rest]], XS[rest], drug_names)
+        preds[rest] = D[tests[rest]] @ R
+        for f, report in zip(rest.tolist(), rest_reports):
             reports[f] = report
     done = np.flatnonzero(certified)
     if done.size:
-        rows = train[done]
-        for f, report in zip(done, _least_squares_reports(X[rows] - Q0[rows] @ y[done])):
+        coef = y[done]
+        preds[done] = basis.Q0[tests[done]] @ coef
+        for f, report in zip(done.tolist(), _least_squares_reports(XS[done] - QS[done] @ coef)):
             reports[f] = report
-    return [basis[test] @ coef for basis, test, coef in zip(bases, tests, y)], reports
+    return preds, reports
 
 
 def fit_regression(
@@ -417,9 +452,11 @@ def fit_regression(
         resid = Dv @ R - Xv
         return float((resid * resid).sum()), 2.0 * (Dv.T @ resid)
 
+    start = np.zeros((Dv.shape[1], Xv.shape[1]))
     R, report = _fista(
         loss_and_gradient,
-        np.zeros((Dv.shape[1], Xv.shape[1])),
+        start,
+        loss_and_gradient(start),
         cfg,
         lambda R: cfg.lam * float(np.abs(R).sum()),
         lambda R, grad, step: soft_threshold(R - step * grad, step * cfg.lam),
@@ -461,12 +498,14 @@ def fit_regression_lodo(
 # causal linear
 
 
-def causal_loss_and_gradient(W, D: ConditionMatrix, X: ResponseMatrix, B: TargetMap, C=None):
+def causal_loss_and_gradient(W, D: ConditionMatrix, X: ResponseMatrix, B: TargetMap, C=None,
+                             with_inverse=False):
     """Smooth Frobenius loss ||X - D B^T (-inv(W))||_F^2 and its gradient in W.
 
     With C = D B^T and E = X + C inv(W), matrix calculus through the inverse
     gives  grad = -2 (inv(W) E^T C inv(W))^T.  A fit passes its C, which is
-    fixed, so that no evaluation recomputes it.
+    fixed, so that no evaluation recomputes it.  With with_inverse, inv(W)
+    is returned too, as (loss, grad, inv(W)).
     """
     Winv, ok = _screened_inverse(np.asarray(W, dtype=float), RCOND_MIN)
     if not ok:
@@ -476,7 +515,7 @@ def causal_loss_and_gradient(W, D: ConditionMatrix, X: ResponseMatrix, B: Target
     E = X.values + C @ Winv
     loss = float((E * E).sum())
     grad = -2.0 * (Winv @ E.T @ C @ Winv).T
-    return loss, grad
+    return (loss, grad, Winv) if with_inverse else (loss, grad)
 
 
 def causal_objective(W, D, X, B, lam):
@@ -503,21 +542,17 @@ def _initial_w(cfg: FitConfig, p):
     return _apply_mask(W, cfg.mask)
 
 
-def _causal_metric(W, C):
-    """The :func:`_fista` metric of the causal-linear loss at W.
+def _causal_metric(Q, C):
+    """The :func:`_fista` metric of the causal-linear loss at a start W, from
+    Q = inv(W), the inverse that the fit's first loss evaluation screened.
 
-    With Q = inv(W), moving w_ij moves the residual X + C Q by
-    -(C Q)[:, i] Q[j, :], so the Gauss-Newton diagonal is
-    h_ij = ||(C Q)[:, i]||^2 ||Q[j, :]||^2.  Q is a plain inverse, kept only
-    if finite; otherwise the metric is 1 everywhere, and the fit's first
-    loss evaluation screens W as it screens every point.
+    Moving w_ij moves the residual X + C Q by -(C Q)[:, i] Q[j, :], so the
+    Gauss-Newton diagonal is h_ij = ||(C Q)[:, i]||^2 ||Q[j, :]||^2.  A Q
+    that is not finite (an inverse that overflowed) gives the metric 1
+    everywhere.
     """
-    try:
-        Q = np.linalg.inv(W)
-    except np.linalg.LinAlgError:
-        return np.ones_like(W)
     if not np.all(np.isfinite(Q)):
-        return np.ones_like(W)
+        return np.ones_like(Q)
     CQ = C @ Q
     return _diagonal_metric(np.outer((CQ * CQ).sum(axis=0), (Q * Q).sum(axis=1)))
 
@@ -540,28 +575,33 @@ def _closed_form_stack(C, X, inits, cfg: FitConfig):
 
     C is (F, n, p) with each fold's D B^T, X (F, n, p) its responses and
     inits the values of its W-form w_init, given only where C_f has full
-    column rank (None elsewhere).  Returns per fold (inv(W_f), FitReport)
-    where the closed form holds, else None.  It holds at lambda = 0 with no
-    mask, where W_f = w_init passes the rcond screen of safe_inverse and the
-    loss is stationary at W_f by the test :func:`fit_causal_linear`
-    describes.
+    column rank (None elsewhere).  Returns (Winv, reports): Winv is (F, p, p)
+    and holds inv(W_f) where the closed form holds, 0 elsewhere, and reports
+    holds the fold's FitReport where it holds, None elsewhere.  It holds at
+    lambda = 0 with no mask, where W_f = w_init passes the rcond screen of
+    safe_inverse and the loss is stationary at W_f by the test
+    :func:`fit_causal_linear` describes.
     """
-    closed = [None] * len(inits)
+    F, _, p = C.shape
+    Winv = np.zeros((F, p, p))
+    reports = [None] * F
     folds = [f for f, init in enumerate(inits) if init is not None]
     if cfg.lam != 0.0 or cfg.mask is not None or not folds:
-        return closed
-    Winv, screened = _screened_inverse(np.array([inits[f] for f in folds]), RCOND_MIN)
+        return Winv, reports
+    inv, screened = _screened_inverse(np.array([inits[f] for f in folds]), RCOND_MIN)
     folds = np.array(folds)[screened]
-    Winv = Winv[screened]
+    inv = inv[screened]
     Cs = C[folds]
-    E = X[folds] + Cs @ Winv
+    E = X[folds] + Cs @ inv
     loss = np.sum(E * E, axis=(1, 2))
-    grad = -2.0 * np.swapaxes(Winv @ np.swapaxes(E, 1, 2) @ Cs @ Winv, 1, 2)
+    grad = -2.0 * np.swapaxes(inv @ np.swapaxes(E, 1, 2) @ Cs @ inv, 1, 2)
     gain = LINEAR_FIRST_STEP * np.sum(grad * grad, axis=(1, 2))
     stationary = gain < cfg.tol * np.maximum(1.0, loss)
-    for f, inv, obj in zip(folds[stationary], Winv[stationary], loss[stationary].tolist()):
-        closed[f] = (inv, FitReport(obj, 0, True, [obj], (CLOSED_FORM,)))
-    return closed
+    closed, loss = folds[stationary], loss[stationary]
+    Winv[closed] = inv[stationary]
+    for f, obj, trace in zip(closed.tolist(), loss.tolist(), loss[:, None]):
+        reports[f] = FitReport(obj, 0, True, trace, (CLOSED_FORM,))
+    return Winv, reports
 
 
 def fit_causal_linear(
@@ -595,7 +635,8 @@ def fit_causal_linear(
     in the "non-unique-solution" status of a deficient D B^T.
     Each loss evaluation inverts W once and screens it as safe_inverse does;
     the first screens the masked start, so a singular one raises
-    SingularMatrixError naming w_init.
+    SingularMatrixError naming w_init, and its inverse also gives the
+    metric, so the start is inverted once.
     """
     check_paired(D, X)
     p = B.n_responses
@@ -617,27 +658,30 @@ def fit_causal_linear(
 
     W = _initial_w(cfg, p)
     if full and cfg.w_init is not None:
-        closed = _closed_form_stack(C[None], X.values[None], [cfg.w_init.values], cfg)[0]
+        closed = _closed_form_stack(C[None], X.values[None], [cfg.w_init.values], cfg)[1][0]
         if closed is not None:
-            return InteractionMatrix(W, form=W_FORM), closed[1]
+            return InteractionMatrix(W, form=W_FORM), closed
 
     try:
-        W, report = _fista(
-            lambda W: causal_loss_and_gradient(W, D, X, B, C),
-            W,
-            cfg,
-            lambda W: _penalty(W, cfg.lam),
-            lambda W, grad, step: _proximal_map(W, grad, step, cfg),
-            _causal_metric(W, C),
-        )
+        # the start's one inverse serves its loss evaluation and the metric
+        loss, grad, Winv = causal_loss_and_gradient(W, D, X, B, C, True)
     except SingularMatrixError as exc:
-        # _fista rejects every infeasible candidate itself, so only its start
-        # raises: w_init as masked (the default -I keeps its diagonal)
+        # _fista rejects every infeasible candidate itself, so only the start
+        # can raise: w_init as masked (the default -I keeps its diagonal)
         masked = " after the mask" if cfg.mask is not None else ""
         raise SingularMatrixError(
             f"w_init{masked}, the starting W, is singular or ill-conditioned "
             f"(rcond < {RCOND_MIN:g})"
         ) from exc
+    W, report = _fista(
+        lambda W: causal_loss_and_gradient(W, D, X, B, C),
+        W,
+        (loss, grad),
+        cfg,
+        lambda W: _penalty(W, cfg.lam),
+        lambda W, grad, step: _proximal_map(W, grad, step, cfg),
+        _causal_metric(Winv, C),
+    )
     if status:
         report = replace(report, status=(*status, *report.status))
     return InteractionMatrix(W, form=W_FORM), report
@@ -678,30 +722,34 @@ def _warm_starts(M, full):
     return inits
 
 
-def fit_causal_linear_folds(D, X, B: TargetMap, train, cfg: FitConfig):
+def fit_causal_linear_folds(D, X, B: TargetMap, train, cfg: FitConfig, basis=None):
     """Warm starts of a block of folds of one design, and the closed-form fit
     where it holds.
 
     D is (n, q), X (n, p) and train an (F, s) array of each fold's training
-    rows.  Returns (inits, closed): per fold the values of its least-squares
-    warm start as :func:`least_squares_w_init_stack` defines it (None where
-    that is unavailable), and (inv(W_f), FitReport) where fit_causal_linear
-    from that warm start would return it unchanged, else None.  At lambda = 0
-    the least-squares M_f of the folds that :func:`_basis_lstsq` certifies is
-    solve(R0, y_f) in the basis of C = D B^T; every other fold, and every
-    fold at lambda > 0, where the proximal-gradient fit dominates, is solved
-    by QR as :func:`least_squares_w_init_stack` solves it.  The warm start is
-    None wherever C_f is rank-deficient, so the closed form needs no rank of
-    its own; it screens each W_f's rcond once.
+    rows; basis is the DesignBasis of C = D B^T (:func:`factor_design`), or
+    None.  Returns (inits, (Winv, reports)): per fold the values of its
+    least-squares warm start as :func:`least_squares_w_init_stack` defines
+    it (None where that is unavailable), and, as :func:`_closed_form_stack`
+    gives them, the (F, p, p) stack of inv(W_f) and the FitReport of each
+    fold where fit_causal_linear from that warm start would return it
+    unchanged (None elsewhere).  With a basis, the least-squares M_f of the
+    folds that :func:`_basis_lstsq` certifies is solve(R0, y_f) in the
+    basis of C; every other fold, and every fold without a basis (the
+    families pass none at lambda > 0, where the proximal-gradient fit
+    dominates), is solved by QR as :func:`least_squares_w_init_stack`
+    solves it.  The warm start is None wherever C_f is rank-deficient, so
+    the closed form needs no rank of its own; it screens each W_f's rcond
+    once.
     """
     Xs = X[train]
     C = D[train] @ B.values.T
     M = np.full((len(train), B.n_responses, X.shape[1]), np.nan)
     full = np.zeros(len(train), dtype=bool)
-    if cfg.lam == 0.0:
-        _, R0, y, full = _basis_lstsq(D @ B.values.T, X, train)
+    if basis is not None:
+        y, full, _ = _basis_lstsq(basis, Xs, train)
         if full.any():
-            M[full] = np.linalg.solve(R0, y[full])
+            M[full] = np.linalg.solve(basis.R0, y[full])
     rest = np.flatnonzero(~full)
     if rest.size:
         M[rest], full[rest] = _lstsq_stack(C[rest], Xs[rest])

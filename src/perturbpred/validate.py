@@ -9,7 +9,8 @@ Two validation protocols:
 
 Both protocols, and the choice of lambda by inner cross-validation, run on
 one engine, :func:`fit_blocks`, which fits every fold exactly once through a
-model family, a block of folds at a time.  The families are the one place
+model family, a block of equal-sized folds at a time, after the family has
+factored the design once.  The families are the one place
 that says how each model is fitted and predicts; the command line fits
 through them too.  Pearson correlation and MAE are pooled over all
 (condition, response) pairs; per-fold values and each fold's FitReport are
@@ -18,15 +19,17 @@ kept for diagnostics.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import NonConvergenceError, SingularMatrixError, ZeroVarianceError
 from .fit import (
     FitConfig,
+    factor_design,
     fit_causal_linear,
     fit_causal_linear_folds,
     fit_causal_ode,
@@ -143,23 +146,28 @@ def make_random_folds(n, train_fraction, reps, seed):
 
 
 def make_lodo_splits(D: ConditionMatrix):
-    """One SplitPlan per drug: train = conditions with zero dose of that drug."""
+    """One SplitPlan per drug: train = conditions with zero dose of that drug.
+
+    A drug that no condition uses leaves its fold nothing to test, and one
+    that every condition uses leaves it nothing to train on; either raises
+    one ValueError that names every such drug.
+    """
     plans = []
+    refused = []
     for j, name in enumerate(D.drug_names):
         used = D.values[:, j] != 0.0
         if not np.any(used):
-            raise ValueError(f"drug {name!r} is never used in any condition")
-        train = np.flatnonzero(~used)
-        test = np.flatnonzero(used)
-        plans.append(
-            SplitPlan(
-                kind="lodo",
-                n=D.n_conditions,
-                folds=((train, test),),
-                held_out_drug=j,
-                drug_name=name,
-            )
-        )
+            refused.append(f"drug {name!r} is never used in any condition, "
+                           "so leaving it out tests nothing")
+        elif np.all(used):
+            refused.append(f"drug {name!r} is used in every condition, "
+                           "so leaving it out leaves no condition to train on")
+        else:
+            plans.append(SplitPlan(kind="lodo", n=D.n_conditions,
+                                   folds=((np.flatnonzero(~used), np.flatnonzero(used)),),
+                                   held_out_drug=j, drug_name=name))
+    if refused:
+        raise ValueError("; ".join(refused))
     return plans
 
 
@@ -216,18 +224,33 @@ def summarize_fits(reports):
 #
 # Each family has fit(D_train, X_train, held_out_drug=None) -> (params,
 # FitReport) and predict(params, D_test) -> predictions; ModelFamily builds
-# the engine's fit_block on those two.  fit_block(D, X, block) takes a list
-# of (train rows, test rows, held-out drug or None) and returns one (test
-# predictions, FitReport) pair per fold.  The engine hands a family its
-# folds a block at a time so closed-form solves can be stacked.  At lambda =
-# 0 a block of equal-sized folds is fitted, checked and predicted together:
-# by least squares for regression (fit.fit_regression_folds; random folds
-# only, as a LODO fold drops its drug's column) and by the warm start and
-# closed form (fit.fit_causal_linear_folds) for the causal-linear model.
-# Both solve each fold's least squares in the orthonormal basis of the whole
-# design where a Cholesky certificate shows the fold is well-conditioned, and
-# by its own QR, as a single fit does, elsewhere.  Folds the closed form does
+# the engine's two hooks on those.  factor(D, X) runs once per (D, X) and
+# returns what every block of that design reuses (None by default);
+# fit_block(D, X, block, factored) takes a FoldBlock of equal-sized folds and
+# returns (predictions, reports): the test predictions of each fold, as one
+# (F, t, p) stack where the family stacks them, and one FitReport per fold.
+# At lambda = 0 the linear families factor their whole design there, once
+# per command: D for regression, D B^T for the causal-linear model
+# (fit.factor_design).  Each block of equal-sized folds is then fitted,
+# checked and predicted together: by least squares for regression
+# (fit.fit_regression_folds; random folds only, as a LODO fold drops its
+# drug's column) and by the warm start and closed form
+# (fit.fit_causal_linear_folds) for the causal-linear model.  Both solve
+# each fold's least squares in the orthonormal basis of the whole design
+# where a Cholesky certificate shows the fold is well-conditioned, and by
+# its own QR, as a single fit does, elsewhere, and predict the block's
+# closed-form folds with one batched product.  Folds the closed form does
 # not settle run their own fit, in order.
+
+
+class FoldBlock(NamedTuple):
+    """Folds of one training size and one test size, stacked: train is
+    (F, s), test (F, t) and held holds each fold's held-out drug (None for a
+    random fold)."""
+
+    train: np.ndarray
+    test: np.ndarray
+    held: tuple
 
 
 def _train_data(D, X, train):
@@ -237,25 +260,23 @@ def _train_data(D, X, train):
     )
 
 
-def _train_stack(block):
-    """The block's training rows as one (F, n_train) index array, or None
-    when the folds differ in training size."""
-    if len({len(train) for train, _, _ in block}) != 1:
-        return None
-    return np.array([train for train, _, _ in block])
-
-
 class ModelFamily:
-    """The engine's fit_block, on top of a subclass's fit and predict.
+    """The engine's factor and fit_block, on top of a subclass's fit and
+    predict.
 
     Each fold is predicted before the next one is fitted, so the first fold
     that fails is the one that raises.  A family that can stack a block's
     fits overrides fit_block and keeps that order.
     """
 
-    def fit_block(self, D, X, block):
-        return [self._predicted(D, test, *self.fit(*_train_data(D, X, train), held))
-                for train, test, held in block]
+    def factor(self, D, X):
+        """What fit_block reuses across the blocks of one (D, X): nothing."""
+        return None
+
+    def fit_block(self, D, X, block, factored):
+        fitted = [self._predicted(D, test, *self.fit(*_train_data(D, X, train), held))
+                  for train, test, held in zip(*block)]
+        return [pred for pred, _ in fitted], [report for _, report in fitted]
 
     def _predicted(self, D, test, params, report):
         """(test predictions, report) of one fitted fold."""
@@ -265,10 +286,11 @@ class ModelFamily:
 class RegressionFamily(ModelFamily):
     """Penalized regression; LODO uses the zero-coefficient convention.
 
-    At lambda = 0 a block of equal-sized random folds is solved together by
-    fit.fit_regression_folds and predicted straight from its coefficients:
-    wrapping each fold's coefficients and test rows in checked types would
-    cost more than its solve.
+    At lambda = 0 the design is factored once (fit.factor_design), and a
+    block of random folds is solved together by fit.fit_regression_folds and
+    predicted straight from its coefficients as one stack: wrapping each
+    fold's coefficients and test rows in checked types would cost more than
+    its solve.
     """
 
     tag = "regression"
@@ -284,26 +306,25 @@ class RegressionFamily(ModelFamily):
     def predict(self, R, D_test):
         return predict_regression(R, D_test).predicted
 
-    def fit_block(self, D, X, block):
-        train = _train_stack(block)
-        if self.cfg.lam != 0.0 or train is None or any(h is not None for _, _, h in block):
-            return super().fit_block(D, X, block)
-        preds, reports = fit_regression_folds(
-            D.values, X.values, train, [test for _, test, _ in block], D.drug_names
-        )
-        return list(zip(preds, reports))
+    def factor(self, D, X):
+        return factor_design(D.values) if self.cfg.lam == 0.0 else None
+
+    def fit_block(self, D, X, block, factored):
+        if factored is None or any(h is not None for h in block.held):
+            return super().fit_block(D, X, block, factored)
+        return fit_regression_folds(factored, X.values, block.train, block.test, D.drug_names)
 
 
 class CausalLinearFamily(ModelFamily):
     """Closed-form causal model; warm-started from least squares when possible.
 
     With cfg.w_init given, every fold fits from it instead.  The warm starts
-    of a block of equal-sized folds are solved together by
-    fit.fit_causal_linear_folds.  At lambda = 0 with no mask the same call
-    checks, per fold, whether the fit would return its warm start unchanged
-    (the closed form); those folds are predicted straight from the stacked
-    inverses.  Every other fold runs its own proximal-gradient fit from its
-    warm start, in order.
+    of a block of folds are solved together by fit.fit_causal_linear_folds,
+    at lambda = 0 in the basis of D B^T, factored once (fit.factor_design).
+    At lambda = 0 with no mask the same call checks, per fold, whether the
+    fit would return its warm start unchanged (the closed form); those folds
+    are predicted as one stack from the stacked inverses.  Every other fold
+    runs its own proximal-gradient fit from its warm start, in order.
     """
 
     tag = "causal-linear"
@@ -327,21 +348,23 @@ class CausalLinearFamily(ModelFamily):
     def predict(self, W, D_test):
         return predict_causal_linear(W, self.B, D_test).predicted
 
-    def fit_block(self, D, X, block):
-        train = _train_stack(block)
-        if not self._warm or train is None:
-            return super().fit_block(D, X, block)
-        inits, closed = fit_causal_linear_folds(D.values, X.values, self.B, train, self.cfg)
-        results = []
-        for (_, test, _), rows, init, fold in zip(block, train, inits, closed):
-            if fold is None:
+    def factor(self, D, X):
+        if not self._warm or self.cfg.lam != 0.0:
+            return None
+        return factor_design(D.values @ self.B.values.T)
+
+    def fit_block(self, D, X, block, factored):
+        if not self._warm:
+            return super().fit_block(D, X, block, factored)
+        inits, (Winv, reports) = fit_causal_linear_folds(
+            D.values, X.values, self.B, block.train, self.cfg, factored)
+        preds = D.values[block.test] @ self.B.values.T @ -Winv
+        for f, init in enumerate(inits):
+            if reports[f] is None:
                 init = None if init is None else InteractionMatrix(init, form=W_FORM)
-                fitted = self._fit_from(*_train_data(D, X, rows), init)
-                results.append(self._predicted(D, test, *fitted))
-            else:
-                Winv, report = fold
-                results.append((D.values[test] @ self.B.values.T @ (-Winv), report))
-        return results
+                fitted = self._fit_from(*_train_data(D, X, block.train[f]), init)
+                preds[f], reports[f] = self._predicted(D, block.test[f], *fitted)
+        return preds, reports
 
 
 class CausalOdeFamily(ModelFamily):
@@ -375,23 +398,38 @@ class CausalOdeFamily(ModelFamily):
 _BLOCK = 16
 
 
+def _blocks(folds):
+    """The folds as FoldBlocks of up to _BLOCK consecutive folds of one
+    training size and one test size, in order."""
+    for _, run in itertools.groupby(folds, key=lambda fold: (len(fold[0]), len(fold[1]))):
+        run = list(run)
+        for start in range(0, len(run), _BLOCK):
+            train, test, held = zip(*run[start:start + _BLOCK])
+            yield FoldBlock(np.array(train), np.array(test), held)
+
+
 def fit_blocks(family, D: ConditionMatrix, X: ResponseMatrix, folds):
     """Fit every fold once, in order, and predict its test rows, a block at a time.
 
-    folds holds (train rows, test rows, held-out drug or None) triples.
-    Yields (block, results) per block of up to _BLOCK folds: results holds
-    one (test predictions, FitReport) pair per fold of the block, from the
-    family's fit_block.  A caller that pools predictions never holds them all.
+    folds holds (train rows, test rows, held-out drug or None) triples.  The
+    family factors (D, X) once (its factor hook), and every block reuses
+    that.  Yields (block, (predictions, reports)) per FoldBlock of up to
+    _BLOCK consecutive folds of one size, from the family's fit_block:
+    predictions holds each fold's test predictions (an (F, t, p) stack from
+    the linear families) and reports its FitReport.  Which route fits a fold
+    depends on the fold alone, not on the folds that share its block, so the
+    results do not depend on _BLOCK.  A caller that pools predictions never
+    holds them all.
     """
-    for start in range(0, len(folds), _BLOCK):
-        block = folds[start:start + _BLOCK]
-        yield block, family.fit_block(D, X, block)
+    factored = family.factor(D, X)
+    for block in _blocks(folds):
+        yield block, family.fit_block(D, X, block, factored)
 
 
 def fit_folds(family, D: ConditionMatrix, X: ResponseMatrix, folds):
     """The (test predictions, FitReport) pair of each fold of fit_blocks."""
-    for _, results in fit_blocks(family, D, X, folds):
-        yield from results
+    for _, (preds, reports) in fit_blocks(family, D, X, folds):
+        yield from zip(preds, reports)
 
 
 def _scored(observed, predicted):
@@ -409,12 +447,11 @@ def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, pla
     A constant prediction vector (zero variance) is reported as an error
     status in the metadata instead of propagating NaN.  The report carries
     the covered rows, their averaged predictions and every fold's FitReport;
-    its metadata summarizes the fits under "fits".  Each block's folds are
-    scored as one (F, m) stack of Pearson r and MAE (:func:`pearson_rows`,
-    :func:`mae_rows`), and pooled with one np.add.at, which adds in fold
-    order, as a loop over the folds would; a block whose folds differ in
-    test size is scored and pooled fold by fold.  A fold with zero variance
-    gets pearson_r None.
+    its metadata summarizes the fits under "fits".  Each block's (F, t, p)
+    stack of predictions is scored as one (F, m) stack of Pearson r and MAE
+    (:func:`pearson_rows`, :func:`mae_rows`), and pooled with one np.add.at,
+    which adds in fold order, as a loop over the folds would.  A fold with
+    zero variance gets pearson_r None.
     """
     if plan.kind != "random-fold":
         raise ValueError("averaged_random_fold_eval needs a random-fold plan")
@@ -426,22 +463,17 @@ def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, pla
     fits = []
 
     folds = [(train, test, None) for train, test in plan.folds]
-    for block, results in fit_blocks(family, D, X, folds):
-        fits += [fit for _, fit in results]
-        if len({len(test) for _, test, _ in block}) == 1:
-            groups = [slice(0, len(block))]
-        else:
-            groups = [slice(f, f + 1) for f in range(len(block))]
-        for group in groups:
-            tests = np.array([test for _, test, _ in block[group]])
-            preds = np.array([pred for pred, _ in results[group]])
-            np.add.at(pred_sum, tests, preds)
-            pred_count += np.bincount(tests.ravel(), minlength=n)
-            x = X.values[tests].reshape(len(tests), -1)
-            y = preds.reshape(len(tests), -1)
-            for fold_r, fold_mae in zip(pearson_rows(x, y), mae_rows(x, y).tolist()):
-                per_fold.append({"repetition": len(per_fold), "n_test": tests.shape[1],
-                                 "pearson_r": fold_r, "mae": fold_mae})
+    for block, (preds, reports) in fit_blocks(family, D, X, folds):
+        fits += reports
+        tests = block.test
+        preds = np.asarray(preds)
+        np.add.at(pred_sum, tests, preds)
+        pred_count += np.bincount(tests.ravel(), minlength=n)
+        x = X.values[tests].reshape(len(tests), -1)
+        y = preds.reshape(len(tests), -1)
+        for fold_r, fold_mae in zip(pearson_rows(x, y), mae_rows(x, y).tolist()):
+            per_fold.append({"repetition": len(per_fold), "n_test": tests.shape[1],
+                             "pearson_r": fold_r, "mae": fold_mae})
 
     covered = pred_count > 0
     if not np.all(covered):

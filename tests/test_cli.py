@@ -523,6 +523,55 @@ class TestCv:
                     for name in ("cv_report.json", "scatter.csv"))
         assert got == self.GOLDEN[scheme, model, lam]
 
+    @pytest.mark.parametrize("column, message", [
+        (np.zeros(12), "drug 'd1' is never used in any condition"),
+        (np.ones(12), "drug 'd1' is used in every condition"),
+    ])
+    def test_lodo_refuses_a_drug_it_cannot_leave_out(self, tmp_path, caplog, column, message):
+        # a 12 x 3 design whose drug d1 no condition uses, or every one does
+        rng = np.random.default_rng(0)
+        D = rng.uniform(0.5, 1.0, (12, 3)) * (np.arange(12)[:, None] % 3 != np.arange(3))
+        D[:, 1] = column
+        ids = [f"c{k}" for k in range(12)]
+        save_matrix_csv(tmp_path / "d.csv", D, ids, ["d0", "d1", "d2"])
+        save_matrix_csv(tmp_path / "x.csv", rng.normal(size=(12, 2)), ids, ["r1", "r2"])
+        for model in ("regression", "causal-linear"):
+            caplog.clear()
+            argv = ["cv", "--scheme", "lodo", "--model", model,
+                    "--conditions", str(tmp_path / "d.csv"),
+                    "--responses", str(tmp_path / "x.csv"),
+                    "--out-dir", str(tmp_path / "cv")]
+            if model == "causal-linear":
+                save_matrix_csv(tmp_path / "b.csv", np.ones((2, 3)), ["r1", "r2"],
+                                ["d0", "d1", "d2"])
+                argv += ["--targets", str(tmp_path / "b.csv")]
+            assert main(argv) == EXIT_PARSE
+            assert message in caplog.text
+
+    def test_rf_factors_each_design_once(self, tmp_path, monkeypatch):
+        # a 1000-rep rf command factors the full (105, k) design once, not
+        # once per block of folds
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--seed", "5", "--out-dir", str(sim)]) == EXIT_OK
+        qr = np.linalg.qr
+        shapes = []
+
+        def counted(A, *args, **kwargs):
+            shapes.append(np.shape(A))
+            return qr(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        for model, k in (("regression", 15), ("causal-linear", 5)):
+            shapes.clear()
+            argv = ["cv", "--scheme", "rf", "--model", model, "--reps", "1000",
+                    "--conditions", str(sim / "sim_conditions.csv"),
+                    "--responses", str(sim / "sim_responses.csv"),
+                    "--out-dir", str(tmp_path / model)]
+            if model == "causal-linear":
+                argv += ["--targets", str(sim / "sim_targets.csv")]
+            assert main(argv) == EXIT_OK
+            assert shapes.count((105, k)) == 1
+
     def test_jobs_below_one_is_config_error(self, sim_dir):
         assert main([
             "cv", "--scheme", "rf", "--model", "regression",

@@ -11,7 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+import perturbpred.validate as validate_module
 
 from perturbpred.errors import PerturbpredError, SingularMatrixError, ZeroVarianceError
 from perturbpred.fit import (
@@ -20,6 +22,7 @@ from perturbpred.fit import (
     _closed_form_stack,
     _lstsq_stack,
     causal_loss_and_gradient,
+    factor_design,
     fit_causal_linear,
     fit_causal_linear_folds,
     fit_causal_ode,
@@ -43,6 +46,7 @@ from perturbpred.types import (
 from perturbpred.validate import (
     CausalLinearFamily,
     CausalOdeFamily,
+    MetricReport,
     RegressionFamily,
     SplitPlan,
     averaged_random_fold_eval,
@@ -192,6 +196,12 @@ class TestEngineMatchesPerFoldLoop:
     @given(seed=st.integers(0, 2**16))
     def test_lodo_all_linear_families(self, seed):
         D, X, B = instance(seed, 14, 4, 3, rare_drug=False)
+        everywhere = [name for name, col in zip(D.drug_names, D.values.T) if np.all(col != 0.0)]
+        if everywhere:
+            # such a drug has no LODO fold: the design is refused, naming it
+            with pytest.raises(ValueError, match=f"{everywhere[0]!r} is used in every condition"):
+                make_lodo_splits(D)
+            assume(False)
         plans = make_lodo_splits(D)
         for family in (RegressionFamily(), CausalLinearFamily(B, FitConfig(max_iter=200))):
             got = outcome(lambda: lodo_eval(family, D, X, plans))
@@ -235,9 +245,11 @@ class TestEngineMatchesPerFoldLoop:
         # form with the proximal-gradient fits.
         D, X, B = instance(seed, 12, 3, 3, rare_drug)
         plan = random_plan(seed + 1, 12, 9, 32)
+        basis = factor_design(D.values @ B.values.T)
 
         def warm_start(train):
-            init = fit_causal_linear_folds(D.values, X.values, B, train[None], FitConfig())[0][0]
+            init = fit_causal_linear_folds(D.values, X.values, B, train[None], FitConfig(),
+                                           basis)[0][0]
             return None if init is None else InteractionMatrix(init, form=W_FORM)
 
         ratios = []
@@ -264,6 +276,7 @@ class TestEngineMatchesPerFoldLoop:
             assert closed == {True, False}
 
     def test_mixed_train_sizes_run_fold_by_fold(self):
+        # consecutive folds of different sizes go to the family one by one
         D, X, B = instance(3, 12, 3, 3, rare_drug=False)
         folds = [(np.arange(0, 8), np.arange(8, 12), None),
                  (np.arange(0, 9), np.arange(9, 12), None),
@@ -455,6 +468,13 @@ def rare_drug_design(rng, n, k, faint):
 BASIS_KINDS = ("random", "binary", "rare-drug", "faint-drug", "duplicate-column", "boundary")
 
 
+def per_fold(closed):
+    """The (inv(W_f), FitReport) pair of each fold of a closed-form stack,
+    None where the closed form does not hold."""
+    Winv, reports = closed
+    return [None if report is None else (inv, report) for inv, report in zip(Winv, reports)]
+
+
 def assert_equal_reports(got, want):
     for a, b in zip(got, want):
         assert (a.final_objective, a.iterations, a.converged, a.status) == (
@@ -482,17 +502,17 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
     s = int(rng.integers(min(max(1, k - 1), n - 1), n))
     perms = np.array([rng.permutation(n) for _ in range(16)])
     train = np.sort(perms[:, :s], axis=1)
-    tests = list(np.sort(perms[:, s:], axis=1))
+    tests = np.sort(perms[:, s:], axis=1)
     names = [f"d{j}" for j in range(k)]
 
     # a fold the basis route takes is full rank; the others keep the QR
     # route's decision, which is matrix_rank's
-    certified = _basis_lstsq(A, X, train)[3]
+    certified = _basis_lstsq(factor_design(A), X[train], train)[1]
     full = np.linalg.matrix_rank(A[train]) == k
     assert np.array_equal(certified | _lstsq_stack(A[train], X[train])[1], full)
 
     # regression: certified folds agree with QR within TOL, the others bit for bit
-    got = outcome(lambda: fit_regression_folds(A, X, train, tests, names))
+    got = outcome(lambda: fit_regression_folds(factor_design(A), X, train, tests, names))
     want = outcome(lambda: fit_regression_stack(A[train], X[train], names))
     if isinstance(want[0], type):
         assert got == want  # the same error from the same fold
@@ -512,10 +532,13 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
     # round-off is exactly 0, a toss-up in either route, so there the closed
     # form is compared only on the folds that keep the QR route
     B = TargetMap(np.eye(k))
-    inits, closed = fit_causal_linear_folds(A, X, B, train, FitConfig())
+    inits, closed = fit_causal_linear_folds(A, X, B, train, FitConfig(),
+                                            factor_design(A @ B.values.T))
+    closed = per_fold(closed)
     want_inits = [None if W is None else W.values
                   for W in least_squares_w_init_stack(A[train], X[train], B)]
-    want_closed = _closed_form_stack(A[train] @ B.values.T, X[train], want_inits, FitConfig())
+    want_closed = per_fold(_closed_form_stack(A[train] @ B.values.T, X[train], want_inits,
+                                              FitConfig()))
     for f, test in enumerate(tests):
         assert (inits[f] is None) == (want_inits[f] is None)
         if not certified[f]:
@@ -536,6 +559,63 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
                 assert_same_reports([closed[f][1]], [want_closed[f][1]])
 
 
+def snapshot(result):
+    """A protocol's result, or the error outcome() caught, as values that
+    compare equal only bit for bit: predictions as bytes, floats by repr."""
+    if isinstance(result, MetricReport):
+        reports, mean_r = [result], None
+    elif isinstance(result[0], type):
+        return result
+    else:
+        reports, mean_r = result
+    return [(rep.predicted.tobytes(), rep.rows.tobytes(), repr(rep.per_fold),
+             repr((rep.pearson_r, rep.mae)),
+             [(repr(fit.final_objective), fit.iterations, fit.converged,
+               fit.objective_trace.tobytes(), fit.status) for fit in rep.fits])
+            for rep in reports], repr(mean_r)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), faint=st.sampled_from([1e-4, 0.0]))
+def test_results_do_not_depend_on_the_block_size(seed, faint):
+    # drug 0 is dosed at 1 in two conditions and at faint in the others, so
+    # blocks mix folds that the basis certificate passes with folds it does
+    # not (faint 1e-4: ill-conditioned, solved by QR), or closed-form folds
+    # with rank-deficient ones whose causal-linear fit runs the proximal
+    # gradient from -I (faint 0, where the regression folds raise instead).
+    # Every fold must give the same bits whatever the block size.
+    # Drugs 1 and 2 are each left out of a third of the conditions, so that
+    # every drug has a LODO fold.
+    rng = np.random.default_rng(seed)
+    n = 14
+    Dv = rng.uniform(0.5, 1.0, size=(n, 3)) * (np.arange(n)[:, None] % 3 != np.arange(3) - 1)
+    Dv[:, 0] = faint * rng.uniform(size=n)
+    Dv[rng.choice(n, 2, replace=False), 0] = 1.0
+    D = ConditionMatrix(Dv)
+    B = TargetMap(rng.normal(size=(3, 3)))
+    W = -np.eye(3) + 0.3 * rng.normal(size=(3, 3)) * ~np.eye(3, dtype=bool)
+    X = ResponseMatrix(Dv @ B.values.T @ -np.linalg.inv(W) + 0.05 * rng.normal(size=(n, 3)))
+    plan = random_plan(seed + 1, n, 9, 48)
+    families = (RegressionFamily(), CausalLinearFamily(B, FitConfig(max_iter=20)))
+    runs = []
+    for block in (1, 7, 16, 1000):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(validate_module, "_BLOCK", block)
+            got = [snapshot(outcome(lambda: averaged_random_fold_eval(family, D, X, plan)))
+                   for family in families]
+            if faint == 0.0:
+                got += [snapshot(outcome(lambda: lodo_eval(family, D, X, make_lodo_splits(D))))
+                        for family in families]
+            runs.append(got)
+    assert all(run == runs[0] for run in runs[1:])
+    train = np.array([train for train, _ in plan.folds])
+    certified = _basis_lstsq(factor_design(Dv), X.values[train], train)[1]
+    assert 0 < certified.sum() < len(certified)
+    if faint == 0.0:
+        fits = averaged_random_fold_eval(families[1], D, X, plan).fits
+        assert {fit.iterations == 0 for fit in fits} == {True, False}
+
+
 def test_every_simulated_random_fold_takes_the_basis_route():
     # the 1000-rep plan of `cv --scheme rf` on `simulate --seed 5`, and the
     # LODO folds, certified for the regression and causal-linear designs: the
@@ -547,9 +627,11 @@ def test_every_simulated_random_fold_takes_the_basis_route():
     trains = np.array([train for train, _ in plan.folds])
     lodo = np.array([p.folds[0][0] for p in make_lodo_splits(D)])
     for design in (D.values, D.values @ B.values.T):
+        basis = factor_design(design)
         for start in range(0, len(trains), 16):
-            assert _basis_lstsq(design, X, trains[start:start + 16])[3].all()
-    assert _basis_lstsq(D.values @ B.values.T, X, lodo)[3].all()
+            train = trains[start:start + 16]
+            assert _basis_lstsq(basis, X[train], train)[1].all()
+    assert _basis_lstsq(factor_design(D.values @ B.values.T), X[lodo], lodo)[1].all()
 
 
 def test_near_singular_warm_start_refused():

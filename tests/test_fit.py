@@ -429,6 +429,26 @@ class TestFitCausalLinear:
         assert calls["screen"] == calls["loss"]
         assert calls["svd"] == 0
 
+    def test_start_inverted_once(self, monkeypatch):
+        # the first loss evaluation's inverse also gives the metric, so the
+        # start is inverted once before the first step is tried
+        rng = np.random.default_rng(15)
+        D = ConditionMatrix(rng.uniform(0, 1, (20, 4)))
+        B = TargetMap(rng.normal(size=(3, 4)))
+        X = ResponseMatrix(rng.normal(size=(20, 3)))
+        inverted = []
+        inv = np.linalg.inv
+
+        def counted(M):
+            inverted.append(np.array(M))
+            return inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        _, report = fit_causal_linear(D, X, B, FitConfig(lam=0.1, max_iter=5))
+        assert report.iterations == 5
+        assert np.array_equal(inverted[0], -np.eye(3))
+        assert sum(np.array_equal(M, -np.eye(3)) for M in inverted) == 1
+
     def test_near_singular_candidate_rejected_by_the_svd_fallback(self, monkeypatch):
         # the first trial step is replaced by a W with rcond 1e-13: its
         # inverse cannot pass the bound, the SVD screen rejects it, and the
@@ -509,7 +529,7 @@ def test_momentum_restarts_where_the_momentum_point_is_singular(monkeypatch):
     # with Y3 singular every trial of iteration 3 is a plain step from W2
     assert all(start is W2 for _, start, _, _ in trials[2])
     # in the metric of the start W0, one step per entry
-    step = trials[2][-1][2] * fit_module._causal_metric(W0, D.values @ B.values.T)
+    step = trials[2][-1][2] * fit_module._causal_metric(np.linalg.inv(W0), D.values @ B.values.T)
     off = ~np.eye(3, dtype=bool)
     plain = W2 - step * loss_and_gradient(W2, D, X, B)[1]
     plain[off] = soft_threshold(plain[off], step[off] * 0.1)
@@ -722,15 +742,23 @@ class TestDiagonalMetric:
                 E[i, j] = 1e-6
                 dR = (C @ np.linalg.inv(W + E) - C @ np.linalg.inv(W - E)) / 2e-6
                 h[i, j] = np.sum(dR * dR)
-        metric = fit_module._causal_metric(W, C)
+        metric = fit_module._causal_metric(np.linalg.inv(W), C)
         assert np.max(metric) == 1.0
         assert np.allclose(metric, h.min() / h, rtol=1e-6, atol=0.0)
 
     def test_singular_start_gets_the_unit_metric(self):
+        # the metric comes from the inverse that the first loss evaluation
+        # screened: np.linalg.inv raises on the first start, so the fit
+        # refuses it before any metric, and overflows to inf on the second,
+        # which gets the unit metric
         C = np.ones((5, 2))
-        # np.linalg.inv raises on the first and overflows to inf on the second
-        for W in (np.zeros((2, 2)), np.diag([1e-310, 1.0])):
-            assert np.array_equal(fit_module._causal_metric(W, C), np.ones((2, 2)))
+        D = ConditionMatrix(np.ones((5, 2)))
+        cfg = FitConfig(lam=0.1, w_init=InteractionMatrix(np.zeros((2, 2))))
+        with pytest.raises(SingularMatrixError, match="w_init"):
+            fit_causal_linear(D, ResponseMatrix(C), TargetMap(np.eye(2)), cfg)
+        with np.errstate(over="ignore"):
+            Q = np.linalg.inv(np.diag([1e-310, 1.0]))
+        assert np.array_equal(fit_module._causal_metric(Q, C), np.ones((2, 2)))
 
 
 def test_metric_fits_the_lasso_fit_instance_in_fewer_evaluations(monkeypatch):

@@ -144,6 +144,11 @@ class TestLodoSplits:
         with pytest.raises(ValueError, match="b"):
             make_lodo_splits(D)
 
+    def test_drug_in_every_condition_rejected(self):
+        D = ConditionMatrix(np.array([[1.0, 1.0], [0.0, 2.0]]), ["a", "b"])
+        with pytest.raises(ValueError, match="'b' is used in every condition"):
+            make_lodo_splits(D)
+
 
 class _TruthFamily(ModelFamily):
     """Fake model family that returns the true responses for the test rows."""
