@@ -526,7 +526,7 @@ class TestCv:
     @pytest.mark.parametrize("column, message", [
         (np.zeros(12), "drug 'd1' is never used in any condition"),
         (np.ones(12), "drug 'd1' is used in every condition"),
-    ])
+    ], ids=["never-used", "used-everywhere"])
     def test_lodo_refuses_a_drug_it_cannot_leave_out(self, tmp_path, caplog, column, message):
         # a 12 x 3 design whose drug d1 no condition uses, or every one does
         rng = np.random.default_rng(0)
