@@ -14,7 +14,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import perturbpred.validate as validate_module
-
 from perturbpred.errors import PerturbpredError, SingularMatrixError, ZeroVarianceError
 from perturbpred.fit import (
     FitConfig,
@@ -584,8 +583,9 @@ def test_results_do_not_depend_on_the_block_size(seed, faint):
     # with rank-deficient ones whose causal-linear fit runs the proximal
     # gradient from -I (faint 0, where the regression folds raise instead).
     # Every fold must give the same bits whatever the block size.
-    # Drugs 1 and 2 are each left out of a third of the conditions, so that
-    # every drug has a LODO fold.
+    # Drugs 1 and 2 are each left out of a third of the conditions, so at
+    # faint 0 every drug has a LODO fold; at faint 1e-4 drug 0 is used in
+    # every condition, which LODO refuses, so only random folds are run.
     rng = np.random.default_rng(seed)
     n = 14
     Dv = rng.uniform(0.5, 1.0, size=(n, 3)) * (np.arange(n)[:, None] % 3 != np.arange(3) - 1)
