@@ -7,9 +7,9 @@ Three fitters live here:
   design once per command (:func:`factor_design`) and solves each block of
   lambda = 0 folds, each a row subset of that design, in its orthonormal
   basis (:func:`_basis_lstsq`): one k x k system per fold, taken only where
-  a Cholesky certificate shows the fold's rank and conditioning; any other
-  fold is solved by QR as a single fit is.  A block's test rows are
-  predicted as one (F, t, p) stack.
+  a Cholesky certificate shows the fold's rank and conditioning, with the
+  test rows of those folds predicted as one (F, t, p) stack.  Any other fold
+  is left to a single fit of its own.
 * ``fit_causal_linear`` minimizes ||X - D B^T (-inv(W))||_F^2 plus an L1
   penalty on the off-diagonal of W; the loss is nonconvex in W with a
   singular set at det W = 0, so a candidate step that lands near it is
@@ -396,31 +396,23 @@ def _basis_lstsq(basis, XS, train):
     return y, certified, QS
 
 
-def fit_regression_folds(basis, X, train, tests, drug_names):
-    """Unpenalized regression of a block of folds of one design, and the
-    predictions of each fold's test rows.
+def fit_regression_folds(basis, X, train, tests):
+    """Unpenalized regression of the folds of a block that the basis of the
+    whole design settles, and the predictions of their test rows.
 
     basis is the DesignBasis of the (n, q) design D (:func:`factor_design`),
     X is (n, p), and train and tests are (F, s) and (F, t) arrays of each
     fold's training and test rows.  Returns (predictions, reports): the
-    (F, t, p) test predictions and one FitReport per fold.  A fold that
-    :func:`_basis_lstsq` certifies is solved in the basis of D and predicts
-    D[T] R = Q0[T] y, with objective ||X[S] - Q0[S] y||^2; every other fold
-    is solved as :func:`fit_regression_stack` solves it and predicts D[T] R,
-    and the first rank-deficient one raises its SingularMatrixError.  Each
-    route predicts its folds with one batched product.
+    (F, t, p) test predictions and one FitReport per fold, both only where
+    :func:`_basis_lstsq` certifies the fold, which is solved in the basis of
+    D and predicts D[T] R = Q0[T] y with one batched product, with objective
+    ||X[S] - Q0[S] y||^2.  Every other fold's report is None and its
+    predictions are unset: the family fits it on its own.
     """
     XS = X[train]
     y, certified, QS = _basis_lstsq(basis, XS, train)
-    D = basis.A
     preds = np.empty((len(train), tests.shape[1], X.shape[1]))
     reports = [None] * len(train)
-    rest = np.flatnonzero(~certified)
-    if rest.size:
-        R, rest_reports = fit_regression_stack(D[train[rest]], XS[rest], drug_names)
-        preds[rest] = D[tests[rest]] @ R
-        for f, report in zip(rest.tolist(), rest_reports):
-            reports[f] = report
     done = np.flatnonzero(certified)
     if done.size:
         coef = y[done]
@@ -722,39 +714,36 @@ def _warm_starts(M, full):
     return inits
 
 
-def fit_causal_linear_folds(D, X, B: TargetMap, train, cfg: FitConfig, basis=None):
-    """Warm starts of a block of folds of one design, and the closed-form fit
-    where it holds.
+def _basis_warm_starts(basis, XS, train):
+    """The least-squares warm start of each fold of a block that
+    :func:`_basis_lstsq` certifies: W_f = -inv(M_f), with M_f = solve(R0,
+    y_f) in the basis of the whole design C = D B^T, as
+    :func:`least_squares_w_init` defines it (None where M_f has rcond below
+    1e-8), and None for every fold it does not certify."""
+    y, certified, _ = _basis_lstsq(basis, XS, train)
+    if certified.any():
+        y[certified] = np.linalg.solve(basis.R0, y[certified])
+    return _warm_starts(y, certified)
 
-    D is (n, q), X (n, p) and train an (F, s) array of each fold's training
-    rows; basis is the DesignBasis of C = D B^T (:func:`factor_design`), or
-    None.  Returns (inits, (Winv, reports)): per fold the values of its
-    least-squares warm start as :func:`least_squares_w_init_stack` defines
-    it (None where that is unavailable), and, as :func:`_closed_form_stack`
-    gives them, the (F, p, p) stack of inv(W_f) and the FitReport of each
-    fold where fit_causal_linear from that warm start would return it
-    unchanged (None elsewhere).  With a basis, the least-squares M_f of the
-    folds that :func:`_basis_lstsq` certifies is solve(R0, y_f) in the
-    basis of C; every other fold, and every fold without a basis (the
-    families pass none at lambda > 0, where the proximal-gradient fit
-    dominates), is solved by QR as :func:`least_squares_w_init_stack`
-    solves it.  The warm start is None wherever C_f is rank-deficient, so
-    the closed form needs no rank of its own; it screens each W_f's rcond
-    once.
+
+def fit_causal_linear_folds(basis, D, X, B: TargetMap, train, tests, cfg: FitConfig):
+    """The closed-form fit of the folds of a block that the basis of the
+    whole design settles, and the predictions of their test rows.
+
+    basis is the DesignBasis of C = D B^T (:func:`factor_design`), D is
+    (n, q), X (n, p), and train and tests are (F, s) and (F, t) arrays of
+    each fold's training and test rows.  Returns (predictions, reports):
+    where fit_causal_linear from the fold's warm start in that basis
+    (:func:`_basis_warm_starts`) would return it unchanged
+    (:func:`_closed_form_stack`), the fold's FitReport and its test
+    predictions D[T] B^T (-inv(W_f)), from one batched product.  Every other
+    fold's report is None and its predictions are unset: the family fits it
+    on its own.
     """
-    Xs = X[train]
-    C = D[train] @ B.values.T
-    M = np.full((len(train), B.n_responses, X.shape[1]), np.nan)
-    full = np.zeros(len(train), dtype=bool)
-    if basis is not None:
-        y, full, _ = _basis_lstsq(basis, Xs, train)
-        if full.any():
-            M[full] = np.linalg.solve(basis.R0, y[full])
-    rest = np.flatnonzero(~full)
-    if rest.size:
-        M[rest], full[rest] = _lstsq_stack(C[rest], Xs[rest])
-    inits = _warm_starts(M, full)
-    return inits, _closed_form_stack(C, Xs, inits, cfg)
+    XS = X[train]
+    inits = _basis_warm_starts(basis, XS, train)
+    Winv, reports = _closed_form_stack(D[train] @ B.values.T, XS, inits, cfg)
+    return D[tests] @ B.values.T @ -Winv, reports
 
 
 # ---------------------------------------------------------------------------

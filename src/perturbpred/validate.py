@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NonConvergenceError, SingularMatrixError, ZeroVarianceError
+from .errors import DimensionError, NonConvergenceError, SingularMatrixError, ZeroVarianceError
 from .fit import (
     FitConfig,
     factor_design,
@@ -41,7 +41,6 @@ from .fit import (
 from .linear import predict_causal_linear, predict_regression
 from .ode import OdeModel, steady_states
 from .types import (
-    W_FORM,
     ConditionMatrix,
     InteractionMatrix,
     ResponseMatrix,
@@ -111,6 +110,9 @@ class SplitPlan:
             groups = [(fold,) for fold in self.folds]
         for group in groups:
             trains, tests = (np.array(part) for part in zip(*group))
+            for rows in (trains, tests):
+                if not np.issubdtype(rows.dtype, np.integer):
+                    raise ValueError(f"train/test rows must be integer indices, got {rows.dtype}")
             combined = np.sort(np.hstack([trains, tests]), axis=1)
             if combined.shape[1] != self.n or np.any(combined != np.arange(self.n)):
                 raise ValueError("train/test must partition all rows exactly")
@@ -118,6 +120,14 @@ class SplitPlan:
     @property
     def repetitions(self):
         return len(self.folds)
+
+
+def _check_rows(plan: SplitPlan, D: ConditionMatrix):
+    """Raise DimensionError unless the plan partitions D's conditions."""
+    if plan.n != D.n_conditions:
+        raise DimensionError(
+            f"the split plan partitions {plan.n} rows, but there are {D.n_conditions} conditions"
+        )
 
 
 def make_random_folds(n, train_fraction, reps, seed):
@@ -229,18 +239,17 @@ def summarize_fits(reports):
 # fit_block(D, X, block, factored) takes a FoldBlock of equal-sized folds and
 # returns (predictions, reports): the test predictions of each fold, as one
 # (F, t, p) stack where the family stacks them, and one FitReport per fold.
-# At lambda = 0 the linear families factor their whole design there, once
-# per command: D for regression, D B^T for the causal-linear model
-# (fit.factor_design).  Each block of equal-sized folds is then fitted,
-# checked and predicted together: by least squares for regression
-# (fit.fit_regression_folds; random folds only, as a LODO fold drops its
-# drug's column) and by the warm start and closed form
-# (fit.fit_causal_linear_folds) for the causal-linear model.  Both solve
-# each fold's least squares in the orthonormal basis of the whole design
-# where a Cholesky certificate shows the fold is well-conditioned, and by
-# its own QR, as a single fit does, elsewhere, and predict the block's
-# closed-form folds with one batched product.  Folds the closed form does
-# not settle run their own fit, in order.
+# A family's settle(D, X, block, factored) names the folds it solves as one
+# stack, and fit_block runs the family's own fit and predict on every other
+# fold, in order: the one fallback, so a fold that no stack settles is
+# fitted as `perturbpred fit` fits it.  At lambda = 0 the linear families
+# factor their whole design once per command: D for regression, D B^T for
+# the causal-linear model (fit.factor_design).  Their settle solves each
+# fold's least squares in the orthonormal basis of that design where a
+# Cholesky certificate shows the fold is well-conditioned: regression's
+# random folds (fit.fit_regression_folds; a LODO fold drops its drug's
+# column) and the causal-linear folds whose warm start is the closed form
+# (fit.fit_causal_linear_folds), predicted with one batched product.
 
 
 class FoldBlock(NamedTuple):
@@ -253,44 +262,44 @@ class FoldBlock(NamedTuple):
     held: tuple
 
 
-def _train_data(D, X, train):
-    return (
-        ConditionMatrix(D.values[train], D.drug_names),
-        ResponseMatrix(X.values[train], X.response_names),
-    )
-
-
 class ModelFamily:
     """The engine's factor and fit_block, on top of a subclass's fit and
     predict.
 
-    Each fold is predicted before the next one is fitted, so the first fold
-    that fails is the one that raises.  A family that can stack a block's
-    fits overrides fit_block and keeps that order.
+    Each fold that settle leaves alone is predicted before the next one is
+    fitted, so the first fold that fails is the one that raises.
     """
 
     def factor(self, D, X):
         """What fit_block reuses across the blocks of one (D, X): nothing."""
         return None
 
-    def fit_block(self, D, X, block, factored):
-        fitted = [self._predicted(D, test, *self.fit(*_train_data(D, X, train), held))
-                  for train, test, held in zip(*block)]
-        return [pred for pred, _ in fitted], [report for _, report in fitted]
+    def settle(self, D, X, block, factored):
+        """(predictions, reports) of the folds of a block solved as one
+        stack, with report None for every fold left to fit_block's loop:
+        here, all of them."""
+        return [None] * len(block.train), [None] * len(block.train)
 
-    def _predicted(self, D, test, params, report):
-        """(test predictions, report) of one fitted fold."""
-        return self.predict(params, ConditionMatrix(D.values[test], D.drug_names)), report
+    def fit_block(self, D, X, block, factored):
+        preds, reports = self.settle(D, X, block, factored)
+        for f, report in enumerate(reports):
+            if report is None:
+                train, test = block.train[f], block.test[f]
+                params, reports[f] = self.fit(
+                    ConditionMatrix(D.values[train], D.drug_names),
+                    ResponseMatrix(X.values[train], X.response_names), block.held[f])
+                preds[f] = self.predict(params, ConditionMatrix(D.values[test], D.drug_names))
+        return preds, reports
 
 
 class RegressionFamily(ModelFamily):
     """Penalized regression; LODO uses the zero-coefficient convention.
 
-    At lambda = 0 the design is factored once (fit.factor_design), and a
-    block of random folds is solved together by fit.fit_regression_folds and
-    predicted straight from its coefficients as one stack: wrapping each
-    fold's coefficients and test rows in checked types would cost more than
-    its solve.
+    At lambda = 0 the design is factored once (fit.factor_design), and the
+    random folds of a block that its basis certifies are solved together by
+    fit.fit_regression_folds and predicted straight from their coefficients
+    as one stack: wrapping each fold's coefficients and test rows in checked
+    types would cost more than its solve.
     """
 
     tag = "regression"
@@ -309,22 +318,20 @@ class RegressionFamily(ModelFamily):
     def factor(self, D, X):
         return factor_design(D.values) if self.cfg.lam == 0.0 else None
 
-    def fit_block(self, D, X, block, factored):
+    def settle(self, D, X, block, factored):
         if factored is None or any(h is not None for h in block.held):
-            return super().fit_block(D, X, block, factored)
-        return fit_regression_folds(factored, X.values, block.train, block.test, D.drug_names)
+            return super().settle(D, X, block, factored)
+        return fit_regression_folds(factored, X.values, block.train, block.test)
 
 
 class CausalLinearFamily(ModelFamily):
     """Closed-form causal model; warm-started from least squares when possible.
 
-    With cfg.w_init given, every fold fits from it instead.  The warm starts
-    of a block of folds are solved together by fit.fit_causal_linear_folds,
-    at lambda = 0 in the basis of D B^T, factored once (fit.factor_design).
-    At lambda = 0 with no mask the same call checks, per fold, whether the
-    fit would return its warm start unchanged (the closed form); those folds
-    are predicted as one stack from the stacked inverses.  Every other fold
-    runs its own proximal-gradient fit from its warm start, in order.
+    With cfg.w_init given, every fold fits from it instead.  At lambda = 0
+    with no mask and no w_init, the design D B^T is factored once
+    (fit.factor_design), and the folds of a block that its basis certifies,
+    and whose warm start is the closed form, are solved and predicted as one
+    stack by fit.fit_causal_linear_folds.
     """
 
     tag = "causal-linear"
@@ -333,38 +340,28 @@ class CausalLinearFamily(ModelFamily):
         self.B = B
         self.cfg = cfg
 
-    @property
-    def _warm(self):
-        return self.cfg.w_init is None
-
-    def _fit_from(self, D_train, X_train, init):
-        cfg = self.cfg if init is None else replace(self.cfg, w_init=init)
-        return fit_causal_linear(D_train, X_train, self.B, cfg)
-
     def fit(self, D_train, X_train, held_out_drug=None):
-        init = least_squares_w_init(D_train, X_train, self.B) if self._warm else None
-        return self._fit_from(D_train, X_train, init)
+        cfg = self.cfg
+        if cfg.w_init is None:
+            init = least_squares_w_init(D_train, X_train, self.B)
+            if init is not None:
+                cfg = replace(cfg, w_init=init)
+        return fit_causal_linear(D_train, X_train, self.B, cfg)
 
     def predict(self, W, D_test):
         return predict_causal_linear(W, self.B, D_test).predicted
 
     def factor(self, D, X):
-        if not self._warm or self.cfg.lam != 0.0:
+        cfg = self.cfg
+        if cfg.w_init is not None or cfg.lam != 0.0 or cfg.mask is not None:
             return None
         return factor_design(D.values @ self.B.values.T)
 
-    def fit_block(self, D, X, block, factored):
-        if not self._warm:
-            return super().fit_block(D, X, block, factored)
-        inits, (Winv, reports) = fit_causal_linear_folds(
-            D.values, X.values, self.B, block.train, self.cfg, factored)
-        preds = D.values[block.test] @ self.B.values.T @ -Winv
-        for f, init in enumerate(inits):
-            if reports[f] is None:
-                init = None if init is None else InteractionMatrix(init, form=W_FORM)
-                fitted = self._fit_from(*_train_data(D, X, block.train[f]), init)
-                preds[f], reports[f] = self._predicted(D, block.test[f], *fitted)
-        return preds, reports
+    def settle(self, D, X, block, factored):
+        if factored is None:
+            return super().settle(D, X, block, factored)
+        return fit_causal_linear_folds(factored, D.values, X.values, self.B,
+                                       block.train, block.test, self.cfg)
 
 
 class CausalOdeFamily(ModelFamily):
@@ -415,8 +412,8 @@ def fit_blocks(family, D: ConditionMatrix, X: ResponseMatrix, folds):
     family factors (D, X) once (its factor hook), and every block reuses
     that.  Yields (block, (predictions, reports)) per FoldBlock of up to
     _BLOCK consecutive folds of one size, from the family's fit_block:
-    predictions holds each fold's test predictions (an (F, t, p) stack from
-    the linear families) and reports its FitReport.  Which route fits a fold
+    predictions holds each fold's test predictions (an (F, t, p) stack
+    where the family's settle hook stacks them) and reports its FitReport.  Which route fits a fold
     depends on the fold alone, not on the folds that share its block, so the
     results do not depend on _BLOCK.  A caller that pools predictions never
     holds them all.
@@ -456,6 +453,7 @@ def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, pla
     if plan.kind != "random-fold":
         raise ValueError("averaged_random_fold_eval needs a random-fold plan")
     check_paired(D, X)
+    _check_rows(plan, D)
     n, p = X.values.shape
     pred_sum = np.zeros((n, p))
     pred_count = np.zeros(n, dtype=int)
@@ -517,6 +515,7 @@ def lodo_eval(family, D: ConditionMatrix, X: ResponseMatrix, plans):
     for plan in plans:
         if plan.kind != "lodo":
             raise ValueError("lodo_eval needs LODO plans")
+        _check_rows(plan, D)
 
     folds = [plan.folds[0] + (plan.held_out_drug,) for plan in plans]
     reports = []

@@ -4,7 +4,9 @@ The reference below is the fold loop the protocols ran before folds were
 handed to the families in blocks: one fit per fold through the one-fold
 estimators, predictions averaged per condition, metrics per fold.  The
 engine stacks closed-form solves across folds, so it must agree with that
-loop fold for fold, including which folds are rank-deficient.
+loop fold for fold, including which folds are rank-deficient; a fold that no
+stack settles runs the family's own fit, so it must equal that fit bit for
+bit.
 """
 
 from dataclasses import replace
@@ -16,8 +18,10 @@ from hypothesis import assume, given, settings, strategies as st
 import perturbpred.validate as validate_module
 from perturbpred.errors import PerturbpredError, SingularMatrixError, ZeroVarianceError
 from perturbpred.fit import (
+    CLOSED_FORM,
     FitConfig,
     _basis_lstsq,
+    _basis_warm_starts,
     _closed_form_stack,
     _lstsq_stack,
     causal_loss_and_gradient,
@@ -38,6 +42,7 @@ from perturbpred.simulate import SimSpec, build_design, build_targets, simulate_
 from perturbpred.types import (
     W_FORM,
     ConditionMatrix,
+    EdgeMask,
     InteractionMatrix,
     ResponseMatrix,
     TargetMap,
@@ -45,6 +50,7 @@ from perturbpred.types import (
 from perturbpred.validate import (
     CausalLinearFamily,
     CausalOdeFamily,
+    FoldBlock,
     MetricReport,
     RegressionFamily,
     SplitPlan,
@@ -65,10 +71,8 @@ TOL = 1e-12
 pytestmark = pytest.mark.filterwarnings("ignore:.*never appeared in a test set")
 
 
-def reference_fold(family, D, X, train, test, held_out_drug=None, warm_start=None):
-    """(predictions, FitReport) of one fold through the one-fold estimators.
-    warm_start(train), if given, replaces least_squares_w_init as the
-    causal-linear warm start."""
+def reference_fold(family, D, X, train, test, held_out_drug=None):
+    """(predictions, FitReport) of one fold through the one-fold estimators."""
     D_train = ConditionMatrix(D.values[train], D.drug_names)
     X_train = ResponseMatrix(X.values[train], X.response_names)
     D_test = ConditionMatrix(D.values[test], D.drug_names)
@@ -81,10 +85,7 @@ def reference_fold(family, D, X, train, test, held_out_drug=None, warm_start=Non
     if isinstance(family, CausalLinearFamily):
         cfg = family.cfg
         if cfg.w_init is None:
-            if warm_start is None:
-                init = least_squares_w_init(D_train, X_train, family.B)
-            else:
-                init = warm_start(train)
+            init = least_squares_w_init(D_train, X_train, family.B)
             if init is not None:
                 cfg = replace(cfg, w_init=init)
         W, report = fit_causal_linear(D_train, X_train, family.B, cfg)
@@ -93,14 +94,24 @@ def reference_fold(family, D, X, train, test, held_out_drug=None, warm_start=Non
     return steady_states(model, D_test.values).require_converged(), report
 
 
-def reference_random_folds(family, D, X, plan, warm_start=None):
-    """(averaged predictions, per-fold (r, mae), reports) of the old loop."""
+def family_fold(family, D, X, train, test, held_out_drug=None):
+    """(predictions, FitReport) of one fold through the family's own fit and
+    predict, as `perturbpred fit` and `predict` run them."""
+    params, report = family.fit(ConditionMatrix(D.values[train], D.drug_names),
+                                ResponseMatrix(X.values[train], X.response_names),
+                                held_out_drug)
+    return family.predict(params, ConditionMatrix(D.values[test], D.drug_names)), report
+
+
+def reference_random_folds(family, D, X, plan, fold=reference_fold):
+    """(averaged predictions, per-fold (r, mae), reports) of the old loop,
+    fitting each fold by fold(family, D, X, train, test)."""
     n, p = X.values.shape
     pred_sum = np.zeros((n, p))
     pred_count = np.zeros(n, dtype=int)
     per_fold, reports = [], []
     for train, test in plan.folds:
-        preds, report = reference_fold(family, D, X, train, test, warm_start=warm_start)
+        preds, report = fold(family, D, X, train, test)
         pred_sum[test] += preds
         pred_count[test] += 1
         try:
@@ -235,33 +246,45 @@ class TestEngineMatchesPerFoldLoop:
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), rare_drug=st.booleans())
     def test_blocks_mixing_closed_form_and_proximal_gradient(self, seed, rare_drug):
-        # tol at the gradient's round-off level, between the warm starts'
-        # stationarity ratios: in each block some folds take the closed form
-        # and the others run the proximal-gradient fit (from -I where the
-        # warm start is unavailable).  The loop takes each fold's warm start
-        # from the engine's solver, one fold at a time, so the two must agree
-        # bit for bit, and the loop pins how the blocks interleave the closed
-        # form with the proximal-gradient fits.
+        # tol at the gradient's round-off level, between the stationarity
+        # ratios of the warm starts solved in the basis of D B^T: in each
+        # block some folds take the closed form from that warm start and the
+        # others run the family's own fit.  The loop decides the closed form
+        # on the same warm start, one fold at a time, and fits every other
+        # fold with family.fit, so the two must agree bit for bit, and the
+        # loop pins how the blocks interleave the closed form with the
+        # proximal-gradient fits.
         D, X, B = instance(seed, 12, 3, 3, rare_drug)
         plan = random_plan(seed + 1, 12, 9, 32)
         basis = factor_design(D.values @ B.values.T)
 
-        def warm_start(train):
-            init = fit_causal_linear_folds(D.values, X.values, B, train[None], FitConfig(),
-                                           basis)[0][0]
+        def basis_warm_start(train):
+            init = _basis_warm_starts(basis, X.values[train][None], train[None])[0]
             return None if init is None else InteractionMatrix(init, form=W_FORM)
 
         ratios = []
         for train, _ in plan.folds:
             D_train = ConditionMatrix(D.values[train])
             X_train = ResponseMatrix(X.values[train])
-            init = warm_start(train)
+            init = basis_warm_start(train)
             if init is not None:
                 loss, grad = causal_loss_and_gradient(init.values, D_train, X_train, B)
                 ratios.append(np.sum(grad * grad) / max(1.0, loss))
         family = CausalLinearFamily(B, FitConfig(tol=float(np.median(ratios)), max_iter=20))
+
+        def fold(family, D, X, train, test):
+            init = basis_warm_start(train)
+            if init is not None:
+                W, report = fit_causal_linear(ConditionMatrix(D.values[train]),
+                                              ResponseMatrix(X.values[train]), B,
+                                              replace(family.cfg, w_init=init))
+                if CLOSED_FORM in report.status:
+                    D_test = ConditionMatrix(D.values[test])
+                    return predict_causal_linear(W, B, D_test).predicted, report
+            return family_fold(family, D, X, train, test)
+
         got = outcome(lambda: averaged_random_fold_eval(family, D, X, plan))
-        want = outcome(lambda: reference_random_folds(family, D, X, plan, warm_start))
+        want = outcome(lambda: reference_random_folds(family, D, X, plan, fold))
         if isinstance(want[0], type):
             assert got == want
             return
@@ -269,10 +292,37 @@ class TestEngineMatchesPerFoldLoop:
         # every fold runs the same arithmetic as in the loop, so the results are equal
         np.testing.assert_array_equal(got.predicted, avg)
         assert [(entry["pearson_r"], entry["mae"]) for entry in got.per_fold] == per_fold
-        assert_same_reports(got.fits, reports)
+        assert_equal_reports(got.fits, reports)
         for start in range(0, plan.repetitions, 16):
             closed = {fit.iterations == 0 for fit in got.fits[start:start + 16]}
             assert closed == {True, False}
+        # some folds whose basis warm start misses the closed form ran family.fit
+        assert any(basis_warm_start(train) is not None and fit.iterations > 0
+                   for (train, _), fit in zip(plan.folds, got.fits))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), rare_drug=st.booleans())
+    def test_folds_without_a_closed_form_run_the_familys_fit(self, seed, rare_drug):
+        # with a mask, lambda > 0 or a given w_init no causal-linear fold has
+        # the closed form, so every fold must equal family.fit bit for bit:
+        # the masked fold starts from its own least-squares warm start
+        D, X, B = instance(seed, 12, 3, 3, rare_drug)
+        plan = random_plan(seed + 1, 12, 9, 20)
+        mask = EdgeMask(np.random.default_rng(seed).uniform(size=(3, 3)) < 0.6)
+        w_init = InteractionMatrix(-np.eye(3) + 0.1 * np.ones((3, 3)), form=W_FORM)
+        for cfg in (FitConfig(mask=mask, max_iter=50), FitConfig(lam=0.05, max_iter=50),
+                    FitConfig(w_init=w_init, max_iter=50)):
+            family = CausalLinearFamily(B, cfg)
+            assert family.factor(D, X) is None
+            got = outcome(lambda: averaged_random_fold_eval(family, D, X, plan))
+            want = outcome(lambda: reference_random_folds(family, D, X, plan, family_fold))
+            if isinstance(want[0], type):
+                assert got == want
+                continue
+            avg, per_fold, reports = want
+            np.testing.assert_array_equal(got.predicted, avg)
+            assert [(entry["pearson_r"], entry["mae"]) for entry in got.per_fold] == per_fold
+            assert_equal_reports(got.fits, reports)
 
     def test_mixed_train_sizes_run_fold_by_fold(self):
         # consecutive folds of different sizes go to the family one by one
@@ -467,18 +517,36 @@ def rare_drug_design(rng, n, k, faint):
 BASIS_KINDS = ("random", "binary", "rare-drug", "faint-drug", "duplicate-column", "boundary")
 
 
-def per_fold(closed):
-    """The (inv(W_f), FitReport) pair of each fold of a closed-form stack,
-    None where the closed form does not hold."""
-    Winv, reports = closed
-    return [None if report is None else (inv, report) for inv, report in zip(Winv, reports)]
-
-
 def assert_equal_reports(got, want):
     for a, b in zip(got, want):
         assert (a.final_objective, a.iterations, a.converged, a.status) == (
             b.final_objective, b.iterations, b.converged, b.status)
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+
+
+def assert_unsettled_folds_fit_alone(family, D, X, train, tests):
+    """Run one block of folds through the family's fit_block.  Each fold
+    that its settle leaves alone must equal family.fit and predict on that
+    fold's rows, bit for bit, and the first of those that fails must raise
+    its error; a settled fold keeps settle's bits."""
+    block = FoldBlock(train, tests, (None,) * len(train))
+    factored = family.factor(D, X)
+    settled_preds, settled = family.settle(D, X, block, factored)
+    got = outcome(lambda: family.fit_block(D, X, block, factored))
+    want = outcome(lambda: [None if settled[f] is not None
+                            else family_fold(family, D, X, train[f], tests[f])
+                            for f in range(len(train))])
+    if isinstance(want, tuple):
+        assert got == want  # the same error from the same fold
+        return
+    preds, reports = got
+    for f, fold in enumerate(want):
+        if fold is None:
+            np.testing.assert_array_equal(preds[f], settled_preds[f])
+            assert_equal_reports([reports[f]], [settled[f]])
+        else:
+            np.testing.assert_array_equal(preds[f], fold[0])
+            assert_equal_reports([reports[f]], [fold[1]])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -506,56 +574,63 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
 
     # a fold the basis route takes is full rank; the others keep the QR
     # route's decision, which is matrix_rank's
-    certified = _basis_lstsq(factor_design(A), X[train], train)[1]
+    basis = factor_design(A)
+    certified = _basis_lstsq(basis, X[train], train)[1]
     full = np.linalg.matrix_rank(A[train]) == k
     assert np.array_equal(certified | _lstsq_stack(A[train], X[train])[1], full)
 
-    # regression: certified folds agree with QR within TOL, the others bit for bit
-    got = outcome(lambda: fit_regression_folds(factor_design(A), X, train, tests, names))
-    want = outcome(lambda: fit_regression_stack(A[train], X[train], names))
-    if isinstance(want[0], type):
-        assert got == want  # the same error from the same fold
-    else:
-        for f, (pred, report, R, want_report) in enumerate(zip(*got, *want)):
-            if certified[f]:
-                assert_close(pred, A[tests[f]] @ R)
-                assert_same_reports([report], [want_report])
-            else:
-                np.testing.assert_array_equal(pred, A[tests[f]] @ R)
-                assert_equal_reports([report], [want_report])
+    # regression: certified folds agree with QR within TOL; the block leaves
+    # every other fold to the family's own fit
+    preds, reports = fit_regression_folds(basis, X, train, tests)
+    assert [report is not None for report in reports] == certified.tolist()
+    if certified.any():
+        R, want_reports = fit_regression_stack(A[train[certified]], X[train[certified]], names)
+        for f, R_f, want_report in zip(np.flatnonzero(certified), R, want_reports):
+            assert_close(preds[f], A[tests[f]] @ R_f)
+            assert_same_reports([reports[f]], [want_report])
 
     # causal-linear with B = I, so that D B^T is the design itself: the warm
     # start predicts A[T] M with M = -inv(W).  The closed-form test compares
     # ||grad||^2, round-off divided by the design's scale at the
     # least-squares M, with tol; at scale 1e-160 it passes only where that
-    # round-off is exactly 0, a toss-up in either route, so there the closed
-    # form is compared only on the folds that keep the QR route
+    # round-off is exactly 0, a toss-up in either route, so there only the
+    # warm starts are compared
     B = TargetMap(np.eye(k))
-    inits, closed = fit_causal_linear_folds(A, X, B, train, FitConfig(),
-                                            factor_design(A @ B.values.T))
-    closed = per_fold(closed)
+    inits = _basis_warm_starts(factor_design(A @ B.values.T), X[train], train)
+    preds, closed = fit_causal_linear_folds(factor_design(A @ B.values.T), A, X, B, train, tests,
+                                            FitConfig())
     want_inits = [None if W is None else W.values
                   for W in least_squares_w_init_stack(A[train], X[train], B)]
-    want_closed = per_fold(_closed_form_stack(A[train] @ B.values.T, X[train], want_inits,
-                                              FitConfig()))
+    want_Winv, want_closed = _closed_form_stack(A[train] @ B.values.T, X[train], want_inits,
+                                                FitConfig())
     for f, test in enumerate(tests):
-        assert (inits[f] is None) == (want_inits[f] is None)
         if not certified[f]:
-            assert (closed[f] is None) == (want_closed[f] is None)
-            if inits[f] is not None:
-                np.testing.assert_array_equal(inits[f], want_inits[f])
-            if closed[f] is not None:
-                np.testing.assert_array_equal(closed[f][0], want_closed[f][0])
-                assert_equal_reports([closed[f][1]], [want_closed[f][1]])
+            assert inits[f] is None and closed[f] is None
             continue
+        assert (inits[f] is None) == (want_inits[f] is None)
         if inits[f] is not None:
             assert_close(A[test] @ -np.linalg.inv(inits[f]),
                          A[test] @ -np.linalg.inv(want_inits[f]))
         if scale >= 1.0:
             assert (closed[f] is None) == (want_closed[f] is None)
             if closed[f] is not None:
-                assert_close(A[test] @ -closed[f][0], A[test] @ -want_closed[f][0])
-                assert_same_reports([closed[f][1]], [want_closed[f][1]])
+                assert_close(preds[f], A[test] @ -want_Winv[f])
+                assert_same_reports([closed[f]], [want_closed[f]])
+
+    # every fold the block leaves alone runs the family's own fit, bit for
+    # bit.  Doses are nonnegative, so the regression design is |A|, and the
+    # causal-linear one is A = A+ - A-, as D = [A+, A-] with B = [I, -I].
+    # The proximal-gradient fit from -I overflows at the extreme scales, so
+    # the causal-linear fits run at scale 1 only.
+    Xm = ResponseMatrix(X)
+    assert_unsettled_folds_fit_alone(RegressionFamily(), ConditionMatrix(np.abs(A)), Xm,
+                                     train, tests)
+    if scale == 1.0:
+        signed = TargetMap(np.hstack([np.eye(k), -np.eye(k)]))
+        D = ConditionMatrix(np.hstack([np.maximum(A, 0.0), np.maximum(-A, 0.0)]))
+        assert np.array_equal(D.values @ signed.values.T, A)
+        assert_unsettled_folds_fit_alone(CausalLinearFamily(signed, FitConfig(max_iter=10)), D,
+                                         Xm, train, tests)
 
 
 def snapshot(result):

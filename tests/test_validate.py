@@ -5,7 +5,12 @@ import pytest
 
 import perturbpred.fit as fit_module
 import perturbpred.validate as validate_module
-from perturbpred.errors import NonConvergenceError, SingularMatrixError, ZeroVarianceError
+from perturbpred.errors import (
+    DimensionError,
+    NonConvergenceError,
+    SingularMatrixError,
+    ZeroVarianceError,
+)
 from perturbpred.fit import FitConfig, fit_regression
 from perturbpred.linear import predict_causal_linear
 from perturbpred.ode import OdeModel
@@ -126,6 +131,37 @@ class TestRandomFolds:
                 n=4,
                 folds=((np.array([0, 1]), np.array([1, 2])),),
             )
+
+    def test_non_integer_indices_rejected_by_plan(self):
+        # float rows partition the rows by value, but cannot index them
+        with pytest.raises(ValueError, match="integer indices, got float64"):
+            SplitPlan(kind="random-fold", n=4,
+                      folds=((np.array([0.0, 1.0, 2.0]), np.array([3.0])),))
+
+
+def _one_drug_per_row(n):
+    """n conditions, each dosed with one of three drugs in turn, and random
+    responses: every drug has a LODO fold."""
+    D = ConditionMatrix(np.eye(3)[np.arange(n) % 3])
+    return D, ResponseMatrix(np.random.default_rng(n).normal(size=(n, 2)))
+
+
+class TestPlanForOtherRows:
+    # a plan built for more rows would index past the data, and one built for
+    # fewer would score a subset of it; both protocols refuse either
+    @pytest.mark.parametrize("n", [20, 8])
+    def test_random_fold_plan_refused(self, n):
+        D, X = _one_drug_per_row(12)
+        plan = make_random_folds(n, 0.75, 4, seed=0)
+        with pytest.raises(DimensionError, match=f"partitions {n} rows, but there are 12 cond"):
+            averaged_random_fold_eval(RegressionFamily(), D, X, plan)
+
+    @pytest.mark.parametrize("n", [20, 8])
+    def test_lodo_plans_refused(self, n):
+        D, X = _one_drug_per_row(12)
+        plans = make_lodo_splits(_one_drug_per_row(n)[0])
+        with pytest.raises(DimensionError, match=f"partitions {n} rows, but there are 12 cond"):
+            lodo_eval(RegressionFamily(), D, X, plans)
 
 
 class TestLodoSplits:
