@@ -26,7 +26,7 @@ class NonConvergenceError(PerturbpredError):
 
 
 class DivergenceError(PerturbpredError):
-    """An ODE trajectory blew up (non-finite state)."""
+    """An ODE trajectory, or a linear fit's loss at its start, blew up (non-finite)."""
 
     def __init__(self, message, time=None):
         super().__init__(message)

@@ -2,8 +2,9 @@
 
 Three fitters live here:
 
-* ``fit_regression`` solves ||X - D R||_F^2 + lambda ||R||_1, exactly
-  (least squares by QR) when lambda = 0.  Cross-validation factors its
+* ``fit_regression`` solves ||X - D R||_F^2 + lambda ||R||_1, exactly when
+  lambda = 0: least squares by one QR of D (:func:`_lstsq`), with the rank
+  decided as np.linalg.matrix_rank decides it.  Cross-validation factors its
   design once per command (:func:`factor_design`) and solves each block of
   lambda = 0 folds, each a row subset of that design, in its orthonormal
   basis (:func:`_basis_lstsq`): one k x k system per fold, taken only where
@@ -13,7 +14,9 @@ Three fitters live here:
 * ``fit_causal_linear`` minimizes ||X - D B^T (-inv(W))||_F^2 plus an L1
   penalty on the off-diagonal of W; the loss is nonconvex in W with a
   singular set at det W = 0, so a candidate step that lands near it is
-  rejected.
+  rejected.  At lambda = 0 the loss is least squares in M = -inv(W):
+  ``least_squares_w_init`` solves it by the same QR, and a fit started
+  there returns it as the closed form.
 * ``fit_causal_ode`` fits the nonlinear dynamics by gradient descent.  Each
   loss evaluation is one batched steady-state solve over all conditions by
   Newton steps, from rest at a contracting start and from the last accepted
@@ -233,73 +236,32 @@ def _fista(loss_and_gradient, start, first, cfg: FitConfig, penalty, proximal_ma
 # regression
 
 
-def _full_column_rank(A):
-    """(full, Q, R) of a stack A of (F, n, k) matrices: whether each A_f has
-    full column rank, as np.linalg.matrix_rank decides it, and the reduced
-    QR of every A_f (None when n < k, where no A_f has full column rank).
+def _full_rank_qr(A):
+    """(Q, R), the reduced QR of an (n, k) matrix A, when A has full column
+    rank as np.linalg.matrix_rank decides it, and None otherwise (always when
+    n < k).
 
     matrix_rank counts the singular values above max(n, k) * eps times the
-    largest, so A_f has full column rank when its 2-norm rcond exceeds
-    max(n, k) * eps.  A_f and R_f have the same singular values, so the
-    screened inverse of R_f settles most folds; an exact zero on the diagonal
-    of R_f makes it singular, and matrix_rank(A_f) itself settles those and
-    the folds the screen's bound leaves open.
+    largest, so A has full column rank when its 2-norm rcond exceeds
+    max(n, k) * eps.  A and R have the same singular values, so the screened
+    inverse of R settles most designs; matrix_rank(A) itself settles those
+    the screen's bound leaves open and any R with an exact zero on its
+    diagonal, which LU cannot invert.
     """
-    F, n, k = A.shape
+    n, k = A.shape
     if n < k:
-        return np.zeros(F, dtype=bool), None, None
+        return None
     Q, R = np.linalg.qr(A)
-
-    def rank_decides(idx):
-        return np.linalg.matrix_rank(A[idx]) == k
-
-    full = np.empty(F, dtype=bool)
-    zero = np.any(np.diagonal(R, axis1=1, axis2=2) == 0.0, axis=1)
-    if zero.any():
-        full[zero] = rank_decides(np.flatnonzero(zero))
-    rest = np.flatnonzero(~zero)
-    full[rest] = _screened_inverse(
-        R[rest], max(n, k) * np.finfo(float).eps, lambda idx: rank_decides(rest[idx])
-    )[1]
-    return full, Q, R
+    full = _screened_inverse(R, max(n, k) * np.finfo(float).eps,
+                             lambda: np.linalg.matrix_rank(A) == k)[1]
+    return (Q, R) if full else None
 
 
-def _lstsq_stack(A, Y):
-    """Least-squares solutions of a stack of systems A_f M_f = Y_f.
-
-    A is (F, n, k) and Y is (F, n, m).  Returns (M, full): M is (F, k, m),
-    solved by QR where A_f has full column rank and NaN elsewhere, and full
-    says where, as :func:`_full_column_rank` decides it: one QR per fold,
-    with an SVD only where the QR cannot settle the rank.  Every LAPACK call
-    works on one small fold at a time, so nothing here becomes a large
-    threaded product.
-    """
-    full, Q, R = _full_column_rank(A)
-    M = np.full((A.shape[0], A.shape[2], Y.shape[2]), np.nan)
-    if np.any(full):
-        M[full] = np.linalg.solve(R[full], np.swapaxes(Q[full], 1, 2) @ Y[full])
-    return M, full
-
-
-def fit_regression_stack(D, X, drug_names):
-    """Unpenalized regression of a stack of folds: D is (F, n, q), X (F, n, p).
-
-    Returns (R, reports): the (F, q, p) coefficients and one FitReport per
-    fold.  The first rank-deficient fold raises SingularMatrixError naming
-    its all-zero design columns, or every column when the deficiency comes
-    from collinearity (the leave-one-drug-out pathology).
-    """
-    R, full = _lstsq_stack(D, X)
-    deficient = np.flatnonzero(~full)
-    if deficient.size:
-        used = np.any(D[deficient[0]], axis=0)
-        bad = [name for name, u in zip(drug_names, used) if not u] or list(drug_names)
-        raise SingularMatrixError(
-            "unregularized regression has no unique solution; deficient "
-            f"design columns: {', '.join(bad)}"
-        )
-    resid = X - D @ R
-    return R, _least_squares_reports(resid)
+def _lstsq(A, Y):
+    """The least-squares solution M of A M = Y, by one QR of A, or None
+    where A lacks full column rank (:func:`_full_rank_qr`)."""
+    QR = _full_rank_qr(A)
+    return None if QR is None else np.linalg.solve(QR[1], QR[0].T @ Y)
 
 
 def _least_squares_reports(resid):
@@ -427,8 +389,10 @@ def fit_regression(
 ):
     """Penalized multivariate regression of responses on drug doses.
 
-    lambda = 0 is the one-fold case of :func:`fit_regression_stack` and
-    errors on a rank-deficient design.  lambda > 0 runs :func:`_fista` from
+    lambda = 0 is least squares by one QR of D (:func:`_lstsq`).  A
+    rank-deficient D raises SingularMatrixError naming its all-zero columns,
+    or every column when the deficiency comes from collinearity (the
+    leave-one-drug-out pathology).  lambda > 0 runs :func:`_fista` from
     R = 0 on the loss ||X - D R||_F^2, with every entry of R penalized, in
     the metric of its exact Hessian diagonal, ||D[:, i]||^2 on row i.  A
     never-dosed drug's row of the gradient is 0, so its row of R stays 0.
@@ -437,8 +401,16 @@ def fit_regression(
     Dv, Xv = D.values, X.values
 
     if cfg.lam == 0.0:
-        R, reports = fit_regression_stack(Dv[None], Xv[None], D.drug_names)
-        return RegressionCoefficients(R[0]), reports[0]
+        R = _lstsq(Dv, Xv)
+        if R is None:
+            bad = [name for name, used in zip(D.drug_names, np.any(Dv, axis=0)) if not used]
+            raise SingularMatrixError(
+                "unregularized regression has no unique solution; deficient "
+                f"design columns: {', '.join(bad or D.drug_names)}"
+            )
+        resid = Xv - Dv @ R
+        obj = float((resid * resid).sum())
+        return RegressionCoefficients(R), FitReport(obj, 1, True, [obj])
 
     def loss_and_gradient(R):
         resid = Dv @ R - Xv
@@ -511,6 +483,7 @@ def causal_loss_and_gradient(W, D: ConditionMatrix, X: ResponseMatrix, B: Target
 
 
 def causal_objective(W, D, X, B, lam):
+    """The penalized objective at W; the tests and perfbench's lasso-fit check recompute it."""
     loss, _ = causal_loss_and_gradient(W, D, X, B)
     return loss + _penalty(W, lam)
 
@@ -620,15 +593,16 @@ def fit_causal_linear(
     tol * max(1, loss) for step = LINEAR_FIRST_STEP: the loss being convex
     about its minimizer, that step could lower it by at most
     step * ||grad||_F^2, so the loop would stop after it, having moved W by
-    at most step * ||grad||_F.  This early return is the one-fold case of the
-    closed form that :func:`fit_causal_linear_folds` applies to a block of
-    folds.  The rank of D B^T is np.linalg.matrix_rank's, settled by
-    :func:`_full_column_rank`; the rank itself is computed only to name it
-    in the "non-unique-solution" status of a deficient D B^T.
-    Each loss evaluation inverts W once and screens it as safe_inverse does;
-    the first screens the masked start, so a singular one raises
-    SingularMatrixError naming w_init, and its inverse also gives the
-    metric, so the start is inverted once.
+    at most step * ||grad||_F.  :func:`fit_causal_linear_folds` applies the
+    same test to a block of folds.  The rank of D B^T is
+    np.linalg.matrix_rank's, settled by :func:`_full_rank_qr`; the rank
+    itself is computed only to name it in the "non-unique-solution" status of
+    a deficient D B^T.
+    Each loss evaluation inverts W once and screens it as safe_inverse does.
+    The first evaluates the masked start: a singular one raises
+    SingularMatrixError naming w_init, one whose loss or gradient overflows
+    raises DivergenceError, and its loss and gradient decide the closed form
+    while its inverse gives the metric, so the start is inverted once.
     """
     check_paired(D, X)
     p = B.n_responses
@@ -638,25 +612,21 @@ def fit_causal_linear(
         )
 
     status = []
-    full = False
     C = D.values @ B.values.T
-    if cfg.lam == 0.0:
-        full = _full_column_rank(C[None])[0][0]
-        if not full:
-            status.append(
-                f"non-unique-solution: rank(D B^T) = {np.linalg.matrix_rank(C)} < p = {p}; "
-                "unregularized W is not identified"
-            )
+    full = cfg.lam == 0.0 and _full_rank_qr(C) is not None
+    if cfg.lam == 0.0 and not full:
+        status.append(
+            f"non-unique-solution: rank(D B^T) = {np.linalg.matrix_rank(C)} < p = {p}; "
+            "unregularized W is not identified"
+        )
 
     W = _initial_w(cfg, p)
-    if full and cfg.w_init is not None:
-        closed = _closed_form_stack(C[None], X.values[None], [cfg.w_init.values], cfg)[1][0]
-        if closed is not None:
-            return InteractionMatrix(W, form=W_FORM), closed
-
     try:
-        # the start's one inverse serves its loss evaluation and the metric
-        loss, grad, Winv = causal_loss_and_gradient(W, D, X, B, C, True)
+        # the start's one inverse serves its loss evaluation, the closed-form
+        # test and the metric; an overflow there is reported below, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grad, Winv = causal_loss_and_gradient(W, D, X, B, C, True)
+            gain = LINEAR_FIRST_STEP * float((grad * grad).sum())
     except SingularMatrixError as exc:
         # _fista rejects every infeasible candidate itself, so only the start
         # can raise: w_init as masked (the default -I keeps its diagonal)
@@ -665,6 +635,13 @@ def fit_causal_linear(
             f"w_init{masked}, the starting W, is singular or ill-conditioned "
             f"(rcond < {RCOND_MIN:g})"
         ) from exc
+    if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
+        raise DivergenceError(
+            "the loss or its gradient overflows at the starting W: the doses or "
+            "responses are too large to fit in floating point"
+        )
+    if full and cfg.w_init is not None and cfg.mask is None and gain < cfg.tol * max(1.0, loss):
+        return InteractionMatrix(W, form=W_FORM), FitReport(loss, 0, True, [loss], (CLOSED_FORM,))
     W, report = _fista(
         lambda W: causal_loss_and_gradient(W, D, X, B, C),
         W,
@@ -683,35 +660,15 @@ def least_squares_w_init(D: ConditionMatrix, X: ResponseMatrix, B: TargetMap):
     """Closed-form warm start for the unpenalized causal fit.
 
     When D B^T has full column rank, the minimizer over M = -inv(W) of
-    ||X - D B^T M||_F^2 is ordinary least squares; inverting it back gives a
-    W with zero (or noise-level) loss.  Returns None when the least-squares
-    route is unavailable or produces a near-singular M.  This is the
-    one-fold case of :func:`least_squares_w_init_stack`.
+    ||X - D B^T M||_F^2 is ordinary least squares (:func:`_lstsq`); inverting
+    it back gives a W with zero (or noise-level) loss.  Returns None when
+    D B^T is rank-deficient or M has rcond below 1e-8.
     """
-    return least_squares_w_init_stack(D.values[None], X.values[None], B)[0]
-
-
-def least_squares_w_init_stack(D, X, B: TargetMap):
-    """The least-squares warm start of each fold of a stack.
-
-    D is (F, n, q) and X is (F, n, p).  Returns one W-form
-    InteractionMatrix per fold, or None where D_f B^T is rank-deficient or
-    M_f has rcond below 1e-8.
-    """
-    return [None if W is None else InteractionMatrix(W, form=W_FORM)
-            for W in _warm_starts(*_lstsq_stack(D @ B.values.T, X))]
-
-
-def _warm_starts(M, full):
-    """W_f = -inv(M_f) of each fold's least-squares M_f, or None where full
-    says C_f is rank-deficient or M_f has rcond below 1e-8."""
-    inits = [None] * len(M)
-    folds = np.flatnonzero(full)
-    if folds.size:
-        Minv, ok = _screened_inverse(M[folds], 1e-8)
-        for f, W in zip(folds[ok], -Minv[ok]):
-            inits[f] = W
-    return inits
+    M = _lstsq(D.values @ B.values.T, X.values)
+    if M is None:
+        return None
+    Minv, ok = _screened_inverse(M, 1e-8)
+    return InteractionMatrix(-Minv, form=W_FORM) if ok else None
 
 
 def _basis_warm_starts(basis, XS, train):
@@ -721,9 +678,13 @@ def _basis_warm_starts(basis, XS, train):
     :func:`least_squares_w_init` defines it (None where M_f has rcond below
     1e-8), and None for every fold it does not certify."""
     y, certified, _ = _basis_lstsq(basis, XS, train)
-    if certified.any():
-        y[certified] = np.linalg.solve(basis.R0, y[certified])
-    return _warm_starts(y, certified)
+    inits = [None] * len(y)
+    folds = np.flatnonzero(certified)
+    if folds.size:
+        Minv, ok = _screened_inverse(np.linalg.solve(basis.R0, y[folds]), 1e-8)
+        for f, W in zip(folds[ok], -Minv[ok]):
+            inits[f] = W
+    return inits
 
 
 def fit_causal_linear_folds(basis, D, X, B: TargetMap, train, tests, cfg: FitConfig):

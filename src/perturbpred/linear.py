@@ -43,10 +43,10 @@ def _screened_inverse(M, threshold, decide=None):
     at most the Frobenius one, and the factor 2 covers the rounding of the
     inverse.  The SVD screen _rcond(M) >= threshold settles the matrices this
     bound leaves open, so ok is what that screen says of every matrix.  For
-    a stack, decide(idx) may replace it: it settles the matrices at indices
-    idx.  inv refuses a whole stack if one matrix in it is exactly singular;
-    such a stack is settled by decide first and only its passing matrices
-    are inverted.
+    one matrix, decide() may replace it: it settles a matrix that the bound
+    leaves open or that LU cannot invert.  inv refuses a whole stack if one
+    matrix in it is exactly singular; such a stack is screened whole and only
+    its passing matrices are inverted.
     """
     bound = 0.25 / threshold**2
     if M.ndim == 2:  # plain floats: the causal-linear fit screens every candidate
@@ -56,17 +56,14 @@ def _screened_inverse(M, threshold, decide=None):
             inv = None
         if inv is not None and float(np.vdot(M, M)) * float(np.vdot(inv, inv)) <= bound:
             return inv, True
-        if _rcond(M) < threshold:
+        if _rcond(M) < threshold if decide is None else not decide():
             return inv, False
         return (np.linalg.inv(M) if inv is None else inv), True
 
-    if decide is None:
-        def decide(idx):
-            return _rcond(M[idx]) >= threshold
     try:
         inv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
-        ok = decide(np.arange(len(M)))
+        ok = _rcond(M) >= threshold
         inv = np.full(M.shape, np.nan)
         inv[ok] = np.linalg.inv(M[ok])
         return inv, ok
@@ -74,7 +71,7 @@ def _screened_inverse(M, threshold, decide=None):
         ok = np.sum(M * M, axis=(1, 2)) * np.sum(inv * inv, axis=(1, 2)) <= bound
     open_ = np.flatnonzero(~ok)
     if open_.size:
-        ok[open_] = decide(open_)
+        ok[open_] = _rcond(M[open_]) >= threshold
     return inv, ok
 
 

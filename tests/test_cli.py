@@ -163,6 +163,26 @@ class TestFit:
         assert not report["converged"]
         assert report["status"] == [MAX_ITER_REACHED.format(1)]
 
+    def test_overflowing_causal_linear_start_exit_code(self, tmp_path, caplog):
+        # columns a and 2a scaled by 1e160 and B = I: the loss at the
+        # starting W overflows, which exits 4 with a message, not a traceback
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0, 1, 6)
+        save_matrix_csv(tmp_path / "cond.csv", 1e160 * np.column_stack([a, 2 * a]))
+        save_matrix_csv(tmp_path / "resp.csv", rng.normal(size=(6, 2)))
+        save_matrix_csv(tmp_path / "targets.csv", np.eye(2))
+        caplog.set_level(logging.ERROR, logger="perturbpred")
+        assert main([
+            "fit", "--model", "causal-linear",
+            "--conditions", str(tmp_path / "cond.csv"),
+            "--responses", str(tmp_path / "resp.csv"),
+            "--targets", str(tmp_path / "targets.csv"),
+            "--out-dir", str(tmp_path / "fit"),
+        ]) == EXIT_NONCONVERGENCE
+        [record] = caplog.records
+        assert record.getMessage().startswith(
+            "the loss or its gradient overflows at the starting W")
+
     def test_missing_model_is_config_error(self, sim_dir):
         assert main([
             "fit",

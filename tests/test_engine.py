@@ -20,10 +20,10 @@ from perturbpred.errors import PerturbpredError, SingularMatrixError, ZeroVarian
 from perturbpred.fit import (
     CLOSED_FORM,
     FitConfig,
+    FitReport,
     _basis_lstsq,
     _basis_warm_starts,
-    _closed_form_stack,
-    _lstsq_stack,
+    _lstsq,
     causal_loss_and_gradient,
     factor_design,
     fit_causal_linear,
@@ -32,9 +32,7 @@ from perturbpred.fit import (
     fit_regression,
     fit_regression_folds,
     fit_regression_lodo,
-    fit_regression_stack,
     least_squares_w_init,
-    least_squares_w_init_stack,
 )
 from perturbpred.linear import predict_causal_linear, predict_regression
 from perturbpred.ode import OdeModel, steady_states
@@ -398,30 +396,41 @@ class TestStackedSolvers:
         rare_drug=st.booleans(),
     )
     def test_stacks_match_one_fold_calls(self, seed, folds, n, rare_drug):
+        # a block of folds of one design against a loop of the single fits:
+        # the warm starts of the folds that the basis of D B^T certifies, and
+        # the regression block, which must give the same predictions and
+        # reports, or the same error from the same fold
         D, X, B = instance(seed, 12, 3, 3, rare_drug)
         rng = np.random.default_rng(seed)
         rows = np.array([np.sort(rng.permutation(12)[:n]) for _ in range(folds)])
+        tests = np.array([np.setdiff1d(np.arange(12), train) for train in rows])
         Ds, Xs = D.values[rows], X.values[rows]
 
-        inits = least_squares_w_init_stack(Ds, Xs, B)
+        basis = factor_design(D.values @ B.values.T)
+        certified = _basis_lstsq(basis, Xs, rows)[1]
+        inits = _basis_warm_starts(basis, Xs, rows)
         for k, init in enumerate(inits):
+            if not certified[k]:
+                assert init is None
+                continue
             one = least_squares_w_init(ConditionMatrix(Ds[k]), ResponseMatrix(Xs[k]), B)
             assert (init is None) == (one is None)
             if one is not None:
-                assert_close(init.values, one.values)
+                assert_close(init, one.values)
 
         def one_fold_calls():
-            fits = [fit_regression(ConditionMatrix(Ds[k]), ResponseMatrix(Xs[k]))
-                    for k in range(folds)]
-            return np.array([R.values for R, _ in fits]), [rep for _, rep in fits]
+            return [reference_fold(RegressionFamily(), D, X, train, test)
+                    for train, test in zip(rows, tests)]
 
-        got = outcome(lambda: fit_regression_stack(Ds, Xs, D.drug_names))
+        plan = [(train, test, None) for train, test in zip(rows, tests)]
+        got = outcome(lambda: list(fit_folds(RegressionFamily(), D, X, plan)))
         want = outcome(one_fold_calls)
         if isinstance(want[0], type):
             assert got == want
         else:
-            assert_close(got[0], want[0])
-            assert_same_reports(got[1], want[1])
+            for (preds, report), (want_preds, want_report) in zip(got, want):
+                assert_close(preds, want_preds)
+                assert_same_reports([report], [want_report])
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), n=st.sampled_from([2, 3, 5, 10]), rare_drug=st.booleans())
@@ -440,8 +449,10 @@ class TestStackedSolvers:
         D, X, B = instance(seed, 12, 3, 3, rare_drug)
         rng = np.random.default_rng(seed)
         rows = np.array([np.sort(rng.permutation(12)[:n]) for _ in range(8)])
-        for k, init in enumerate(least_squares_w_init_stack(D.values[rows], X.values[rows], B)):
-            want = lstsq_w_init(D.values[rows[k]], X.values[rows[k]], B.values)
+        for train in rows:
+            init = least_squares_w_init(ConditionMatrix(D.values[train]),
+                                        ResponseMatrix(X.values[train]), B)
+            want = lstsq_w_init(D.values[train], X.values[train], B.values)
             assert (init is None) == (want is None)
             if want is not None:
                 np.testing.assert_allclose(init.values, want, rtol=1e-9, atol=1e-9)
@@ -449,14 +460,15 @@ class TestStackedSolvers:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), n=st.integers(4, 30), k=st.integers(1, 4))
     def test_least_squares_matches_lstsq(self, seed, n, k):
-        # well-posed systems: QR and numpy's SVD-based lstsq agree
+        # well-posed systems: QR and numpy's SVD-based lstsq agree; doses are
+        # nonnegative, so each design is |A|
         rng = np.random.default_rng(seed)
-        A = rng.normal(size=(3, n, k))
+        A = np.abs(rng.normal(size=(3, n, k)))
         Y = rng.normal(size=(3, n, 2))
-        R, _ = fit_regression_stack(A, Y, [f"d{j}" for j in range(k)])
         for f in range(3):
+            R, _ = fit_regression(ConditionMatrix(A[f]), ResponseMatrix(Y[f]))
             want = np.linalg.lstsq(A[f], Y[f], rcond=None)[0]
-            np.testing.assert_allclose(R[f], want, rtol=1e-9, atol=1e-10)
+            np.testing.assert_allclose(R.values, want, rtol=1e-9, atol=1e-10)
 
 
 DESIGN_KINDS = ("random", "binary", "planted", "boundary", "zero-column", "duplicate-column")
@@ -489,19 +501,19 @@ def design_matrix(rng, kind, n, k):
     kinds=st.lists(st.sampled_from(DESIGN_KINDS), min_size=1, max_size=8),
     scale=st.sampled_from([1.0, 1e-160, 1e160]),
 )
-def test_lstsq_stack_matches_matrix_rank_then_qr(seed, n, k, kinds, scale):
-    # the route it replaces: matrix_rank of every design, then QR of the
-    # full-rank ones; fewer rows than columns is never full rank
+def test_lstsq_matches_matrix_rank_then_qr(seed, n, k, kinds, scale):
+    # the route it replaces: matrix_rank of the design, then QR where it has
+    # full column rank; fewer rows than columns is never full rank
     rng = np.random.default_rng(seed)
-    A = scale * np.stack([design_matrix(rng, kind, n, k) for kind in kinds])
-    Y = rng.normal(size=(len(A), n, 2))
-    M, full = _lstsq_stack(A, Y)
-    want = np.linalg.matrix_rank(A) == k
-    assert np.array_equal(full, want)
-    assert np.isnan(M[~want]).all()
-    if want.any():
-        Q, R = np.linalg.qr(A[want])
-        assert np.array_equal(M[want], np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ Y[want]))
+    designs = [scale * design_matrix(rng, kind, n, k) for kind in kinds]
+    Ys = rng.normal(size=(len(designs), n, 2))
+    for A, Y in zip(designs, Ys):
+        M = _lstsq(A, Y)
+        full = np.linalg.matrix_rank(A) == k
+        assert (M is not None) == full
+        if full:
+            Q, R = np.linalg.qr(A)
+            assert np.array_equal(M, np.linalg.solve(R, Q.T @ Y))
 
 
 def rare_drug_design(rng, n, k, faint):
@@ -570,65 +582,68 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
     perms = np.array([rng.permutation(n) for _ in range(16)])
     train = np.sort(perms[:, :s], axis=1)
     tests = np.sort(perms[:, s:], axis=1)
-    names = [f"d{j}" for j in range(k)]
 
     # a fold the basis route takes is full rank; the others keep the QR
     # route's decision, which is matrix_rank's
     basis = factor_design(A)
     certified = _basis_lstsq(basis, X[train], train)[1]
     full = np.linalg.matrix_rank(A[train]) == k
-    assert np.array_equal(certified | _lstsq_stack(A[train], X[train])[1], full)
+    assert np.array_equal(certified | [_lstsq(A[S], X[S]) is not None for S in train], full)
 
     # regression: certified folds agree with QR within TOL; the block leaves
     # every other fold to the family's own fit
     preds, reports = fit_regression_folds(basis, X, train, tests)
     assert [report is not None for report in reports] == certified.tolist()
-    if certified.any():
-        R, want_reports = fit_regression_stack(A[train[certified]], X[train[certified]], names)
-        for f, R_f, want_report in zip(np.flatnonzero(certified), R, want_reports):
-            assert_close(preds[f], A[tests[f]] @ R_f)
-            assert_same_reports([reports[f]], [want_report])
+    for f in np.flatnonzero(certified):
+        R = _lstsq(A[train[f]], X[train[f]])
+        resid = X[train[f]] - A[train[f]] @ R
+        objective = float(np.sum(resid * resid))
+        assert_close(preds[f], A[tests[f]] @ R)
+        assert_same_reports([reports[f]], [FitReport(objective, 1, True, [objective])])
 
     # causal-linear with B = I, so that D B^T is the design itself: the warm
-    # start predicts A[T] M with M = -inv(W).  The closed-form test compares
-    # ||grad||^2, round-off divided by the design's scale at the
-    # least-squares M, with tol; at scale 1e-160 it passes only where that
-    # round-off is exactly 0, a toss-up in either route, so there only the
-    # warm starts are compared
+    # start predicts A[T] M with M = -inv(W).  Doses are nonnegative, so the
+    # one-fold fits see A = A+ - A- as D = [A+, A-] with B = [I, -I].  The
+    # closed-form test compares ||grad||^2, round-off divided by the design's
+    # scale at the least-squares M, with tol; at scale 1e-160 it passes only
+    # where that round-off is exactly 0, a toss-up in either route, so there
+    # only the warm starts are compared
+    signed = TargetMap(np.hstack([np.eye(k), -np.eye(k)]))
+    D = ConditionMatrix(np.hstack([np.maximum(A, 0.0), np.maximum(-A, 0.0)]))
+    assert np.array_equal(D.values @ signed.values.T, A)
     B = TargetMap(np.eye(k))
     inits = _basis_warm_starts(factor_design(A @ B.values.T), X[train], train)
     preds, closed = fit_causal_linear_folds(factor_design(A @ B.values.T), A, X, B, train, tests,
                                             FitConfig())
-    want_inits = [None if W is None else W.values
-                  for W in least_squares_w_init_stack(A[train], X[train], B)]
-    want_Winv, want_closed = _closed_form_stack(A[train] @ B.values.T, X[train], want_inits,
-                                                FitConfig())
-    for f, test in enumerate(tests):
+    for f, (S, T) in enumerate(zip(train, tests)):
         if not certified[f]:
             assert inits[f] is None and closed[f] is None
             continue
-        assert (inits[f] is None) == (want_inits[f] is None)
-        if inits[f] is not None:
-            assert_close(A[test] @ -np.linalg.inv(inits[f]),
-                         A[test] @ -np.linalg.inv(want_inits[f]))
+        D_S, X_S = ConditionMatrix(D.values[S]), ResponseMatrix(X[S])
+        want_init = least_squares_w_init(D_S, X_S, signed)
+        assert (inits[f] is None) == (want_init is None)
+        if want_init is None:
+            assert closed[f] is None
+            continue
+        assert_close(A[T] @ -np.linalg.inv(inits[f]), A[T] @ -np.linalg.inv(want_init.values))
         if scale >= 1.0:
-            assert (closed[f] is None) == (want_closed[f] is None)
+            W, report = fit_causal_linear(D_S, X_S, signed,
+                                          FitConfig(w_init=want_init, max_iter=1))
+            assert (closed[f] is not None) == (CLOSED_FORM in report.status)
             if closed[f] is not None:
-                assert_close(preds[f], A[test] @ -want_Winv[f])
-                assert_same_reports([closed[f]], [want_closed[f]])
+                D_T = ConditionMatrix(D.values[T])
+                assert_close(preds[f], predict_causal_linear(W, signed, D_T).predicted)
+                assert_same_reports([closed[f]], [report])
 
     # every fold the block leaves alone runs the family's own fit, bit for
-    # bit.  Doses are nonnegative, so the regression design is |A|, and the
-    # causal-linear one is A = A+ - A-, as D = [A+, A-] with B = [I, -I].
-    # The proximal-gradient fit from -I overflows at the extreme scales, so
-    # the causal-linear fits run at scale 1 only.
+    # bit: the regression design is |A|, and the causal-linear one is D.
+    # The causal-linear fit overflows at the extreme scales (its loss at -I
+    # at 1e160, its metric at a warm start at 1e-160), so it runs at scale 1
+    # only.
     Xm = ResponseMatrix(X)
     assert_unsettled_folds_fit_alone(RegressionFamily(), ConditionMatrix(np.abs(A)), Xm,
                                      train, tests)
     if scale == 1.0:
-        signed = TargetMap(np.hstack([np.eye(k), -np.eye(k)]))
-        D = ConditionMatrix(np.hstack([np.maximum(A, 0.0), np.maximum(-A, 0.0)]))
-        assert np.array_equal(D.values @ signed.values.T, A)
         assert_unsettled_folds_fit_alone(CausalLinearFamily(signed, FitConfig(max_iter=10)), D,
                                          Xm, train, tests)
 
@@ -711,15 +726,23 @@ def test_every_simulated_random_fold_takes_the_basis_route():
 
 def test_near_singular_warm_start_refused():
     # fold 1's responses only span one direction, so its M is singular
-    D = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]] * 2)
-    X = D @ np.array([[1.0, 0.2], [0.3, 1.0]])
-    X[1] = D[1] @ np.array([[1.0, 2.0], [1.0, 2.0]])
-    inits = least_squares_w_init_stack(D, X, TargetMap(np.eye(2)))
-    assert inits[0] is not None and inits[1] is None
+    D = ConditionMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    B = TargetMap(np.eye(2))
+    for M, refused in (([[1.0, 0.2], [0.3, 1.0]], False), ([[1.0, 2.0], [1.0, 2.0]], True)):
+        init = least_squares_w_init(D, ResponseMatrix(D.values @ np.array(M)), B)
+        assert (init is None) == refused
 
 
 def test_rank_deficient_stack_names_the_zero_column():
-    D = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]]] * 2)
-    D[1, :, 1] = 0.0
-    with pytest.raises(SingularMatrixError, match="deficient design columns: b$"):
-        fit_regression_stack(D, np.ones((2, 4, 1)), ["a", "b"])
+    # fold 0 trains on a full-rank design and fold 1 on rows that never dose
+    # b: the block fits fold 0 and raises at fold 1, as its one-fold fit does
+    D = ConditionMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0],
+                         [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]], ["a", "b"])
+    X = ResponseMatrix(np.ones((8, 1)))
+    folds = [(np.arange(4), np.arange(4, 8), None), (np.arange(4, 8), np.arange(4), None)]
+    for fit in (lambda: list(fit_folds(RegressionFamily(), D, X, folds)),
+                lambda: fit_regression(ConditionMatrix(D.values[4:], ["a", "b"]),
+                                       ResponseMatrix(X.values[4:]))):
+        with pytest.raises(SingularMatrixError, match="deficient design columns: b$"):
+            fit()
+    fit_regression(ConditionMatrix(D.values[:4], ["a", "b"]), ResponseMatrix(X.values[:4]))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,26 @@ def fd_gradient(W, D, X, B, h=1e-6):
             lm, _ = causal_loss_and_gradient(Wm, D, X, B)
             g[i, j] = (lp - lm) / (2 * h)
     return g
+
+
+def test_names_the_benchmark_uses_stay_bound():
+    # perfbench/workloads.py recomputes a lasso fit's objective with
+    # causal_objective(W, D, X, B, lam); perfbench/tracing.py counts the
+    # spans of the fits, the loss evaluations and the warm starts by their
+    # names in this module; perfbench/selftest.py checks that steady_state,
+    # bound here, is wrapped.  A name lost here would only show as a failed
+    # benchmark run.
+    for name in ("fit_regression", "fit_regression_lodo", "fit_causal_linear", "fit_causal_ode",
+                 "causal_loss_and_gradient", "least_squares_w_init"):
+        assert callable(getattr(fit_module, name))
+    assert fit_module.steady_state is steady_state
+    rng = np.random.default_rng(0)
+    D = ConditionMatrix(rng.uniform(0, 1, (6, 2)))
+    X = ResponseMatrix(rng.normal(size=(6, 2)))
+    B = TargetMap(np.eye(2))
+    W = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    loss, _ = causal_loss_and_gradient(W, D, X, B)
+    assert causal_objective(W, D, X, B, 0.1) == loss + 0.1 * 0.5
 
 
 class TestSoftThreshold:
@@ -430,12 +451,17 @@ class TestFitCausalLinear:
         assert calls["svd"] == 0
 
     def test_start_inverted_once(self, monkeypatch):
-        # the first loss evaluation's inverse also gives the metric, so the
-        # start is inverted once before the first step is tried
+        # the first loss evaluation's inverse also gives the metric, and at
+        # lambda = 0 it decides the closed form too, so the start is inverted
+        # once before the first step is tried.  D B^T (20 x 3) has full
+        # column rank, and -I is no least-squares minimizer, so the fit at
+        # lambda = 0 from w_init = -I runs the loop.  An inversion counts in
+        # any shape, a stack of one included
         rng = np.random.default_rng(15)
         D = ConditionMatrix(rng.uniform(0, 1, (20, 4)))
         B = TargetMap(rng.normal(size=(3, 4)))
         X = ResponseMatrix(rng.normal(size=(20, 3)))
+        assert np.linalg.matrix_rank(D.values @ B.values.T) == 3
         inverted = []
         inv = np.linalg.inv
 
@@ -443,11 +469,29 @@ class TestFitCausalLinear:
             inverted.append(np.array(M))
             return inv(M)
 
+        def starts():
+            return sum(np.array_equal(M, -np.eye(3))
+                       for stack in inverted for M in stack.reshape(-1, *stack.shape[-2:]))
+
         monkeypatch.setattr(np.linalg, "inv", counted)
-        _, report = fit_causal_linear(D, X, B, FitConfig(lam=0.1, max_iter=5))
-        assert report.iterations == 5
-        assert np.array_equal(inverted[0], -np.eye(3))
-        assert sum(np.array_equal(M, -np.eye(3)) for M in inverted) == 1
+        minus_identity = InteractionMatrix(-np.eye(3))
+        for cfg in (FitConfig(lam=0.1, max_iter=5), FitConfig(w_init=minus_identity, max_iter=5)):
+            inverted.clear()
+            _, report = fit_causal_linear(D, X, B, cfg)
+            assert report.iterations == 5 and report.status == (MAX_ITER_REACHED.format(5),)
+            assert starts() == 1
+
+    def test_overflowing_start_raises_a_package_error(self):
+        # columns a and 2a scaled by 1e160, B = I and no warm start: the loss
+        # at -I overflows, which the fit reports without a numpy warning
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0, 1, 6)
+        D = ConditionMatrix(1e160 * np.column_stack([a, 2 * a]))
+        X = ResponseMatrix(rng.normal(size=(6, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="overflows at the starting W"):
+                fit_causal_linear(D, X, TargetMap(np.eye(2)))
 
     def test_near_singular_candidate_rejected_by_the_svd_fallback(self, monkeypatch):
         # the first trial step is replaced by a W with rcond 1e-13: its
