@@ -429,8 +429,9 @@ def _write_scatter(path, labels, response_names, observed, predicted):
         fh.write("condition,response,observed,predicted\r\n")
         fh.writelines(
             line % (label, resp, obs, pred)
-            for label, obs_row, pred_row in zip(csv_labels(labels), observed, predicted)
-            for resp, obs, pred in zip(response_names, obs_row.tolist(), pred_row.tolist())
+            for label, obs_row, pred_row in zip(csv_labels(labels), observed.tolist(),
+                                                predicted.tolist())
+            for resp, obs, pred in zip(response_names, obs_row, pred_row)
         )
 
 

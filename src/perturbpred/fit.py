@@ -513,13 +513,18 @@ def _causal_metric(Q, C):
 
     Moving w_ij moves the residual X + C Q by -(C Q)[:, i] Q[j, :], so the
     Gauss-Newton diagonal is h_ij = ||(C Q)[:, i]||^2 ||Q[j, :]||^2.  A Q
-    that is not finite (an inverse that overflowed) gives the metric 1
-    everywhere.
+    that is not finite (an inverse that overflowed), or whose squares
+    overflow (a start W near 1e-160, from a design at that scale), gives the
+    metric 1 everywhere.
     """
     if not np.all(np.isfinite(Q)):
         return np.ones_like(Q)
     CQ = C @ Q
-    return _diagonal_metric(np.outer((CQ * CQ).sum(axis=0), (Q * Q).sum(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        column_sq, row_sq = (CQ * CQ).sum(axis=0), (Q * Q).sum(axis=1)
+    if not (np.all(np.isfinite(column_sq)) and np.all(np.isfinite(row_sq))):
+        return np.ones_like(Q)
+    return _diagonal_metric(np.outer(column_sq, row_sq))
 
 
 def _proximal_map(W, grad, step, cfg: FitConfig):

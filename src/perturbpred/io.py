@@ -2,9 +2,11 @@
 
 Matrices travel as comma-separated tables with a header row of column names
 and a first column of condition/row IDs.  Values are written with 17
-significant digits so a write/read round trip is exact.  Rows are parsed
-and formatted whole, one float() pass or one format string per row; a row
-that fails the whole-row parse is re-read cell by cell, so a ParseError
+significant digits so a write/read round trip is exact, one format string
+per row.  A matrix file is read as one text.  A plain table, one csv row per
+line with no quotes and a number in every cell, is parsed by numpy's C text
+reader; any other text goes through csv.reader, one float() pass per row,
+and a row that fails that pass is re-read cell by cell, so a ParseError
 names the file line and column of the first bad cell.  Reports are JSON;
 fitted networks export as an edge-list CSV and Graphviz dot text.
 """
@@ -17,6 +19,8 @@ import os
 import re
 from array import array
 from dataclasses import dataclass
+from io import StringIO
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +29,9 @@ from .types import ConditionMatrix, ResponseMatrix, duplicate_labels
 
 FLOAT_FMT = "%.17g"
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+# the exact types of a per_fold value the C encoder writes as indent=2 does;
+# any other (a bool, a numpy scalar) sends the report to json.dumps whole
+_JSON_SCALARS = frozenset({str, int, float, type(None)})
 
 
 def load_matrix_csv(path):
@@ -36,11 +43,56 @@ def load_matrix_csv(path):
     """
     try:
         with open(path, newline="") as fh:
-            return _parse_matrix(path, csv.reader(fh))
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not {exc.encoding} text ({exc.reason})") from exc
+    return _parse_plain(text) or _parse_matrix(path, csv.reader(StringIO(text, newline="")))
+
+
+def _parse_plain(text):
+    """load_matrix_csv's result for a plain table, by numpy's C text reader,
+    or None for any other text, which the csv path then reads.
+
+    A table is plain when it holds no quote, no NUL and no CR outside a
+    CRLF; its header has two or more distinct names; it has data lines, and
+    each holds exactly one comma fewer than the header has names (so none is
+    blank); np.loadtxt reads every cell; and no row ID repeats.  Each line is
+    then one csv row, and its row ID is the text before its first comma.
+    np.loadtxt reads a cell as str.strip() then float() do: it strips the
+    same whitespace and parses ASCII with the same parser.  It refuses what
+    only float() reads, "1_000" or non-ASCII digits, so those tables take
+    the csv path.
+    """
+    crlf = text.count("\r\n")
+    if '"' in text or "\0" in text or text.count("\r") != crlf:
+        return None
+    if crlf == text.count("\n"):
+        lines = text.split("\r\n")
+    else:
+        lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if len(lines) < 2:
+        return None
+    header = [name.strip() for name in lines[0].split(",")]
+    n_cols, data = len(header), lines[1:]
+    # one count over the text, not one per line: np.loadtxt raises on a line
+    # short of a column and skips only empty lines, so once it has read a
+    # row from every line (the length test below), this total leaves each
+    # data line exactly n_cols - 1 commas
+    if n_cols < 2 or len(set(header)) < n_cols or text.count(",") != (n_cols - 1) * len(lines):
+        return None
+    try:
+        values = np.loadtxt(data, delimiter=",", usecols=range(1, n_cols), dtype=float,
+                            comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    row_ids = [line.partition(",")[0].strip() for line in data]
+    if len(values) != len(data) or len(set(row_ids)) < len(row_ids):
+        return None
+    return values, row_ids, header[1:]
 
 
 def _parse_matrix(path, reader):
@@ -104,12 +156,11 @@ def csv_labels(labels):
     quoted, with its quotes doubled, where it holds a comma, quote or line
     break.  Called once per file, not per row: perfbench's tracer records a
     span for every call of a public io function."""
-    fields = []
-    for text in map(str, labels):
-        if _NEEDS_QUOTES.search(text):
-            text = '"' + text.replace('"', '""') + '"'
-        fields.append(text)
-    return fields
+    fields = list(map(str, labels))
+    if not _NEEDS_QUOTES.search("".join(fields)):
+        return fields
+    return ['"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+            for text in fields]
 
 
 def save_matrix_csv(path, values, row_ids=None, col_names=None, id_header="id"):
@@ -123,7 +174,7 @@ def save_matrix_csv(path, values, row_ids=None, col_names=None, id_header="id"):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([id_header] + list(col_names))
         fh.writelines(  # Python floats format faster
-            line % (rid, *row.tolist()) for rid, row in zip(csv_labels(row_ids), values)
+            line % (rid, *row) for rid, row in zip(csv_labels(row_ids), values.tolist())
         )
 
 
@@ -144,14 +195,17 @@ def write_json_report(path, payload):
 
     indent=2 makes json.dumps use its pure-Python encoder, a generator per
     value, so a cv report's list of per_fold entries, flat dicts of scalars,
-    is written by :func:`_flat_dicts_json` with the C encoder instead.  The
-    rest of the report is encoded with an empty list in its place, and
-    '\n  "per_fold": []' can only be that top-level key: JSON text holds a
-    newline only between tokens, and nested keys sit deeper.
+    is written by :func:`_flat_dicts_json` with the C encoder instead.  One
+    pass over their exact types checks that they are non-empty dicts whose
+    values are str, int, float or None.  The rest of the report is encoded
+    with an empty list in its place, and '\n  "per_fold": []' can only be
+    that top-level key: JSON text holds a newline only between tokens, and
+    nested keys sit deeper.
     """
     entries = payload.get("per_fold") if isinstance(payload, dict) else None
-    if entries and all(isinstance(entry, dict) and entry and _scalars_only(entry)
-                       for entry in entries):
+    flat = entries and all(type(entry) is dict and entry for entry in entries)
+    cells = chain.from_iterable(map(dict.values, entries)) if flat else ()
+    if flat and _JSON_SCALARS.issuperset(map(type, cells)):
         text = json.dumps({**payload, "per_fold": []}, indent=2, sort_keys=True).replace(
             '\n  "per_fold": []', '\n  "per_fold": ' + _flat_dicts_json(entries, "  "), 1
         )
@@ -159,10 +213,6 @@ def write_json_report(path, payload):
         text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
-
-
-def _scalars_only(entry):
-    return all(isinstance(value, (str, int, float, type(None))) for value in entry.values())
 
 
 def _flat_dicts_json(entries, indent):

@@ -26,6 +26,8 @@ from perturbpred.fit import (
     least_squares_w_init,
 )
 from perturbpred.io import (
+    _parse_matrix,
+    _parse_plain,
     load_condition_matrix,
     load_matrix_csv,
     load_response_matrix,
@@ -202,6 +204,34 @@ class TestFit:
 
 
 class TestPredict:
+    def test_written_matrices_take_the_plain_reader(self, sim_dir, tmp_path):
+        # every matrix the package writes is read by numpy's reader, with the
+        # csv path's bits: were the plain path never taken, the rest of the
+        # suite would still pass
+        conditions = str(sim_dir / "sim_conditions.csv")
+        responses = str(sim_dir / "sim_responses.csv")
+        targets = ["--targets", str(sim_dir / "sim_targets.csv")]
+        for model, extra in (("regression", []), ("causal-linear", targets)):
+            assert main(["fit", "--model", model, "--conditions", conditions,
+                         "--responses", responses, *extra,
+                         "--out-dir", str(tmp_path / model)]) == EXIT_OK
+        assert main(["predict", "--model", "causal-linear",
+                     "--params", str(tmp_path / "causal-linear" / "interaction_w.csv"),
+                     *targets, "--conditions", conditions,
+                     "--out", str(tmp_path / "pred.csv")]) == EXIT_OK
+        written = [*sorted(sim_dir.glob("*.csv")), tmp_path / "regression" / "coefficients.csv",
+                   tmp_path / "causal-linear" / "interaction_w.csv", tmp_path / "pred.csv"]
+        assert len(written) == 8
+        for path in written:
+            with open(path, newline="") as fh:
+                text = fh.read()
+            plain = _parse_plain(text)
+            assert plain is not None, path.name
+            reader = csv.reader(io.StringIO(text, newline=""))
+            values, row_ids, col_names = _parse_matrix(path, reader)
+            assert plain[0].shape == values.shape and plain[0].tobytes() == values.tobytes()
+            assert plain[1:] == (row_ids, col_names)
+
     def test_round_trip_through_files(self, sim_dir, tmp_path):
         fit_out = tmp_path / "fit"
         assert main([

@@ -636,16 +636,13 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
                 assert_same_reports([closed[f]], [report])
 
     # every fold the block leaves alone runs the family's own fit, bit for
-    # bit: the regression design is |A|, and the causal-linear one is D.
-    # The causal-linear fit overflows at the extreme scales (its loss at -I
-    # at 1e160, its metric at a warm start at 1e-160), so it runs at scale 1
-    # only.
+    # bit, or raises its error: the regression design is |A|, and the
+    # causal-linear one is D, at every scale
     Xm = ResponseMatrix(X)
     assert_unsettled_folds_fit_alone(RegressionFamily(), ConditionMatrix(np.abs(A)), Xm,
                                      train, tests)
-    if scale == 1.0:
-        assert_unsettled_folds_fit_alone(CausalLinearFamily(signed, FitConfig(max_iter=10)), D,
-                                         Xm, train, tests)
+    assert_unsettled_folds_fit_alone(CausalLinearFamily(signed, FitConfig(max_iter=10)), D,
+                                     Xm, train, tests)
 
 
 def snapshot(result):

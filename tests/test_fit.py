@@ -493,6 +493,25 @@ class TestFitCausalLinear:
             with pytest.raises(DivergenceError, match="overflows at the starting W"):
                 fit_causal_linear(D, X, TargetMap(np.eye(2)))
 
+    def test_tiny_warm_start_takes_the_unit_metric(self):
+        # a Gaussian 4 x 1 design at 1e-160 (seed 0) as D = [A+, A-] with
+        # B = [I, -I], trained on rows 0 and 2: the least-squares W is near
+        # 1e-160, so its inverse squared overflows.  The metric falls back to
+        # 1 without a numpy warning, and the fit ends in a package error
+        rng = np.random.default_rng(0)
+        A = 1e-160 * rng.normal(size=(4, 1))
+        rows = [0, 2]
+        D = ConditionMatrix(np.hstack([np.maximum(A, 0.0), np.maximum(-A, 0.0)])[rows])
+        X = ResponseMatrix(rng.normal(size=(4, 1))[rows])
+        B = TargetMap(np.array([[1.0, -1.0]]))
+        w_init = least_squares_w_init(D, X, B)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            metric = fit_module._causal_metric(np.linalg.inv(w_init.values), A[rows])
+            assert np.array_equal(metric, np.ones((1, 1)))
+            with pytest.raises(NonConvergenceError, match="backtracking exhausted"):
+                fit_causal_linear(D, X, B, FitConfig(w_init=w_init, max_iter=10))
+
     def test_near_singular_candidate_rejected_by_the_svd_fallback(self, monkeypatch):
         # the first trial step is replaced by a W with rcond 1e-13: its
         # inverse cannot pass the bound, the SVD screen rejects it, and the

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from perturbpred.errors import ConfigError, ParseError
 from perturbpred.io import (
     NetworkExport,
+    _parse_plain,
     default_output_dir,
     export_network,
     load_condition_matrix,
@@ -126,6 +127,26 @@ def tables(draw):
     return rows
 
 
+PLAIN_LABEL = st.text(st.sampled_from("ab _#\u00e9"), max_size=3)
+
+
+@st.composite
+def plain_texts(draw):
+    """The text of a matrix file with no quote, blank line or ragged row, so
+    that only its numbers and their padding can keep it off numpy's reader."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    pad = st.sampled_from(draw(st.sampled_from(PADDINGS)))
+    number = st.sampled_from(NUMBERS) | st.floats().map(repr)
+    cell = st.builds(lambda left, x, right: left + x + right, pad, number, pad)
+    lines = [",".join(["id"] + [draw(PLAIN_LABEL) + f"c{j}" for j in range(m)])]
+    for i in range(n):
+        cells = draw(st.lists(cell, min_size=m, max_size=m))
+        lines.append(",".join([draw(PLAIN_LABEL) + f"r{i}"] + cells))
+    newline = draw(st.sampled_from(["\r\n", "\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
 class TestMatrixCsv:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -167,6 +188,42 @@ class TestMatrixCsv:
         with open(path, "w", newline="") as fh:
             csv.writer(fh, lineterminator=newline).writerows(rows)
         assert _outcome(load_matrix_csv, path) == _outcome(reference_load_matrix_csv, path)
+
+    def test_plain_tables_match_the_cell_by_cell_reader(self, tmp_path):
+        # mostly tables numpy's reader takes; each must load as the reference
+        # does, bit for bit, or raise its ParseError
+        path = tmp_path / "t.csv"
+        took = []
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(text=plain_texts())
+        @example(text="id,a,b\r\nr1,1_000,2\r\n")  # float() reads it, numpy does not
+        @example(text="id,a\nr1,\u0661\n")  # an Arabic-Indic 1, likewise
+        @example(text="id,a,b\nr1,\x1c1\x1f,2\nr2,\x1c3,4\x1c\n")  # float() refuses the padding
+        @example(text="id,a,b\nr1,\xa01,2\xa0\n")
+        @example(text="id,a,b\nr1,-NaN,1e400\n")
+        @example(text="id,#a\n#r1,1\nr#2,2\n")
+        @example(text='id,"a"\n"r1",1\n')  # quoted labels
+        @example(text="id,a\nr1,1,\n")  # a trailing comma
+        @example(text="id,a,\nr1,1,\n")
+        @example(text="id,a\rr1,1\rr2,2\r")  # CR-only line ends
+        @example(text="id,a\r\nr1,1\nr2,2\r\n")
+        @example(text="id,a\n \t\nr1,1\n")  # a whitespace-only line
+        @example(text="id,a,b\nr1,1,2\n , \n")
+        @example(text="id,a,b\n")  # header only
+        @example(text="id\nr1\n")  # no data column
+        @example(text="id,a\nr1,1\n r1 ,2\n")  # a repeated row ID
+        @example(text="id,a,b\nr1,1,2,3\n")  # a long row
+        @example(text="id,a,b\nr1,1,2,3\nr2,4\n")  # one long, one short
+        @example(text="id,a,b\nr1,1,2,3,4\n\n")  # a long row and a blank line
+        def check(text):
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            took.append(_parse_plain(text) is not None)
+            assert _outcome(load_matrix_csv, path) == _outcome(reference_load_matrix_csv, path)
+
+        check()
+        assert sum(took) > len(took) / 2
 
     @pytest.mark.parametrize("row_ids", [
         ["plain", "a,b", 'say "hi"', "cr\rin", "lf\nin", ""],
