@@ -4,19 +4,12 @@ Three fitters live here:
 
 * ``fit_regression`` solves ||X - D R||_F^2 + lambda ||R||_1, exactly when
   lambda = 0: least squares by one QR of D (:func:`_lstsq`), with the rank
-  decided as np.linalg.matrix_rank decides it.  Cross-validation factors its
-  design once per command (:func:`factor_design`) and solves each block of
-  lambda = 0 folds, each a row subset of that design, in its orthonormal
-  basis (:func:`_basis_lstsq`): one k x k system per fold, taken only where
-  a Cholesky certificate shows the fold's rank and conditioning, with the
-  test rows of those folds predicted as one (F, t, p) stack.  Any other fold
-  is left to a single fit of its own.
+  decided as np.linalg.matrix_rank decides it.
 * ``fit_causal_linear`` minimizes ||X - D B^T (-inv(W))||_F^2 plus an L1
   penalty on the off-diagonal of W; the loss is nonconvex in W with a
   singular set at det W = 0, so a candidate step that lands near it is
-  rejected.  At lambda = 0 the loss is least squares in M = -inv(W):
-  ``least_squares_w_init`` solves it by the same QR, and a fit started
-  there returns it as the closed form.
+  rejected.  At lambda = 0 the loss is least squares in M = -inv(W) on the
+  design D B^T, solved by the same QR: its minimizer is the closed form.
 * ``fit_causal_ode`` fits the nonlinear dynamics by gradient descent.  Each
   loss evaluation is one batched steady-state solve over all conditions by
   Newton steps, from rest at a contracting start and from the last accepted
@@ -24,6 +17,14 @@ Three fitters live here:
   start, and checks the end unless a contraction certificate settles it.
   The gradient is exact: the implicit function theorem at the reached
   states gives one p x p adjoint solve per condition.
+
+Cross-validation factors a linear model's design, D or D B^T, once per
+command (:func:`factor_design`) and solves each block of lambda = 0 folds,
+each a row subset of that design, in its orthonormal basis
+(:func:`fit_regression_folds`): one k x k system per fold, taken only where a
+Cholesky certificate shows the fold's rank and conditioning, with the test
+rows of those folds predicted as one (F, t, p) stack.  Any other fold is
+left to a single fit of its own.
 
 Both linear fits, wherever no closed form holds, run one solver: ``_fista``,
 accelerated proximal gradient with backtracking and restart, in a fixed
@@ -62,8 +63,9 @@ from .types import (
 class FitConfig:
     """What a command sets for a fit: the L1 weight lam, the iteration cap
     max_iter, the stopping tolerance tol and an edge mask.  w_init is the
-    starting W, which the model families fill with their warm or cold start.
-    The step rule is not a setting: each fitter has one, in its docstring.
+    causal fits' starting W; left None, the causal-linear fit starts from
+    its least-squares W and the causal-ODE fit from -I.  The step rule is not
+    a setting: each fitter has one, in its docstring.
     """
 
     lam: float = 0.0
@@ -111,6 +113,13 @@ class FitReport:
 # The status of a fit that stopped at its iteration cap, unconverged; every
 # fitter formats it with its cfg.max_iter.
 MAX_ITER_REACHED = "max-iter-reached: the fit stopped at max_iter = {} before its stop rule held"
+
+# The status of a causal-linear fit returned in closed form, after 0 iterations.
+CLOSED_FORM = "closed-form: the least-squares minimizer at lambda = 0"
+
+# A least-squares M gives the causal-linear fit's closed form or start,
+# W = -inv(M), only where its rcond is at least this (:func:`_screened_inverse`).
+_LEAST_SQUARES_RCOND = 1e-8
 
 
 def soft_threshold(x, thr):
@@ -264,12 +273,14 @@ def _lstsq(A, Y):
     return None if QR is None else np.linalg.solve(QR[1], QR[0].T @ Y)
 
 
-def _least_squares_reports(resid):
+def _least_squares_reports(resid, iterations, status):
     """The FitReport of each fold of a least-squares stack, from its (F, n, m)
-    residuals: the objectives are summed as one array, and each fold's trace
-    is a row of it."""
-    objectives = np.sum(resid * resid, axis=(1, 2))
-    return [FitReport(obj, 1, True, trace)
+    residuals, with the given iterations and status: the objectives are
+    summed as one array, and each fold's trace is a row of it.  An objective
+    that overflows is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        objectives = np.sum(resid * resid, axis=(1, 2))
+    return [FitReport(obj, iterations, True, trace, status)
             for obj, trace in zip(objectives.tolist(), objectives[:, None])]
 
 
@@ -358,29 +369,40 @@ def _basis_lstsq(basis, XS, train):
     return y, certified, QS
 
 
-def fit_regression_folds(basis, X, train, tests):
-    """Unpenalized regression of the folds of a block that the basis of the
-    whole design settles, and the predictions of their test rows.
+def fit_regression_folds(basis, X, train, tests, causal=False):
+    """Unpenalized least squares of the folds of a block that the basis of
+    the whole design settles, and the predictions of their test rows.
 
-    basis is the DesignBasis of the (n, q) design D (:func:`factor_design`),
-    X is (n, p), and train and tests are (F, s) and (F, t) arrays of each
-    fold's training and test rows.  Returns (predictions, reports): the
-    (F, t, p) test predictions and one FitReport per fold, both only where
+    basis is the DesignBasis of the (n, k) design A (:func:`factor_design`):
+    D for regression, or with causal the causal-linear model's D B^T.  X is
+    (n, p), and train and tests are (F, s) and (F, t) arrays of each fold's
+    training and test rows.  Returns (predictions, reports): the (F, t, p)
+    test predictions and one FitReport per fold, both only where
     :func:`_basis_lstsq` certifies the fold, which is solved in the basis of
-    D and predicts D[T] R = Q0[T] y with one batched product, with objective
-    ||X[S] - Q0[S] y||^2.  Every other fold's report is None and its
-    predictions are unset: the family fits it on its own.
+    A and predicts A[T] M = Q0[T] y with one batched product, with objective
+    ||X[S] - Q0[S] y||^2.  A regression fold reports 1 iteration.  With
+    causal, a certified fold is settled only where M = inv(R0) y passes the
+    rcond screen _LEAST_SQUARES_RCOND, and reports the closed form of
+    :func:`fit_causal_linear`: 0 iterations, status CLOSED_FORM.  Every
+    other fold, and one whose objective overflows, gets report None, and its
+    predictions are not meant to be used: the family fits it on its own.
     """
     XS = X[train]
     y, certified, QS = _basis_lstsq(basis, XS, train)
+    if causal and certified.any():
+        certified[certified] = _screened_inverse(np.linalg.solve(basis.R0, y[certified]),
+                                                  _LEAST_SQUARES_RCOND)[1]
     preds = np.empty((len(train), tests.shape[1], X.shape[1]))
     reports = [None] * len(train)
     done = np.flatnonzero(certified)
     if done.size:
         coef = y[done]
         preds[done] = basis.Q0[tests[done]] @ coef
-        for f, report in zip(done.tolist(), _least_squares_reports(XS[done] - QS[done] @ coef)):
-            reports[f] = report
+        iterations, status = (0, (CLOSED_FORM,)) if causal else (1, ())
+        settled = _least_squares_reports(XS[done] - QS[done] @ coef, iterations, status)
+        for f, report in zip(done.tolist(), settled):
+            if math.isfinite(report.final_objective):
+                reports[f] = report
     return preds, reports
 
 
@@ -499,12 +521,14 @@ def _apply_mask(W, mask):
     return W
 
 
-def _initial_w(cfg: FitConfig, p):
-    """The fit's starting W: cfg.w_init (which must be W-form) or -I, masked."""
+def _initial_w(cfg: FitConfig, p, default=None):
+    """The fit's starting W, masked: cfg.w_init (which must be W-form), else
+    default, else -I."""
     if cfg.w_init is not None and cfg.w_init.form != W_FORM:
         raise ValueError("w_init must be W-form")
-    W = -np.eye(p) if cfg.w_init is None else cfg.w_init.values.copy()
-    return _apply_mask(W, cfg.mask)
+    if cfg.w_init is not None:
+        default = cfg.w_init.values.copy()
+    return _apply_mask(-np.eye(p) if default is None else default, cfg.mask)
 
 
 def _causal_metric(Q, C):
@@ -537,41 +561,15 @@ def _proximal_map(W, grad, step, cfg: FitConfig):
     return _apply_mask(shrunk, cfg.mask)
 
 
-CLOSED_FORM = "closed-form: w_init is the least-squares minimizer at lambda = 0"
-
-
-def _closed_form_stack(C, X, inits, cfg: FitConfig):
-    """The closed-form fit of each fold of a stack, where it holds.
-
-    C is (F, n, p) with each fold's D B^T, X (F, n, p) its responses and
-    inits the values of its W-form w_init, given only where C_f has full
-    column rank (None elsewhere).  Returns (Winv, reports): Winv is (F, p, p)
-    and holds inv(W_f) where the closed form holds, 0 elsewhere, and reports
-    holds the fold's FitReport where it holds, None elsewhere.  It holds at
-    lambda = 0 with no mask, where W_f = w_init passes the rcond screen of
-    safe_inverse and the loss is stationary at W_f by the test
-    :func:`fit_causal_linear` describes.
-    """
-    F, _, p = C.shape
-    Winv = np.zeros((F, p, p))
-    reports = [None] * F
-    folds = [f for f, init in enumerate(inits) if init is not None]
-    if cfg.lam != 0.0 or cfg.mask is not None or not folds:
-        return Winv, reports
-    inv, screened = _screened_inverse(np.array([inits[f] for f in folds]), RCOND_MIN)
-    folds = np.array(folds)[screened]
-    inv = inv[screened]
-    Cs = C[folds]
-    E = X[folds] + Cs @ inv
-    loss = np.sum(E * E, axis=(1, 2))
-    grad = -2.0 * np.swapaxes(inv @ np.swapaxes(E, 1, 2) @ Cs @ inv, 1, 2)
-    gain = LINEAR_FIRST_STEP * np.sum(grad * grad, axis=(1, 2))
-    stationary = gain < cfg.tol * np.maximum(1.0, loss)
-    closed, loss = folds[stationary], loss[stationary]
-    Winv[closed] = inv[stationary]
-    for f, obj, trace in zip(closed.tolist(), loss.tolist(), loss[:, None]):
-        reports[f] = FitReport(obj, 0, True, trace, (CLOSED_FORM,))
-    return Winv, reports
+def _least_squares_w(C, X):
+    """(M, W): the least-squares M of C M = X (:func:`_lstsq`) and
+    W = -inv(M).  M is None where C lacks full column rank, and W is None
+    there or where M has rcond below _LEAST_SQUARES_RCOND."""
+    M = _lstsq(C, X)
+    if M is None:
+        return None, None
+    Minv, ok = _screened_inverse(M, _LEAST_SQUARES_RCOND)
+    return M, (-Minv if ok else None)
 
 
 def fit_causal_linear(
@@ -580,34 +578,31 @@ def fit_causal_linear(
     B: TargetMap,
     cfg: FitConfig = FitConfig(),
 ):
-    """Fit the interaction matrix W by accelerated proximal gradient (FISTA).
+    """Fit the interaction matrix W: in closed form at lambda = 0, and by
+    accelerated proximal gradient (FISTA) elsewhere.
 
-    :func:`_fista` runs from the starting W on the smooth loss of
+    The loss is least squares in M = -inv(W) on the design C = D B^T.  With
+    no w_init, one QR of C decides C's rank as np.linalg.matrix_rank does and
+    gives the least-squares M and W = -inv(M) (:func:`_least_squares_w`).
+    At lambda = 0 with no mask that W is the global minimizer: it is
+    returned after 0 iterations, converged, with objective ||X - C M||_F^2
+    and status CLOSED_FORM, unless that objective overflows.  At lambda = 0
+    a C of deficient rank adds a "non-unique-solution" status naming its
+    rank (computed only then).
+
+    Everywhere else :func:`_fista` runs from the masked start, cfg.w_init,
+    else that least-squares W, else -I, on the smooth loss of
     :func:`causal_loss_and_gradient`, in the metric of :func:`_causal_metric`
-    at that start.  Its proximal map soft-thresholds the
-    off-diagonal entries by step * lambda (the diagonal is unpenalized) and
-    zeroes masked-out entries; a W that fails the loss's rcond screen is
-    infeasible, so a singular momentum point restarts the momentum and an
-    ill-conditioned candidate halves the step.
-
-    At lambda = 0 with no mask, D B^T of full column rank and a w_init at
-    which the loss is stationary, w_init is returned unchanged after 0
-    iterations.  The loss is then least squares in M = -inv(W), so the
-    least-squares warm start is its global minimizer and its gradient is
-    round-off.  w_init counts as stationary when step * ||grad||_F^2 <
-    tol * max(1, loss) for step = LINEAR_FIRST_STEP: the loss being convex
-    about its minimizer, that step could lower it by at most
-    step * ||grad||_F^2, so the loop would stop after it, having moved W by
-    at most step * ||grad||_F.  :func:`fit_causal_linear_folds` applies the
-    same test to a block of folds.  The rank of D B^T is
-    np.linalg.matrix_rank's, settled by :func:`_full_rank_qr`; the rank
-    itself is computed only to name it in the "non-unique-solution" status of
-    a deficient D B^T.
+    at that start; a given w_init is always just a start.  Its proximal map
+    soft-thresholds the off-diagonal entries by step * lambda (the diagonal
+    is unpenalized) and zeroes masked-out entries; a W that fails the loss's
+    rcond screen is infeasible, so a singular momentum point restarts the
+    momentum and an ill-conditioned candidate halves the step.
     Each loss evaluation inverts W once and screens it as safe_inverse does.
-    The first evaluates the masked start: a singular one raises
-    SingularMatrixError naming w_init, one whose loss or gradient overflows
-    raises DivergenceError, and its loss and gradient decide the closed form
-    while its inverse gives the metric, so the start is inverted once.
+    The first evaluates the start: a singular one raises SingularMatrixError
+    naming w_init, one whose loss or gradient overflows raises
+    DivergenceError, and its inverse gives the metric, so the start is
+    inverted once.
     """
     check_paired(D, X)
     p = B.n_responses
@@ -616,25 +611,31 @@ def fit_causal_linear(
             f"target map has {B.n_drugs} drugs, conditions have {D.n_drugs}"
         )
 
-    status = []
     C = D.values @ B.values.T
-    full = cfg.lam == 0.0 and _full_rank_qr(C) is not None
-    if cfg.lam == 0.0 and not full:
-        status.append(
-            f"non-unique-solution: rank(D B^T) = {np.linalg.matrix_rank(C)} < p = {p}; "
-            "unregularized W is not identified"
-        )
+    M = least_squares = None
+    if cfg.w_init is None or cfg.lam == 0.0:
+        M, least_squares = _least_squares_w(C, X.values)
+    if cfg.lam == 0.0 and cfg.w_init is None and cfg.mask is None and least_squares is not None:
+        resid = X.values - C @ M
+        with np.errstate(over="ignore"):  # an overflow is reported at the start below
+            obj = float((resid * resid).sum())
+        if math.isfinite(obj):
+            return (InteractionMatrix(least_squares, form=W_FORM),
+                    FitReport(obj, 0, True, [obj], (CLOSED_FORM,)))
+    status = ()
+    if cfg.lam == 0.0 and M is None:
+        status = (f"non-unique-solution: rank(D B^T) = {np.linalg.matrix_rank(C)} < p = {p}; "
+                  "unregularized W is not identified",)
 
-    W = _initial_w(cfg, p)
+    W = _initial_w(cfg, p, least_squares)
     try:
-        # the start's one inverse serves its loss evaluation, the closed-form
-        # test and the metric; an overflow there is reported below, not warned
+        # the start's one inverse serves its loss evaluation and the metric;
+        # an overflow there is reported below, not warned
         with np.errstate(over="ignore", invalid="ignore"):
             loss, grad, Winv = causal_loss_and_gradient(W, D, X, B, C, True)
-            gain = LINEAR_FIRST_STEP * float((grad * grad).sum())
     except SingularMatrixError as exc:
         # _fista rejects every infeasible candidate itself, so only the start
-        # can raise: w_init as masked (the default -I keeps its diagonal)
+        # can raise: w_init or the least-squares W as masked (-I keeps its diagonal)
         masked = " after the mask" if cfg.mask is not None else ""
         raise SingularMatrixError(
             f"w_init{masked}, the starting W, is singular or ill-conditioned "
@@ -645,8 +646,6 @@ def fit_causal_linear(
             "the loss or its gradient overflows at the starting W: the doses or "
             "responses are too large to fit in floating point"
         )
-    if full and cfg.w_init is not None and cfg.mask is None and gain < cfg.tol * max(1.0, loss):
-        return InteractionMatrix(W, form=W_FORM), FitReport(loss, 0, True, [loss], (CLOSED_FORM,))
     W, report = _fista(
         lambda W: causal_loss_and_gradient(W, D, X, B, C),
         W,
@@ -662,54 +661,16 @@ def fit_causal_linear(
 
 
 def least_squares_w_init(D: ConditionMatrix, X: ResponseMatrix, B: TargetMap):
-    """Closed-form warm start for the unpenalized causal fit.
+    """The least-squares W of the unpenalized causal fit, which
+    fit_causal_linear with no w_init returns or starts from.
 
     When D B^T has full column rank, the minimizer over M = -inv(W) of
-    ||X - D B^T M||_F^2 is ordinary least squares (:func:`_lstsq`); inverting
-    it back gives a W with zero (or noise-level) loss.  Returns None when
-    D B^T is rank-deficient or M has rcond below 1e-8.
+    ||X - D B^T M||_F^2 is ordinary least squares, and W = -inv(M)
+    (:func:`_least_squares_w`).  Returns None when D B^T is rank-deficient
+    or M has rcond below _LEAST_SQUARES_RCOND.
     """
-    M = _lstsq(D.values @ B.values.T, X.values)
-    if M is None:
-        return None
-    Minv, ok = _screened_inverse(M, 1e-8)
-    return InteractionMatrix(-Minv, form=W_FORM) if ok else None
-
-
-def _basis_warm_starts(basis, XS, train):
-    """The least-squares warm start of each fold of a block that
-    :func:`_basis_lstsq` certifies: W_f = -inv(M_f), with M_f = solve(R0,
-    y_f) in the basis of the whole design C = D B^T, as
-    :func:`least_squares_w_init` defines it (None where M_f has rcond below
-    1e-8), and None for every fold it does not certify."""
-    y, certified, _ = _basis_lstsq(basis, XS, train)
-    inits = [None] * len(y)
-    folds = np.flatnonzero(certified)
-    if folds.size:
-        Minv, ok = _screened_inverse(np.linalg.solve(basis.R0, y[folds]), 1e-8)
-        for f, W in zip(folds[ok], -Minv[ok]):
-            inits[f] = W
-    return inits
-
-
-def fit_causal_linear_folds(basis, D, X, B: TargetMap, train, tests, cfg: FitConfig):
-    """The closed-form fit of the folds of a block that the basis of the
-    whole design settles, and the predictions of their test rows.
-
-    basis is the DesignBasis of C = D B^T (:func:`factor_design`), D is
-    (n, q), X (n, p), and train and tests are (F, s) and (F, t) arrays of
-    each fold's training and test rows.  Returns (predictions, reports):
-    where fit_causal_linear from the fold's warm start in that basis
-    (:func:`_basis_warm_starts`) would return it unchanged
-    (:func:`_closed_form_stack`), the fold's FitReport and its test
-    predictions D[T] B^T (-inv(W_f)), from one batched product.  Every other
-    fold's report is None and its predictions are unset: the family fits it
-    on its own.
-    """
-    XS = X[train]
-    inits = _basis_warm_starts(basis, XS, train)
-    Winv, reports = _closed_form_stack(D[train] @ B.values.T, XS, inits, cfg)
-    return D[tests] @ B.values.T @ -Winv, reports
+    W = _least_squares_w(D.values @ B.values.T, X.values)[1]
+    return None if W is None else InteractionMatrix(W, form=W_FORM)
 
 
 # ---------------------------------------------------------------------------

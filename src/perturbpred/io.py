@@ -95,9 +95,21 @@ def _parse_plain(text):
     return values, row_ids, header[1:]
 
 
+def _rows(path, reader):
+    """The rows of a csv.reader that hold a non-blank cell.  A csv.Error,
+    such as a field over the csv module's size limit, raises ParseError
+    naming the file line."""
+    try:
+        for row in reader:
+            if any(map(str.strip, row)):
+                yield row
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
+
+
 def _parse_matrix(path, reader):
     """load_matrix_csv on an open csv.reader, one row at a time."""
-    rows = (row for row in reader if any(map(str.strip, row)))
+    rows = _rows(path, reader)
     header = next(rows, None)
     if header is None:
         raise ParseError(f"{path}: file is empty")

@@ -31,12 +31,10 @@ from .fit import (
     FitConfig,
     factor_design,
     fit_causal_linear,
-    fit_causal_linear_folds,
     fit_causal_ode,
     fit_regression,
     fit_regression_folds,
     fit_regression_lodo,
-    least_squares_w_init,
 )
 from .linear import predict_causal_linear, predict_regression
 from .ode import OdeModel, steady_states
@@ -246,10 +244,10 @@ def summarize_fits(reports):
 # factor their whole design once per command: D for regression, D B^T for
 # the causal-linear model (fit.factor_design).  Their settle solves each
 # fold's least squares in the orthonormal basis of that design where a
-# Cholesky certificate shows the fold is well-conditioned: regression's
-# random folds (fit.fit_regression_folds; a LODO fold drops its drug's
-# column) and the causal-linear folds whose warm start is the closed form
-# (fit.fit_causal_linear_folds), predicted with one batched product.
+# Cholesky certificate shows the fold is well-conditioned, by one route
+# (fit.fit_regression_folds): regression's random folds (a LODO fold drops
+# its drug's column) and the causal-linear folds whose least-squares M passes
+# the closed form's screen, predicted with one batched product.
 
 
 class FoldBlock(NamedTuple):
@@ -325,13 +323,13 @@ class RegressionFamily(ModelFamily):
 
 
 class CausalLinearFamily(ModelFamily):
-    """Closed-form causal model; warm-started from least squares when possible.
+    """The causal-linear model, fitted by fit.fit_causal_linear: in closed
+    form at lambda = 0, otherwise from cfg.w_init or the least-squares W.
 
-    With cfg.w_init given, every fold fits from it instead.  At lambda = 0
-    with no mask and no w_init, the design D B^T is factored once
-    (fit.factor_design), and the folds of a block that its basis certifies,
-    and whose warm start is the closed form, are solved and predicted as one
-    stack by fit.fit_causal_linear_folds.
+    At lambda = 0 with no mask and no w_init, the design D B^T is factored
+    once (fit.factor_design), and the folds of a block that its basis
+    certifies, and whose least-squares M passes the closed form's screen,
+    are solved and predicted as one stack by fit.fit_regression_folds.
     """
 
     tag = "causal-linear"
@@ -341,12 +339,7 @@ class CausalLinearFamily(ModelFamily):
         self.cfg = cfg
 
     def fit(self, D_train, X_train, held_out_drug=None):
-        cfg = self.cfg
-        if cfg.w_init is None:
-            init = least_squares_w_init(D_train, X_train, self.B)
-            if init is not None:
-                cfg = replace(cfg, w_init=init)
-        return fit_causal_linear(D_train, X_train, self.B, cfg)
+        return fit_causal_linear(D_train, X_train, self.B, self.cfg)
 
     def predict(self, W, D_test):
         return predict_causal_linear(W, self.B, D_test).predicted
@@ -360,8 +353,7 @@ class CausalLinearFamily(ModelFamily):
     def settle(self, D, X, block, factored):
         if factored is None:
             return super().settle(D, X, block, factored)
-        return fit_causal_linear_folds(factored, D.values, X.values, self.B,
-                                       block.train, block.test, self.cfg)
+        return fit_regression_folds(factored, X.values, block.train, block.test, causal=True)
 
 
 class CausalOdeFamily(ModelFamily):

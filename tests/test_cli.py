@@ -4,7 +4,6 @@ import io
 import json
 import logging
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from perturbpred.fit import (
     fit_causal_linear,
     fit_causal_ode,
     fit_regression,
-    least_squares_w_init,
 )
 from perturbpred.io import (
     _parse_matrix,
@@ -184,6 +182,42 @@ class TestFit:
         [record] = caplog.records
         assert record.getMessage().startswith(
             "the loss or its gradient overflows at the starting W")
+
+    def test_field_over_the_csv_limit_is_parse_error(self, sim_dir, tmp_path, caplog):
+        long = tmp_path / "long.csv"
+        long.write_text('id,"a"\nr1,' + " " * 140_000 + "1\n")
+        caplog.set_level(logging.ERROR, logger="perturbpred")
+        assert main([
+            "fit", "--model", "regression",
+            "--conditions", str(long),
+            "--responses", str(sim_dir / "sim_responses.csv"),
+            "--out-dir", str(tmp_path / "fit"),
+        ]) == EXIT_PARSE
+        assert f"{long}: row 2: field larger than field limit" in caplog.text
+
+    @pytest.mark.parametrize("k", [-30, -60])
+    def test_causal_linear_fit_does_not_depend_on_dose_units(self, tmp_path, k):
+        # doses written in units 2^-k times larger: the lambda = 0 fit is the
+        # closed form in either unit, its W scales by 2^k bit for bit, and
+        # its report is the same bytes
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--seed", "5", "--out-dir", str(sim)]) == EXIT_OK
+        D, ids, drugs = load_matrix_csv(sim / "sim_conditions.csv")
+        save_matrix_csv(tmp_path / "scaled.csv", D * 2.0**k, ids, drugs)
+        for conditions, out in ((sim / "sim_conditions.csv", "unit"), (tmp_path / "scaled.csv", "scaled")):
+            assert main([
+                "fit", "--model", "causal-linear",
+                "--conditions", str(conditions),
+                "--responses", str(sim / "sim_responses.csv"),
+                "--targets", str(sim / "sim_targets.csv"),
+                "--out-dir", str(tmp_path / out),
+            ]) == EXIT_OK
+        W0 = load_matrix_csv(tmp_path / "unit" / "interaction_w.csv")[0]
+        W = load_matrix_csv(tmp_path / "scaled" / "interaction_w.csv")[0]
+        assert np.array_equal(W, 2.0**k * W0)
+        report = (tmp_path / "scaled" / "fit_report.json").read_bytes()
+        assert report == (tmp_path / "unit" / "fit_report.json").read_bytes()
+        assert json.loads(report)["iterations"] == 0
 
     def test_missing_model_is_config_error(self, sim_dir):
         assert main([
@@ -527,16 +561,16 @@ class TestCv:
             "4fc867bc7e3d3a9342b55cd2ddcf7bb6e2e5215aaf0a1ece4c8440320bb1a426",
         ),
         ("rf", "causal-linear", None): (
-            "57226cb48238df96abde73ec0532e7a093943a0d7b6e47a7bd7402579637c0f4",
-            "d650a89d49d58988b0ea0346b069c11e6f6db1dd09dcede641cef7e5a58503e9",
+            "6159765b225cc3236df89e8f53d5bfe949520b7d342b98c9352b4de4edf5139a",
+            "6421f612d0f0984f4d3da2e275e8b9f215b5a2932b2e4f8c09e3d32378b2af97",
         ),
         ("lodo", "regression", None): (
             "f3fb02050ae135b461cd6b80433efa5c192d293f6f21d2a243c4bb6edc17c533",
             "d3e6b1c1b387d30f4d62ef20e2924d7a926c83f322057e942fd11795f2ffa64b",
         ),
         ("lodo", "causal-linear", None): (
-            "1fa95a72e1116246d50c1ad11673a8db9b379fb5e4866d14a42a7cfd22facbd7",
-            "55d557bd61a820b576f2ec2542e282b23cf2db0c710c350eb532edd3cc22242c",
+            "1ec7a6f79a667a50f41cd5918960177a877efc6be6f0bb53d81685cdd932579c",
+            "6032692a92c7f3596389b928ca1d3a745006029ef8d3d4eb0d2c4c98aaec8bfe",
         ),
         ("rf", "causal-linear", "0.1"): (
             "ce7d63f58dd037e344d8d333a1bb9dd1ccc354f1228f33375b324e8ff4427b9f",
@@ -689,7 +723,8 @@ class TestExportNetwork:
 
 def reference_fit(model, conditions, responses, targets, cfg, envelope, fit_epsilon, out_dir):
     """The fitting code cmd_fit ran before it fitted through the validate
-    families: the warm start and the ODE template were built here."""
+    families: the ODE template was built here, and the causal-linear fit
+    is the one fit_causal_linear call."""
     D, _ = load_condition_matrix(conditions)
     X, _ = load_response_matrix(responses)
     os.makedirs(out_dir)
@@ -700,9 +735,6 @@ def reference_fit(model, conditions, responses, targets, cfg, envelope, fit_epsi
     else:
         B = TargetMap(load_matrix_csv(targets)[0])
         if model == "causal-linear":
-            init = least_squares_w_init(D, X, B)
-            if init is not None:
-                cfg = replace(cfg, w_init=init)
             W, report = fit_causal_linear(D, X, B, cfg)
         else:
             template = OdeModel(InteractionMatrix(-np.eye(B.n_responses), form=W_FORM), B,

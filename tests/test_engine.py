@@ -9,25 +9,25 @@ stack settles runs the family's own fit, so it must equal that fit bit for
 bit.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import perturbpred.validate as validate_module
-from perturbpred.errors import PerturbpredError, SingularMatrixError, ZeroVarianceError
+from perturbpred.errors import (
+    DivergenceError,
+    PerturbpredError,
+    SingularMatrixError,
+    ZeroVarianceError,
+)
 from perturbpred.fit import (
     CLOSED_FORM,
     FitConfig,
     FitReport,
     _basis_lstsq,
-    _basis_warm_starts,
     _lstsq,
-    causal_loss_and_gradient,
     factor_design,
     fit_causal_linear,
-    fit_causal_linear_folds,
     fit_causal_ode,
     fit_regression,
     fit_regression_folds,
@@ -81,12 +81,7 @@ def reference_fold(family, D, X, train, test, held_out_drug=None):
             R, report = fit_regression(D_train, X_train, family.cfg)
         return predict_regression(R, D_test).predicted, report
     if isinstance(family, CausalLinearFamily):
-        cfg = family.cfg
-        if cfg.w_init is None:
-            init = least_squares_w_init(D_train, X_train, family.B)
-            if init is not None:
-                cfg = replace(cfg, w_init=init)
-        W, report = fit_causal_linear(D_train, X_train, family.B, cfg)
+        W, report = fit_causal_linear(D_train, X_train, family.B, family.cfg)
         return predict_causal_linear(W, family.B, D_test).predicted, report
     model, report = fit_causal_ode(D_train, X_train, family.B, family.template, family.cfg)
     return steady_states(model, D_test.values).require_converged(), report
@@ -242,43 +237,33 @@ class TestEngineMatchesPerFoldLoop:
         assert_same_reports(got.fits, reports)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**16), rare_drug=st.booleans())
-    def test_blocks_mixing_closed_form_and_proximal_gradient(self, seed, rare_drug):
-        # tol at the gradient's round-off level, between the stationarity
-        # ratios of the warm starts solved in the basis of D B^T: in each
-        # block some folds take the closed form from that warm start and the
-        # others run the family's own fit.  The loop decides the closed form
-        # on the same warm start, one fold at a time, and fits every other
-        # fold with family.fit, so the two must agree bit for bit, and the
-        # loop pins how the blocks interleave the closed form with the
+    @given(seed=st.integers(0, 2**16))
+    def test_blocks_mixing_closed_form_and_proximal_gradient(self, seed):
+        # drug 0 is dosed in rows 0 and 1 only, so a fold that trains on
+        # neither has D B^T of rank 2 < p; every fourth fold does.  In each
+        # block some folds take the closed form in the basis of D B^T and the
+        # others run the family's own fit, the proximal gradient from -I.  The loop
+        # settles each fold as a stack of one and fits every other fold with
+        # family.fit, so the two must agree bit for bit, and the loop pins
+        # how the blocks interleave the closed form with the
         # proximal-gradient fits.
-        D, X, B = instance(seed, 12, 3, 3, rare_drug)
-        plan = random_plan(seed + 1, 12, 9, 32)
+        D, X, B = instance(seed, 12, 3, 3, rare_drug=True)
+        rng = np.random.default_rng(seed + 1)
+        folds = []
+        for f in range(32):
+            perm = rng.permutation(12)
+            if f % 4 == 0:
+                perm = np.concatenate([perm[perm >= 2], [0, 1]])
+            folds.append((np.sort(perm[:9]), np.sort(perm[9:])))
+        plan = SplitPlan(kind="random-fold", n=12, folds=tuple(folds))
         basis = factor_design(D.values @ B.values.T)
-
-        def basis_warm_start(train):
-            init = _basis_warm_starts(basis, X.values[train][None], train[None])[0]
-            return None if init is None else InteractionMatrix(init, form=W_FORM)
-
-        ratios = []
-        for train, _ in plan.folds:
-            D_train = ConditionMatrix(D.values[train])
-            X_train = ResponseMatrix(X.values[train])
-            init = basis_warm_start(train)
-            if init is not None:
-                loss, grad = causal_loss_and_gradient(init.values, D_train, X_train, B)
-                ratios.append(np.sum(grad * grad) / max(1.0, loss))
-        family = CausalLinearFamily(B, FitConfig(tol=float(np.median(ratios)), max_iter=20))
+        family = CausalLinearFamily(B, FitConfig(max_iter=20))
 
         def fold(family, D, X, train, test):
-            init = basis_warm_start(train)
-            if init is not None:
-                W, report = fit_causal_linear(ConditionMatrix(D.values[train]),
-                                              ResponseMatrix(X.values[train]), B,
-                                              replace(family.cfg, w_init=init))
-                if CLOSED_FORM in report.status:
-                    D_test = ConditionMatrix(D.values[test])
-                    return predict_causal_linear(W, B, D_test).predicted, report
+            preds, reports = fit_regression_folds(basis, X.values, train[None], test[None],
+                                                  causal=True)
+            if reports[0] is not None:
+                return preds[0], reports[0]
             return family_fold(family, D, X, train, test)
 
         got = outcome(lambda: averaged_random_fold_eval(family, D, X, plan))
@@ -292,11 +277,12 @@ class TestEngineMatchesPerFoldLoop:
         assert [(entry["pearson_r"], entry["mae"]) for entry in got.per_fold] == per_fold
         assert_equal_reports(got.fits, reports)
         for start in range(0, plan.repetitions, 16):
-            closed = {fit.iterations == 0 for fit in got.fits[start:start + 16]}
+            closed = {fit.status == (CLOSED_FORM,) for fit in got.fits[start:start + 16]}
             assert closed == {True, False}
-        # some folds whose basis warm start misses the closed form ran family.fit
-        assert any(basis_warm_start(train) is not None and fit.iterations > 0
-                   for (train, _), fit in zip(plan.folds, got.fits))
+        # the folds left to family.fit are the rank-deficient ones
+        for (train, _), fit in zip(plan.folds, got.fits):
+            assert (fit.iterations > 0) == (not {0, 1} & set(train.tolist()))
+            assert (fit.iterations > 0) == fit.status[0].startswith("non-unique-solution")
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), rare_drug=st.booleans())
@@ -397,9 +383,10 @@ class TestStackedSolvers:
     )
     def test_stacks_match_one_fold_calls(self, seed, folds, n, rare_drug):
         # a block of folds of one design against a loop of the single fits:
-        # the warm starts of the folds that the basis of D B^T certifies, and
-        # the regression block, which must give the same predictions and
-        # reports, or the same error from the same fold
+        # the causal-linear folds that the basis of D B^T settles, each the
+        # closed form of its own fit, and the regression block, which must
+        # give the same predictions and reports, or the same error from the
+        # same fold
         D, X, B = instance(seed, 12, 3, 3, rare_drug)
         rng = np.random.default_rng(seed)
         rows = np.array([np.sort(rng.permutation(12)[:n]) for _ in range(folds)])
@@ -408,15 +395,19 @@ class TestStackedSolvers:
 
         basis = factor_design(D.values @ B.values.T)
         certified = _basis_lstsq(basis, Xs, rows)[1]
-        inits = _basis_warm_starts(basis, Xs, rows)
-        for k, init in enumerate(inits):
+        preds, closed = fit_regression_folds(basis, X.values, rows, tests, causal=True)
+        for k, report in enumerate(closed):
             if not certified[k]:
-                assert init is None
+                assert report is None
                 continue
             one = least_squares_w_init(ConditionMatrix(Ds[k]), ResponseMatrix(Xs[k]), B)
-            assert (init is None) == (one is None)
+            assert (report is None) == (one is None)
             if one is not None:
-                assert_close(init, one.values)
+                want_preds, want_report = reference_fold(CausalLinearFamily(B), D, X,
+                                                         rows[k], tests[k])
+                assert want_report.status == (CLOSED_FORM,)
+                assert_close(preds[k], want_preds)
+                assert_same_reports([report], [want_report])
 
         def one_fold_calls():
             return [reference_fold(RegressionFamily(), D, X, train, test)
@@ -601,39 +592,29 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
         assert_close(preds[f], A[tests[f]] @ R)
         assert_same_reports([reports[f]], [FitReport(objective, 1, True, [objective])])
 
-    # causal-linear with B = I, so that D B^T is the design itself: the warm
-    # start predicts A[T] M with M = -inv(W).  Doses are nonnegative, so the
-    # one-fold fits see A = A+ - A- as D = [A+, A-] with B = [I, -I].  The
-    # closed-form test compares ||grad||^2, round-off divided by the design's
-    # scale at the least-squares M, with tol; at scale 1e-160 it passes only
-    # where that round-off is exactly 0, a toss-up in either route, so there
-    # only the warm starts are compared
+    # causal-linear with B = I, so that D B^T is the design itself: the
+    # closed form predicts A[T] M.  Doses are nonnegative, so the one-fold
+    # fits see A = A+ - A- as D = [A+, A-] with B = [I, -I].  A certified
+    # fold takes the closed form where its M passes the screen, as its own
+    # fit decides it, at every scale
     signed = TargetMap(np.hstack([np.eye(k), -np.eye(k)]))
     D = ConditionMatrix(np.hstack([np.maximum(A, 0.0), np.maximum(-A, 0.0)]))
     assert np.array_equal(D.values @ signed.values.T, A)
-    B = TargetMap(np.eye(k))
-    inits = _basis_warm_starts(factor_design(A @ B.values.T), X[train], train)
-    preds, closed = fit_causal_linear_folds(factor_design(A @ B.values.T), A, X, B, train, tests,
-                                            FitConfig())
+    preds, closed = fit_regression_folds(basis, X, train, tests, causal=True)
     for f, (S, T) in enumerate(zip(train, tests)):
         if not certified[f]:
-            assert inits[f] is None and closed[f] is None
+            assert closed[f] is None
             continue
         D_S, X_S = ConditionMatrix(D.values[S]), ResponseMatrix(X[S])
         want_init = least_squares_w_init(D_S, X_S, signed)
-        assert (inits[f] is None) == (want_init is None)
-        if want_init is None:
-            assert closed[f] is None
-            continue
-        assert_close(A[T] @ -np.linalg.inv(inits[f]), A[T] @ -np.linalg.inv(want_init.values))
-        if scale >= 1.0:
-            W, report = fit_causal_linear(D_S, X_S, signed,
-                                          FitConfig(w_init=want_init, max_iter=1))
-            assert (closed[f] is not None) == (CLOSED_FORM in report.status)
-            if closed[f] is not None:
-                D_T = ConditionMatrix(D.values[T])
-                assert_close(preds[f], predict_causal_linear(W, signed, D_T).predicted)
-                assert_same_reports([closed[f]], [report])
+        assert (closed[f] is None) == (want_init is None)
+        if want_init is not None:
+            W, report = fit_causal_linear(D_S, X_S, signed)
+            assert report.status == (CLOSED_FORM,)
+            assert np.array_equal(W.values, want_init.values)
+            D_T = ConditionMatrix(D.values[T])
+            assert_close(preds[f], predict_causal_linear(W, signed, D_T).predicted)
+            assert_same_reports([closed[f]], [report])
 
     # every fold the block leaves alone runs the family's own fit, bit for
     # bit, or raises its error: the regression design is |A|, and the
@@ -722,12 +703,38 @@ def test_every_simulated_random_fold_takes_the_basis_route():
 
 
 def test_near_singular_warm_start_refused():
-    # fold 1's responses only span one direction, so its M is singular
+    # fold 1's responses only span one direction, so its M is singular: the
+    # single fit and the basis route, which certifies the fold, both refuse
+    # it the closed form
     D = ConditionMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     B = TargetMap(np.eye(2))
+    basis = factor_design(D.values @ B.values.T)
+    train, test = np.array([[0, 1, 2]]), np.array([[0]])
     for M, refused in (([[1.0, 0.2], [0.3, 1.0]], False), ([[1.0, 2.0], [1.0, 2.0]], True)):
-        init = least_squares_w_init(D, ResponseMatrix(D.values @ np.array(M)), B)
+        X = ResponseMatrix(D.values @ np.array(M))
+        init = least_squares_w_init(D, X, B)
         assert (init is None) == refused
+        assert _basis_lstsq(basis, X.values[train], train)[1].all()
+        _, closed = fit_regression_folds(basis, X.values, train, test, causal=True)
+        assert (closed[0] is None) == refused
+        _, report = fit_causal_linear(D, X, B, FitConfig(max_iter=5))
+        assert (report.status == (CLOSED_FORM,)) == (not refused)
+
+
+def test_folds_whose_objective_overflows_fit_alone():
+    # responses near 1e160: every fold's closed-form objective overflows, so
+    # the block route settles none of them, and the first fold's own fit
+    # raises DivergenceError without a numpy warning, as `perturbpred fit` does
+    D, X, B = instance(0, 12, 3, 3, rare_drug=False)
+    X = ResponseMatrix(1e160 * X.values)
+    plan = random_plan(1, 12, 9, 4)
+    block = FoldBlock(*(np.array(part) for part in zip(*plan.folds)), (None,) * 4)
+    family = CausalLinearFamily(B)
+    factored = family.factor(D, X)
+    assert _basis_lstsq(factored, X.values[block.train], block.train)[1].all()
+    assert family.settle(D, X, block, factored)[1] == [None] * 4
+    with pytest.raises(DivergenceError, match="overflows at the starting W"):
+        family.fit_block(D, X, block, factored)
 
 
 def test_rank_deficient_stack_names_the_zero_column():

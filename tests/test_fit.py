@@ -43,7 +43,9 @@ from perturbpred.types import (
     TargetMap,
 )
 from perturbpred.validate import (
+    CausalLinearFamily,
     CausalOdeFamily,
+    RegressionFamily,
     averaged_random_fold_eval,
     make_lodo_splits,
     make_random_folds,
@@ -365,7 +367,8 @@ class TestFitCausalLinear:
         singular = InteractionMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         diagonal = EdgeMask(np.eye(2, dtype=bool))
         W, report = fit_causal_linear(D, X, B, FitConfig(mask=diagonal, w_init=singular))
-        W_ref, ref = fit_causal_linear(D, X, B, FitConfig(mask=diagonal))
+        minus_identity = InteractionMatrix(-np.eye(2))
+        W_ref, ref = fit_causal_linear(D, X, B, FitConfig(mask=diagonal, w_init=minus_identity))
         assert report.converged
         assert np.array_equal(W.values, W_ref.values)
         assert np.array_equal(report.objective_trace, ref.objective_trace)
@@ -386,21 +389,28 @@ class TestFitCausalLinear:
         assert obj <= 1e-16
 
     def test_least_squares_warm_start_returned_in_closed_form(self, bench_targets):
+        # at lambda = 0 with no w_init and no mask the fit returns the
+        # least-squares W itself, with the objective of its M
         D = build_design()
         X = simulate_responses(SimSpec(seed=5), D)
         init = least_squares_w_init(D, X, bench_targets)
-        W, report = fit_causal_linear(D, X, bench_targets, FitConfig(w_init=init))
+        W, report = fit_causal_linear(D, X, bench_targets)
         assert np.array_equal(W.values, init.values)
         assert (report.iterations, report.converged) == (0, True)
-        assert report.status == ("closed-form: w_init is the least-squares minimizer at lambda = 0",)
-        # the loop runs where the closed form does not apply
+        assert report.status == ("closed-form: the least-squares minimizer at lambda = 0",)
+        C = D.values @ bench_targets.values.T
+        resid = X.values - C @ fit_module._lstsq(C, X.values)
+        assert report.final_objective == float((resid * resid).sum())
+        # the loop runs where the closed form does not apply: a given w_init,
+        # even the least-squares W, is always just a start
         nudged = InteractionMatrix(init.values + 1e-3)
         everywhere = EdgeMask(np.ones((5, 5), dtype=bool))
         capped = (MAX_ITER_REACHED.format(3),)
         for cfg, status in ((FitConfig(w_init=nudged), capped),
-                            (FitConfig(w_init=init, mask=everywhere), ()),
-                            (FitConfig(w_init=init, lam=1e-3), ()),
-                            (FitConfig(), capped)):
+                            (FitConfig(w_init=init), ()),
+                            (FitConfig(mask=everywhere), ()),
+                            (FitConfig(lam=1e-3), ()),
+                            (FitConfig(w_init=InteractionMatrix(-np.eye(5))), capped)):
             _, report = fit_causal_linear(D, X, bench_targets, dataclasses.replace(cfg, max_iter=3))
             assert report.iterations > 0 and report.status == status
             assert report.converged == (status == ())
@@ -445,18 +455,18 @@ class TestFitCausalLinear:
             fit_module, "causal_loss_and_gradient",
             counted("loss", fit_module.causal_loss_and_gradient),
         )
-        _, report = fit_causal_linear(D, X, B, FitConfig(lam=0.1, max_iter=50))
+        cfg = FitConfig(lam=0.1, max_iter=50, w_init=InteractionMatrix(-np.eye(3)))
+        _, report = fit_causal_linear(D, X, B, cfg)
         assert calls["loss"] > report.iterations
         assert calls["screen"] == calls["loss"]
         assert calls["svd"] == 0
 
     def test_start_inverted_once(self, monkeypatch):
-        # the first loss evaluation's inverse also gives the metric, and at
-        # lambda = 0 it decides the closed form too, so the start is inverted
-        # once before the first step is tried.  D B^T (20 x 3) has full
-        # column rank, and -I is no least-squares minimizer, so the fit at
-        # lambda = 0 from w_init = -I runs the loop.  An inversion counts in
-        # any shape, a stack of one included
+        # the first loss evaluation's inverse also gives the metric, so the
+        # start is inverted once before the first step is tried.  D B^T
+        # (20 x 3) has full column rank, but a given w_init is only a start,
+        # so the fit at lambda = 0 from w_init = -I runs the loop.  An
+        # inversion counts in any shape, a stack of one included
         rng = np.random.default_rng(15)
         D = ConditionMatrix(rng.uniform(0, 1, (20, 4)))
         B = TargetMap(rng.normal(size=(3, 4)))
@@ -475,7 +485,8 @@ class TestFitCausalLinear:
 
         monkeypatch.setattr(np.linalg, "inv", counted)
         minus_identity = InteractionMatrix(-np.eye(3))
-        for cfg in (FitConfig(lam=0.1, max_iter=5), FitConfig(w_init=minus_identity, max_iter=5)):
+        for cfg in (FitConfig(lam=0.1, max_iter=5, w_init=minus_identity),
+                    FitConfig(w_init=minus_identity, max_iter=5)):
             inverted.clear()
             _, report = fit_causal_linear(D, X, B, cfg)
             assert report.iterations == 5 and report.status == (MAX_ITER_REACHED.format(5),)
@@ -483,15 +494,18 @@ class TestFitCausalLinear:
 
     def test_overflowing_start_raises_a_package_error(self):
         # columns a and 2a scaled by 1e160, B = I and no warm start: the loss
-        # at -I overflows, which the fit reports without a numpy warning
+        # at -I overflows, which the fit reports without a numpy warning.  So
+        # does a full-rank design whose responses are scaled by 1e160: the
+        # closed form's objective overflows
         rng = np.random.default_rng(0)
         a = rng.uniform(0, 1, 6)
-        D = ConditionMatrix(1e160 * np.column_stack([a, 2 * a]))
         X = ResponseMatrix(rng.normal(size=(6, 2)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DivergenceError, match="overflows at the starting W"):
-                fit_causal_linear(D, X, TargetMap(np.eye(2)))
+        for D, X in ((ConditionMatrix(1e160 * np.column_stack([a, 2 * a])), X),
+                     (ConditionMatrix(rng.uniform(0, 1, (6, 2))), ResponseMatrix(1e160 * X.values))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError, match="overflows at the starting W"):
+                    fit_causal_linear(D, X, TargetMap(np.eye(2)))
 
     def test_tiny_warm_start_takes_the_unit_metric(self):
         # a Gaussian 4 x 1 design at 1e-160 (seed 0) as D = [A+, A-] with
@@ -597,6 +611,28 @@ def test_momentum_restarts_where_the_momentum_point_is_singular(monkeypatch):
     plain = W2 - step * loss_and_gradient(W2, D, X, B)[1]
     plain[off] = soft_threshold(plain[off], step[off] * 0.1)
     assert np.allclose(W3, plain, rtol=0.0, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), k=st.integers(-60, 60))
+@example(seed=5, k=-30)
+@example(seed=5, k=-60)
+def test_lambda_zero_fits_do_not_depend_on_dose_units(seed, k):
+    # `simulate --seed seed` with its doses in units 2^-k times larger: D
+    # becomes 2^k D, which scales every operation of the lambda = 0 fits
+    # exactly.  The causal-linear W scales by 2^k and the regression R by
+    # 2^-k, bit for bit, and the predictions and reports do not move
+    D = build_design()
+    X = simulate_responses(SimSpec(seed=seed), D)
+    scaled = ConditionMatrix(D.values * 2.0**k, D.drug_names)
+    for family, unit in ((CausalLinearFamily(build_targets()), 2.0**k),
+                         (RegressionFamily(), 2.0**-k)):
+        params0, report0 = family.fit(D, X)
+        params, report = family.fit(scaled, X)
+        assert np.array_equal(params.values, unit * params0.values)
+        assert np.array_equal(family.predict(params, scaled), family.predict(params0, D))
+        assert (report.iterations, report.converged, report.status, report.final_objective) == (
+            report0.iterations, report0.converged, report0.status, report0.final_objective)
 
 
 def reference_proximal_gradient(D, X, B, cfg):

@@ -270,6 +270,14 @@ class TestMatrixCsv:
         with pytest.raises(ParseError, match=r"duplicate row labels: \['r1', 'r2'\]"):
             load_matrix_csv(path)
 
+    def test_field_over_the_csv_limit_reported_with_position(self, tmp_path):
+        # the quoted label sends the table to csv.reader, whose field size
+        # limit (131,072 characters) the padded cell exceeds
+        path = tmp_path / "long.csv"
+        path.write_text('id,"a"\nr1,' + " " * 140_000 + "1\n")
+        with pytest.raises(ParseError, match=f"^{path}: row 2: field larger than field limit"):
+            load_matrix_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
