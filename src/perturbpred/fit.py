@@ -21,10 +21,10 @@ Three fitters live here:
 Cross-validation factors a linear model's design, D or D B^T, once per
 command (:func:`factor_design`) and solves each block of lambda = 0 folds,
 each a row subset of that design, in its orthonormal basis
-(:func:`fit_regression_folds`): one k x k system per fold, taken only where a
-Cholesky certificate shows the fold's rank and conditioning, with the test
-rows of those folds predicted as one (F, t, p) stack.  Any other fold is
-left to a single fit of its own.
+(:func:`fit_least_squares_folds`): one k x k system per fold, taken only
+where a Cholesky certificate shows the fold's rank and conditioning, with
+the test rows of those folds predicted as one (F, t, p) stack.  Any other
+fold is left to a single fit of its own.
 
 Both linear fits, wherever no closed form holds, run one solver: ``_fista``,
 accelerated proximal gradient with backtracking and restart, in a fixed
@@ -273,17 +273,6 @@ def _lstsq(A, Y):
     return None if QR is None else np.linalg.solve(QR[1], QR[0].T @ Y)
 
 
-def _least_squares_reports(resid, iterations, status):
-    """The FitReport of each fold of a least-squares stack, from its (F, n, m)
-    residuals, with the given iterations and status: the objectives are
-    summed as one array, and each fold's trace is a row of it.  An objective
-    that overflows is inf, without a warning."""
-    with np.errstate(over="ignore"):
-        objectives = np.sum(resid * resid, axis=(1, 2))
-    return [FitReport(obj, iterations, True, trace, status)
-            for obj, trace in zip(objectives.tolist(), objectives[:, None])]
-
-
 # A fold passes the certificate of :func:`_basis_lstsq` when the least
 # eigenvalue of G = Q0[S]^T Q0[S] is at least BASIS_DELTA.  The fold's basis
 # Q0[S] then has singular values in [1/4, 1], so its condition number is at
@@ -369,27 +358,27 @@ def _basis_lstsq(basis, XS, train):
     return y, certified, QS
 
 
-def fit_regression_folds(basis, X, train, tests, causal=False):
-    """Unpenalized least squares of the folds of a block that the basis of
-    the whole design settles, and the predictions of their test rows.
+def fit_least_squares_folds(basis, X, train, tests, iterations, status, screen=False):
+    """Unpenalized least squares A M = X of the folds of a block that the
+    basis of the whole design A settles, and the predictions of their test
+    rows.
 
-    basis is the DesignBasis of the (n, k) design A (:func:`factor_design`):
-    D for regression, or with causal the causal-linear model's D B^T.  X is
-    (n, p), and train and tests are (F, s) and (F, t) arrays of each fold's
-    training and test rows.  Returns (predictions, reports): the (F, t, p)
-    test predictions and one FitReport per fold, both only where
-    :func:`_basis_lstsq` certifies the fold, which is solved in the basis of
-    A and predicts A[T] M = Q0[T] y with one batched product, with objective
-    ||X[S] - Q0[S] y||^2.  A regression fold reports 1 iteration.  With
-    causal, a certified fold is settled only where M = inv(R0) y passes the
-    rcond screen _LEAST_SQUARES_RCOND, and reports the closed form of
-    :func:`fit_causal_linear`: 0 iterations, status CLOSED_FORM.  Every
-    other fold, and one whose objective overflows, gets report None, and its
-    predictions are not meant to be used: the family fits it on its own.
+    basis is the DesignBasis of the (n, k) design A (:func:`factor_design`),
+    X is (n, m), and train and tests are (F, s) and (F, t) arrays of each
+    fold's training and test rows.  Returns (predictions, reports): the
+    (F, t, m) test predictions and one FitReport per fold, with the given
+    iterations and status, both only where :func:`_basis_lstsq` certifies
+    the fold, which is solved in the basis of A and predicts A[T] M =
+    Q0[T] y with one batched product, with objective ||X[S] - Q0[S] y||^2.
+    With screen, a certified fold is settled only where M = inv(R0) y has
+    rcond at least _LEAST_SQUARES_RCOND, as the causal-linear closed form
+    W = -inv(M) needs.  Every other fold, and one whose objective overflows,
+    gets report None, and its predictions are not meant to be used: the
+    family fits it on its own.
     """
     XS = X[train]
     y, certified, QS = _basis_lstsq(basis, XS, train)
-    if causal and certified.any():
+    if screen and certified.any():
         certified[certified] = _screened_inverse(np.linalg.solve(basis.R0, y[certified]),
                                                   _LEAST_SQUARES_RCOND)[1]
     preds = np.empty((len(train), tests.shape[1], X.shape[1]))
@@ -398,11 +387,12 @@ def fit_regression_folds(basis, X, train, tests, causal=False):
     if done.size:
         coef = y[done]
         preds[done] = basis.Q0[tests[done]] @ coef
-        iterations, status = (0, (CLOSED_FORM,)) if causal else (1, ())
-        settled = _least_squares_reports(XS[done] - QS[done] @ coef, iterations, status)
-        for f, report in zip(done.tolist(), settled):
-            if math.isfinite(report.final_objective):
-                reports[f] = report
+        resid = XS[done] - QS[done] @ coef
+        with np.errstate(over="ignore"):  # an overflow leaves the fold to its family
+            objectives = np.sum(resid * resid, axis=(1, 2))
+        for f, obj, trace in zip(done.tolist(), objectives.tolist(), objectives[:, None]):
+            if math.isfinite(obj):
+                reports[f] = FitReport(obj, iterations, True, trace, status)
     return preds, reports
 
 
@@ -521,14 +511,13 @@ def _apply_mask(W, mask):
     return W
 
 
-def _initial_w(cfg: FitConfig, p, default=None):
-    """The fit's starting W, masked: cfg.w_init (which must be W-form), else
-    default, else -I."""
-    if cfg.w_init is not None and cfg.w_init.form != W_FORM:
+def _initial_w(cfg: FitConfig, p, start=None):
+    """The fit's starting W, masked: cfg.w_init, else start (either must be
+    W-form), else -I."""
+    start = start if cfg.w_init is None else cfg.w_init
+    if start is not None and start.form != W_FORM:
         raise ValueError("w_init must be W-form")
-    if cfg.w_init is not None:
-        default = cfg.w_init.values.copy()
-    return _apply_mask(-np.eye(p) if default is None else default, cfg.mask)
+    return _apply_mask(-np.eye(p) if start is None else start.values.copy(), cfg.mask)
 
 
 def _causal_metric(Q, C):
@@ -581,23 +570,24 @@ def fit_causal_linear(
     """Fit the interaction matrix W: in closed form at lambda = 0, and by
     accelerated proximal gradient (FISTA) elsewhere.
 
-    The loss is least squares in M = -inv(W) on the design C = D B^T.  With
-    no w_init, one QR of C decides C's rank as np.linalg.matrix_rank does and
-    gives the least-squares M and W = -inv(M) (:func:`_least_squares_w`).
-    At lambda = 0 with no mask that W is the global minimizer: it is
-    returned after 0 iterations, converged, with objective ||X - C M||_F^2
-    and status CLOSED_FORM, unless that objective overflows.  At lambda = 0
-    a C of deficient rank adds a "non-unique-solution" status naming its
-    rank (computed only then).
+    The loss is least squares in M = -inv(W) on the design C = D B^T.  At
+    lambda = 0 with no mask and no w_init, one QR of C decides C's rank as
+    np.linalg.matrix_rank does and gives the least-squares M and the global
+    minimizer W = -inv(M) (:func:`_least_squares_w`): it is returned after 0
+    iterations, converged, with objective ||X - C M||_F^2 and status
+    CLOSED_FORM, unless M fails its rcond screen or that objective
+    overflows.  At lambda = 0 a C of deficient rank adds a
+    "non-unique-solution" status naming its rank (computed only then).
 
-    Everywhere else :func:`_fista` runs from the masked start, cfg.w_init,
-    else that least-squares W, else -I, on the smooth loss of
-    :func:`causal_loss_and_gradient`, in the metric of :func:`_causal_metric`
-    at that start; a given w_init is always just a start.  Its proximal map
-    soft-thresholds the off-diagonal entries by step * lambda (the diagonal
-    is unpenalized) and zeroes masked-out entries; a W that fails the loss's
-    rcond screen is infeasible, so a singular momentum point restarts the
-    momentum and an ill-conditioned candidate halves the step.
+    Everywhere else :func:`_fista` runs from the masked start: cfg.w_init,
+    else the least-squares W (:func:`least_squares_w_init`), else -I, on the
+    smooth loss of :func:`causal_loss_and_gradient`, in the metric of
+    :func:`_causal_metric` at that start; a given w_init is always just a
+    start.  Its proximal map soft-thresholds the off-diagonal entries by
+    step * lambda (the diagonal is unpenalized) and zeroes masked-out
+    entries; a W that fails the loss's rcond screen is infeasible, so a
+    singular momentum point restarts the momentum and an ill-conditioned
+    candidate halves the step.
     Each loss evaluation inverts W once and screens it as safe_inverse does.
     The first evaluates the start: a singular one raises SingularMatrixError
     naming w_init, one whose loss or gradient overflows raises
@@ -612,22 +602,25 @@ def fit_causal_linear(
         )
 
     C = D.values @ B.values.T
-    M = least_squares = None
-    if cfg.w_init is None or cfg.lam == 0.0:
-        M, least_squares = _least_squares_w(C, X.values)
-    if cfg.lam == 0.0 and cfg.w_init is None and cfg.mask is None and least_squares is not None:
-        resid = X.values - C @ M
-        with np.errstate(over="ignore"):  # an overflow is reported at the start below
-            obj = float((resid * resid).sum())
-        if math.isfinite(obj):
-            return (InteractionMatrix(least_squares, form=W_FORM),
-                    FitReport(obj, 0, True, [obj], (CLOSED_FORM,)))
+    start = None
+    if cfg.w_init is None and cfg.lam == 0.0 and cfg.mask is None:
+        M, W = _least_squares_w(C, X.values)
+        if W is not None:
+            start = InteractionMatrix(W, form=W_FORM)
+            resid = X.values - C @ M
+            with np.errstate(over="ignore"):  # an overflow is reported at the start below
+                obj = float((resid * resid).sum())
+            if math.isfinite(obj):
+                return start, FitReport(obj, 0, True, [obj], (CLOSED_FORM,))
+    elif cfg.w_init is None:
+        start = least_squares_w_init(D, X, B)
     status = ()
-    if cfg.lam == 0.0 and M is None:
+    # a least-squares start shows that C has full column rank
+    if cfg.lam == 0.0 and start is None and _full_rank_qr(C) is None:
         status = (f"non-unique-solution: rank(D B^T) = {np.linalg.matrix_rank(C)} < p = {p}; "
                   "unregularized W is not identified",)
 
-    W = _initial_w(cfg, p, least_squares)
+    W = _initial_w(cfg, p, start)
     try:
         # the start's one inverse serves its loss evaluation and the metric;
         # an overflow there is reported below, not warned

@@ -28,12 +28,13 @@ import numpy as np
 
 from .errors import DimensionError, NonConvergenceError, SingularMatrixError, ZeroVarianceError
 from .fit import (
+    CLOSED_FORM,
     FitConfig,
     factor_design,
     fit_causal_linear,
     fit_causal_ode,
+    fit_least_squares_folds,
     fit_regression,
-    fit_regression_folds,
     fit_regression_lodo,
 )
 from .linear import predict_causal_linear, predict_regression
@@ -245,7 +246,7 @@ def summarize_fits(reports):
 # the causal-linear model (fit.factor_design).  Their settle solves each
 # fold's least squares in the orthonormal basis of that design where a
 # Cholesky certificate shows the fold is well-conditioned, by one route
-# (fit.fit_regression_folds): regression's random folds (a LODO fold drops
+# (fit.fit_least_squares_folds): regression's random folds (a LODO fold drops
 # its drug's column) and the causal-linear folds whose least-squares M passes
 # the closed form's screen, predicted with one batched product.
 
@@ -295,9 +296,9 @@ class RegressionFamily(ModelFamily):
 
     At lambda = 0 the design is factored once (fit.factor_design), and the
     random folds of a block that its basis certifies are solved together by
-    fit.fit_regression_folds and predicted straight from their coefficients
-    as one stack: wrapping each fold's coefficients and test rows in checked
-    types would cost more than its solve.
+    fit.fit_least_squares_folds and predicted straight from their
+    coefficients as one stack: wrapping each fold's coefficients and test
+    rows in checked types would cost more than its solve.
     """
 
     tag = "regression"
@@ -319,7 +320,7 @@ class RegressionFamily(ModelFamily):
     def settle(self, D, X, block, factored):
         if factored is None or any(h is not None for h in block.held):
             return super().settle(D, X, block, factored)
-        return fit_regression_folds(factored, X.values, block.train, block.test)
+        return fit_least_squares_folds(factored, X.values, block.train, block.test, 1, ())
 
 
 class CausalLinearFamily(ModelFamily):
@@ -329,7 +330,7 @@ class CausalLinearFamily(ModelFamily):
     At lambda = 0 with no mask and no w_init, the design D B^T is factored
     once (fit.factor_design), and the folds of a block that its basis
     certifies, and whose least-squares M passes the closed form's screen,
-    are solved and predicted as one stack by fit.fit_regression_folds.
+    are solved and predicted as one stack by fit.fit_least_squares_folds.
     """
 
     tag = "causal-linear"
@@ -353,7 +354,8 @@ class CausalLinearFamily(ModelFamily):
     def settle(self, D, X, block, factored):
         if factored is None:
             return super().settle(D, X, block, factored)
-        return fit_regression_folds(factored, X.values, block.train, block.test, causal=True)
+        return fit_least_squares_folds(factored, X.values, block.train, block.test,
+                                       0, (CLOSED_FORM,), screen=True)
 
 
 class CausalOdeFamily(ModelFamily):

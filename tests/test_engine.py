@@ -29,8 +29,8 @@ from perturbpred.fit import (
     factor_design,
     fit_causal_linear,
     fit_causal_ode,
+    fit_least_squares_folds,
     fit_regression,
-    fit_regression_folds,
     fit_regression_lodo,
     least_squares_w_init,
 )
@@ -260,8 +260,8 @@ class TestEngineMatchesPerFoldLoop:
         family = CausalLinearFamily(B, FitConfig(max_iter=20))
 
         def fold(family, D, X, train, test):
-            preds, reports = fit_regression_folds(basis, X.values, train[None], test[None],
-                                                  causal=True)
+            preds, reports = fit_least_squares_folds(basis, X.values, train[None], test[None],
+                                                     0, (CLOSED_FORM,), screen=True)
             if reports[0] is not None:
                 return preds[0], reports[0]
             return family_fold(family, D, X, train, test)
@@ -395,7 +395,8 @@ class TestStackedSolvers:
 
         basis = factor_design(D.values @ B.values.T)
         certified = _basis_lstsq(basis, Xs, rows)[1]
-        preds, closed = fit_regression_folds(basis, X.values, rows, tests, causal=True)
+        preds, closed = fit_least_squares_folds(basis, X.values, rows, tests, 0, (CLOSED_FORM,),
+                                                screen=True)
         for k, report in enumerate(closed):
             if not certified[k]:
                 assert report is None
@@ -583,7 +584,7 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
 
     # regression: certified folds agree with QR within TOL; the block leaves
     # every other fold to the family's own fit
-    preds, reports = fit_regression_folds(basis, X, train, tests)
+    preds, reports = fit_least_squares_folds(basis, X, train, tests, 1, ())
     assert [report is not None for report in reports] == certified.tolist()
     for f in np.flatnonzero(certified):
         R = _lstsq(A[train[f]], X[train[f]])
@@ -600,7 +601,7 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
     signed = TargetMap(np.hstack([np.eye(k), -np.eye(k)]))
     D = ConditionMatrix(np.hstack([np.maximum(A, 0.0), np.maximum(-A, 0.0)]))
     assert np.array_equal(D.values @ signed.values.T, A)
-    preds, closed = fit_regression_folds(basis, X, train, tests, causal=True)
+    preds, closed = fit_least_squares_folds(basis, X, train, tests, 0, (CLOSED_FORM,), screen=True)
     for f, (S, T) in enumerate(zip(train, tests)):
         if not certified[f]:
             assert closed[f] is None
@@ -715,7 +716,8 @@ def test_near_singular_warm_start_refused():
         init = least_squares_w_init(D, X, B)
         assert (init is None) == refused
         assert _basis_lstsq(basis, X.values[train], train)[1].all()
-        _, closed = fit_regression_folds(basis, X.values, train, test, causal=True)
+        _, closed = fit_least_squares_folds(basis, X.values, train, test, 0, (CLOSED_FORM,),
+                                            screen=True)
         assert (closed[0] is None) == refused
         _, report = fit_causal_linear(D, X, B, FitConfig(max_iter=5))
         assert (report.status == (CLOSED_FORM,)) == (not refused)

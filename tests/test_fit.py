@@ -90,6 +90,32 @@ def test_names_the_benchmark_uses_stay_bound():
     assert causal_objective(W, D, X, B, 0.1) == loss + 0.1 * 0.5
 
 
+
+def test_fits_take_their_warm_start_through_least_squares_w_init(monkeypatch):
+    # perfbench/tracing.py counts the warm starts by the spans of this
+    # module's least_squares_w_init, so a fit that starts from the
+    # least-squares W calls it by that name; the lambda = 0 closed form and
+    # a given w_init take no warm start
+    calls = []
+    warm_start = fit_module.least_squares_w_init
+
+    def counted(*args):
+        calls.append(None)
+        return warm_start(*args)
+
+    monkeypatch.setattr(fit_module, "least_squares_w_init", counted)
+    rng = np.random.default_rng(1)
+    D = ConditionMatrix(rng.uniform(0, 1, (12, 3)))
+    X = ResponseMatrix(rng.normal(size=(12, 3)))
+    B = TargetMap(np.eye(3))
+    diagonal = EdgeMask(np.eye(3, dtype=bool))
+    cold = InteractionMatrix(-np.eye(3))
+    for cfg, expected in ((FitConfig(lam=0.1), 1), (FitConfig(mask=diagonal), 1),
+                          (FitConfig(), 0), (FitConfig(lam=0.1, w_init=cold), 0)):
+        calls.clear()
+        fit_causal_linear(D, X, B, dataclasses.replace(cfg, max_iter=5))
+        assert len(calls) == expected, cfg
+
 class TestSoftThreshold:
     def test_matches_brute_force_scalar_prox(self):
         # prox of thr*|.|: argmin_z 0.5*(z - v)^2 + thr*|z|
@@ -298,9 +324,11 @@ class TestFitCausalLinear:
         # from the cold -I start the accelerated fit is below 1e-6 within about
         # 1,000 iterations; tol 1e-16 then runs it until a step no longer
         # lowers the objective, a few thousand iterations, well inside the budget
+        cold = InteractionMatrix(-np.eye(bench_targets.n_responses))
         W_hat, report = fit_causal_linear(
-            D, X, bench_targets, FitConfig(max_iter=100000, tol=1e-16)
+            D, X, bench_targets, FitConfig(max_iter=100000, tol=1e-16, w_init=cold)
         )
+        assert report.iterations > 0
         assert report.final_objective <= 1e-6
         pred = predict_causal_linear(W_hat, bench_targets, D).predicted
         assert np.max(np.abs(pred - X.values)) <= 1e-4
@@ -320,7 +348,10 @@ class TestFitCausalLinear:
         B = TargetMap(rng.normal(size=(4, 5)))
         X = ResponseMatrix(rng.normal(size=(25, 4)))
         for lam in (0.0, 0.5):
-            _, report = fit_causal_linear(D, X, B, FitConfig(lam=lam, max_iter=300))
+            # from -I: with no w_init the lambda = 0 fit is the closed form
+            cold = InteractionMatrix(-np.eye(4)) if lam == 0.0 else None
+            _, report = fit_causal_linear(D, X, B, FitConfig(lam=lam, max_iter=300, w_init=cold))
+            assert report.iterations > 0
             trace = report.objective_trace
             assert np.all(np.diff(trace) <= 1e-10 * np.maximum(1.0, np.abs(trace[:-1])))
 
@@ -780,7 +811,7 @@ def test_fista_matches_the_proximal_gradient_it_replaced():
     @example(seed=166, lam=0.01, masked=True, warm=True)
     def check(seed, lam, masked, warm):
         D, X, B, mask = well_conditioned_instance(seed, masked)
-        init = least_squares_w_init(D, X, B) if warm else None
+        init = least_squares_w_init(D, X, B) if warm else InteractionMatrix(-np.eye(X.n_responses))
         cfg = FitConfig(lam=lam, max_iter=100000, tol=1e-12, mask=mask, w_init=init)
         W_ref, ref = reference_proximal_gradient(D, X, B, cfg)
         W, report = fit_causal_linear(D, X, B, cfg)
@@ -805,7 +836,7 @@ def test_step_growth_spares_most_rejected_trials(warm, monkeypatch):
     # trial steps; a first trial that is mostly accepted keeps that near 2,
     # where re-growing the step by 2 made it about 3
     D, X, B, _ = well_conditioned_instance(0, False)
-    init = least_squares_w_init(D, X, B) if warm else None
+    init = least_squares_w_init(D, X, B) if warm else InteractionMatrix(-np.eye(X.n_responses))
     calls = []
     loss_and_gradient = fit_module.causal_loss_and_gradient
 
