@@ -21,10 +21,12 @@ Three fitters live here:
 Cross-validation factors a linear model's design, D or D B^T, once per
 command (:func:`factor_design`) and solves each block of lambda = 0 folds,
 each a row subset of that design, in its orthonormal basis
-(:func:`fit_least_squares_folds`): one k x k system per fold, taken only
-where a Cholesky certificate shows the fold's rank and conditioning, with
-the test rows of those folds predicted as one (F, t, p) stack.  Any other
-fold is left to a single fit of its own.
+(:func:`fit_least_squares_folds`): one k x k system per fold, built from
+the fold's test rows alone by downdating the whole design's Gram matrix,
+taken only where a Cholesky certificate shows the fold's rank and
+conditioning.  One (F, n, p) product in that basis gives the test
+predictions of the whole block and each fold's objective.  Any other fold
+is left to a single fit of its own.
 
 Both linear fits, wherever no closed form holds, run one solver: ``_fista``,
 accelerated proximal gradient with backtracking and restart, in a fixed
@@ -275,74 +277,88 @@ def _lstsq(A, Y):
 
 # A fold passes the certificate of :func:`_basis_lstsq` when the least
 # eigenvalue of G = Q0[S]^T Q0[S] is at least BASIS_DELTA.  The fold's basis
-# Q0[S] then has singular values in [1/4, 1], so its condition number is at
-# most 4, and solving the normal equations in G adds a rounding error of about
-# 16 u to the one that R0 carries (Bjorck 1996, sections 2.1-2.2), of the order
-# of a QR's error bound.  On simulated designs every random fold clears it at
-# least twice over.
+# Q0[S] then has singular values in [1/4, 1] (to within the rounding of Q0),
+# so its condition number is at most 4, and solving the normal equations in G
+# adds a rounding error of about 16 u to the one that R0 carries (Bjorck
+# 1996, sections 2.1-2.2), of the order of a QR's error bound.  On simulated
+# designs every random fold clears it at least twice over.
 BASIS_DELTA = 1.0 / 16.0
 
 
 class DesignBasis(NamedTuple):
-    """A whole (n, k) design A, its thin QR A = Q0 R0 and rcond(R0), as
-    :func:`factor_design` gives them; Q0 and R0 are None, and rcond 0, when
-    n < k."""
+    """A whole (n, k) design A, its thin QR A = Q0 R0, rcond(R0) and omega,
+    a bound on ||Q0^T Q0 - I||_2, as :func:`factor_design` gives them; Q0
+    and R0 are None, and rcond and omega 0, when n < k."""
 
     A: np.ndarray
     Q0: Optional[np.ndarray]
     R0: Optional[np.ndarray]
     rcond: float
+    omega: float
 
 
 def factor_design(A):
-    """The DesignBasis of a design A: one QR of A and one SVD of R0.
+    """The DesignBasis of a design A: one QR of A, one SVD of R0 and one
+    product Q0^T Q0.
 
     Cross-validation factors each design once per command, and every block
     of folds of that design reuses the factorization (:func:`_basis_lstsq`).
+    The computed Q0 is orthonormal only to within rounding: omega is the
+    Frobenius norm of the computed Q0^T Q0 - I, which bounds its 2-norm,
+    plus 2 n k eps, which bounds the rounding of that product (each entry
+    errs by at most gamma_n ||q_i|| ||q_j||; Higham 2002, section 3.1).
     """
     n, k = A.shape
     if n < k:  # every fold has fewer rows than columns, so none passes
-        return DesignBasis(A, None, None, 0.0)
+        return DesignBasis(A, None, None, 0.0, 0.0)
     Q0, R0 = np.linalg.qr(A)
-    return DesignBasis(A, Q0, R0, _rcond(R0))
+    omega = float(np.linalg.norm(Q0.T @ Q0 - np.eye(k))) + 2 * n * k * np.finfo(float).eps
+    return DesignBasis(A, Q0, R0, _rcond(R0), omega)
 
 
-def _basis_lstsq(basis, XS, train):
+def _basis_lstsq(basis, X, tests):
     """Least squares of a block of folds of one design, in the orthonormal
-    basis of the whole design.
+    basis of the whole design, from the rows each fold holds out.
 
-    basis is the DesignBasis of the (n, k) design A, train an (F, s) array
-    holding each fold's training rows S and XS = X[train] the (F, s, m)
-    stack of their responses.  A =
-    Q0 R0 is factored once per design, so a fold's design is A[S] = Q0[S] R0
-    and, with G = Q0[S]^T Q0[S], its least-squares solution is M = inv(R0) y
-    for y = solve(G, Q0[S]^T X[S]): one k x k system per fold in place of a
-    QR of its s x k design.
+    basis is the DesignBasis of the (n, k) design A, X the (n, m) responses
+    and tests an (F, t) array of each fold's held-out rows T; the fold
+    trains on every other row, S.  A = Q0 R0 is factored once per design, so
+    a fold's design is A[S] = Q0[S] R0 and its least-squares solution is
+    M = inv(R0) y for y = solve(G, Q0[S]^T X[S]), with G = Q0[S]^T Q0[S]:
+    one k x k system per fold in place of a QR of its s x k design.  Both
+    come from the held-out rows, by downdating the whole design (Bjorck
+    1996, section 3.3): with QT = Q0[T] and H = QT^T QT, G = I - H and
+    Q0[S]^T X[S] = Q0^T X - QT^T X[T], so a fold gathers its t held-out
+    rows, not its s training rows.
 
-    Returns (y, certified, QS): y is (F, k, m) and holds a solution only
-    where certified says the fold passed, NaN elsewhere, and QS is the
-    (F, s, k) stack Q0[train] (None where no fold passes).  A fold passes when a
-    Cholesky factorization of G - BASIS_DELTA I succeeds, so that
-    lambda_min(G) >= BASIS_DELTA.  Q0[S] is a block of rows of an orthonormal
-    matrix, so its largest singular value is at most 1 and rcond(A[S]) >=
-    sqrt(BASIS_DELTA) rcond(R0).  Folds pass only where that bound clears
+    Returns (y, certified): y is (F, k, m) and holds a solution only where
+    certified says the fold passed, NaN elsewhere.  A fold passes when a
+    Cholesky factorization of (1 - BASIS_DELTA - omega) I - H succeeds, so
+    that lambda_min(I - H) >= BASIS_DELTA + omega.  The exact Gram matrix of
+    the fold's basis is Q0[S]^T Q0[S] = Q0^T Q0 - H, within omega of I - H
+    in 2-norm, so lambda_min(Q0[S]^T Q0[S]) >= BASIS_DELTA; and Q0[S] is a
+    block of rows of Q0, so its largest singular value is at most
+    sqrt(1 + omega), and rcond(A[S]) >= sqrt(BASIS_DELTA / (1 + omega))
+    rcond(R0).  Folds pass only where that bound clears
     np.linalg.matrix_rank's threshold max(s, k) eps by 8 n k eps, which
-    covers the rounding of the QR of A, of G and of its Cholesky factor
+    covers the rounding of the QR of A, of H and of the Cholesky factor
     (Higham 2002, Thm 19.4 and section 10.1); so every fold that passes is
     one that matrix_rank calls full rank.  When the whole design falls
     short, or s < k, no fold passes.
     """
-    F, s = train.shape
+    F, t = tests.shape
     n, k = basis.A.shape
-    y = np.full((F, k, XS.shape[2]), np.nan)
+    s = n - t
     certified = np.zeros(F, dtype=bool)
+    y = np.full((F, k, X.shape[1]), np.nan)  # filled where certified
     eps = np.finfo(float).eps
-    if s < k or math.sqrt(BASIS_DELTA) * basis.rcond <= (max(s, k) + 8 * n * k) * eps:
-        return y, certified, None
-    QS = basis.Q0[train]
-    QSt = np.swapaxes(QS, 1, 2)
-    G = QSt @ QS
-    shifted = G - BASIS_DELTA * np.eye(k)
+    bound = math.sqrt(BASIS_DELTA / (1.0 + basis.omega)) * basis.rcond
+    if s < k or bound <= (max(s, k) + 8 * n * k) * eps:
+        return y, certified
+    QT = basis.Q0[tests]
+    QTt = np.swapaxes(QT, 1, 2)
+    H = QTt @ QT
+    shifted = (1.0 - BASIS_DELTA - basis.omega) * np.eye(k) - H
     try:
         np.linalg.cholesky(shifted)
         certified[:] = True
@@ -353,9 +369,13 @@ def _basis_lstsq(basis, XS, train):
                 certified[f] = True
             except np.linalg.LinAlgError:
                 pass
-    if certified.any():
-        y[certified] = np.linalg.solve(G[certified], QSt[certified] @ XS[certified])
-    return y, certified, QS
+    G = np.eye(k) - H
+    rhs = basis.Q0.T @ X - QTt @ X[tests]
+    if certified.all():  # one solve, with no copies of the stacks
+        y = np.linalg.solve(G, rhs)
+    elif certified.any():
+        y[certified] = np.linalg.solve(G[certified], rhs[certified])
+    return y, certified
 
 
 def fit_least_squares_folds(basis, X, train, tests, iterations, status, screen=False):
@@ -368,31 +388,42 @@ def fit_least_squares_folds(basis, X, train, tests, iterations, status, screen=F
     fold's training and test rows.  Returns (predictions, reports): the
     (F, t, m) test predictions and one FitReport per fold, with the given
     iterations and status, both only where :func:`_basis_lstsq` certifies
-    the fold, which is solved in the basis of A and predicts A[T] M =
-    Q0[T] y with one batched product, with objective ||X[S] - Q0[S] y||^2.
-    With screen, a certified fold is settled only where M = inv(R0) y has
-    rcond at least _LEAST_SQUARES_RCOND, as the causal-linear closed form
-    W = -inv(M) needs.  Every other fold, and one whose objective overflows,
-    gets report None, and its predictions are not meant to be used: the
-    family fits it on its own.
+    the fold and its training and test rows partition A's rows.  One
+    product P = Q0 y, (F, n, m), serves the whole block: its test rows are
+    the predictions A[T] M = Q0[T] y, and its training rows give the
+    objective ||X[S] - Q0[S] y||^2, summed over the residual with the test
+    rows zeroed.  With screen, a certified fold is settled only where
+    M = inv(R0) y has rcond at least _LEAST_SQUARES_RCOND, as the
+    causal-linear closed form W = -inv(M) needs.  Every other fold, and one
+    whose objective overflows, gets report None, and its predictions are
+    not meant to be used: the family fits it on its own.
     """
-    XS = X[train]
-    y, certified, QS = _basis_lstsq(basis, XS, train)
+    F, t = tests.shape
+    n = len(X)
+    rows = np.arange(F)[:, None]
+    covered = np.zeros((F, n), dtype=bool)
+    covered[rows, train] = True
+    covered[rows, tests] = True
+    reports = [None] * F
+    if train.shape[1] + t != n or not covered.all():  # not partitions: each fold fits alone
+        return np.empty((F, t, X.shape[1])), reports
+    y, certified = _basis_lstsq(basis, X, tests)
     if screen and certified.any():
         certified[certified] = _screened_inverse(np.linalg.solve(basis.R0, y[certified]),
                                                   _LEAST_SQUARES_RCOND)[1]
-    preds = np.empty((len(train), tests.shape[1], X.shape[1]))
-    reports = [None] * len(train)
-    done = np.flatnonzero(certified)
-    if done.size:
-        coef = y[done]
-        preds[done] = basis.Q0[tests[done]] @ coef
-        resid = XS[done] - QS[done] @ coef
-        with np.errstate(over="ignore"):  # an overflow leaves the fold to its family
-            objectives = np.sum(resid * resid, axis=(1, 2))
-        for f, obj, trace in zip(done.tolist(), objectives.tolist(), objectives[:, None]):
-            if math.isfinite(obj):
-                reports[f] = FitReport(obj, iterations, True, trace, status)
+    if not certified.any():
+        return np.empty((F, t, X.shape[1])), reports
+    P = basis.Q0 @ y
+    preds = P[rows, tests]
+    with np.errstate(over="ignore"):  # an overflow leaves the fold to its family
+        P -= X
+        P[rows, tests] = 0.0
+        np.square(P, out=P)
+    objectives = P.sum(axis=(1, 2))
+    for f in np.flatnonzero(certified).tolist():
+        obj = objectives[f]
+        if math.isfinite(obj):
+            reports[f] = FitReport(float(obj), iterations, True, objectives[f:f + 1], status)
     return preds, reports
 
 
@@ -404,7 +435,8 @@ def fit_regression(
     lambda = 0 is least squares by one QR of D (:func:`_lstsq`).  A
     rank-deficient D raises SingularMatrixError naming its all-zero columns,
     or every column when the deficiency comes from collinearity (the
-    leave-one-drug-out pathology).  lambda > 0 runs :func:`_fista` from
+    leave-one-drug-out pathology), and an objective that overflows raises
+    DivergenceError.  lambda > 0 runs :func:`_fista` from
     R = 0 on the loss ||X - D R||_F^2, with every entry of R penalized, in
     the metric of its exact Hessian diagonal, ||D[:, i]||^2 on row i.  A
     never-dosed drug's row of the gradient is 0, so its row of R stays 0.
@@ -420,8 +452,14 @@ def fit_regression(
                 "unregularized regression has no unique solution; deficient "
                 f"design columns: {', '.join(bad or D.drug_names)}"
             )
-        resid = Xv - Dv @ R
-        obj = float((resid * resid).sum())
+        with np.errstate(over="ignore"):  # an overflow raises below
+            resid = Xv - Dv @ R
+            obj = float((resid * resid).sum())
+        if not math.isfinite(obj):
+            raise DivergenceError(
+                "the least-squares objective overflows: the doses or responses are too "
+                "large to fit in floating point"
+            )
         return RegressionCoefficients(R), FitReport(obj, 1, True, [obj])
 
     def loss_and_gradient(R):

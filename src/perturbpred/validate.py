@@ -51,13 +51,27 @@ from .types import (
 def pearson_rows(x, y):
     """Sample Pearson correlation of each row pair of two (F, m) arrays: a
     list of F floats, with None for a row pair where either has zero
-    variance."""
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
+    variance.
+
+    Each row is scored as scaled by the power of two that brings its largest
+    magnitude into [0.5, 1) (:func:`_unit_rows`).  r does not depend on the
+    scale, and a power of two scales exactly, so a row whose sums of squares
+    stay in range keeps its bits, and one whose sums, or their product, would
+    overflow or underflow (responses near 1e80 or 1e-160) is scored as if it
+    were in range.
+    """
+    xc, yc = (v - v.mean(axis=1, keepdims=True) for v in (_unit_rows(x), _unit_rows(y)))
     denom = np.sqrt(np.sum(xc * xc, axis=1) * np.sum(yc * yc, axis=1))
     defined = denom != 0.0
     r = np.divide(np.sum(xc * yc, axis=1), denom, out=np.zeros_like(denom), where=defined)
     return [v if ok else None for v, ok in zip(r.tolist(), defined.tolist())]
+
+
+def _unit_rows(v):
+    """v with each row multiplied by the power of two 2^-e, where 2^e is the
+    frexp exponent of the row's largest magnitude: exact, as long as no
+    entry drops below the normal range."""
+    return np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=1, keepdims=True))[1])
 
 
 def mae_rows(x, y):
@@ -384,9 +398,15 @@ class CausalOdeFamily(ModelFamily):
 # ---------------------------------------------------------------------------
 # the engine, the two protocols and lambda selection
 
-# Folds handed to a family at once: bounds the stacked training data held in
-# memory while keeping the per-block overhead small.
-_BLOCK = 16
+# Folds handed to a family at once, and drawn and checked at once by
+# make_random_folds and SplitPlan.  A block's temporaries grow with it: the
+# held-out rows of its folds' bases and the (F, n, p) product of
+# fit.fit_least_squares_folds.  On perfbench's cv workload (2-core machine,
+# two 20-s runs each) blocks of 32, 64 and 128 took 12%, 15% and 23% less
+# wall time than the 16 that the earlier training-row route used, and
+# raised peak memory by 0.6%, 2.0% and 4.7%; 64 keeps that rise within half
+# of the benchmark's 5% bound.
+_BLOCK = 64
 
 
 def _blocks(folds):
@@ -431,6 +451,22 @@ def _scored(observed, predicted):
         return float("nan"), "error: zero-variance predictions or observations"
 
 
+def _pooled(pred_sum, tests, preds):
+    """pred_sum, (n, p), plus each fold's (t, p) predictions preds at its
+    test rows tests, (F, t), as a new array.
+
+    One np.bincount adds the weights in the order of its index array, so
+    with pred_sum itself as the first n p weights, each sum is built exactly
+    as np.add.at(pred_sum, tests, preds) builds it, in fold order, bit for
+    bit; bincount's zero start only turns a -0.0 that nothing is added to
+    into +0.0, and a pred_sum that starts at zeros never holds one.
+    """
+    n, p = pred_sum.shape
+    index = np.concatenate([np.arange(n * p), (tests[:, :, None] * p + np.arange(p)).ravel()])
+    weights = np.concatenate([pred_sum.ravel(), preds.ravel()])
+    return np.bincount(index, weights, minlength=n * p).reshape(n, p)
+
+
 def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, plan: SplitPlan):
     """Fit on each repetition's training rows, average test predictions per point.
 
@@ -440,8 +476,9 @@ def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, pla
     the covered rows, their averaged predictions and every fold's FitReport;
     its metadata summarizes the fits under "fits".  Each block's (F, t, p)
     stack of predictions is scored as one (F, m) stack of Pearson r and MAE
-    (:func:`pearson_rows`, :func:`mae_rows`), and pooled with one np.add.at,
-    which adds in fold order, as a loop over the folds would.  A fold with
+    (:func:`pearson_rows`, :func:`mae_rows`), and pooled with one
+    np.bincount (:func:`_pooled`), which adds in fold order, as a loop over
+    the folds would.  A fold with
     zero variance gets pearson_r None.
     """
     if plan.kind != "random-fold":
@@ -459,7 +496,7 @@ def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, pla
         fits += reports
         tests = block.test
         preds = np.asarray(preds)
-        np.add.at(pred_sum, tests, preds)
+        pred_sum = _pooled(pred_sum, tests, preds)
         pred_count += np.bincount(tests.ravel(), minlength=n)
         x = X.values[tests].reshape(len(tests), -1)
         y = preds.reshape(len(tests), -1)

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,24 @@ class TestFit:
         [record] = caplog.records
         assert record.getMessage().startswith(
             "the loss or its gradient overflows at the starting W")
+
+    def test_overflowing_regression_objective_exit_code(self, sim_dir, tmp_path, caplog):
+        # responses x1e160: the lambda = 0 least-squares objective overflows,
+        # which exits 4 with a message and no numpy warning, as the
+        # causal-linear fit does; it exited 0 with objective inf, "converged"
+        X, ids, names = load_matrix_csv(sim_dir / "sim_responses.csv")
+        save_matrix_csv(tmp_path / "resp.csv", 1e160 * X, ids, names)
+        caplog.set_level(logging.ERROR, logger="perturbpred")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([
+                "fit", "--model", "regression",
+                "--conditions", str(sim_dir / "sim_conditions.csv"),
+                "--responses", str(tmp_path / "resp.csv"),
+                "--out-dir", str(tmp_path / "fit"),
+            ]) == EXIT_NONCONVERGENCE
+        [record] = caplog.records
+        assert record.getMessage().startswith("the least-squares objective overflows")
 
     def test_field_over_the_csv_limit_is_parse_error(self, sim_dir, tmp_path, caplog):
         long = tmp_path / "long.csv"
@@ -551,26 +570,71 @@ class TestCv:
             outputs.append([(out / name).read_bytes() for name in ("cv_report.json", "scatter.csv")])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("scheme", ["rf", "lodo"])
+    def test_overflowing_regression_folds_exit_code(self, sim_dir, tmp_path, caplog, scheme):
+        # the same responses x1e160: no fold's objective is finite, so the
+        # first fold runs its own fit, which raises: exit 4 and no warning
+        X, ids, names = load_matrix_csv(sim_dir / "sim_responses.csv")
+        save_matrix_csv(tmp_path / "resp.csv", 1e160 * X, ids, names)
+        caplog.set_level(logging.ERROR, logger="perturbpred")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([
+                "cv", "--scheme", scheme, "--model", "regression", "--reps", "50",
+                "--conditions", str(sim_dir / "sim_conditions.csv"),
+                "--responses", str(tmp_path / "resp.csv"),
+                "--out-dir", str(tmp_path / "cv"),
+            ]) == EXIT_NONCONVERGENCE
+        [record] = caplog.records
+        assert record.getMessage().startswith("the least-squares objective overflows")
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-160])
+    def test_scores_do_not_depend_on_the_response_scale(self, tmp_path, scale):
+        # `simulate --seed 1` with responses x1e80, where the sums of squares
+        # of Pearson r overflow, or x1e-160, where they underflow: rf read
+        # pearson_r 0.0 or a zero-variance error, and LODO a mean r of 0.0
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--seed", "1", "--out-dir", str(sim)]) == EXIT_OK
+        X, ids, names = load_matrix_csv(sim / "sim_responses.csv")
+        save_matrix_csv(tmp_path / "scaled.csv", scale * X, ids, names)
+        for scheme, key in (("rf", "pearson_r"), ("lodo", "mean_pearson_r")):
+            scores = []
+            for responses in (sim / "sim_responses.csv", tmp_path / "scaled.csv"):
+                out = tmp_path / f"cv-{scheme}-{responses.stem}"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    assert main([
+                        "cv", "--scheme", scheme, "--model", "regression", "--reps", "50",
+                        "--conditions", str(sim / "sim_conditions.csv"),
+                        "--responses", str(responses), "--out-dir", str(out),
+                    ]) == EXIT_OK
+                with open(out / "cv_report.json") as fh:
+                    scores.append(json.load(fh))
+            assert scores[1][key] == pytest.approx(scores[0][key], abs=1e-12)
+            assert scores[0][key] > 0.8
+            if scheme == "rf":
+                assert scores[1]["metadata"]["status"] == "ok"
+
     # sha256 of (cv_report.json, scatter.csv) on `simulate --seed 5`, keyed by
     # (scheme, model, --lam or None), recorded with numpy 2.4 on OpenBLAS
     # 0.3.31; another BLAS may move the last bits.  A change that moves these
     # outputs on purpose updates them and says so.
     GOLDEN = {
         ("rf", "regression", None): (
-            "0d5e9e0e330a13f4a97649c7179095a3fae8eb0cb2fe47f920f8069f55cde8d1",
-            "4fc867bc7e3d3a9342b55cd2ddcf7bb6e2e5215aaf0a1ece4c8440320bb1a426",
+            "a753e61dee65e125e0c4ad6720d24de2af40beb5ffa97bc2618f1dbb0c48231a",
+            "0dbc23d34b31a0b5c08aa1fb6c36828964a4f37c7cd5ee7628fdeb6303459cea",
         ),
         ("rf", "causal-linear", None): (
-            "6159765b225cc3236df89e8f53d5bfe949520b7d342b98c9352b4de4edf5139a",
-            "6421f612d0f0984f4d3da2e275e8b9f215b5a2932b2e4f8c09e3d32378b2af97",
+            "a74fcd8a728a855f72b53e926dfc72cf6c8d8cfc891f8b323efbdf86e691ed2f",
+            "860b5484c6eb935c01ac125b767edf7b3c8a248922628492da9f04b828b0d739",
         ),
         ("lodo", "regression", None): (
             "f3fb02050ae135b461cd6b80433efa5c192d293f6f21d2a243c4bb6edc17c533",
             "d3e6b1c1b387d30f4d62ef20e2924d7a926c83f322057e942fd11795f2ffa64b",
         ),
         ("lodo", "causal-linear", None): (
-            "1ec7a6f79a667a50f41cd5918960177a877efc6be6f0bb53d81685cdd932579c",
-            "6032692a92c7f3596389b928ca1d3a745006029ef8d3d4eb0d2c4c98aaec8bfe",
+            "4df89a369c25aa5c2773c3759206bc9d2e9410f43efc1d7b2a28112310e8d0e9",
+            "065eae52a763d771c1f2aff1d8389a0f605606015ca8a7b1ff38194f6ff14cfc",
         ),
         ("rf", "causal-linear", "0.1"): (
             "ce7d63f58dd037e344d8d333a1bb9dd1ccc354f1228f33375b324e8ff4427b9f",

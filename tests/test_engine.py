@@ -11,7 +11,7 @@ bit.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import perturbpred.validate as validate_module
 from perturbpred.errors import (
@@ -21,6 +21,7 @@ from perturbpred.errors import (
     ZeroVarianceError,
 )
 from perturbpred.fit import (
+    BASIS_DELTA,
     CLOSED_FORM,
     FitConfig,
     FitReport,
@@ -272,12 +273,14 @@ class TestEngineMatchesPerFoldLoop:
             assert got == want
             return
         avg, per_fold, reports = want
-        # every fold runs the same arithmetic as in the loop, so the results are equal
+        # every fold runs the same arithmetic as in the loop, so the results
+        # are equal, and every block holds both kinds of fold
         np.testing.assert_array_equal(got.predicted, avg)
         assert [(entry["pearson_r"], entry["mae"]) for entry in got.per_fold] == per_fold
         assert_equal_reports(got.fits, reports)
-        for start in range(0, plan.repetitions, 16):
-            closed = {fit.status == (CLOSED_FORM,) for fit in got.fits[start:start + 16]}
+        size = validate_module._BLOCK
+        for start in range(0, plan.repetitions, size):
+            closed = {fit.status == (CLOSED_FORM,) for fit in got.fits[start:start + size]}
             assert closed == {True, False}
         # the folds left to family.fit are the rank-deficient ones
         for (train, _), fit in zip(plan.folds, got.fits):
@@ -368,8 +371,9 @@ def test_stacked_fold_scores_equal_the_one_fold_metrics():
                     assert entry["pearson_r"] is None
                 else:
                     assert entry["pearson_r"] == pearson(observed, pred)
-            for start in range(0, plan.repetitions, 16):
-                block = report.per_fold[start:start + 16]
+            size = validate_module._BLOCK
+            for start in range(0, plan.repetitions, size):
+                block = report.per_fold[start:start + size]
                 assert {entry["pearson_r"] is None for entry in block} == {True, False}
 
 
@@ -394,7 +398,7 @@ class TestStackedSolvers:
         Ds, Xs = D.values[rows], X.values[rows]
 
         basis = factor_design(D.values @ B.values.T)
-        certified = _basis_lstsq(basis, Xs, rows)[1]
+        certified = _basis_lstsq(basis, X.values, tests)[1]
         preds, closed = fit_least_squares_folds(basis, X.values, rows, tests, 0, (CLOSED_FORM,),
                                                 screen=True)
         for k, report in enumerate(closed):
@@ -553,6 +557,24 @@ def assert_unsettled_folds_fit_alone(family, D, X, train, tests):
             assert_equal_reports([reports[f]], [fold[1]])
 
 
+def basis_block(seed, n, k, kind, scale):
+    """(A, X, train, tests): an n x k design of one of BASIS_KINDS (or
+    "planted") times scale, Gaussian responses, and a block of 16 folds that
+    each train on s of its n rows and test on the rest.  The block is handed
+    straight to the route, whose decisions and results do not depend on how
+    many folds share it, so it stays at 16: validate._BLOCK (64) would
+    quadruple the single fits that the unsettled folds run."""
+    rng = np.random.default_rng(seed)
+    if kind in ("rare-drug", "faint-drug"):
+        design = rare_drug_design(rng, n, k, 1e-4 if kind == "faint-drug" else 0.0)
+    else:
+        design = design_matrix(rng, kind, n, k)
+    X = rng.normal(size=(n, k))
+    s = int(rng.integers(min(max(1, k - 1), n - 1), n))
+    perms = np.array([rng.permutation(n) for _ in range(16)])
+    return scale * design, X, np.sort(perms[:, :s], axis=1), np.sort(perms[:, s:], axis=1)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -562,23 +584,12 @@ def assert_unsettled_folds_fit_alone(family, D, X, train, tests):
     scale=st.sampled_from([1.0, 1e-160, 1e160]),
 )
 def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scale):
-    # a block of 16 folds of one design, each training on s of its n rows
-    rng = np.random.default_rng(seed)
-    if kind in ("rare-drug", "faint-drug"):
-        design = rare_drug_design(rng, n, k, 1e-4 if kind == "faint-drug" else 0.0)
-    else:
-        design = design_matrix(rng, kind, n, k)
-    A = scale * design
-    X = rng.normal(size=(n, k))
-    s = int(rng.integers(min(max(1, k - 1), n - 1), n))
-    perms = np.array([rng.permutation(n) for _ in range(16)])
-    train = np.sort(perms[:, :s], axis=1)
-    tests = np.sort(perms[:, s:], axis=1)
+    A, X, train, tests = basis_block(seed, n, k, kind, scale)
 
     # a fold the basis route takes is full rank; the others keep the QR
     # route's decision, which is matrix_rank's
     basis = factor_design(A)
-    certified = _basis_lstsq(basis, X[train], train)[1]
+    certified = _basis_lstsq(basis, X, tests)[1]
     full = np.linalg.matrix_rank(A[train]) == k
     assert np.array_equal(certified | [_lstsq(A[S], X[S]) is not None for S in train], full)
 
@@ -627,6 +638,94 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
                                      Xm, train, tests)
 
 
+def training_row_route(basis, X, train):
+    """(y, certified) of the route that the test-row route replaced, fold by
+    fold: it gathered each fold's training rows QS = Q0[S], certified the
+    fold by a Cholesky factorization of QS^T QS - BASIS_DELTA I, under the
+    same rcond bound, and solved (QS^T QS) y = QS^T X[S]."""
+    F, s = train.shape
+    n, k = basis.A.shape
+    y = np.full((F, k, X.shape[1]), np.nan)
+    certified = np.zeros(F, dtype=bool)
+    eps = np.finfo(float).eps
+    if s < k or np.sqrt(BASIS_DELTA) * basis.rcond <= (max(s, k) + 8 * n * k) * eps:
+        return y, certified
+    for f, S in enumerate(train):
+        QS = basis.Q0[S]
+        G = QS.T @ QS
+        try:
+            np.linalg.cholesky(G - BASIS_DELTA * np.eye(k))
+        except np.linalg.LinAlgError:
+            continue
+        certified[f] = True
+        y[f] = np.linalg.solve(G, QS.T @ X[S])
+    return y, certified
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 20),
+    k=st.integers(1, 5),
+    kind=st.sampled_from(BASIS_KINDS + ("planted",)),
+    scale=st.sampled_from([1.0, 1e-160, 1e160]),
+)
+@example(seed=0, n=12, k=4, kind="faint-drug", scale=1.0)  # 15 of 16 folds ill-conditioned
+def test_test_row_route_matches_the_training_row_route(seed, n, k, kind, scale):
+    # the route downdates each fold's Gram matrix from its held-out rows:
+    # it must certify the folds that the training-row route certified, each
+    # one that matrix_rank calls full rank, and give their predictions and
+    # objectives within 1e-12 relative.  On the faint-drug designs, a
+    # certificate without its BASIS_DELTA margin certifies ill-conditioned
+    # folds that the training-row route refuses
+    A, X, train, tests = basis_block(seed, n, k, kind, scale)
+    basis = factor_design(A)
+    certified = _basis_lstsq(basis, X, tests)[1]
+    y, want = training_row_route(basis, X, train)
+    assert np.array_equal(certified, want)
+    assert not np.any(certified & (np.linalg.matrix_rank(A[train]) < k))
+
+    preds, reports = fit_least_squares_folds(basis, X, train, tests, 1, ())
+    for f in np.flatnonzero(certified):
+        S, T = train[f], tests[f]
+        resid = X[S] - basis.Q0[S] @ y[f]
+        np.testing.assert_allclose(preds[f], basis.Q0[T] @ y[f], rtol=TOL, atol=TOL)
+        # relative to ||X[S]||^2, the scale of the objective's rounding: a
+        # fold that fits its rows exactly has an objective of pure rounding
+        np.testing.assert_allclose(reports[f].final_objective, np.sum(resid * resid),
+                                   rtol=TOL, atol=TOL * np.sum(X[S] * X[S]))
+
+
+def test_omega_bounds_the_departure_of_q0_from_orthonormal():
+    # omega bounds ||Q0^T Q0 - I||_2, and is of the order of rounding
+    rng = np.random.default_rng(0)
+    D, B = build_design(), build_targets()
+    for A in (D.values, D.values @ B.values.T, planted_matrix(rng, 40, 6, 1e12)):
+        basis = factor_design(A)
+        k = A.shape[1]
+        departure = np.linalg.norm(basis.Q0.T @ basis.Q0 - np.eye(k), 2)
+        assert departure <= basis.omega < 1e-12
+
+
+def test_omega_shifts_the_certificate():
+    # a fold passes where lambda_min(I - H) >= BASIS_DELTA + omega: raising
+    # omega to put that threshold between two folds' least eigenvalues must
+    # refuse exactly the folds below it
+    D = build_design()
+    X = simulate_responses(SimSpec(seed=5), D).values
+    plan = make_random_folds(D.n_conditions, 0.7, 16, 0)
+    tests = np.array([test for _, test in plan.folds])
+    basis = factor_design(D.values)
+    QT = basis.Q0[tests]
+    least = np.linalg.eigvalsh(np.eye(D.n_drugs) - np.swapaxes(QT, 1, 2) @ QT)[:, 0]
+    low, high = np.sort(least)[7:9]
+    threshold = (low + high) / 2
+    assert high - low > 1e-6 and threshold > 2 * BASIS_DELTA
+    assert _basis_lstsq(basis, X, tests)[1].all()
+    shifted = basis._replace(omega=threshold - BASIS_DELTA)
+    assert np.array_equal(_basis_lstsq(shifted, X, tests)[1], least > threshold)
+
+
 def snapshot(result):
     """A protocol's result, or the error outcome() caught, as values that
     compare equal only bit for bit: predictions as bytes, floats by repr."""
@@ -667,7 +766,7 @@ def test_results_do_not_depend_on_the_block_size(seed, faint):
     plan = random_plan(seed + 1, n, 9, 48)
     families = (RegressionFamily(), CausalLinearFamily(B, FitConfig(max_iter=20)))
     runs = []
-    for block in (1, 7, 16, 1000):
+    for block in (1, 7, 16, 64, 128, 1000):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(validate_module, "_BLOCK", block)
             got = [snapshot(outcome(lambda: averaged_random_fold_eval(family, D, X, plan)))
@@ -677,8 +776,8 @@ def test_results_do_not_depend_on_the_block_size(seed, faint):
                         for family in families]
             runs.append(got)
     assert all(run == runs[0] for run in runs[1:])
-    train = np.array([train for train, _ in plan.folds])
-    certified = _basis_lstsq(factor_design(Dv), X.values[train], train)[1]
+    tests = np.array([test for _, test in plan.folds])
+    certified = _basis_lstsq(factor_design(Dv), X.values, tests)[1]
     assert 0 < certified.sum() < len(certified)
     if faint == 0.0:
         fits = averaged_random_fold_eval(families[1], D, X, plan).fits
@@ -693,14 +792,14 @@ def test_every_simulated_random_fold_takes_the_basis_route():
     B = build_targets()
     X = simulate_responses(SimSpec(seed=5), D).values
     plan = make_random_folds(D.n_conditions, 0.7, 1000, 0)
-    trains = np.array([train for train, _ in plan.folds])
-    lodo = np.array([p.folds[0][0] for p in make_lodo_splits(D)])
+    tests = np.array([test for _, test in plan.folds])
+    lodo = np.array([p.folds[0][1] for p in make_lodo_splits(D)])
+    size = validate_module._BLOCK
     for design in (D.values, D.values @ B.values.T):
         basis = factor_design(design)
-        for start in range(0, len(trains), 16):
-            train = trains[start:start + 16]
-            assert _basis_lstsq(basis, X[train], train)[1].all()
-    assert _basis_lstsq(factor_design(D.values @ B.values.T), X[lodo], lodo)[1].all()
+        for start in range(0, len(tests), size):
+            assert _basis_lstsq(basis, X, tests[start:start + size])[1].all()
+    assert _basis_lstsq(factor_design(D.values @ B.values.T), X, lodo)[1].all()
 
 
 def test_near_singular_warm_start_refused():
@@ -710,17 +809,38 @@ def test_near_singular_warm_start_refused():
     D = ConditionMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     B = TargetMap(np.eye(2))
     basis = factor_design(D.values @ B.values.T)
-    train, test = np.array([[0, 1, 2]]), np.array([[0]])
+    train, test = np.array([[0, 1, 2]]), np.zeros((1, 0), dtype=int)
     for M, refused in (([[1.0, 0.2], [0.3, 1.0]], False), ([[1.0, 2.0], [1.0, 2.0]], True)):
         X = ResponseMatrix(D.values @ np.array(M))
         init = least_squares_w_init(D, X, B)
         assert (init is None) == refused
-        assert _basis_lstsq(basis, X.values[train], train)[1].all()
+        assert _basis_lstsq(basis, X.values, test)[1].all()
         _, closed = fit_least_squares_folds(basis, X.values, train, test, 0, (CLOSED_FORM,),
                                             screen=True)
         assert (closed[0] is None) == refused
         _, report = fit_causal_linear(D, X, B, FitConfig(max_iter=5))
         assert (report.status == (CLOSED_FORM,)) == (not refused)
+
+
+def test_folds_that_do_not_partition_the_rows_fit_alone():
+    # the block route derives each fold's training rows from its test rows,
+    # so a block whose folds test on training rows, or leave rows out of
+    # both, runs every fold's own fit instead, bit for bit
+    D, X, B = instance(2, 12, 3, 3, rare_drug=False)
+    folds = [(np.arange(12), np.arange(3), None), (np.arange(12), np.arange(3, 6), None)]
+    for family in (RegressionFamily(), CausalLinearFamily(B)):
+        block = FoldBlock(np.array([np.arange(12)] * 2), np.array([np.arange(3), np.arange(3, 6)]),
+                          (None, None))
+        assert family.settle(D, X, block, family.factor(D, X))[1] == [None, None]
+        for (preds, report), (train, test, _) in zip(fit_folds(family, D, X, folds), folds):
+            want_preds, want_report = family_fold(family, D, X, train, test)
+            np.testing.assert_array_equal(preds, want_preds)
+            assert_equal_reports([report], [want_report])
+    gaps = [(np.arange(8), np.arange(8, 11), None)] * 2  # row 11 in neither
+    for (preds, report), (train, test, _) in zip(fit_folds(RegressionFamily(), D, X, gaps), gaps):
+        want_preds, want_report = family_fold(RegressionFamily(), D, X, train, test)
+        np.testing.assert_array_equal(preds, want_preds)
+        assert_equal_reports([report], [want_report])
 
 
 def test_folds_whose_objective_overflows_fit_alone():
@@ -733,7 +853,7 @@ def test_folds_whose_objective_overflows_fit_alone():
     block = FoldBlock(*(np.array(part) for part in zip(*plan.folds)), (None,) * 4)
     family = CausalLinearFamily(B)
     factored = family.factor(D, X)
-    assert _basis_lstsq(factored, X.values[block.train], block.train)[1].all()
+    assert _basis_lstsq(factored, X.values, block.test)[1].all()
     assert family.settle(D, X, block, factored)[1] == [None] * 4
     with pytest.raises(DivergenceError, match="overflows at the starting W"):
         family.fit_block(D, X, block, factored)

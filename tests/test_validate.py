@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import perturbpred.fit as fit_module
 import perturbpred.validate as validate_module
@@ -30,8 +32,23 @@ from perturbpred.validate import (
     make_lodo_splits,
     make_random_folds,
     pearson,
+    pearson_rows,
     select_lambda_cv,
 )
+
+
+def reference_pearson_rows(x, y):
+    """pearson_rows as it was before rows were scaled by powers of two."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    denom = np.sqrt(np.sum(xc * xc, axis=1) * np.sum(yc * yc, axis=1))
+    defined = denom != 0.0
+    r = np.divide(np.sum(xc * yc, axis=1), denom, out=np.zeros_like(denom), where=defined)
+    return [v if ok else None for v, ok in zip(r.tolist(), defined.tolist())]
+
+
+# entries that stay normal floats when scaled by 2^k for |k| <= 900
+_ENTRIES = st.one_of(st.just(0.0), st.floats(2.0**-60, 1e3), st.floats(-1e3, -(2.0**-60)))
 
 
 class TestMetrics:
@@ -75,6 +92,34 @@ class TestMetrics:
         X = rng.normal(size=(4, 3))
         Y = rng.normal(size=(4, 3))
         assert pearson(X, Y) == pearson(X.ravel(), Y.ravel())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        xy=st.tuples(st.integers(1, 4), st.integers(2, 8)).flatmap(
+            lambda shape: st.tuples(arrays(float, shape, elements=_ENTRIES),
+                                    arrays(float, shape, elements=_ENTRIES))),
+        k=st.integers(-900, 900),
+        j=st.integers(-900, 900),
+    )
+    def test_rows_do_not_depend_on_powers_of_two(self, xy, k, j):
+        # r does not depend on scale, and 2^k scales exactly: beyond about
+        # 2^+-255 the raw rows' sums of squares, or their product, overflow
+        # or underflow, and must still score as the rows at scale 1, which
+        # keep the bits of the unscaled formula
+        x, y = xy
+        want = pearson_rows(x, y)
+        assert want == reference_pearson_rows(x, y)
+        assert pearson_rows(np.ldexp(x, k), np.ldexp(y, j)) == want
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-160, 1e300, 1e-300])
+    def test_extreme_scales_score_as_scale_one(self, scale):
+        # at 1e80 sxx * syy overflows and r read 0.0; at 1e-160 it underflows
+        # and r read as undefined
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=50)
+        y = x + rng.normal(size=50)
+        assert pearson(scale * x, scale * y) == pytest.approx(pearson(x, y), abs=1e-14)
+        assert pearson(scale * x, y) == pytest.approx(pearson(x, y), abs=1e-14)
 
 
 class TestRandomFolds:
@@ -217,6 +262,25 @@ class _ZeroFamily(ModelFamily):
 
     def predict(self, n_responses, D_test):
         return np.zeros((D_test.n_conditions, n_responses))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), p=st.integers(1, 4),
+       blocks=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 12)), min_size=1, max_size=4))
+def test_pooling_adds_as_np_add_at(seed, n, p, blocks):
+    # blocks of F folds of t test rows, drawn with repeats within and across
+    # folds, and predictions among 0.0, -0.0, +-1e300, +-1e-300 and normal
+    # values: bincount pooling must give np.add.at's sums bit for bit
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300])
+    pooled, want = np.zeros((n, p)), np.zeros((n, p))
+    for F, t in blocks:
+        tests = rng.integers(0, n, size=(F, t))
+        preds = np.where(rng.uniform(size=(F, t, p)) < 0.5,
+                         rng.choice(special, size=(F, t, p)), rng.normal(size=(F, t, p)))
+        pooled = validate_module._pooled(pooled, tests, preds)
+        np.add.at(want, tests, preds)
+        assert pooled.tobytes() == want.tobytes()
 
 
 class TestAveragedRandomFoldEval:
