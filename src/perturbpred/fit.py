@@ -19,12 +19,12 @@ Three fitters live here:
   states gives one p x p adjoint solve per condition.
 
 Cross-validation factors a linear model's design, D or D B^T, once per
-command (:func:`factor_design`) and solves each block of lambda = 0 folds,
-each a row subset of that design, in its orthonormal basis
-(:func:`fit_least_squares_folds`): one k x k system per fold, built from
-the fold's test rows alone by downdating the whole design's Gram matrix,
-taken only where a Cholesky certificate shows the fold's rank and
-conditioning.  One (F, n, p) product in that basis gives the test
+command (:func:`factor_design`) and solves each block of lambda = 0 folds
+of a SplitPlan, each training on every row it does not test, in its
+orthonormal basis (:func:`fit_least_squares_folds`): one k x k system per
+fold, built from the fold's test rows alone by downdating the whole
+design's Gram matrix, taken only where a Cholesky certificate shows the
+fold's rank and conditioning.  One (F, n, p) product in that basis gives the test
 predictions of the whole block and each fold's objective.  Any other fold
 is left to a single fit of its own.
 
@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, NonConvergenceError, SingularMatrixError
+from .errors import DivergenceError, NonConvergenceError, SingularMatrixError
 from .linear import _rcond, _screened_inverse
 # steady_state stays bound here: perfbench's tracer checks it is patched in this module
 from .ode import OdeModel, linearize, steady_state, steady_states  # noqa: F401
@@ -58,6 +58,7 @@ from .types import (
     ResponseMatrix,
     TargetMap,
     check_paired,
+    check_targets,
 )
 
 
@@ -378,18 +379,18 @@ def _basis_lstsq(basis, X, tests):
     return y, certified
 
 
-def fit_least_squares_folds(basis, X, train, tests, iterations, status, screen=False):
+def fit_least_squares_folds(basis, X, tests, iterations, status, screen=False):
     """Unpenalized least squares A M = X of the folds of a block that the
     basis of the whole design A settles, and the predictions of their test
     rows.
 
     basis is the DesignBasis of the (n, k) design A (:func:`factor_design`),
-    X is (n, m), and train and tests are (F, s) and (F, t) arrays of each
-    fold's training and test rows.  Returns (predictions, reports): the
-    (F, t, m) test predictions and one FitReport per fold, with the given
-    iterations and status, both only where :func:`_basis_lstsq` certifies
-    the fold and its training and test rows partition A's rows.  One
-    product P = Q0 y, (F, n, m), serves the whole block: its test rows are
+    X is (n, m), and tests is an (F, t) array of each fold's test rows T; a
+    fold trains on every other row, S, as the SplitPlan that made it has
+    checked.  Returns (predictions, reports): the (F, t, m) test predictions
+    and one FitReport per fold, with the given iterations and status, both
+    only where :func:`_basis_lstsq` certifies the fold.  One product
+    P = Q0 y, (F, n, m), serves the whole block: its test rows are
     the predictions A[T] M = Q0[T] y, and its training rows give the
     objective ||X[S] - Q0[S] y||^2, summed over the residual with the test
     rows zeroed.  With screen, a certified fold is settled only where
@@ -399,14 +400,8 @@ def fit_least_squares_folds(basis, X, train, tests, iterations, status, screen=F
     not meant to be used: the family fits it on its own.
     """
     F, t = tests.shape
-    n = len(X)
     rows = np.arange(F)[:, None]
-    covered = np.zeros((F, n), dtype=bool)
-    covered[rows, train] = True
-    covered[rows, tests] = True
     reports = [None] * F
-    if train.shape[1] + t != n or not covered.all():  # not partitions: each fold fits alone
-        return np.empty((F, t, X.shape[1])), reports
     y, certified = _basis_lstsq(basis, X, tests)
     if screen and certified.any():
         certified[certified] = _screened_inverse(np.linalg.solve(basis.R0, y[certified]),
@@ -633,11 +628,8 @@ def fit_causal_linear(
     inverted once.
     """
     check_paired(D, X)
+    check_targets(B, D, X)
     p = B.n_responses
-    if B.n_drugs != D.n_drugs:
-        raise DimensionError(
-            f"target map has {B.n_drugs} drugs, conditions have {D.n_drugs}"
-        )
 
     C = D.values @ B.values.T
     start = None
@@ -876,6 +868,7 @@ def fit_causal_ode(
     status "steady-state-branch" and converged = False.
     """
     check_paired(D, X)
+    check_targets(B, D, X)
     p = B.n_responses
     W = _initial_w(cfg, p)
     log_eps = np.log(model_template.epsilon.copy())

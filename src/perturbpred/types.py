@@ -228,3 +228,12 @@ def check_paired(D: ConditionMatrix, X: ResponseMatrix):
             f"condition matrix has {D.n_conditions} rows but response matrix "
             f"has {X.n_conditions}"
         )
+
+
+def check_targets(B: TargetMap, D: ConditionMatrix, X: ResponseMatrix):
+    """Raise DimensionError unless B maps D's drugs onto X's responses."""
+    if B.values.shape != (X.n_responses, D.n_drugs):
+        raise DimensionError(
+            f"target map has shape {B.values.shape}, but the data have "
+            f"{X.n_responses} responses and {D.n_drugs} drugs"
+        )

@@ -7,14 +7,14 @@ Two validation protocols:
 * leave-one-drug-out (LODO), which partitions conditions by whether the
   held-out drug was applied at all.
 
-Both protocols, and the choice of lambda by inner cross-validation, run on
-one engine, :func:`fit_blocks`, which fits every fold exactly once through a
-model family, a block of equal-sized folds at a time, after the family has
-factored the design once.  The families are the one place
-that says how each model is fitted and predicts; the command line fits
-through them too.  Pearson correlation and MAE are pooled over all
-(condition, response) pairs; per-fold values and each fold's FitReport are
-kept for diagnostics.
+Both protocols, and the choice of lambda by inner cross-validation, hand
+their SplitPlans, which check each fold, to one engine, :func:`fit_blocks`,
+which fits every fold exactly once through a model family, a block of
+equal-sized folds at a time, after the family has factored the design once.
+The families are the one place that says how each model is fitted and
+predicts; the command line fits through them too.  Pearson correlation and
+MAE are pooled over all (condition, response) pairs; per-fold values and
+each fold's FitReport are kept for diagnostics.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .types import (
     ResponseMatrix,
     TargetMap,
     check_paired,
+    check_targets,
 )
 
 
@@ -114,33 +115,19 @@ class SplitPlan:
     drug_name: Optional[str] = None
 
     def __post_init__(self):
-        # folds of one size are checked as stacks of up to _BLOCK folds, which
-        # bounds the copies the check makes
-        sizes = {(len(train), len(test)) for train, test in self.folds}
-        if len(sizes) == 1:
-            groups = [self.folds[k:k + _BLOCK] for k in range(0, len(self.folds), _BLOCK)]
-        else:
-            groups = [(fold,) for fold in self.folds]
-        for group in groups:
-            trains, tests = (np.array(part) for part in zip(*group))
-            for rows in (trains, tests):
+        # checked in the blocks the engine fits (_blocks), which bounds the
+        # copies the check makes; the engine checks no fold again
+        for block in _blocks((self,)):
+            for rows in (block.train, block.test):
                 if not np.issubdtype(rows.dtype, np.integer):
                     raise ValueError(f"train/test rows must be integer indices, got {rows.dtype}")
-            combined = np.sort(np.hstack([trains, tests]), axis=1)
+            combined = np.sort(np.hstack([block.train, block.test]), axis=1)
             if combined.shape[1] != self.n or np.any(combined != np.arange(self.n)):
                 raise ValueError("train/test must partition all rows exactly")
 
     @property
     def repetitions(self):
         return len(self.folds)
-
-
-def _check_rows(plan: SplitPlan, D: ConditionMatrix):
-    """Raise DimensionError unless the plan partitions D's conditions."""
-    if plan.n != D.n_conditions:
-        raise DimensionError(
-            f"the split plan partitions {plan.n} rows, but there are {D.n_conditions} conditions"
-        )
 
 
 def make_random_folds(n, train_fraction, reps, seed):
@@ -249,7 +236,8 @@ def summarize_fits(reports):
 # FitReport) and predict(params, D_test) -> predictions; ModelFamily builds
 # the engine's two hooks on those.  factor(D, X) runs once per (D, X) and
 # returns what every block of that design reuses (None by default);
-# fit_block(D, X, block, factored) takes a FoldBlock of equal-sized folds and
+# fit_block(D, X, block, factored) takes a FoldBlock of equal-sized folds,
+# each training on every row it does not test, as its SplitPlan checked, and
 # returns (predictions, reports): the test predictions of each fold, as one
 # (F, t, p) stack where the family stacks them, and one FitReport per fold.
 # A family's settle(D, X, block, factored) names the folds it solves as one
@@ -334,7 +322,7 @@ class RegressionFamily(ModelFamily):
     def settle(self, D, X, block, factored):
         if factored is None or any(h is not None for h in block.held):
             return super().settle(D, X, block, factored)
-        return fit_least_squares_folds(factored, X.values, block.train, block.test, 1, ())
+        return fit_least_squares_folds(factored, X.values, block.test, 1, ())
 
 
 class CausalLinearFamily(ModelFamily):
@@ -360,6 +348,7 @@ class CausalLinearFamily(ModelFamily):
         return predict_causal_linear(W, self.B, D_test).predicted
 
     def factor(self, D, X):
+        check_targets(self.B, D, X)
         cfg = self.cfg
         if cfg.w_init is not None or cfg.lam != 0.0 or cfg.mask is not None:
             return None
@@ -368,8 +357,8 @@ class CausalLinearFamily(ModelFamily):
     def settle(self, D, X, block, factored):
         if factored is None:
             return super().settle(D, X, block, factored)
-        return fit_least_squares_folds(factored, X.values, block.train, block.test,
-                                       0, (CLOSED_FORM,), screen=True)
+        return fit_least_squares_folds(factored, X.values, block.test, 0, (CLOSED_FORM,),
+                                       screen=True)
 
 
 class CausalOdeFamily(ModelFamily):
@@ -409,9 +398,11 @@ class CausalOdeFamily(ModelFamily):
 _BLOCK = 64
 
 
-def _blocks(folds):
-    """The folds as FoldBlocks of up to _BLOCK consecutive folds of one
-    training size and one test size, in order."""
+def _blocks(plans):
+    """The folds of the plans as FoldBlocks of up to _BLOCK consecutive folds
+    of one training size and one test size, in order, each held out with its
+    plan's held_out_drug."""
+    folds = ((train, test, plan.held_out_drug) for plan in plans for train, test in plan.folds)
     for _, run in itertools.groupby(folds, key=lambda fold: (len(fold[0]), len(fold[1]))):
         run = list(run)
         for start in range(0, len(run), _BLOCK):
@@ -419,27 +410,34 @@ def _blocks(folds):
             yield FoldBlock(np.array(train), np.array(test), held)
 
 
-def fit_blocks(family, D: ConditionMatrix, X: ResponseMatrix, folds):
-    """Fit every fold once, in order, and predict its test rows, a block at a time.
+def fit_blocks(family, D: ConditionMatrix, X: ResponseMatrix, plans):
+    """Fit every fold of a sequence of SplitPlans once, in order, and predict
+    its test rows, a block at a time.
 
-    folds holds (train rows, test rows, held-out drug or None) triples.  The
-    family factors (D, X) once (its factor hook), and every block reuses
-    that.  Yields (block, (predictions, reports)) per FoldBlock of up to
-    _BLOCK consecutive folds of one size, from the family's fit_block:
-    predictions holds each fold's test predictions (an (F, t, p) stack
-    where the family's settle hook stacks them) and reports its FitReport.  Which route fits a fold
-    depends on the fold alone, not on the folds that share its block, so the
-    results do not depend on _BLOCK.  A caller that pools predictions never
-    holds them all.
+    Each plan has checked that its folds partition its rows, so a fold
+    trains on every row it does not test; a plan for another number of rows
+    than D has raises DimensionError before any fold is fitted.  The family
+    factors (D, X) once (its factor hook), and every block reuses that.
+    Yields (block, (predictions, reports)) per FoldBlock of up to _BLOCK
+    consecutive folds of one size, from the family's fit_block: predictions
+    holds each fold's test predictions (an (F, t, p) stack where the
+    family's settle hook stacks them) and reports its FitReport.  Which route
+    fits a fold depends on the fold alone, not on the folds that share its
+    block, so the results do not depend on _BLOCK.  A caller that pools
+    predictions never holds them all.
     """
+    for plan in plans:
+        if plan.n != D.n_conditions:
+            raise DimensionError(f"the split plan partitions {plan.n} rows, "
+                                 f"but there are {D.n_conditions} conditions")
     factored = family.factor(D, X)
-    for block in _blocks(folds):
+    for block in _blocks(plans):
         yield block, family.fit_block(D, X, block, factored)
 
 
-def fit_folds(family, D: ConditionMatrix, X: ResponseMatrix, folds):
+def fit_folds(family, D: ConditionMatrix, X: ResponseMatrix, plans):
     """The (test predictions, FitReport) pair of each fold of fit_blocks."""
-    for _, (preds, reports) in fit_blocks(family, D, X, folds):
+    for _, (preds, reports) in fit_blocks(family, D, X, plans):
         yield from zip(preds, reports)
 
 
@@ -484,15 +482,13 @@ def averaged_random_fold_eval(family, D: ConditionMatrix, X: ResponseMatrix, pla
     if plan.kind != "random-fold":
         raise ValueError("averaged_random_fold_eval needs a random-fold plan")
     check_paired(D, X)
-    _check_rows(plan, D)
     n, p = X.values.shape
     pred_sum = np.zeros((n, p))
     pred_count = np.zeros(n, dtype=int)
     per_fold = []
     fits = []
 
-    folds = [(train, test, None) for train, test in plan.folds]
-    for block, (preds, reports) in fit_blocks(family, D, X, folds):
+    for block, (preds, reports) in fit_blocks(family, D, X, [plan]):
         fits += reports
         tests = block.test
         preds = np.asarray(preds)
@@ -543,14 +539,12 @@ def lodo_eval(family, D: ConditionMatrix, X: ResponseMatrix, plans):
     Each report carries its test rows, predictions and fold FitReport.
     """
     check_paired(D, X)
-    for plan in plans:
-        if plan.kind != "lodo":
-            raise ValueError("lodo_eval needs LODO plans")
-        _check_rows(plan, D)
+    if any(plan.kind != "lodo" for plan in plans):
+        raise ValueError("lodo_eval needs LODO plans")
 
-    folds = [plan.folds[0] + (plan.held_out_drug,) for plan in plans]
     reports = []
-    for plan, (_, test, _), (preds, fit) in zip(plans, folds, fit_folds(family, D, X, folds)):
+    for plan, (preds, fit) in zip(plans, fit_folds(family, D, X, plans)):
+        test = plan.folds[0][1]
         observed = X.values[test]
         r, status = _scored(observed, preds)
         reports.append(MetricReport(
@@ -592,7 +586,9 @@ def select_lambda_cv(
     if grid is None:
         grid = np.logspace(-3, 1, 9)
     perm = np.random.default_rng(seed).permutation(D.n_conditions)
-    folds = [(np.setdiff1d(perm, test), test, None) for test in np.array_split(perm, n_folds)]
+    plan = SplitPlan(kind="random-fold", n=D.n_conditions,
+                     folds=tuple((np.setdiff1d(perm, test), test)
+                                 for test in np.array_split(perm, n_folds)))
     if cfg.w_init is None:
         cfg = replace(cfg, w_init=InteractionMatrix(-np.eye(B.n_responses)))
     scores = {}
@@ -600,7 +596,7 @@ def select_lambda_cv(
         family = CausalLinearFamily(B, replace(cfg, lam=float(lam)))
         try:
             sse = [float(np.sum((X.values[test] - preds) ** 2))
-                   for (_, test, _), (preds, _) in zip(folds, fit_folds(family, D, X, folds))]
+                   for (_, test), (preds, _) in zip(plan.folds, fit_folds(family, D, X, [plan]))]
         except (SingularMatrixError, NonConvergenceError):
             sse = [np.inf]
         scores[float(lam)] = float(np.mean(sse))

@@ -35,6 +35,7 @@ from perturbpred.io import (
 )
 from perturbpred.ode import OdeModel, steady_states
 from perturbpred.types import W_FORM, InteractionMatrix, TargetMap
+from perturbpred.validate import select_lambda_cv
 
 
 @pytest.fixture
@@ -720,6 +721,35 @@ class TestCv:
             assert main(argv) == EXIT_OK
             assert shapes.count((105, k)) == 1
 
+    def test_lambda_is_picked_by_inner_cv_when_drugs_are_fewer_than_responses(self, tmp_path):
+        # q = 3 drugs < p = 5 responses leaves the unregularized W
+        # unidentified, so cv without --lam picks lambda by select_lambda_cv;
+        # each drug is left out of a third of the conditions, so LODO runs
+        rng = np.random.default_rng(7)
+        n = 18
+        D = rng.uniform(0.5, 1.0, (n, 3)) * (np.arange(n)[:, None] % 3 != np.arange(3))
+        B = rng.normal(size=(5, 3))
+        W = -np.eye(5) + 0.2 * rng.normal(size=(5, 5)) * ~np.eye(5, dtype=bool)
+        X = D @ B.T @ -np.linalg.inv(W) + 0.05 * rng.normal(size=(n, 5))
+        ids, drugs, resp = [f"c{k}" for k in range(n)], ["d1", "d2", "d3"], list("abcde")
+        save_matrix_csv(tmp_path / "d.csv", D, ids, drugs)
+        save_matrix_csv(tmp_path / "x.csv", X, ids, resp)
+        save_matrix_csv(tmp_path / "b.csv", B, resp, drugs)
+        assert main([
+            "cv", "--scheme", "lodo", "--model", "causal-linear", "--max-iter", "200",
+            "--conditions", str(tmp_path / "d.csv"), "--responses", str(tmp_path / "x.csv"),
+            "--targets", str(tmp_path / "b.csv"), "--out-dir", str(tmp_path / "cv"),
+        ]) == EXIT_OK
+        with open(tmp_path / "cv" / "cv_report.json") as fh:
+            meta = json.load(fh)["metadata"]
+        lam, scores = select_lambda_cv(load_condition_matrix(tmp_path / "d.csv")[0],
+                                       load_response_matrix(tmp_path / "x.csv")[0],
+                                       TargetMap(load_matrix_csv(tmp_path / "b.csv")[0]),
+                                       seed=0, cfg=FitConfig(max_iter=200))
+        assert meta["lambda_selected_by_cv"] == meta["lambda"] == lam
+        assert {float(key): v for key, v in meta["lambda_cv_scores"].items()} == scores
+        assert np.all(np.isfinite(list(scores.values())))
+
     def test_jobs_below_one_is_config_error(self, sim_dir):
         assert main([
             "cv", "--scheme", "rf", "--model", "regression",
@@ -991,6 +1021,59 @@ def test_out_of_range_numeric_option_is_config_error(argv, message, sim_dir, tmp
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_PARSE
     [record] = caplog.records
     assert message in record.getMessage()
+
+
+@pytest.mark.parametrize("bad", ["drug", "response"])
+@pytest.mark.parametrize("model", ["causal-linear", "causal-ode"])
+@pytest.mark.parametrize("command", [["fit"], ["cv", "--scheme", "rf", "--reps", "2"],
+                                     ["cv", "--scheme", "lodo"]], ids=["fit", "cv-rf", "cv-lodo"])
+def test_target_map_for_other_data_is_dimension_error(command, model, bad, sim_dir, tmp_path,
+                                                      caplog):
+    # a map without the last drug, (5, 14), or the last response, (4, 15):
+    # the first killed lambda = 0 causal-linear cv with numpy's matmul error,
+    # the second killed causal-linear fit and cv with a LinAlgError, and the
+    # causal-ode commands exited 3 naming a shape of some other array
+    B, rows, cols = load_matrix_csv(sim_dir / "sim_targets.csv")
+    B, rows, cols = (B[:, :-1], rows, cols[:-1]) if bad == "drug" else (B[:-1], rows[:-1], cols)
+    save_matrix_csv(tmp_path / "b.csv", B, rows, cols)
+    argv = [*command, "--model", model, "--targets", str(tmp_path / "b.csv"),
+            "--conditions", str(sim_dir / "sim_conditions.csv"),
+            "--responses", str(sim_dir / "sim_responses.csv"), "--out-dir", str(tmp_path / "out")]
+    if model == "causal-ode":
+        argv += ["--max-iter", "2"]
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(argv) == EXIT_DIMENSION
+    [record] = caplog.records
+    assert record.getMessage() == (f"target map has shape {B.shape}, but the data have "
+                                   "5 responses and 15 drugs")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--model", "causal-linear", "--conditions", "{c}", "--responses", "{r}"],
+     "causal-linear requires --targets"),
+    (["fit", "--model", "regression", "--conditions", "{c}"],
+     "fit requires --conditions and --responses"),
+    (["predict", "--model", "regression", "--conditions", "{c}", "--out", "{out}/p.csv"],
+     "predict requires --params, --conditions, and --out"),
+    (["cv", "--scheme", "kfold", "--model", "regression", "--conditions", "{c}",
+      "--responses", "{r}"], "--scheme must be rf|lodo, got 'kfold'"),
+    (["cv", "--scheme", "rf", "--model", "regression", "--conditions", "{c}"],
+     "cv requires --conditions and --responses"),
+    (["export-network"], "export-network requires --network"),
+    (["export-network", "--network", "{n}", "--form", "X"],
+     "--form must be 'A-form' or 'W-form', got 'X'"),
+], ids=["no-targets", "fit-no-responses", "predict-no-params", "cv-kfold", "cv-no-responses",
+        "no-network", "export-form"])
+def test_missing_or_unknown_option_is_config_error(argv, message, sim_dir, tmp_path, caplog):
+    files = {"c": sim_dir / "sim_conditions.csv", "r": sim_dir / "sim_responses.csv",
+             "n": sim_dir / "sim_network_a.csv", "out": tmp_path / "out"}
+    argv = [arg.format(**files) for arg in argv]
+    if argv[0] != "predict":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(argv) == EXIT_PARSE
+    [record] = caplog.records
+    assert record.getMessage() == message
 
 
 def test_version_flag(capsys):

@@ -261,8 +261,8 @@ class TestEngineMatchesPerFoldLoop:
         family = CausalLinearFamily(B, FitConfig(max_iter=20))
 
         def fold(family, D, X, train, test):
-            preds, reports = fit_least_squares_folds(basis, X.values, train[None], test[None],
-                                                     0, (CLOSED_FORM,), screen=True)
+            preds, reports = fit_least_squares_folds(basis, X.values, test[None], 0,
+                                                     (CLOSED_FORM,), screen=True)
             if reports[0] is not None:
                 return preds[0], reports[0]
             return family_fold(family, D, X, train, test)
@@ -314,11 +314,12 @@ class TestEngineMatchesPerFoldLoop:
     def test_mixed_train_sizes_run_fold_by_fold(self):
         # consecutive folds of different sizes go to the family one by one
         D, X, B = instance(3, 12, 3, 3, rare_drug=False)
-        folds = [(np.arange(0, 8), np.arange(8, 12), None),
-                 (np.arange(0, 9), np.arange(9, 12), None),
-                 (np.arange(2, 12), np.arange(0, 2), None)]
+        plan = SplitPlan(kind="random-fold", n=12, folds=(
+            (np.arange(0, 8), np.arange(8, 12)),
+            (np.arange(0, 9), np.arange(9, 12)),
+            (np.arange(2, 12), np.arange(0, 2))))
         for family in (RegressionFamily(), CausalLinearFamily(B)):
-            for (preds, report), fold in zip(fit_folds(family, D, X, folds), folds):
+            for (preds, report), fold in zip(fit_folds(family, D, X, [plan]), plan.folds):
                 want_preds, want_report = reference_fold(family, D, X, *fold)
                 assert_close(preds, want_preds)
                 assert_same_reports([report], [want_report])
@@ -363,7 +364,7 @@ def test_stacked_fold_scores_equal_the_one_fold_metrics():
     for family in (RegressionFamily(), CausalLinearFamily(B, FitConfig(max_iter=50))):
         for plan in (equal, mixed):
             report = averaged_random_fold_eval(family, D, X, plan)
-            preds = fit_folds(family, D, X, [(train, test, None) for train, test in plan.folds])
+            preds = fit_folds(family, D, X, [plan])
             for entry, (_, test), (pred, _) in zip(report.per_fold, plan.folds, preds):
                 observed = X.values[test]
                 assert entry["mae"] == mae(observed, pred)
@@ -399,7 +400,7 @@ class TestStackedSolvers:
 
         basis = factor_design(D.values @ B.values.T)
         certified = _basis_lstsq(basis, X.values, tests)[1]
-        preds, closed = fit_least_squares_folds(basis, X.values, rows, tests, 0, (CLOSED_FORM,),
+        preds, closed = fit_least_squares_folds(basis, X.values, tests, 0, (CLOSED_FORM,),
                                                 screen=True)
         for k, report in enumerate(closed):
             if not certified[k]:
@@ -418,8 +419,8 @@ class TestStackedSolvers:
             return [reference_fold(RegressionFamily(), D, X, train, test)
                     for train, test in zip(rows, tests)]
 
-        plan = [(train, test, None) for train, test in zip(rows, tests)]
-        got = outcome(lambda: list(fit_folds(RegressionFamily(), D, X, plan)))
+        plan = SplitPlan(kind="random-fold", n=12, folds=tuple(zip(rows, tests)))
+        got = outcome(lambda: list(fit_folds(RegressionFamily(), D, X, [plan])))
         want = outcome(one_fold_calls)
         if isinstance(want[0], type):
             assert got == want
@@ -595,7 +596,7 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
 
     # regression: certified folds agree with QR within TOL; the block leaves
     # every other fold to the family's own fit
-    preds, reports = fit_least_squares_folds(basis, X, train, tests, 1, ())
+    preds, reports = fit_least_squares_folds(basis, X, tests, 1, ())
     assert [report is not None for report in reports] == certified.tolist()
     for f in np.flatnonzero(certified):
         R = _lstsq(A[train[f]], X[train[f]])
@@ -612,7 +613,7 @@ def test_basis_route_matches_matrix_rank_and_the_qr_route(seed, n, k, kind, scal
     signed = TargetMap(np.hstack([np.eye(k), -np.eye(k)]))
     D = ConditionMatrix(np.hstack([np.maximum(A, 0.0), np.maximum(-A, 0.0)]))
     assert np.array_equal(D.values @ signed.values.T, A)
-    preds, closed = fit_least_squares_folds(basis, X, train, tests, 0, (CLOSED_FORM,), screen=True)
+    preds, closed = fit_least_squares_folds(basis, X, tests, 0, (CLOSED_FORM,), screen=True)
     for f, (S, T) in enumerate(zip(train, tests)):
         if not certified[f]:
             assert closed[f] is None
@@ -685,7 +686,7 @@ def test_test_row_route_matches_the_training_row_route(seed, n, k, kind, scale):
     assert np.array_equal(certified, want)
     assert not np.any(certified & (np.linalg.matrix_rank(A[train]) < k))
 
-    preds, reports = fit_least_squares_folds(basis, X, train, tests, 1, ())
+    preds, reports = fit_least_squares_folds(basis, X, tests, 1, ())
     for f in np.flatnonzero(certified):
         S, T = train[f], tests[f]
         resid = X[S] - basis.Q0[S] @ y[f]
@@ -809,38 +810,17 @@ def test_near_singular_warm_start_refused():
     D = ConditionMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     B = TargetMap(np.eye(2))
     basis = factor_design(D.values @ B.values.T)
-    train, test = np.array([[0, 1, 2]]), np.zeros((1, 0), dtype=int)
+    test = np.zeros((1, 0), dtype=int)  # one fold, training on all three rows
     for M, refused in (([[1.0, 0.2], [0.3, 1.0]], False), ([[1.0, 2.0], [1.0, 2.0]], True)):
         X = ResponseMatrix(D.values @ np.array(M))
         init = least_squares_w_init(D, X, B)
         assert (init is None) == refused
         assert _basis_lstsq(basis, X.values, test)[1].all()
-        _, closed = fit_least_squares_folds(basis, X.values, train, test, 0, (CLOSED_FORM,),
+        _, closed = fit_least_squares_folds(basis, X.values, test, 0, (CLOSED_FORM,),
                                             screen=True)
         assert (closed[0] is None) == refused
         _, report = fit_causal_linear(D, X, B, FitConfig(max_iter=5))
         assert (report.status == (CLOSED_FORM,)) == (not refused)
-
-
-def test_folds_that_do_not_partition_the_rows_fit_alone():
-    # the block route derives each fold's training rows from its test rows,
-    # so a block whose folds test on training rows, or leave rows out of
-    # both, runs every fold's own fit instead, bit for bit
-    D, X, B = instance(2, 12, 3, 3, rare_drug=False)
-    folds = [(np.arange(12), np.arange(3), None), (np.arange(12), np.arange(3, 6), None)]
-    for family in (RegressionFamily(), CausalLinearFamily(B)):
-        block = FoldBlock(np.array([np.arange(12)] * 2), np.array([np.arange(3), np.arange(3, 6)]),
-                          (None, None))
-        assert family.settle(D, X, block, family.factor(D, X))[1] == [None, None]
-        for (preds, report), (train, test, _) in zip(fit_folds(family, D, X, folds), folds):
-            want_preds, want_report = family_fold(family, D, X, train, test)
-            np.testing.assert_array_equal(preds, want_preds)
-            assert_equal_reports([report], [want_report])
-    gaps = [(np.arange(8), np.arange(8, 11), None)] * 2  # row 11 in neither
-    for (preds, report), (train, test, _) in zip(fit_folds(RegressionFamily(), D, X, gaps), gaps):
-        want_preds, want_report = family_fold(RegressionFamily(), D, X, train, test)
-        np.testing.assert_array_equal(preds, want_preds)
-        assert_equal_reports([report], [want_report])
 
 
 def test_folds_whose_objective_overflows_fit_alone():
@@ -865,8 +845,9 @@ def test_rank_deficient_stack_names_the_zero_column():
     D = ConditionMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0],
                          [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]], ["a", "b"])
     X = ResponseMatrix(np.ones((8, 1)))
-    folds = [(np.arange(4), np.arange(4, 8), None), (np.arange(4, 8), np.arange(4), None)]
-    for fit in (lambda: list(fit_folds(RegressionFamily(), D, X, folds)),
+    plan = SplitPlan(kind="random-fold", n=8, folds=((np.arange(4), np.arange(4, 8)),
+                                                     (np.arange(4, 8), np.arange(4))))
+    for fit in (lambda: list(fit_folds(RegressionFamily(), D, X, [plan])),
                 lambda: fit_regression(ConditionMatrix(D.values[4:], ["a", "b"]),
                                        ResponseMatrix(X.values[4:]))):
         with pytest.raises(SingularMatrixError, match="deficient design columns: b$"):

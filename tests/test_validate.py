@@ -184,6 +184,63 @@ class TestRandomFolds:
                       folds=((np.array([0.0, 1.0, 2.0]), np.array([3.0])),))
 
 
+_FAULTS = ("repeated row", "missing row", "row n", "row -1", "float rows")
+
+
+@st.composite
+def _fold_lists(draw):
+    """(n, folds): 1-12 folds of n rows, of one training size or of mixed
+    sizes, each a partition, sorted or not, or with one of _FAULTS."""
+    n = draw(st.integers(1, 10))
+    one_size = draw(st.booleans())
+    size = draw(st.integers(0, n))
+    folds = []
+    for _ in range(draw(st.integers(1, 12))):
+        perm = draw(st.permutations(range(n)))
+        s = size if one_size else draw(st.integers(0, n))
+        parts = [list(perm[:s]), list(perm[s:])]
+        if draw(st.booleans()):
+            parts = [sorted(part) for part in parts]
+        dtype = draw(st.sampled_from([np.int64, np.int32]))
+        fault = draw(st.sampled_from((None, None, None) + _FAULTS))
+        part = parts[draw(st.booleans())]
+        if fault == "repeated row":
+            part.append(draw(st.sampled_from(perm)))
+        elif fault == "float rows":
+            dtype = np.float64
+        elif fault is not None:
+            part = max(parts, key=len)  # n >= 1, so one part holds a row
+            k = draw(st.integers(0, len(part) - 1))
+            if fault == "missing row":
+                del part[k]
+            else:
+                part[k] = n if fault == "row n" else -1
+        folds.append(tuple(np.array(part, dtype=dtype) for part in parts))
+    return n, folds
+
+
+def _partitions(n, train, test):
+    """The per-fold reference: integer rows that are range(n) once each."""
+    return (all(np.issubdtype(rows.dtype, np.integer) for rows in (train, test))
+            and sorted(np.concatenate([train, test]).tolist()) == list(range(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_fold_lists(), block=st.sampled_from([1, 2, 3, validate_module._BLOCK]))
+def test_plan_refuses_exactly_the_folds_that_do_not_partition(case, block):
+    # the plan checks its folds in blocks of consecutive folds of one size;
+    # it must raise exactly when some fold fails the per-fold reference,
+    # whatever the block size and wherever that fold sits
+    n, folds = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(validate_module, "_BLOCK", block)
+        if all(_partitions(n, train, test) for train, test in folds):
+            SplitPlan(kind="random-fold", n=n, folds=tuple(folds))
+        else:
+            with pytest.raises(ValueError):
+                SplitPlan(kind="random-fold", n=n, folds=tuple(folds))
+
+
 def _one_drug_per_row(n):
     """n conditions, each dosed with one of three drugs in turn, and random
     responses: every drug has a LODO fold."""
@@ -491,9 +548,11 @@ class _CallLog(ModelFamily):
 def test_model_family_predicts_each_fold_before_fitting_the_next():
     D = ConditionMatrix(np.eye(4))
     X = ResponseMatrix(np.ones((4, 1)))
-    folds = [(np.arange(3), np.array([3]), None), (np.arange(2), np.arange(2, 4), 1)]
+    plans = [SplitPlan(kind="random-fold", n=4, folds=((np.arange(3), np.array([3])),)),
+             SplitPlan(kind="lodo", n=4, folds=((np.arange(2), np.arange(2, 4)),),
+                       held_out_drug=1)]
     family = _CallLog()
-    assert [preds.shape for preds, _ in fit_folds(family, D, X, folds)] == [(1, 1), (2, 1)]
+    assert [preds.shape for preds, _ in fit_folds(family, D, X, plans)] == [(1, 1), (2, 1)]
     assert family.calls == [("fit", 3, None), ("predict", 1), ("fit", 2, 1), ("predict", 2)]
     family.calls.clear()
     params, _ = family.fit(D, X, held_out_drug=2)
