@@ -32,8 +32,16 @@ Both linear fits, wherever no closed form holds, run one solver: ``_fista``,
 accelerated proximal gradient with backtracking and restart, in a fixed
 diagonal metric: each entry steps by the inverse of the loss's Gauss-Newton
 Hessian diagonal at the start, so one trial step serves entries of very
-different curvature.  A fit that stops at its iteration cap says so in its
-report's status (MAX_ITER_REACHED).
+different curvature.  Each such fit factors its design once, by a thin QR,
+and evaluates every loss on the k-row problem in that basis
+(:class:`ReducedDesign`): the loss sees the n design rows only through
+their column space (Bjorck 1996, section 1.3).  A fit that stops at its
+iteration cap says so in its report's status (MAX_ITER_REACHED).
+
+An objective that falls below the normal floating-point range is summed
+again at a power-of-two scale (:func:`_sum_of_squares`); one still out of
+range is reported rounded, with status OBJECTIVE_UNDERFLOW, not as an exact
+fit.
 """
 
 from __future__ import annotations
@@ -113,6 +121,11 @@ class FitReport:
         }
 
 
+def _with_status(report, status):
+    """report with status appended to its own."""
+    return replace(report, status=(*report.status, *status)) if status else report
+
+
 # The status of a fit that stopped at its iteration cap, unconverged; every
 # fitter formats it with its cfg.max_iter.
 MAX_ITER_REACHED = "max-iter-reached: the fit stopped at max_iter = {} before its stop rule held"
@@ -125,9 +138,41 @@ CLOSED_FORM = "closed-form: the least-squares minimizer at lambda = 0"
 _LEAST_SQUARES_RCOND = 1e-8
 
 
+# The status of a fit whose objective lies below the normal floating-point
+# range, with the objective as mantissa x 2^exponent; every fitter formats it.
+OBJECTIVE_UNDERFLOW = ("objective-underflow: the objective, {:.17g} x 2^{}, lies below the "
+                       "normal floating-point range; final_objective holds it rounded")
+
+_TINY = np.finfo(float).tiny
+
+
+def _sum_of_squares(resid, total):
+    """(objective, status) of a residual whose squares summed to total.
+
+    Where total is at least the smallest normal float, or resid is all 0,
+    it stands, with no status.  Otherwise squares that underflowed may have
+    been lost, so the residual is summed again scaled by the power of two
+    that brings its largest entry into [1/2, 1), which is exact, and the
+    objective is that sum scaled back, rounded.  If it is still below the
+    normal range, the status (OBJECTIVE_UNDERFLOW) gives it as the sum and
+    its power of two.  Only this rare branch costs anything.
+    """
+    if not total < _TINY or not resid.any():
+        return total, ()
+    e = math.frexp(float(np.max(np.abs(resid))))[1]
+    scaled = np.ldexp(resid, -e)
+    mantissa = float(np.vdot(scaled, scaled))
+    total = math.ldexp(mantissa, 2 * e)
+    return total, (() if total >= _TINY else (OBJECTIVE_UNDERFLOW.format(mantissa, 2 * e),))
+
+
 def soft_threshold(x, thr):
-    """Closed-form proximal operator of thr * |.|: shrink toward 0 by thr."""
-    return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
+    """Closed-form proximal operator of thr * |.|: shrink toward 0 by thr.
+
+    The shrunk magnitude takes x's sign in one copysign, in place of
+    sign(x) * max(|x| - thr, 0), with the same bits: the sign comes from
+    x + 0.0, so that -0.0 shrinks to +0.0 as it did there."""
+    return np.copysign(np.maximum(np.abs(x) - thr, 0.0), x + 0.0)
 
 
 # The first trial step of the linear fits' backtracking line search, and the
@@ -157,20 +202,21 @@ def _fista(loss_and_gradient, start, first, cfg: FitConfig, penalty, proximal_ma
     loss(x) + penalty(x) from start, in a fixed diagonal metric.
 
     loss_and_gradient(x) raises SingularMatrixError where x is infeasible;
+    both linear fits evaluate it on their design's thin-QR basis
+    (:class:`ReducedDesign`), so its cost does not grow with the rows.
     first is its (loss, gradient) at start, which the caller evaluates, so
     that a start it rejects raises there, and the metric can reuse what that
     evaluation computed.  proximal_map(y, grad, step) is penalty's proximal
-    step from y, where
-    step holds one step per entry of x.  metric (from
+    step from y, where step holds one step per entry of x.  metric (from
     :func:`_diagonal_metric`, largest entry 1) is the inverse of the loss's
     Gauss-Newton Hessian diagonal at start: a trial step s moves each entry,
     and soft-thresholds it, by its own step s * metric, and the
     sufficient-decrease test measures the move in the matching norm,
-    sum(diff^2 / metric) / (2 s).  One step then serves entries whose
-    curvatures differ by orders of magnitude, and a fixed diagonal metric
-    keeps FISTA's guarantees (variable-metric forward-backward splitting;
-    Combettes & Vu 2014).  Each iteration takes that step from the momentum
-    point
+    <diff, diff / metric> / (2 s), with 1 / metric formed once.  One step
+    then serves entries whose curvatures differ by orders of magnitude, and
+    a fixed diagonal metric keeps FISTA's guarantees (variable-metric
+    forward-backward splitting; Combettes & Vu 2014).  Each iteration takes
+    that step from the momentum point
     Y = x + ((t - 1) / t') (x - x_prev), t' = (1 + sqrt(1 + 4 t^2)) / 2
     (Beck & Teboulle 2009), backtracking while the candidate is infeasible
     or fails the proximal sufficient-decrease test at Y.  If Y is
@@ -188,6 +234,7 @@ def _fista(loss_and_gradient, start, first, cfg: FitConfig, penalty, proximal_ma
     obj = loss + penalty(x)
     trace = [obj]
     step = LINEAR_FIRST_STEP
+    inverse_metric = 1.0 / metric
 
     def proximal_step(y, loss_y, grad_y, step):
         """(x_new, loss_new, grad_new, obj_new, trial) of the accepted step from y."""
@@ -200,8 +247,8 @@ def _fista(loss_and_gradient, start, first, cfg: FitConfig, penalty, proximal_ma
                 trial *= 0.5
                 continue
             diff = x_new - y
-            quad = loss_y + float((grad_y * diff).sum()) + float(
-                ((diff * diff) / metric).sum()
+            quad = loss_y + float(np.vdot(grad_y, diff)) + float(
+                np.vdot(diff, diff * inverse_metric)
             ) / (2.0 * trial)
             if loss_new <= quad + 1e-12 * max(1.0, abs(loss_y)):
                 return x_new, loss_new, grad_new, loss_new + penalty(x_new), trial
@@ -393,7 +440,8 @@ def fit_least_squares_folds(basis, X, tests, iterations, status, screen=False):
     P = Q0 y, (F, n, m), serves the whole block: its test rows are
     the predictions A[T] M = Q0[T] y, and its training rows give the
     objective ||X[S] - Q0[S] y||^2, summed over the residual with the test
-    rows zeroed.  With screen, a certified fold is settled only where
+    rows zeroed (and again by :func:`_sum_of_squares` where it underflows).
+    With screen, a certified fold is settled only where
     M = inv(R0) y has rcond at least _LEAST_SQUARES_RCOND, as the
     causal-linear closed form W = -inv(M) needs.  Every other fold, and one
     whose objective overflows, gets report None, and its predictions are
@@ -417,9 +465,51 @@ def fit_least_squares_folds(basis, X, tests, iterations, status, screen=False):
     objectives = P.sum(axis=(1, 2))
     for f in np.flatnonzero(certified).tolist():
         obj = objectives[f]
-        if math.isfinite(obj):
+        if obj < _TINY:  # the rare branch: the fold's residual, summed again
+            resid = basis.Q0 @ y[f] - X
+            resid[tests[f]] = 0.0
+            obj, underflow = _sum_of_squares(resid, float(obj))
+            reports[f] = FitReport(obj, iterations, True, [obj], (*status, *underflow))
+        elif math.isfinite(obj):
             reports[f] = FitReport(float(obj), iterations, True, objectives[f:f + 1], status)
     return preds, reports
+
+
+class ReducedDesign(NamedTuple):
+    """A linear fit's design A, (n, m), and responses X, (n, p), in the
+    thin-QR basis of A, as :func:`_reduce` gives them.
+
+    With A = Q R, where Q (n, k) has orthonormal columns and k = min(n, m),
+    every residual X - A P splits into its part in Q's span, Q^T X - R P,
+    and X - Q Q^T X, which no P reaches.  So ||X - A P||_F^2 =
+    ||Q^T X - R P||_F^2 + rest on k rows, with rest = ||X - Q Q^T X||_F^2
+    formed once (Bjorck 1996, section 1.3); the gradient A^T (A P - X) is
+    R^T (R P - Q^T X).  This holds for any A, rank-deficient too.  R may
+    be a product R F whose first factor came from the QR, as the
+    causal-linear fit forms it (:func:`_causal_design`).
+    """
+
+    R: np.ndarray
+    QtX: np.ndarray
+    rest: float
+
+
+def _reduce(A, X):
+    """The ReducedDesign of design A and responses X: one thin QR of A."""
+    Q, R = np.linalg.qr(A)
+    QtX = Q.T @ X
+    if Q.shape[0] == Q.shape[1]:  # Q spans every row: nothing is out of reach
+        return ReducedDesign(R, QtX, 0.0)
+    orth = X - Q @ QtX
+    return ReducedDesign(R, QtX, float(np.vdot(orth, orth)))
+
+
+def _regression_loss_and_gradient(R, reduced):
+    """||X - D R||_F^2 and its gradient 2 D^T (D R - X), evaluated on the
+    ReducedDesign of D and X."""
+    Rd, QtX, rest = reduced
+    resid = Rd @ R - QtX
+    return float(np.vdot(resid, resid)) + rest, 2.0 * (Rd.T @ resid)
 
 
 def fit_regression(
@@ -432,9 +522,13 @@ def fit_regression(
     or every column when the deficiency comes from collinearity (the
     leave-one-drug-out pathology), and an objective that overflows raises
     DivergenceError.  lambda > 0 runs :func:`_fista` from
-    R = 0 on the loss ||X - D R||_F^2, with every entry of R penalized, in
-    the metric of its exact Hessian diagonal, ||D[:, i]||^2 on row i.  A
-    never-dosed drug's row of the gradient is 0, so its row of R stays 0.
+    R = 0 on the loss ||X - D R||_F^2, evaluated as ||R_D R - Q^T X||_F^2 +
+    rest on the thin QR D = Q R_D (:class:`ReducedDesign`), with every entry
+    of R penalized, in the metric of its exact Hessian diagonal,
+    ||D[:, i]||^2 on row i.  A never-dosed drug's column of R_D is exactly
+    0, so its row of the gradient is 0 and its row of R stays 0.  Either
+    objective, where it falls below the normal float range, is handled by
+    :func:`_sum_of_squares`.
     """
     check_paired(D, X)
     Dv, Xv = D.values, X.values
@@ -455,22 +549,22 @@ def fit_regression(
                 "the least-squares objective overflows: the doses or responses are too "
                 "large to fit in floating point"
             )
-        return RegressionCoefficients(R), FitReport(obj, 1, True, [obj])
+        obj, status = _sum_of_squares(resid, obj)
+        return RegressionCoefficients(R), FitReport(obj, 1, True, [obj], status)
 
-    def loss_and_gradient(R):
-        resid = Dv @ R - Xv
-        return float((resid * resid).sum()), 2.0 * (Dv.T @ resid)
-
+    reduced = _reduce(Dv, Xv)
     start = np.zeros((Dv.shape[1], Xv.shape[1]))
     R, report = _fista(
-        loss_and_gradient,
+        lambda R: _regression_loss_and_gradient(R, reduced),
         start,
-        loss_and_gradient(start),
+        _regression_loss_and_gradient(start, reduced),
         cfg,
         lambda R: cfg.lam * float(np.abs(R).sum()),
         lambda R, grad, step: soft_threshold(R - step * grad, step * cfg.lam),
         _diagonal_metric((Dv * Dv).sum(axis=0))[:, None],
     )
+    if report.final_objective < _TINY:  # the rare branch: sum the residual itself
+        report = _with_status(report, _sum_of_squares(Dv @ R - Xv, 0.0)[1])
     return RegressionCoefficients(R), report
 
 
@@ -507,23 +601,26 @@ def fit_regression_lodo(
 # causal linear
 
 
-def causal_loss_and_gradient(W, D: ConditionMatrix, X: ResponseMatrix, B: TargetMap, C=None,
-                             with_inverse=False):
+def causal_loss_and_gradient(W, D: ConditionMatrix, X: ResponseMatrix, B: TargetMap,
+                             reduced=None, with_inverse=False):
     """Smooth Frobenius loss ||X - D B^T (-inv(W))||_F^2 and its gradient in W.
 
     With C = D B^T and E = X + C inv(W), matrix calculus through the inverse
-    gives  grad = -2 (inv(W) E^T C inv(W))^T.  A fit passes its C, which is
-    fixed, so that no evaluation recomputes it.  With with_inverse, inv(W)
-    is returned too, as (loss, grad, inv(W)).
+    gives  grad = -2 (inv(W) E^T C inv(W))^T = -2 (C inv(W))^T E inv(W)^T,
+    which reuses C inv(W).  A fit passes the ReducedDesign of its fixed
+    design (:func:`_causal_design`), and every evaluation then runs on its
+    k <= p rows: E = Q^T X + R inv(W), and the loss adds rest.  Left None,
+    the loss is evaluated on the n rows of D B^T and X themselves.  With
+    with_inverse, inv(W) is returned too, as (loss, grad, inv(W)).
     """
     Winv, ok = _screened_inverse(np.asarray(W, dtype=float), RCOND_MIN)
     if not ok:
         raise SingularMatrixError("W is singular or ill-conditioned in loss evaluation")
-    if C is None:
-        C = D.values @ B.values.T
-    E = X.values + C @ Winv
-    loss = float((E * E).sum())
-    grad = -2.0 * (Winv @ E.T @ C @ Winv).T
+    C, Y, rest = (D.values @ B.values.T, X.values, 0.0) if reduced is None else reduced
+    CW = C @ Winv
+    E = Y + CW
+    loss = float(np.vdot(E, E)) + rest
+    grad = -2.0 * (CW.T @ E @ Winv.T)
     return (loss, grad, Winv) if with_inverse else (loss, grad)
 
 
@@ -534,8 +631,11 @@ def causal_objective(W, D, X, B, lam):
 
 
 def _penalty(W, lam):
-    off = W - np.diag(W.diagonal())
-    return lam * float(np.abs(off).sum())
+    """lam times the L1 norm of W's off-diagonal, summed with the diagonal
+    zeroed, as W - diag(W) would give it."""
+    off = np.abs(W)
+    off.ravel()[::W.shape[0] + 1] = 0.0
+    return lam * float(off.sum())
 
 
 def _apply_mask(W, mask):
@@ -555,7 +655,9 @@ def _initial_w(cfg: FitConfig, p, start=None):
 
 def _causal_metric(Q, C):
     """The :func:`_fista` metric of the causal-linear loss at a start W, from
-    Q = inv(W), the inverse that the fit's first loss evaluation screened.
+    Q = inv(W), the inverse that the fit's first loss evaluation screened,
+    and the design C = D B^T, or the R of its ReducedDesign, which has the
+    same column norms of C Q.
 
     Moving w_ij moves the residual X + C Q by -(C Q)[:, i] Q[j, :], so the
     Gauss-Newton diagonal is h_ij = ||(C Q)[:, i]||^2 ||Q[j, :]||^2.  A Q
@@ -579,8 +681,21 @@ def _proximal_map(W, grad, step, cfg: FitConfig):
     scalar or one step per entry."""
     W_new = W - step * grad
     shrunk = soft_threshold(W_new, step * cfg.lam)
-    np.fill_diagonal(shrunk, W_new.diagonal())
+    diagonal = slice(None, None, W.shape[0] + 1)
+    shrunk.ravel()[diagonal] = W_new.ravel()[diagonal]
     return _apply_mask(shrunk, cfg.mask)
+
+
+def _causal_design(D, B, C, X):
+    """The ReducedDesign of the causal-linear loss ||X + C inv(W)||^2 on
+    C = D B^T: from the thin QR D = Q R_D, with R = R_D B^T and k = min(n, q),
+    when q < p, and from that of C, with k = min(n, p), otherwise.  Either
+    spans C's columns, so the loss is the same; the fewer rows, the cheaper
+    each evaluation."""
+    if D.shape[1] < B.shape[0]:
+        reduced = _reduce(D, X)
+        return reduced._replace(R=reduced.R @ B.T)
+    return _reduce(C, X)
 
 
 def _least_squares_w(C, X):
@@ -616,12 +731,14 @@ def fit_causal_linear(
     else the least-squares W (:func:`least_squares_w_init`), else -I, on the
     smooth loss of :func:`causal_loss_and_gradient`, in the metric of
     :func:`_causal_metric` at that start; a given w_init is always just a
-    start.  Its proximal map soft-thresholds the off-diagonal entries by
-    step * lambda (the diagonal is unpenalized) and zeroes masked-out
-    entries; a W that fails the loss's rcond screen is infeasible, so a
-    singular momentum point restarts the momentum and an ill-conditioned
-    candidate halves the step.
-    Each loss evaluation inverts W once and screens it as safe_inverse does.
+    start.  Every evaluation, the start's included, runs on the k-row
+    ReducedDesign of :func:`_causal_design`, factored once per fit.  Its
+    proximal map soft-thresholds the off-diagonal entries by step * lambda
+    (the diagonal is unpenalized) and zeroes masked-out entries; a W that
+    fails the loss's rcond screen is infeasible, so a singular momentum
+    point restarts the momentum and an ill-conditioned candidate halves the
+    step.  Each loss evaluation inverts W once and screens it as
+    safe_inverse does.
     The first evaluates the start: a singular one raises SingularMatrixError
     naming w_init, one whose loss or gradient overflows raises
     DivergenceError, and its inverse gives the metric, so the start is
@@ -641,7 +758,8 @@ def fit_causal_linear(
             with np.errstate(over="ignore"):  # an overflow is reported at the start below
                 obj = float((resid * resid).sum())
             if math.isfinite(obj):
-                return start, FitReport(obj, 0, True, [obj], (CLOSED_FORM,))
+                obj, underflow = _sum_of_squares(resid, obj)
+                return start, FitReport(obj, 0, True, [obj], (CLOSED_FORM, *underflow))
     elif cfg.w_init is None:
         start = least_squares_w_init(D, X, B)
     status = ()
@@ -653,9 +771,10 @@ def fit_causal_linear(
     W = _initial_w(cfg, p, start)
     try:
         # the start's one inverse serves its loss evaluation and the metric;
-        # an overflow there is reported below, not warned
+        # an overflow there, or in the reduction, is reported below, not warned
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grad, Winv = causal_loss_and_gradient(W, D, X, B, C, True)
+            reduced = _causal_design(D.values, B.values, C, X.values)
+            loss, grad, Winv = causal_loss_and_gradient(W, D, X, B, reduced, True)
     except SingularMatrixError as exc:
         # _fista rejects every infeasible candidate itself, so only the start
         # can raise: w_init or the least-squares W as masked (-I keeps its diagonal)
@@ -670,16 +789,18 @@ def fit_causal_linear(
             "responses are too large to fit in floating point"
         )
     W, report = _fista(
-        lambda W: causal_loss_and_gradient(W, D, X, B, C),
+        lambda W: causal_loss_and_gradient(W, D, X, B, reduced),
         W,
         (loss, grad),
         cfg,
         lambda W: _penalty(W, cfg.lam),
         lambda W, grad, step: _proximal_map(W, grad, step, cfg),
-        _causal_metric(Winv, C),
+        _causal_metric(Winv, reduced.R),
     )
     if status:
         report = replace(report, status=(*status, *report.status))
+    if report.final_objective < _TINY:  # the rare branch: sum the residual itself
+        report = _with_status(report, _sum_of_squares(X.values + C @ np.linalg.inv(W), 0.0)[1])
     return InteractionMatrix(W, form=W_FORM), report
 
 

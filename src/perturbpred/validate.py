@@ -577,7 +577,8 @@ def select_lambda_cv(
 ):
     """Pick lambda for the causal linear fit by k-fold cross-validation.
 
-    Needed when q < p leaves the unregularized fit unidentified.  Every
+    Needed when q < p leaves the unregularized fit unidentified.  The rows
+    are split into min(n_folds, n) test sets, so that none is empty.  Every
     lambda is fitted on the same folds from the same start, cfg.w_init or
     -I (no least-squares warm start); a lambda whose fit or prediction fails
     on any fold scores inf.  Returns (best_lambda, {lambda: mean held-out
@@ -585,10 +586,11 @@ def select_lambda_cv(
     """
     if grid is None:
         grid = np.logspace(-3, 1, 9)
-    perm = np.random.default_rng(seed).permutation(D.n_conditions)
-    plan = SplitPlan(kind="random-fold", n=D.n_conditions,
+    n = D.n_conditions
+    perm = np.random.default_rng(seed).permutation(n)
+    plan = SplitPlan(kind="random-fold", n=n,
                      folds=tuple((np.setdiff1d(perm, test), test)
-                                 for test in np.array_split(perm, n_folds)))
+                                 for test in np.array_split(perm, min(n_folds, n))))
     if cfg.w_init is None:
         cfg = replace(cfg, w_init=InteractionMatrix(-np.eye(B.n_responses)))
     scores = {}

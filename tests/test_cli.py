@@ -506,6 +506,33 @@ class TestCv:
         assert fits["status"] == [MAX_ITER_REACHED.format(10)]
         assert "3 of 3 fold fits stopped unconverged" in caplog.text
 
+    @pytest.mark.filterwarnings("ignore:.*never appeared in a test set")
+    def test_lambda_selection_on_fewer_conditions_than_folds(self, tmp_path):
+        # 4 conditions, 2 drugs and 3 responses: q < p, so cv selects lambda.
+        # Five test sets of 4 rows would leave one empty; there are 4 of one
+        # row each, so every lambda is scored on held-out rows
+        rng = np.random.default_rng(3)
+        ids, drugs, responses = ["c1", "c2", "c3", "c4"], ["d1", "d2"], ["r1", "r2", "r3"]
+        D = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.0]])
+        B = rng.normal(size=(3, 2))
+        save_matrix_csv(tmp_path / "d.csv", D, ids, drugs)
+        save_matrix_csv(tmp_path / "x.csv", D @ B.T + 0.1 * rng.normal(size=(4, 3)), ids,
+                        responses)
+        save_matrix_csv(tmp_path / "b.csv", B, responses, drugs)
+        out = tmp_path / "cv"
+        assert main([
+            "cv", "--scheme", "rf", "--reps", "3", "--model", "causal-linear",
+            "--conditions", str(tmp_path / "d.csv"), "--responses", str(tmp_path / "x.csv"),
+            "--targets", str(tmp_path / "b.csv"), "--max-iter", "500",
+            "--out-dir", str(out),
+        ]) == EXIT_OK
+        with open(out / "cv_report.json") as fh:
+            metadata = json.load(fh)["metadata"]
+        scores = metadata["lambda_cv_scores"]
+        assert len(scores) == 9 and all(np.isfinite(v) for v in scores.values())
+        assert metadata["lambda"] == metadata["lambda_selected_by_cv"]
+        assert scores[str(metadata["lambda"])] == min(scores.values())
+
     def test_scatter_quotes_labels_as_the_csv_module_does(self, sim_dir, tmp_path):
         D, ids, drugs = load_matrix_csv(sim_dir / "sim_conditions.csv")
         X, _, responses = load_matrix_csv(sim_dir / "sim_responses.csv")
@@ -638,12 +665,12 @@ class TestCv:
             "065eae52a763d771c1f2aff1d8389a0f605606015ca8a7b1ff38194f6ff14cfc",
         ),
         ("rf", "causal-linear", "0.1"): (
-            "ce7d63f58dd037e344d8d333a1bb9dd1ccc354f1228f33375b324e8ff4427b9f",
-            "1ece66246bc5b4536db73c624d8f3db7499514793aa85e454b026c34f080bde7",
+            "93eacbaec7784ecd672986d98de37fa2c0d3be1ee7985bf8707632fb30b1b2b7",
+            "0d8f34be78ab7c991ddbc840ff2170d56ab3d38d515a15a4f1ad8cc2a2ace654",
         ),
         ("lodo", "regression", "0.5"): (
-            "9e4aaedec39943f797f10177a0da1ccb284dbf28ddebaefc06d5111128180dfd",
-            "fea42e3ac65437a9980902ecbba6c25409c9287b08d0053257fd2d28d3ff2857",
+            "177ff46ad639cc554257b0229ee115e05357d5bf7a8ed31054e986f8a4113fa1",
+            "fcafa625d4beaf1bfb572a6549276981424607e14c341ffce4204aa4371b2e87",
         ),
     }
 
