@@ -38,10 +38,10 @@ and evaluates every loss on the k-row problem in that basis
 their column space (Bjorck 1996, section 1.3).  A fit that stops at its
 iteration cap says so in its report's status (MAX_ITER_REACHED).
 
-An objective that falls below the normal floating-point range is summed
-again at a power-of-two scale (:func:`_sum_of_squares`); one still out of
-range is reported rounded, with status OBJECTIVE_UNDERFLOW, not as an exact
-fit.
+An objective that falls below the normal floating-point range has its
+residual summed again at a power-of-two scale (:func:`_sum_of_squares`);
+a sum still out of range is reported rounded, with status
+OBJECTIVE_UNDERFLOW, not as an exact fit.
 """
 
 from __future__ import annotations
@@ -121,11 +121,6 @@ class FitReport:
         }
 
 
-def _with_status(report, status):
-    """report with status appended to its own."""
-    return replace(report, status=(*report.status, *status)) if status else report
-
-
 # The status of a fit that stopped at its iteration cap, unconverged; every
 # fitter formats it with its cfg.max_iter.
 MAX_ITER_REACHED = "max-iter-reached: the fit stopped at max_iter = {} before its stop rule held"
@@ -138,32 +133,40 @@ CLOSED_FORM = "closed-form: the least-squares minimizer at lambda = 0"
 _LEAST_SQUARES_RCOND = 1e-8
 
 
-# The status of a fit whose objective lies below the normal floating-point
-# range, with the objective as mantissa x 2^exponent; every fitter formats it.
-OBJECTIVE_UNDERFLOW = ("objective-underflow: the objective, {:.17g} x 2^{}, lies below the "
-                       "normal floating-point range; final_objective holds it rounded")
+# The status of a fit whose residual's sum of squares lies below the normal
+# floating-point range, with that sum as mantissa x 2^exponent; every fitter
+# formats it.
+OBJECTIVE_UNDERFLOW = ("objective-underflow: the residual's sum of squares, {:.17g} x 2^{}, "
+                       "lies below the normal floating-point range; final_objective holds "
+                       "it rounded, plus the penalty")
 
 _TINY = np.finfo(float).tiny
 
 
-def _sum_of_squares(resid, total):
-    """(objective, status) of a residual whose squares summed to total.
+def _sum_of_squares(total, residual, penalty=lambda: 0.0):
+    """(objective, status) of a fit whose objective, the sum of squares of
+    the residual residual() plus the penalty penalty(), summed to total.
 
-    Where total is at least the smallest normal float, or resid is all 0,
-    it stands, with no status.  Otherwise squares that underflowed may have
-    been lost, so the residual is summed again scaled by the power of two
-    that brings its largest entry into [1/2, 1), which is exact, and the
-    objective is that sum scaled back, rounded.  If it is still below the
-    normal range, the status (OBJECTIVE_UNDERFLOW) gives it as the sum and
-    its power of two.  Only this rare branch costs anything.
+    Where total is at least the smallest normal float, it stands, with no
+    status, and neither function is called.  Otherwise squares that
+    underflowed may have been lost, so the residual, unless it is all 0, is
+    summed again scaled by the power of two that brings its largest entry
+    into [1/2, 1), which is exact, and the objective is that sum scaled
+    back, rounded, plus the penalty.  If the sum is still below the normal
+    range, the status (OBJECTIVE_UNDERFLOW) gives it as a mantissa and its
+    power of two.  Only this rare branch costs anything.
     """
-    if not total < _TINY or not resid.any():
+    if not total < _TINY:
+        return total, ()
+    resid = residual()
+    if not resid.any():
         return total, ()
     e = math.frexp(float(np.max(np.abs(resid))))[1]
     scaled = np.ldexp(resid, -e)
     mantissa = float(np.vdot(scaled, scaled))
-    total = math.ldexp(mantissa, 2 * e)
-    return total, (() if total >= _TINY else (OBJECTIVE_UNDERFLOW.format(mantissa, 2 * e),))
+    loss = math.ldexp(mantissa, 2 * e)
+    status = () if loss >= _TINY else (OBJECTIVE_UNDERFLOW.format(mantissa, 2 * e),)
+    return loss + penalty(), status
 
 
 def soft_threshold(x, thr):
@@ -463,15 +466,16 @@ def fit_least_squares_folds(basis, X, tests, iterations, status, screen=False):
         P[rows, tests] = 0.0
         np.square(P, out=P)
     objectives = P.sum(axis=(1, 2))
+
+    def residual(f):
+        resid = basis.Q0 @ y[f] - X
+        resid[tests[f]] = 0.0
+        return resid
+
     for f in np.flatnonzero(certified).tolist():
-        obj = objectives[f]
-        if obj < _TINY:  # the rare branch: the fold's residual, summed again
-            resid = basis.Q0 @ y[f] - X
-            resid[tests[f]] = 0.0
-            obj, underflow = _sum_of_squares(resid, float(obj))
+        obj, underflow = _sum_of_squares(float(objectives[f]), lambda: residual(f))
+        if math.isfinite(obj):
             reports[f] = FitReport(obj, iterations, True, [obj], (*status, *underflow))
-        elif math.isfinite(obj):
-            reports[f] = FitReport(float(obj), iterations, True, objectives[f:f + 1], status)
     return preds, reports
 
 
@@ -549,7 +553,7 @@ def fit_regression(
                 "the least-squares objective overflows: the doses or responses are too "
                 "large to fit in floating point"
             )
-        obj, status = _sum_of_squares(resid, obj)
+        obj, status = _sum_of_squares(obj, lambda: resid)
         return RegressionCoefficients(R), FitReport(obj, 1, True, [obj], status)
 
     reduced = _reduce(Dv, Xv)
@@ -563,9 +567,10 @@ def fit_regression(
         lambda R, grad, step: soft_threshold(R - step * grad, step * cfg.lam),
         _diagonal_metric((Dv * Dv).sum(axis=0))[:, None],
     )
-    if report.final_objective < _TINY:  # the rare branch: sum the residual itself
-        report = _with_status(report, _sum_of_squares(Dv @ R - Xv, 0.0)[1])
-    return RegressionCoefficients(R), report
+    obj, underflow = _sum_of_squares(report.final_objective, lambda: Dv @ R - Xv,
+                                     lambda: cfg.lam * float(np.abs(R).sum()))
+    return RegressionCoefficients(R), replace(report, final_objective=obj,
+                                              status=(*report.status, *underflow))
 
 
 def fit_regression_lodo(
@@ -632,9 +637,9 @@ def causal_objective(W, D, X, B, lam):
 
 def _penalty(W, lam):
     """lam times the L1 norm of W's off-diagonal, summed with the diagonal
-    zeroed, as W - diag(W) would give it."""
+    zeroed, as W - diag(W) would give it, in any memory layout of W."""
     off = np.abs(W)
-    off.ravel()[::W.shape[0] + 1] = 0.0
+    np.fill_diagonal(off, 0.0)
     return lam * float(off.sum())
 
 
@@ -681,8 +686,7 @@ def _proximal_map(W, grad, step, cfg: FitConfig):
     scalar or one step per entry."""
     W_new = W - step * grad
     shrunk = soft_threshold(W_new, step * cfg.lam)
-    diagonal = slice(None, None, W.shape[0] + 1)
-    shrunk.ravel()[diagonal] = W_new.ravel()[diagonal]
+    np.fill_diagonal(shrunk, W_new.diagonal())
     return _apply_mask(shrunk, cfg.mask)
 
 
@@ -758,7 +762,7 @@ def fit_causal_linear(
             with np.errstate(over="ignore"):  # an overflow is reported at the start below
                 obj = float((resid * resid).sum())
             if math.isfinite(obj):
-                obj, underflow = _sum_of_squares(resid, obj)
+                obj, underflow = _sum_of_squares(obj, lambda: resid)
                 return start, FitReport(obj, 0, True, [obj], (CLOSED_FORM, *underflow))
     elif cfg.w_init is None:
         start = least_squares_w_init(D, X, B)
@@ -797,10 +801,10 @@ def fit_causal_linear(
         lambda W, grad, step: _proximal_map(W, grad, step, cfg),
         _causal_metric(Winv, reduced.R),
     )
-    if status:
-        report = replace(report, status=(*status, *report.status))
-    if report.final_objective < _TINY:  # the rare branch: sum the residual itself
-        report = _with_status(report, _sum_of_squares(X.values + C @ np.linalg.inv(W), 0.0)[1])
+    obj, underflow = _sum_of_squares(report.final_objective,
+                                     lambda: X.values + C @ np.linalg.inv(W),
+                                     lambda: _penalty(W, cfg.lam))
+    report = replace(report, final_objective=obj, status=(*status, *report.status, *underflow))
     return InteractionMatrix(W, form=W_FORM), report
 
 

@@ -92,6 +92,26 @@ def test_names_the_benchmark_uses_stay_bound():
     assert causal_objective(W, D, X, B, 0.1) == loss + 0.1 * 0.5
 
 
+def test_the_penalty_and_the_proximal_map_skip_the_diagonal_in_any_layout():
+    # the off-diagonal penalty and the proximal map leave W's diagonal out
+    # whether W is stored by rows, by columns or as a transposed view
+    rng = np.random.default_rng(3)
+    D = ConditionMatrix(rng.uniform(0, 1, (6, 3)))
+    X = ResponseMatrix(rng.normal(size=(6, 3)))
+    B = TargetMap(np.eye(3))
+    W = random_stable_w(rng, 3)
+    grad = rng.normal(size=(3, 3))
+    cfg = FitConfig(lam=0.3)
+    for V, G in ((W, grad), (np.asfortranarray(W), np.asfortranarray(grad)), (W.T, grad.T)):
+        C, Gc = np.ascontiguousarray(V), np.ascontiguousarray(G)
+        off = np.abs(C[~np.eye(3, dtype=bool)]).sum()
+        assert fit_module._penalty(V, 0.3) == 0.3 * off
+        assert causal_objective(V, D, X, B, 0.3) == causal_objective(C, D, X, B, 0.3)
+        shrunk = fit_module._proximal_map(V, G, 0.5, cfg)
+        assert np.array_equal(shrunk, fit_module._proximal_map(C, Gc, 0.5, cfg))
+        assert np.array_equal(shrunk.diagonal(), (C - 0.5 * Gc).diagonal())
+
+
 
 def test_fits_take_their_warm_start_through_least_squares_w_init(monkeypatch):
     # perfbench/tracing.py counts the warm starts by the spans of this
@@ -546,9 +566,8 @@ class TestFitCausalLinear:
         # 1e-160, so its inverse squared overflows.  The metric falls back to
         # 1 without a numpy warning.  In the thin-QR basis of D B^T the
         # least-squares start leaves no residual that W reaches, so the fit
-        # stops there, converged; summed over the n rows, the residual's
-        # rounding once gave it a gradient near 1e145 and exhausted the
-        # backtracking
+        # stops there, converged (a start whose rounding leaves one is the
+        # next test)
         rng = np.random.default_rng(0)
         A = 1e-160 * rng.normal(size=(4, 1))
         rows = [0, 2]
@@ -566,6 +585,26 @@ class TestFitCausalLinear:
         assert report.converged and report.status == ()
         assert np.array_equal(W.values, w_init.values)
         assert report.final_objective == pytest.approx(least_squares, rel=1e-12)
+
+    def test_rounded_gradient_at_a_tiny_start_exhausts_the_backtracking(self):
+        # a Gaussian 2 x 1 design at 1e-150 (seed 3) as D = [A+, A-] with
+        # B = [I, -I]: the least-squares W, near -5e-150, is stationary, but
+        # the rounding of its one-row residual in the basis, times inv(W)
+        # twice, gives it a gradient near -3e133.  No step along it passes
+        # the sufficient-decrease test, so the backtracking runs out and the
+        # fit raises a package error, not a numpy warning
+        rng = np.random.default_rng(3)
+        A = 1e-150 * rng.normal(size=(2, 1))
+        D = ConditionMatrix(np.hstack([np.maximum(A, 0.0), np.maximum(-A, 0.0)]))
+        X = ResponseMatrix(rng.normal(size=(2, 1)))
+        B = TargetMap(np.array([[1.0, -1.0]]))
+        w_init = least_squares_w_init(D, X, B)
+        _, grad = causal_loss_and_gradient(w_init.values, D, X, B)
+        assert abs(grad[0, 0]) > 1e100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="backtracking exhausted"):
+                fit_causal_linear(D, X, B, FitConfig(w_init=w_init, max_iter=10))
 
     def test_near_singular_candidate_rejected_by_the_svd_fallback(self, monkeypatch):
         # the first trial step is replaced by a W with rcond 1e-13: its
@@ -676,7 +715,7 @@ def test_lambda_zero_fits_do_not_depend_on_dose_units(seed, k):
             report0.iterations, report0.converged, report0.status, report0.final_objective)
 
 
-UNDERFLOW = re.compile(r"objective-underflow: the objective, (\S+) x 2\^(-?\d+),")
+UNDERFLOW = re.compile(r"objective-underflow: the residual's sum of squares, (\S+) x 2\^(-?\d+),")
 
 
 def underflowed(report):
@@ -698,17 +737,32 @@ def assert_objective_scaled(report, reference, scale):
     assert mantissa == pytest.approx(reference * math.ldexp(scale, -exponent // 2) ** 2, rel=1e-9)
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1e-170])
+def assert_objective_sums(report, resid, penalty):
+    """report's objective is resid's sum of squares plus penalty: to rounding
+    where the sum is a normal float, else with the sum exactly as its
+    underflow status gives it."""
+    found = underflowed(report)
+    if found is None:
+        assert report.final_objective == pytest.approx(np.sum(resid * resid) + penalty, rel=1e-9)
+        return
+    mantissa, exponent = found
+    assert report.final_objective == math.ldexp(mantissa, exponent) + penalty
+    scaled = np.ldexp(resid, -exponent // 2)
+    assert mantissa == pytest.approx(np.sum(scaled * scaled), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-158, 1e-170])
 def test_objectives_below_the_float_range_are_not_reported_as_exact(scale):
     # `simulate --seed 5` with its responses scaled: the least-squares
     # objectives, about 12 and 0.1 unscaled, lie near 1e-299 at 1e-150,
-    # normal floats, and near 1e-339 at 1e-170, below every float, where
-    # summed plainly they came to 0.0 and the fit looked exact
+    # normal floats; near 1e-317 at 1e-158, subnormal floats that keep a few
+    # bits; and near 1e-339 at 1e-170, below every float, where summed
+    # plainly they came to 0.0 and the fit looked exact
     D = build_design()
     B = build_targets()
     X = simulate_responses(SimSpec(seed=5), D)
     scaled = ResponseMatrix(X.values * scale)
-    below = scale == 1e-170
+    below = scale < 1e-154
     for fit in (lambda X: fit_regression(D, X), lambda X: fit_causal_linear(D, X, B)):
         _, reference = fit(X)
         _, report = fit(scaled)
@@ -725,9 +779,22 @@ def test_objectives_below_the_float_range_are_not_reported_as_exact(scale):
                                       ResponseMatrix(X.values[train]))
         assert (underflowed(report) is not None) == below
         assert_objective_scaled(report, reference.final_objective, scale)
-    # a lambda > 0 fit whose objective ends below the normal range says so
-    _, report = fit_regression(D, scaled, FitConfig(lam=0.5 * scale))
+    # lambda > 0 fits whose objective ends below the normal range say so,
+    # and report the residual's sum summed again plus the penalty: regression,
+    # and causal-linear on one response, whose W has no off-diagonal to penalize
+    lam = 0.5 * scale
+    R, report = fit_regression(D, scaled, FitConfig(lam=lam))
     assert (underflowed(report) is not None) == below
+    assert_objective_sums(report, D.values @ R.values - scaled.values,
+                          lam * float(np.abs(R.values).sum()))
+    rng = np.random.default_rng(5)
+    D1 = ConditionMatrix(rng.uniform(0, 1, (8, 3)))
+    B1 = TargetMap(rng.normal(size=(1, 3)))
+    X1 = ResponseMatrix(scale * rng.normal(size=(8, 1)))
+    W, report = fit_causal_linear(D1, X1, B1, FitConfig(lam=0.1))
+    assert (underflowed(report) is not None) == below
+    assert_objective_sums(report, X1.values + D1.values @ B1.values.T @ np.linalg.inv(W.values),
+                          0.0)
 
 
 def direct_regression_loss_and_gradient(R, D, X):
