@@ -573,35 +573,6 @@ def fit_regression(
                                               status=(*report.status, *underflow))
 
 
-def fit_regression_lodo(
-    D: ConditionMatrix,
-    X: ResponseMatrix,
-    held_out_drug: int,
-    cfg: FitConfig = FitConfig(),
-):
-    """Penalized regression with the held-out drug's coefficients forced to 0.
-
-    The held-out drug must be absent from every training condition; its row
-    of the coefficient matrix is inserted as zeros after fitting the
-    remaining columns at cfg.lam.
-    """
-    check_paired(D, X)
-    q = D.n_drugs
-    if not 0 <= held_out_drug < q:
-        raise IndexError(f"held_out_drug {held_out_drug} out of range for {q} drugs")
-    col = D.values[:, held_out_drug]
-    if np.any(col != 0.0):
-        raise ValueError(
-            f"held-out drug {D.drug_names[held_out_drug]!r} appears in training "
-            "conditions; split plan is inconsistent"
-        )
-    keep = [j for j in range(q) if j != held_out_drug]
-    D_red = ConditionMatrix(D.values[:, keep], [D.drug_names[j] for j in keep])
-    R_red, report = fit_regression(D_red, X, cfg)
-    R = np.insert(R_red.values, held_out_drug, 0.0, axis=0)
-    return RegressionCoefficients(R), report
-
-
 # ---------------------------------------------------------------------------
 # causal linear
 

@@ -30,8 +30,8 @@ enough margin and by RK4 from rest everywhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,6 +43,7 @@ DEFAULT_DT = 0.01
 DEFAULT_T_MAX = 200.0
 DEFAULT_TOL = 1e-8
 NEWTON_MAX_ITER = 20  # Newton steps per row before it is reported unconverged
+STEP_MARGIN = 1e-9  # integrate's relative margin on t_end / dt before rounding up
 
 ENVELOPES = ("identity", "clipped-linear", "sigmoid")
 
@@ -156,50 +157,61 @@ def _drives(model: OdeModel, D):
     return D @ model.B.values.T
 
 
-def make_rhs(model: OdeModel, d):
-    """Right-hand side closure for a fixed dose vector d."""
+def _dose_vector(model: OdeModel, d):
+    """d as a float vector of one dose per drug of the model's target map."""
     d = np.asarray(d, dtype=float)
     if d.shape != (model.B.n_drugs,):
         raise DimensionError(
             f"dose vector must have length {model.B.n_drugs}, got shape {d.shape}"
         )
-    u = model.B.values @ d
+    return d
+
+
+def make_rhs(model: OdeModel, d):
+    """Right-hand side closure for a fixed dose vector d."""
+    u = model.B.values @ _dose_vector(model, d)
     rate = _rate_function(model, 1)
     return lambda x: rate(x, u)
+
+
+def _rk4_step(rate, x, u, h, k1):
+    """x after one classical RK4 step of size h under drives u, given
+    k1 = rate(x, u)."""
+    k2 = rate(x + 0.5 * h * k1, u)
+    k3 = rate(x + 0.5 * h * k2, u)
+    k4 = rate(x + h * k3, u)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate(model: OdeModel, d, t_end=50.0, dt=DEFAULT_DT) -> Trajectory:
     """Fixed-step RK4 integration from rest to t_end.
 
-    Raises DivergenceError with the offending time if the state leaves the
-    finite range (blow-up under an unstable W).
+    Every step is exactly dt except the last, which ends at t_end, and the
+    states are recorded at times k dt, the last at t_end.  The step count is
+    t_end / dt rounded up, less a relative margin of STEP_MARGIN, so a t_end
+    that is a multiple of dt up to rounding takes no sliver step.  Raises
+    DivergenceError with the offending time if the state leaves the finite
+    range (blow-up under an unstable W).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    rhs = make_rhs(model, d)
-    x = np.zeros(model.size)
-
-    n_steps = int(np.ceil(t_end / dt))
-    times = [0.0]
-    states = [x.copy()]
-    t = 0.0
+    u = model.B.values @ _dose_vector(model, d)
+    rate = _rate_function(model, 1)
+    n_steps = math.ceil(t_end / dt * (1.0 - STEP_MARGIN))
+    times = np.append(np.arange(n_steps) * dt, t_end)
+    states = np.zeros((n_steps + 1, model.size))
+    x = states[0]
     # overflow on the way to a blow-up is reported as DivergenceError below
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            h = min(dt, t_end - t)
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h * k2)
-            k4 = rhs(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
+        for k in range(1, n_steps + 1):
+            h = dt if k < n_steps else t_end - times[k - 1]
+            x = _rk4_step(rate, x, u, h, rate(x, u))
             if not np.all(np.isfinite(x)):
-                raise DivergenceError(f"trajectory diverged at t = {t:g}", time=t)
-            times.append(t)
-            states.append(x.copy())
-    return Trajectory(np.array(times), np.array(states))
+                raise DivergenceError(f"trajectory diverged at t = {times[k]:g}", time=times[k])
+            states[k] = x
+    return Trajectory(times, states)
 
 
 @dataclass(frozen=True)
@@ -310,10 +322,7 @@ def _integrate_rows(model: OdeModel, u, tol, t_max, dt):
                 if not rows.size:
                     break
             h = min(dt, t_max - t)
-            k2 = rate(x + 0.5 * h * k1, u)
-            k3 = rate(x + 0.5 * h * k2, u)
-            k4 = rate(x + h * k3, u)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = _rk4_step(rate, x, u, h, k1)
             t += h
             if not np.isfinite(x).all():
                 raise DivergenceError(f"trajectory diverged at t = {t:g}", time=t)
@@ -375,11 +384,7 @@ def steady_state(
     The one-row form of :func:`steady_states`; non-convergence is reported
     in the result rather than raised.
     """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (model.B.n_drugs,):
-        raise DimensionError(
-            f"dose vector must have length {model.B.n_drugs}, got shape {d.shape}"
-        )
+    d = _dose_vector(model, d)
     res = steady_states(model, d[None, :], tol=tol, t_max=t_max, dt=dt)
     return SteadyStateResult(
         res.states[0], bool(res.converged[0]), float(res.t_reached[0]), float(res.rate_norm[0])

@@ -23,7 +23,7 @@ import numpy as np
 from .fit import FitConfig
 from .linear import w_to_dag
 from .types import A_FORM, ConditionMatrix, InteractionMatrix, ResponseMatrix, TargetMap
-from .validate import CausalLinearFamily, RegressionFamily, mae, pearson
+from .validate import CausalLinearFamily, RegressionFamily, SplitPlan, fit_folds, mae, pearson
 
 N_RESPONSES = 5
 N_DRUGS = 15
@@ -168,11 +168,10 @@ def run_scenario(scenario: Scenario, spec: SimSpec) -> ScenarioReport:
     D_test = ConditionMatrix(D.values[test], D.drug_names)
     X_test = X.values[test]
 
-    # regression arm (never uses B)
-    held_out = scenario.lodo_drug if scenario.kind == LODO else None
-    regression = RegressionFamily()
-    R_hat, _ = regression.fit(D_train, X_train, held_out)
-    reg_pred = regression.predict(R_hat, D_test)
+    # regression arm (never uses B), one cv fold: a drug the training rows
+    # never dose, as LODO's, gets coefficient 0
+    split = SplitPlan(kind="random-fold", n=N_CONDITIONS, folds=((train, test),))
+    reg_pred, _ = next(fit_folds(RegressionFamily(), D, X, [split]))
 
     # causal arm, warm-started from the least-squares solution when available
     causal = CausalLinearFamily(B_fit, FitConfig(max_iter=5000, tol=1e-12))

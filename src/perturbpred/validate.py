@@ -35,13 +35,13 @@ from .fit import (
     fit_causal_ode,
     fit_least_squares_folds,
     fit_regression,
-    fit_regression_lodo,
 )
 from .linear import predict_causal_linear, predict_regression
 from .ode import OdeModel, steady_states
 from .types import (
     ConditionMatrix,
     InteractionMatrix,
+    RegressionCoefficients,
     ResponseMatrix,
     TargetMap,
     check_paired,
@@ -232,35 +232,36 @@ def summarize_fits(reports):
 # ---------------------------------------------------------------------------
 # model families: the one place that knows how each model is fitted
 #
-# Each family has fit(D_train, X_train, held_out_drug=None) -> (params,
-# FitReport) and predict(params, D_test) -> predictions; ModelFamily builds
-# the engine's two hooks on those.  factor(D, X) runs once per (D, X) and
-# returns what every block of that design reuses (None by default);
-# fit_block(D, X, block, factored) takes a FoldBlock of equal-sized folds,
-# each training on every row it does not test, as its SplitPlan checked, and
-# returns (predictions, reports): the test predictions of each fold, as one
-# (F, t, p) stack where the family stacks them, and one FitReport per fold.
-# A family's settle(D, X, block, factored) names the folds it solves as one
-# stack, and fit_block runs the family's own fit and predict on every other
-# fold, in order: the one fallback, so a fold that no stack settles is
-# fitted as `perturbpred fit` fits it.  At lambda = 0 the linear families
-# factor their whole design once per command: D for regression, D B^T for
-# the causal-linear model (fit.factor_design).  Their settle solves each
-# fold's least squares in the orthonormal basis of that design where a
-# Cholesky certificate shows the fold is well-conditioned, by one route
-# (fit.fit_least_squares_folds): regression's random folds (a LODO fold drops
-# its drug's column) and the causal-linear folds whose least-squares M passes
-# the closed form's screen, predicted with one batched product.
+# Each family has fit(D_train, X_train) -> (params, FitReport) and
+# predict(params, D_test) -> predictions; ModelFamily builds the engine's two
+# hooks on those.  factor(D, X) runs once per (D, X) and returns what every
+# block of that design reuses (None by default); fit_block(D, X, block,
+# factored) takes a FoldBlock of equal-sized folds, each training on every
+# row it does not test, as its SplitPlan checked, and returns (predictions,
+# reports): the test predictions of each fold, as one (F, t, p) stack where
+# the family stacks them, and one FitReport per fold.  A family's settle(D,
+# X, block, factored) names the folds it solves as one stack, and fit_block
+# runs the family's fit_fold and predict on every other fold, in order: the
+# one fallback.  fit_fold is the family's own fit, so such a fold is fitted
+# as `perturbpred fit` fits it, except for regression's one rule: a drug that
+# no training row doses gets coefficient 0, as in every LODO fold.  At
+# lambda = 0 the linear families factor their whole design once per command:
+# D for regression, D B^T for the causal-linear model (fit.factor_design).
+# Their settle solves each fold's least squares in the orthonormal basis of
+# that design where a Cholesky certificate shows the fold is
+# well-conditioned, by one route (fit.fit_least_squares_folds): regression's
+# folds, and the causal-linear folds whose least-squares M passes the closed
+# form's screen, predicted with one batched product.  The basis never
+# certifies a fold that leaves a drug undosed: that drug's all-zero training
+# column leaves the fold's basis rank-deficient.
 
 
 class FoldBlock(NamedTuple):
     """Folds of one training size and one test size, stacked: train is
-    (F, s), test (F, t) and held holds each fold's held-out drug (None for a
-    random fold)."""
+    (F, s) and test (F, t)."""
 
     train: np.ndarray
     test: np.ndarray
-    held: tuple
 
 
 class ModelFamily:
@@ -281,23 +282,28 @@ class ModelFamily:
         here, all of them."""
         return [None] * len(block.train), [None] * len(block.train)
 
+    def fit_fold(self, D_train, X_train):
+        """(params, FitReport) of a fold that settle leaves alone: fit."""
+        return self.fit(D_train, X_train)
+
     def fit_block(self, D, X, block, factored):
         preds, reports = self.settle(D, X, block, factored)
         for f, report in enumerate(reports):
             if report is None:
                 train, test = block.train[f], block.test[f]
-                params, reports[f] = self.fit(
+                params, reports[f] = self.fit_fold(
                     ConditionMatrix(D.values[train], D.drug_names),
-                    ResponseMatrix(X.values[train], X.response_names), block.held[f])
+                    ResponseMatrix(X.values[train], X.response_names))
                 preds[f] = self.predict(params, ConditionMatrix(D.values[test], D.drug_names))
         return preds, reports
 
 
 class RegressionFamily(ModelFamily):
-    """Penalized regression; LODO uses the zero-coefficient convention.
+    """Penalized regression; in cross-validation, a drug that no training
+    row of a fold doses gets coefficient 0.
 
     At lambda = 0 the design is factored once (fit.factor_design), and the
-    random folds of a block that its basis certifies are solved together by
+    folds of a block that its basis certifies are solved together by
     fit.fit_least_squares_folds and predicted straight from their
     coefficients as one stack: wrapping each fold's coefficients and test
     rows in checked types would cost more than its solve.
@@ -308,10 +314,25 @@ class RegressionFamily(ModelFamily):
     def __init__(self, cfg: FitConfig = FitConfig()):
         self.cfg = cfg
 
-    def fit(self, D_train, X_train, held_out_drug=None):
-        if held_out_drug is not None:
-            return fit_regression_lodo(D_train, X_train, held_out_drug, self.cfg)
+    def fit(self, D_train, X_train):
         return fit_regression(D_train, X_train, self.cfg)
+
+    def fit_fold(self, D_train, X_train):
+        """fit on the drugs that some training row doses, with coefficient 0
+        for every other drug: regression cannot predict a drug it has never
+        seen, as every LODO fold's held-out drug is.  fit itself refuses such
+        a drug at lambda = 0.  A fold that doses every drug, or none, is
+        fitted by fit."""
+        dosed = np.any(D_train.values != 0.0, axis=0)
+        if dosed.all() or not dosed.any():
+            return self.fit(D_train, X_train)
+        keep = np.flatnonzero(dosed)
+        R_kept, report = self.fit(
+            ConditionMatrix(D_train.values[:, keep], [D_train.drug_names[j] for j in keep]),
+            X_train)
+        R = np.zeros((D_train.n_drugs, X_train.n_responses))
+        R[keep] = R_kept.values
+        return RegressionCoefficients(R), report
 
     def predict(self, R, D_test):
         return predict_regression(R, D_test).predicted
@@ -320,7 +341,7 @@ class RegressionFamily(ModelFamily):
         return factor_design(D.values) if self.cfg.lam == 0.0 else None
 
     def settle(self, D, X, block, factored):
-        if factored is None or any(h is not None for h in block.held):
+        if factored is None:
             return super().settle(D, X, block, factored)
         return fit_least_squares_folds(factored, X.values, block.test, 1, ())
 
@@ -341,7 +362,7 @@ class CausalLinearFamily(ModelFamily):
         self.B = B
         self.cfg = cfg
 
-    def fit(self, D_train, X_train, held_out_drug=None):
+    def fit(self, D_train, X_train):
         return fit_causal_linear(D_train, X_train, self.B, self.cfg)
 
     def predict(self, W, D_test):
@@ -377,7 +398,7 @@ class CausalOdeFamily(ModelFamily):
         self.cfg = cfg
         self.fit_epsilon = fit_epsilon
 
-    def fit(self, D_train, X_train, held_out_drug=None):
+    def fit(self, D_train, X_train):
         return fit_causal_ode(D_train, X_train, self.B, self.template, self.cfg, self.fit_epsilon)
 
     def predict(self, model, D_test):
@@ -400,14 +421,13 @@ _BLOCK = 64
 
 def _blocks(plans):
     """The folds of the plans as FoldBlocks of up to _BLOCK consecutive folds
-    of one training size and one test size, in order, each held out with its
-    plan's held_out_drug."""
-    folds = ((train, test, plan.held_out_drug) for plan in plans for train, test in plan.folds)
+    of one training size and one test size, in order."""
+    folds = (fold for plan in plans for fold in plan.folds)
     for _, run in itertools.groupby(folds, key=lambda fold: (len(fold[0]), len(fold[1]))):
         run = list(run)
         for start in range(0, len(run), _BLOCK):
-            train, test, held = zip(*run[start:start + _BLOCK])
-            yield FoldBlock(np.array(train), np.array(test), held)
+            train, test = zip(*run[start:start + _BLOCK])
+            yield FoldBlock(np.array(train), np.array(test))
 
 
 def fit_blocks(family, D: ConditionMatrix, X: ResponseMatrix, plans):

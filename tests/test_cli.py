@@ -35,7 +35,7 @@ from perturbpred.io import (
 )
 from perturbpred.ode import OdeModel, steady_states
 from perturbpred.types import W_FORM, InteractionMatrix, TargetMap
-from perturbpred.validate import select_lambda_cv
+from perturbpred.validate import make_random_folds, select_lambda_cv
 
 
 @pytest.fixture
@@ -202,6 +202,22 @@ class TestFit:
             ]) == EXIT_NONCONVERGENCE
         [record] = caplog.records
         assert record.getMessage().startswith("the least-squares objective overflows")
+
+    def test_regression_refuses_a_drug_no_condition_doses(self, tmp_path, caplog):
+        # at lambda = 0 regression has no unique coefficient for drug b, which
+        # no condition doses: exit 4, naming b; cv gives such a drug 0 instead
+        ids, drugs = ["c1", "c2", "c3"], ["a", "b"]
+        save_matrix_csv(tmp_path / "d.csv", np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
+                        ids, drugs)
+        save_matrix_csv(tmp_path / "x.csv", np.array([[0.5], [1.1], [1.4]]), ids, ["r1"])
+        caplog.set_level(logging.ERROR, logger="perturbpred")
+        assert main([
+            "fit", "--model", "regression",
+            "--conditions", str(tmp_path / "d.csv"), "--responses", str(tmp_path / "x.csv"),
+            "--out-dir", str(tmp_path / "fit"),
+        ]) == EXIT_NONCONVERGENCE
+        [record] = caplog.records
+        assert record.getMessage().endswith("deficient design columns: b")
 
     def test_field_over_the_csv_limit_is_parse_error(self, sim_dir, tmp_path, caplog):
         long = tmp_path / "long.csv"
@@ -532,6 +548,33 @@ class TestCv:
         assert len(scores) == 9 and all(np.isfinite(v) for v in scores.values())
         assert metadata["lambda"] == metadata["lambda_selected_by_cv"]
         assert scores[str(metadata["lambda"])] == min(scores.values())
+
+    @pytest.mark.filterwarnings("ignore:.*never appeared in a test set")
+    @pytest.mark.parametrize("lam", ["0", "0.5"])
+    def test_rf_regression_gives_a_drug_no_training_row_doses_coefficient_zero(
+            self, tmp_path, lam):
+        # b is dosed in c2-c4 only, and fold 5 of the plan trains on none of
+        # them: that fold gives b coefficient 0, as a LODO fold does its
+        # drug, where it exited 4 naming b at lambda = 0
+        ids, drugs = [f"c{k}" for k in range(1, 9)], ["a", "b"]
+        D = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0],
+                      [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]])
+        save_matrix_csv(tmp_path / "d.csv", D, ids, drugs)
+        save_matrix_csv(tmp_path / "x.csv", np.random.default_rng(0).normal(size=(8, 2)), ids,
+                        ["r1", "r2"])
+        undosed = [f for f, (train, _) in enumerate(make_random_folds(8, 0.5, 20, 0).folds)
+                   if not np.any(D[train, 1])]
+        assert undosed == [5]
+        out = tmp_path / "cv"
+        assert main([
+            "cv", "--scheme", "rf", "--model", "regression", "--lam", lam,
+            "--reps", "20", "--train-fraction", "0.5", "--seed", "0",
+            "--conditions", str(tmp_path / "d.csv"), "--responses", str(tmp_path / "x.csv"),
+            "--out-dir", str(out),
+        ]) == EXIT_OK
+        with open(out / "cv_report.json") as fh:
+            fits = json.load(fh)["metadata"]["fits"]
+        assert (fits["folds"], fits["unconverged"]) == (20, 0)
 
     def test_scatter_quotes_labels_as_the_csv_module_does(self, sim_dir, tmp_path):
         D, ids, drugs = load_matrix_csv(sim_dir / "sim_conditions.csv")

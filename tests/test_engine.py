@@ -32,7 +32,6 @@ from perturbpred.fit import (
     fit_causal_ode,
     fit_least_squares_folds,
     fit_regression,
-    fit_regression_lodo,
     least_squares_w_init,
 )
 from perturbpred.linear import predict_causal_linear, predict_regression
@@ -43,6 +42,7 @@ from perturbpred.types import (
     ConditionMatrix,
     EdgeMask,
     InteractionMatrix,
+    RegressionCoefficients,
     ResponseMatrix,
     TargetMap,
 )
@@ -70,16 +70,28 @@ TOL = 1e-12
 pytestmark = pytest.mark.filterwarnings("ignore:.*never appeared in a test set")
 
 
-def reference_fold(family, D, X, train, test, held_out_drug=None):
+def dosed_fit(fit, D_train, X_train):
+    """fit(D, X) on the drugs that some training row doses, with coefficient
+    0 for every other drug: regression's rule for a drug it has never seen,
+    as a LODO fold drops its drug's column.  A fold that doses every drug,
+    or none, is fitted as it is."""
+    keep = np.flatnonzero(np.any(D_train.values != 0.0, axis=0))
+    if len(keep) in (0, D_train.n_drugs):
+        return fit(D_train, X_train)
+    R, report = fit(ConditionMatrix(D_train.values[:, keep],
+                                    [D_train.drug_names[j] for j in keep]), X_train)
+    full = np.zeros((D_train.n_drugs, X_train.n_responses))
+    full[keep] = R.values
+    return RegressionCoefficients(full), report
+
+
+def reference_fold(family, D, X, train, test):
     """(predictions, FitReport) of one fold through the one-fold estimators."""
     D_train = ConditionMatrix(D.values[train], D.drug_names)
     X_train = ResponseMatrix(X.values[train], X.response_names)
     D_test = ConditionMatrix(D.values[test], D.drug_names)
     if isinstance(family, RegressionFamily):
-        if held_out_drug is not None:
-            R, report = fit_regression_lodo(D_train, X_train, held_out_drug, family.cfg)
-        else:
-            R, report = fit_regression(D_train, X_train, family.cfg)
+        R, report = dosed_fit(lambda D, X: fit_regression(D, X, family.cfg), D_train, X_train)
         return predict_regression(R, D_test).predicted, report
     if isinstance(family, CausalLinearFamily):
         W, report = fit_causal_linear(D_train, X_train, family.B, family.cfg)
@@ -88,12 +100,16 @@ def reference_fold(family, D, X, train, test, held_out_drug=None):
     return steady_states(model, D_test.values).require_converged(), report
 
 
-def family_fold(family, D, X, train, test, held_out_drug=None):
+def family_fold(family, D, X, train, test):
     """(predictions, FitReport) of one fold through the family's own fit and
-    predict, as `perturbpred fit` and `predict` run them."""
-    params, report = family.fit(ConditionMatrix(D.values[train], D.drug_names),
-                                ResponseMatrix(X.values[train], X.response_names),
-                                held_out_drug)
+    predict, as `perturbpred fit` and `predict` run them, a regression fold
+    under the unseen-drug rule (:func:`dosed_fit`)."""
+    D_train = ConditionMatrix(D.values[train], D.drug_names)
+    X_train = ResponseMatrix(X.values[train], X.response_names)
+    if isinstance(family, RegressionFamily):
+        params, report = dosed_fit(family.fit, D_train, X_train)
+    else:
+        params, report = family.fit(D_train, X_train)
     return family.predict(params, ConditionMatrix(D.values[test], D.drug_names)), report
 
 
@@ -210,7 +226,7 @@ class TestEngineMatchesPerFoldLoop:
         for family in (RegressionFamily(), CausalLinearFamily(B, FitConfig(max_iter=200))):
             got = outcome(lambda: lodo_eval(family, D, X, plans))
             want = outcome(lambda: [
-                reference_fold(family, D, X, *plan.folds[0], plan.held_out_drug)
+                reference_fold(family, D, X, *plan.folds[0])
                 for plan in plans
             ])
             if isinstance(want[0], type):
@@ -538,7 +554,7 @@ def assert_unsettled_folds_fit_alone(family, D, X, train, tests):
     that its settle leaves alone must equal family.fit and predict on that
     fold's rows, bit for bit, and the first of those that fails must raise
     its error; a settled fold keeps settle's bits."""
-    block = FoldBlock(train, tests, (None,) * len(train))
+    block = FoldBlock(train, tests)
     factored = family.factor(D, X)
     settled_preds, settled = family.settle(D, X, block, factored)
     got = outcome(lambda: family.fit_block(D, X, block, factored))
@@ -786,9 +802,11 @@ def test_results_do_not_depend_on_the_block_size(seed, faint):
 
 
 def test_every_simulated_random_fold_takes_the_basis_route():
-    # the 1000-rep plan of `cv --scheme rf` on `simulate --seed 5`, and the
-    # LODO folds, certified for the regression and causal-linear designs: the
-    # basis route cannot fall back to QR there unnoticed
+    # the 1000-rep plan of `cv --scheme rf` on `simulate --seed 5` certified
+    # for the regression and causal-linear designs, and the LODO folds for
+    # the causal-linear one: the basis route cannot fall back to QR there
+    # unnoticed.  No LODO fold passes for regression: the held-out drug's
+    # all-zero training column leaves its basis rank-deficient
     D = build_design()
     B = build_targets()
     X = simulate_responses(SimSpec(seed=5), D).values
@@ -801,6 +819,7 @@ def test_every_simulated_random_fold_takes_the_basis_route():
         for start in range(0, len(tests), size):
             assert _basis_lstsq(basis, X, tests[start:start + size])[1].all()
     assert _basis_lstsq(factor_design(D.values @ B.values.T), X, lodo)[1].all()
+    assert not _basis_lstsq(factor_design(D.values), X, lodo)[1].any()
 
 
 def test_near_singular_warm_start_refused():
@@ -830,7 +849,7 @@ def test_folds_whose_objective_overflows_fit_alone():
     D, X, B = instance(0, 12, 3, 3, rare_drug=False)
     X = ResponseMatrix(1e160 * X.values)
     plan = random_plan(1, 12, 9, 4)
-    block = FoldBlock(*(np.array(part) for part in zip(*plan.folds)), (None,) * 4)
+    block = FoldBlock(*(np.array(part) for part in zip(*plan.folds)))
     family = CausalLinearFamily(B)
     factored = family.factor(D, X)
     assert _basis_lstsq(factored, X.values, block.test)[1].all()
@@ -841,15 +860,20 @@ def test_folds_whose_objective_overflows_fit_alone():
 
 def test_rank_deficient_stack_names_the_zero_column():
     # fold 0 trains on a full-rank design and fold 1 on rows that never dose
-    # b: the block fits fold 0 and raises at fold 1, as its one-fold fit does
+    # b.  fit_regression on fold 1's rows refuses b at lambda = 0, naming it,
+    # but the engine fits fold 1 on a alone with b's coefficient 0, at any
+    # lambda: bit for bit the reduced fit with a zero row inserted
     D = ConditionMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0],
                          [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]], ["a", "b"])
-    X = ResponseMatrix(np.ones((8, 1)))
+    X = ResponseMatrix(np.random.default_rng(0).normal(size=(8, 2)))
     plan = SplitPlan(kind="random-fold", n=8, folds=((np.arange(4), np.arange(4, 8)),
                                                      (np.arange(4, 8), np.arange(4))))
-    for fit in (lambda: list(fit_folds(RegressionFamily(), D, X, [plan])),
-                lambda: fit_regression(ConditionMatrix(D.values[4:], ["a", "b"]),
-                                       ResponseMatrix(X.values[4:]))):
-        with pytest.raises(SingularMatrixError, match="deficient design columns: b$"):
-            fit()
-    fit_regression(ConditionMatrix(D.values[:4], ["a", "b"]), ResponseMatrix(X.values[:4]))
+    with pytest.raises(SingularMatrixError, match="deficient design columns: b$"):
+        fit_regression(ConditionMatrix(D.values[4:], ["a", "b"]), ResponseMatrix(X.values[4:]))
+    for cfg in (FitConfig(), FitConfig(lam=0.5)):
+        (_, full), (preds, reduced) = fit_folds(RegressionFamily(cfg), D, X, [plan])
+        R, report = fit_regression(ConditionMatrix(D.values[4:][:, [0]], ["a"]),
+                                   ResponseMatrix(X.values[4:]), cfg)
+        np.testing.assert_array_equal(preds, D.values[:4] @ np.insert(R.values, 1, 0.0, axis=0))
+        assert_equal_reports([reduced], [report])
+        assert full.converged

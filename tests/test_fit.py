@@ -22,11 +22,10 @@ from perturbpred.fit import (
     fit_causal_linear,
     fit_causal_ode,
     fit_regression,
-    fit_regression_lodo,
     least_squares_w_init,
     soft_threshold,
 )
-from perturbpred.linear import dag_to_w, predict_causal_linear, predict_regression
+from perturbpred.linear import dag_to_w, predict_causal_linear
 from perturbpred.ode import ENVELOPES, OdeModel, linearize, steady_state, steady_states
 from perturbpred.simulate import (
     SimSpec,
@@ -79,7 +78,7 @@ def test_names_the_benchmark_uses_stay_bound():
     # names in this module; perfbench/selftest.py checks that steady_state,
     # bound here, is wrapped.  A name lost here would only show as a failed
     # benchmark run.
-    for name in ("fit_regression", "fit_regression_lodo", "fit_causal_linear", "fit_causal_ode",
+    for name in ("fit_regression", "fit_causal_linear", "fit_causal_ode",
                  "causal_loss_and_gradient", "least_squares_w_init"):
         assert callable(getattr(fit_module, name))
     assert fit_module.steady_state is steady_state
@@ -242,52 +241,6 @@ class TestFitRegression:
         R, report = fit_regression(ConditionMatrix(Dv), X, FitConfig(lam=lam))
         assert report.converged and report.iterations > 0
         assert np.all(R.values[2] == 0.0)
-
-
-class TestFitRegressionLodo:
-    def _split(self):
-        # drugs a, b; conditions: b alone (x2), a alone, a+b
-        D = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 0.0], [1.0, 1.0]])
-        X = np.array([[0.5], [1.0], [0.7], [1.2]])
-        return D, X
-
-    def test_zero_row_inserted(self):
-        D_all, X_all = self._split()
-        D = ConditionMatrix(D_all[:2], ["a", "b"])
-        X = ResponseMatrix(X_all[:2])
-        R, _ = fit_regression_lodo(D, X, 0)
-        assert np.all(R.values[0] == 0.0)
-        assert R.values.shape == (2, 1)
-
-    def test_matches_reduced_fit(self):
-        D_all, X_all = self._split()
-        D = ConditionMatrix(D_all[:2], ["a", "b"])
-        X = ResponseMatrix(X_all[:2])
-        R, _ = fit_regression_lodo(D, X, 0)
-        D_red = ConditionMatrix(D_all[:2, 1:], ["b"])
-        R_red, _ = fit_regression(D_red, X)
-        assert np.allclose(R.values[1], R_red.values[0], atol=1e-14)
-
-    def test_monotherapy_prediction_is_zero(self):
-        D_all, X_all = self._split()
-        D = ConditionMatrix(D_all[:2], ["a", "b"])
-        X = ResponseMatrix(X_all[:2])
-        R, _ = fit_regression_lodo(D, X, 0)
-        mono = ConditionMatrix(np.array([[1.0, 0.0]]), ["a", "b"])
-        assert np.all(predict_regression(R, mono).predicted == 0.0)
-
-    def test_rejects_contaminated_training(self):
-        D_all, X_all = self._split()
-        D = ConditionMatrix(D_all, ["a", "b"])
-        X = ResponseMatrix(X_all)
-        with pytest.raises(ValueError, match="held-out"):
-            fit_regression_lodo(D, X, 0)
-
-    def test_bad_index(self):
-        D = ConditionMatrix(np.array([[0.0, 1.0]]), ["a", "b"])
-        X = ResponseMatrix(np.zeros((1, 1)))
-        with pytest.raises(IndexError):
-            fit_regression_lodo(D, X, 5)
 
 
 class TestCausalLossAndGradient:

@@ -100,6 +100,55 @@ class TestIntegrate:
         assert 8.0 <= ratio <= 24.0
 
 
+    @staticmethod
+    def _plain_rk4(model, d, steps):
+        """States of classical RK4 from rest on make_rhs, one step of each
+        size in steps."""
+        rhs = make_rhs(model, d)
+        x = np.zeros(model.size)
+        states = [x]
+        for h in steps:
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * h * k1)
+            k3 = rhs(x + 0.5 * h * k2)
+            k4 = rhs(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states.append(x)
+        return np.array(states)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dt=st.sampled_from([0.01, 0.03, 0.05, 0.07, 0.1, 0.2, 0.3]),
+           k=st.integers(1, 399),
+           part=st.one_of(st.just(0.0), st.floats(0.01, 0.99)))
+    @example(dt=0.01, k=7, part=0.0)
+    @example(dt=0.01, k=14, part=0.0)
+    @example(dt=0.01, k=111, part=0.0)
+    @example(dt=0.3, k=7, part=0.0)
+    def test_steps_of_dt_end_at_t_end(self, dt, k, part):
+        # t_end = (k + part) dt: k steps of dt when part is 0, up to the
+        # rounding of t_end, else k steps of dt and one of part dt; the times
+        # are j dt, the last t_end.  t_end 0.07, 1.11 and 2.1 (dt 0.3) raised
+        # on times that were not increasing, and 0.14 took a 2.8e-17 step
+        t_end = round((k + part) * dt, 10)
+        m = simple_model(np.array([[-1.0, 0.5], [0.2, -2.0]]), envelope="sigmoid")
+        traj = integrate(m, [1.0, 0.5], t_end=t_end, dt=dt)
+        n_steps = k + (part > 0.0)
+        np.testing.assert_array_equal(traj.times, np.append(np.arange(n_steps) * dt, t_end))
+        last = t_end - traj.times[-2]
+        if part > 0.0:
+            assert last == pytest.approx(part * dt, rel=1e-6)
+        else:
+            assert last == pytest.approx(dt, rel=1e-9)
+        h = np.diff(traj.times)
+        h[:-1] = dt
+        np.testing.assert_array_equal(traj.states, self._plain_rk4(m, [1.0, 0.5], h))
+
+    def test_default_run_ends_at_fifty(self):
+        traj = integrate(simple_model(-np.eye(2)), [1.0, 0.0])
+        assert len(traj.times) == 5001
+        assert traj.times[-1] == 50.0
+
+
 class TestEnvelopes:
     def test_sigmoid_saturates_rate(self):
         # single node with no decay and no self-loop: rate = eps * tanh(dose)

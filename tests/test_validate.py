@@ -297,7 +297,7 @@ class _TruthFamily(ModelFamily):
         self.X_full = X_full
         self.D_full = D_full
 
-    def fit(self, D_train, X_train, held_out_drug=None):
+    def fit(self, D_train, X_train):
         return None, None
 
     def predict(self, params, D_test):
@@ -314,7 +314,7 @@ class _ZeroFamily(ModelFamily):
 
     tag = "regression"
 
-    def fit(self, D_train, X_train, held_out_drug=None):
+    def fit(self, D_train, X_train):
         return X_train.n_responses, None
 
     def predict(self, n_responses, D_test):
@@ -408,8 +408,9 @@ class TestAveragedRandomFoldEval:
 
 class TestLodoEval:
     def test_regression_monotherapy_points_zero(self):
-        # held-out drug never dosed in training: its coefficients are 0, so a
-        # monotherapy condition of that drug predicts exactly 0
+        # held-out drug never dosed in training: its coefficients are 0, so
+        # the monotherapy condition of that drug predicts exactly 0, while
+        # its combination with b predicts what b alone does
         D = ConditionMatrix(
             np.array(
                 [[0.0, 1.0], [0.0, 2.0], [1.0, 0.0], [1.0, 1.0]]
@@ -417,16 +418,13 @@ class TestLodoEval:
             ["a", "b"],
         )
         X = ResponseMatrix(np.array([[0.5], [1.0], [0.7], [1.3]]))
-        plans = make_lodo_splits(D)
-        plan_a = [p for p in plans if p.drug_name == "a"][0]
-        fam = RegressionFamily()
-        train, test = plan_a.folds[0]
-        D_train = ConditionMatrix(D.values[train], D.drug_names)
-        X_train = ResponseMatrix(X.values[train], X.response_names)
-        mono = ConditionMatrix(np.array([[1.0, 0.0]]), ["a", "b"])
-        R, _ = fam.fit(D_train, X_train, held_out_drug=0)
-        preds = fam.predict(R, mono)
-        assert np.all(preds == 0.0)
+        plan_a = [p for p in make_lodo_splits(D) if p.drug_name == "a"]
+        [report], _ = lodo_eval(RegressionFamily(), D, X, plan_a)
+        assert report.rows.tolist() == [2, 3]
+        R_b, _ = fit_regression(ConditionMatrix(D.values[:2, 1:], ["b"]),
+                                ResponseMatrix(X.values[:2]))
+        assert report.predicted[0, 0] == 0.0
+        assert report.predicted[1, 0] == R_b.values[0, 0]
 
     def test_sim_causal_beats_regression(self):
         D = build_design()
@@ -488,12 +486,13 @@ class TestLodoEval:
         class FirstDrugZero(ModelFamily):
             tag = "regression"
 
-            def fit(self, D_train, X_train, held_out_drug=None):
-                return (held_out_drug, X_train.n_responses), None
+            def fit(self, D_train, X_train):
+                # the held-out drug is the one no training row doses
+                return (np.all(D_train.values == 0.0, axis=0), X_train.n_responses), None
 
             def predict(self, params, D_test):
-                held_out_drug, n_responses = params
-                if held_out_drug == 0:
+                undosed, n_responses = params
+                if undosed[0]:
                     return _ZeroFamily().predict(n_responses, D_test)
                 return truth.predict(None, D_test)
 
@@ -536,8 +535,8 @@ class _CallLog(ModelFamily):
     def __init__(self):
         self.calls = []
 
-    def fit(self, D_train, X_train, held_out_drug=None):
-        self.calls.append(("fit", D_train.n_conditions, held_out_drug))
+    def fit(self, D_train, X_train):
+        self.calls.append(("fit", D_train.n_conditions))
         return None, None
 
     def predict(self, params, D_test):
@@ -546,18 +545,15 @@ class _CallLog(ModelFamily):
 
 
 def test_model_family_predicts_each_fold_before_fitting_the_next():
-    D = ConditionMatrix(np.eye(4))
+    D = ConditionMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 2.0]])
     X = ResponseMatrix(np.ones((4, 1)))
-    plans = [SplitPlan(kind="random-fold", n=4, folds=((np.arange(3), np.array([3])),)),
-             SplitPlan(kind="lodo", n=4, folds=((np.arange(2), np.arange(2, 4)),),
-                       held_out_drug=1)]
+    random = SplitPlan(kind="random-fold", n=4, folds=((np.arange(3), np.array([3])),))
     family = _CallLog()
-    assert [preds.shape for preds, _ in fit_folds(family, D, X, plans)] == [(1, 1), (2, 1)]
-    assert family.calls == [("fit", 3, None), ("predict", 1), ("fit", 2, 1), ("predict", 2)]
-    family.calls.clear()
-    params, _ = family.fit(D, X, held_out_drug=2)
-    family.predict(params, D)
-    assert family.calls == [("fit", 4, 2), ("predict", 4)]
+    assert [preds.shape for preds, _ in fit_folds(family, D, X, [random])] == [(1, 1)]
+    reports, _ = lodo_eval(family, D, X, make_lodo_splits(D))
+    assert [rep.predicted.shape for rep in reports] == [(2, 1), (3, 1)]
+    assert family.calls == [("fit", 3), ("predict", 1), ("fit", 2), ("predict", 2),
+                            ("fit", 1), ("predict", 3)]
 
 
 def test_metric_report_serialization():
