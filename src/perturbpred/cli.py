@@ -45,7 +45,7 @@ from .io import (
     write_json_report,
 )
 from .linear import predict_causal_linear, predict_regression, w_to_dag
-from .ode import OdeModel, steady_states
+from .ode import ENVELOPES, OdeModel, steady_states
 from .simulate import SimSpec, build_dag, build_design, build_targets, simulate_responses
 from .types import (
     A_FORM,
@@ -55,6 +55,7 @@ from .types import (
     RegressionCoefficients,
     TargetMap,
     check_paired,
+    check_targets,
 )
 from .validate import (
     CausalLinearFamily,
@@ -120,6 +121,11 @@ def _boolean(text):
 def _check_model(model):
     if model not in MODELS:
         raise ConfigError(f"--model must be {'|'.join(MODELS)}, got {model!r}")
+
+
+def _check_envelope(envelope):
+    if envelope not in ENVELOPES:
+        raise ConfigError(f"--envelope must be {'|'.join(ENVELOPES)}, got {envelope!r}")
 
 
 def _refuse_unused(model, mask=None, envelope="identity", fit_epsilon=False, epsilon=None):
@@ -216,32 +222,50 @@ def cmd_simulate(args):
 # fit
 
 
-def cmd_fit(args):
-    opt = _Options(args)
+def _fit_inputs(opt, lam_default, own=lambda: None):
+    """Resolve, check and load what fit and cv share.
+
+    Resolves the model, data, target map, lambda (default lam_default),
+    max-iter, tol, mask and envelope options, and fit's --fit-epsilon, and
+    refuses those the model would ignore; then own(), which resolves and
+    checks the command's other options; then makes the out-dir, logs the
+    settings line, loads the conditions, responses, mask and target map and
+    builds the FitConfig, at lambda 0 when lam_default is None and no lambda
+    is given.  Returns these as a Namespace, with own()'s result as own.
+    """
     model = opt("model")
     _check_model(model)
     conditions = opt("conditions")
     responses = opt("responses")
     if not conditions or not responses:
-        raise ConfigError("fit requires --conditions and --responses")
+        raise ConfigError(f"{opt.args.command} requires --conditions and --responses")
     targets = opt("targets")
-    lam = opt("lam", 0.0, float)
+    lam = opt("lam", lam_default, float)
     max_iter = opt("max-iter", 10000, int)
     tol = opt("tol", 1e-8, float)
     mask_path = opt("mask")
     envelope = opt("envelope", "identity")
-    fit_epsilon = opt("fit-epsilon", False, _boolean)
+    fit_epsilon = opt("fit-epsilon", False, _boolean) if opt.args.command == "fit" else False
     _refuse_unused(model, mask=mask_path, envelope=envelope, fit_epsilon=fit_epsilon)
+    _check_envelope(envelope)
+    own = own()
     out_dir = _ensure_outdir(opt("out-dir", default_output_dir()))
     opt.log()
 
-    D, _ = load_condition_matrix(conditions)
+    D, cond_ids = load_condition_matrix(conditions)
     X, _ = load_response_matrix(responses)
     check_paired(D, X)
     mask = _load_mask(mask_path) if mask_path else None
     B = _model_targets(model, targets)
-    cfg = _built(FitConfig, lam=lam, max_iter=max_iter, tol=tol, mask=mask)
-    params, report = _make_family(model, B, cfg, envelope, fit_epsilon).fit(D, X)
+    cfg = _built(FitConfig, lam=0.0 if lam is None else lam, max_iter=max_iter, tol=tol, mask=mask)
+    return argparse.Namespace(model=model, lam=lam, envelope=envelope, fit_epsilon=fit_epsilon,
+                              out_dir=out_dir, D=D, cond_ids=cond_ids, X=X, B=B, cfg=cfg, own=own)
+
+
+def cmd_fit(args):
+    run = _fit_inputs(_Options(args), 0.0)
+    model, D, X, out_dir = run.model, run.D, run.X, run.out_dir
+    params, report = _make_family(model, run.B, run.cfg, run.envelope, run.fit_epsilon).fit(D, X)
 
     if model == "regression":
         save_matrix_csv(
@@ -290,6 +314,7 @@ def cmd_predict(args):
     if not params or not conditions or not out:
         raise ConfigError("predict requires --params, --conditions, and --out")
     _refuse_unused(model, envelope=envelope, epsilon=eps_path)
+    _check_envelope(envelope)
     opt.log()
 
     D, cond_ids = load_condition_matrix(conditions)
@@ -303,7 +328,10 @@ def cmd_predict(args):
             predicted = predict_causal_linear(W, B, D).predicted
         else:
             eps = load_matrix_csv(eps_path)[0].ravel() if eps_path else np.ones(W.size)
-            ode_model = OdeModel(W, B, eps, envelope=envelope)
+            try:
+                ode_model = OdeModel(W, B, eps, envelope=envelope)
+            except ValueError as exc:  # the envelope is checked, so epsilon is at fault
+                raise ConfigError(f"--epsilon {eps_path}: {exc}") from exc
             predicted = steady_states(ode_model, D.values).require_converged(cond_ids)
     save_matrix_csv(out, predicted, cond_ids, resp_names)
     log.info("wrote predictions to %s", out)
@@ -332,45 +360,33 @@ def _make_family(model, B, cfg, envelope, fit_epsilon=False):
 def cmd_cv(args):
     opt = _Options(args)
     scheme = opt("scheme")
-    model = opt("model")
     if scheme not in ("rf", "lodo"):
         raise ConfigError(f"--scheme must be rf|lodo, got {scheme!r}")
-    _check_model(model)
-    conditions = opt("conditions")
-    responses = opt("responses")
-    if not conditions or not responses:
-        raise ConfigError("cv requires --conditions and --responses")
-    targets = opt("targets")
-    reps = opt("reps", 1000, int)
-    train_fraction = opt("train-fraction", 0.7, float)
-    seed = opt("seed", 0, int)
-    lam = opt("lam", None, float)
-    max_iter = opt("max-iter", 10000, int)
-    tol = opt("tol", 1e-8, float)
-    mask_path = opt("mask")
-    envelope = opt("envelope", "identity")
-    _refuse_unused(model, mask=mask_path, envelope=envelope)
-    # folds always run in order on one thread; --jobs is only checked and
-    # logged, so existing command lines keep working
-    jobs = opt("jobs", 1, int)
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    out_dir = _ensure_outdir(opt("out-dir", default_output_dir()))
-    opt.log()
 
-    D, cond_ids = load_condition_matrix(conditions)
-    X, _ = load_response_matrix(responses)
-    check_paired(D, X)
-    mask = _load_mask(mask_path) if mask_path else None
-    B = _model_targets(model, targets)
-    # option values are checked here, before lambda selection can take long
-    cfg = _built(FitConfig, lam=0.0 if lam is None else lam, max_iter=max_iter, tol=tol, mask=mask)
+    def own():
+        reps = opt("reps", 1000, int)
+        train_fraction = opt("train-fraction", 0.7, float)
+        seed = opt("seed", 0, int)
+        # folds always run in order on one thread; --jobs is only checked and
+        # logged, so existing command lines keep working
+        jobs = opt("jobs", 1, int)
+        if jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
+        return reps, train_fraction, seed
+
+    run = _fit_inputs(opt, None, own)
+    reps, train_fraction, seed = run.own
+    model, lam, D, X, B, cfg = run.model, run.lam, run.D, run.X, run.B, run.cfg
+    # the folds, target map and mask are checked here, before lambda
+    # selection can take long
     if scheme == "rf":
         plan = _built(make_random_folds, D.n_conditions, train_fraction, reps, seed)
     else:
         plans = _built(make_lodo_splits, D)
+    if B is not None:
+        check_targets(B, D, X, cfg.mask)
 
     lam_meta = {}
     if lam is None:
@@ -382,7 +398,7 @@ def cmd_cv(args):
         else:
             lam = 0.0
 
-    family = _make_family(model, B, replace(cfg, lam=lam), envelope)
+    family = _make_family(model, B, replace(cfg, lam=lam), run.envelope)
 
     # every fold is fitted once; the report and scatter.csv share the result
     if scheme == "rf":
@@ -390,7 +406,7 @@ def cmd_cv(args):
         payload = report.to_dict()
         payload["metadata"].update({"scheme": "rf", "lambda": lam, **lam_meta})
         scored = [report]
-        labels = [cond_ids[i] for i in report.rows]
+        labels = [run.cond_ids[i] for i in report.rows]
     else:
         scored, mean_r = lodo_eval(family, D, X, plans)
         payload = {
@@ -402,23 +418,23 @@ def cmd_cv(args):
                 "fits": summarize_fits([fit for rep in scored for fit in rep.fits]),
             },
         }
-        labels = [f"{rep.metadata['held_out_drug']}:{cond_ids[i]}"
+        labels = [f"{rep.metadata['held_out_drug']}:{run.cond_ids[i]}"
                   for rep in scored for i in rep.rows]
 
     fits = payload["metadata"]["fits"]
     if fits["unconverged"]:
         log.warning("%d of %d fold fits stopped unconverged (status: %s)",
                     fits["unconverged"], fits["folds"], "; ".join(fits["status"]) or "none")
-    write_json_report(os.path.join(out_dir, "cv_report.json"), payload)
+    write_json_report(os.path.join(run.out_dir, "cv_report.json"), payload)
     # scatter: one row per scored (condition, response) point
     _write_scatter(
-        os.path.join(out_dir, "scatter.csv"),
+        os.path.join(run.out_dir, "scatter.csv"),
         labels,
         X.response_names,
         np.concatenate([X.values[rep.rows] for rep in scored]),
         np.concatenate([rep.predicted for rep in scored]),
     )
-    log.info("wrote cv report and scatter data to %s", out_dir)
+    log.info("wrote cv report and scatter data to %s", run.out_dir)
     return EXIT_OK
 
 
@@ -469,6 +485,15 @@ def cmd_export_network(args):
 # parser
 
 
+def _add_fit_flags(p):
+    """The flags that fit and cv share, which _fit_inputs resolves."""
+    for flag in ("--model", "--conditions", "--responses", "--targets", "--mask", "--envelope"):
+        p.add_argument(flag)
+    p.add_argument("--lam", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--tol", type=float)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="perturbpred",
@@ -487,15 +512,7 @@ def build_parser():
 
     p = sub.add_parser("fit", help="fit a model and write its parameters")
     p.add_argument("--config")
-    p.add_argument("--model")
-    p.add_argument("--conditions")
-    p.add_argument("--responses")
-    p.add_argument("--targets")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--mask")
-    p.add_argument("--envelope")
+    _add_fit_flags(p)
     p.add_argument("--fit-epsilon", action="store_true", default=None)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_fit)
@@ -514,18 +531,10 @@ def build_parser():
     p = sub.add_parser("cv", help="run random-fold or leave-one-drug-out validation")
     p.add_argument("--config")
     p.add_argument("--scheme")
-    p.add_argument("--model")
-    p.add_argument("--conditions")
-    p.add_argument("--responses")
-    p.add_argument("--targets")
+    _add_fit_flags(p)
     p.add_argument("--reps", type=int)
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--mask")
-    p.add_argument("--envelope")
     p.add_argument("--jobs", type=int)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_cv)

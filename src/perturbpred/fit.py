@@ -720,7 +720,7 @@ def fit_causal_linear(
     inverted once.
     """
     check_paired(D, X)
-    check_targets(B, D, X)
+    check_targets(B, D, X, cfg.mask)
     p = B.n_responses
 
     C = D.values @ B.values.T
@@ -964,7 +964,7 @@ def fit_causal_ode(
     status "steady-state-branch" and converged = False.
     """
     check_paired(D, X)
-    check_targets(B, D, X)
+    check_targets(B, D, X, cfg.mask)
     p = B.n_responses
     W = _initial_w(cfg, p)
     log_eps = np.log(model_template.epsilon.copy())

@@ -230,10 +230,15 @@ def check_paired(D: ConditionMatrix, X: ResponseMatrix):
         )
 
 
-def check_targets(B: TargetMap, D: ConditionMatrix, X: ResponseMatrix):
-    """Raise DimensionError unless B maps D's drugs onto X's responses."""
+def check_targets(B: TargetMap, D: ConditionMatrix, X: ResponseMatrix, mask=None):
+    """Raise DimensionError unless B maps D's drugs onto X's responses and
+    the EdgeMask mask, if given, covers W's p x p entries."""
     if B.values.shape != (X.n_responses, D.n_drugs):
         raise DimensionError(
             f"target map has shape {B.values.shape}, but the data have "
             f"{X.n_responses} responses and {D.n_drugs} drugs"
         )
+    p = X.n_responses
+    if mask is not None and mask.allowed.shape != (p, p):
+        raise DimensionError(f"edge mask has shape {mask.allowed.shape}, but the data's "
+                             f"{p} responses give W the shape {(p, p)}")

@@ -9,12 +9,13 @@ Two validation protocols:
 
 Both protocols, and the choice of lambda by inner cross-validation, hand
 their SplitPlans, which check each fold, to one engine, :func:`fit_blocks`,
-which fits every fold exactly once through a model family, a block of
-equal-sized folds at a time, after the family has factored the design once.
-The families are the one place that says how each model is fitted and
-predicts; the command line fits through them too.  Pearson correlation and
-MAE are pooled over all (condition, response) pairs; per-fold values and
-each fold's FitReport are kept for diagnostics.
+which fits every fold exactly once, a block of equal-sized folds at a time:
+in closed form in the basis of a family's design where the family states
+one, and through the family's own fit elsewhere.  The families are the one
+place that says how each model is fitted and predicts; the command line
+fits through them too.  Pearson correlation and MAE are pooled over all
+(condition, response) pairs; per-fold values and each fold's FitReport are
+kept for diagnostics.
 """
 
 from __future__ import annotations
@@ -233,27 +234,15 @@ def summarize_fits(reports):
 # model families: the one place that knows how each model is fitted
 #
 # Each family has fit(D_train, X_train) -> (params, FitReport) and
-# predict(params, D_test) -> predictions; ModelFamily builds the engine's two
-# hooks on those.  factor(D, X) runs once per (D, X) and returns what every
-# block of that design reuses (None by default); fit_block(D, X, block,
-# factored) takes a FoldBlock of equal-sized folds, each training on every
-# row it does not test, as its SplitPlan checked, and returns (predictions,
-# reports): the test predictions of each fold, as one (F, t, p) stack where
-# the family stacks them, and one FitReport per fold.  A family's settle(D,
-# X, block, factored) names the folds it solves as one stack, and fit_block
-# runs the family's fit_fold and predict on every other fold, in order: the
-# one fallback.  fit_fold is the family's own fit, so such a fold is fitted
-# as `perturbpred fit` fits it, except for regression's one rule: a drug that
-# no training row doses gets coefficient 0, as in every LODO fold.  At
-# lambda = 0 the linear families factor their whole design once per command:
-# D for regression, D B^T for the causal-linear model (fit.factor_design).
-# Their settle solves each fold's least squares in the orthonormal basis of
-# that design where a Cholesky certificate shows the fold is
-# well-conditioned, by one route (fit.fit_least_squares_folds): regression's
-# folds, and the causal-linear folds whose least-squares M passes the closed
-# form's screen, predicted with one batched product.  The basis never
-# certifies a fold that leaves a drug undosed: that drug's all-zero training
-# column leaves the fold's basis rank-deficient.
+# predict(params, D_test) -> predictions, and fit_fold, the fit the engine
+# runs on a fold: the family's own fit, so such a fold is fitted as
+# `perturbpred fit` fits it, except for regression's one rule: a drug that
+# no training row doses gets coefficient 0, as in every LODO fold.  A family
+# whose folds have a closed form also states its design, design(D, X): D for
+# regression at lambda = 0, D B^T for the causal-linear model at lambda = 0
+# with no mask and no w_init, None otherwise; and closed_form, the
+# (iterations, status, screen) that fit.fit_least_squares_folds gives the
+# folds it settles.  The engine, fit_blocks, does the rest.
 
 
 class FoldBlock(NamedTuple):
@@ -265,51 +254,30 @@ class FoldBlock(NamedTuple):
 
 
 class ModelFamily:
-    """The engine's factor and fit_block, on top of a subclass's fit and
-    predict.
+    """fit_fold and design, on top of a subclass's fit and predict."""
 
-    Each fold that settle leaves alone is predicted before the next one is
-    fitted, so the first fold that fails is the one that raises.
-    """
-
-    def factor(self, D, X):
-        """What fit_block reuses across the blocks of one (D, X): nothing."""
+    def design(self, D, X):
+        """The design whose least squares fits a fold in closed form, or
+        None: here, no fold has one."""
         return None
 
-    def settle(self, D, X, block, factored):
-        """(predictions, reports) of the folds of a block solved as one
-        stack, with report None for every fold left to fit_block's loop:
-        here, all of them."""
-        return [None] * len(block.train), [None] * len(block.train)
-
     def fit_fold(self, D_train, X_train):
-        """(params, FitReport) of a fold that settle leaves alone: fit."""
+        """(params, FitReport) of a fold that no closed form settles: fit."""
         return self.fit(D_train, X_train)
-
-    def fit_block(self, D, X, block, factored):
-        preds, reports = self.settle(D, X, block, factored)
-        for f, report in enumerate(reports):
-            if report is None:
-                train, test = block.train[f], block.test[f]
-                params, reports[f] = self.fit_fold(
-                    ConditionMatrix(D.values[train], D.drug_names),
-                    ResponseMatrix(X.values[train], X.response_names))
-                preds[f] = self.predict(params, ConditionMatrix(D.values[test], D.drug_names))
-        return preds, reports
 
 
 class RegressionFamily(ModelFamily):
     """Penalized regression; in cross-validation, a drug that no training
     row of a fold doses gets coefficient 0.
 
-    At lambda = 0 the design is factored once (fit.factor_design), and the
-    folds of a block that its basis certifies are solved together by
-    fit.fit_least_squares_folds and predicted straight from their
+    At lambda = 0 the folds that the basis of D certifies are solved in
+    closed form by the engine and predicted straight from their
     coefficients as one stack: wrapping each fold's coefficients and test
     rows in checked types would cost more than its solve.
     """
 
     tag = "regression"
+    closed_form = (1, (), False)
 
     def __init__(self, cfg: FitConfig = FitConfig()):
         self.cfg = cfg
@@ -337,26 +305,21 @@ class RegressionFamily(ModelFamily):
     def predict(self, R, D_test):
         return predict_regression(R, D_test).predicted
 
-    def factor(self, D, X):
-        return factor_design(D.values) if self.cfg.lam == 0.0 else None
-
-    def settle(self, D, X, block, factored):
-        if factored is None:
-            return super().settle(D, X, block, factored)
-        return fit_least_squares_folds(factored, X.values, block.test, 1, ())
+    def design(self, D, X):
+        return D.values if self.cfg.lam == 0.0 else None
 
 
 class CausalLinearFamily(ModelFamily):
     """The causal-linear model, fitted by fit.fit_causal_linear: in closed
     form at lambda = 0, otherwise from cfg.w_init or the least-squares W.
 
-    At lambda = 0 with no mask and no w_init, the design D B^T is factored
-    once (fit.factor_design), and the folds of a block that its basis
-    certifies, and whose least-squares M passes the closed form's screen,
-    are solved and predicted as one stack by fit.fit_least_squares_folds.
+    At lambda = 0 with no mask and no w_init, the folds that the basis of
+    D B^T certifies, and whose least-squares M passes the closed form's
+    screen, are solved and predicted as one stack by the engine.
     """
 
     tag = "causal-linear"
+    closed_form = (0, (CLOSED_FORM,), True)
 
     def __init__(self, B: TargetMap, cfg: FitConfig = FitConfig(max_iter=5000)):
         self.B = B
@@ -368,18 +331,12 @@ class CausalLinearFamily(ModelFamily):
     def predict(self, W, D_test):
         return predict_causal_linear(W, self.B, D_test).predicted
 
-    def factor(self, D, X):
-        check_targets(self.B, D, X)
+    def design(self, D, X):
         cfg = self.cfg
+        check_targets(self.B, D, X, cfg.mask)
         if cfg.w_init is not None or cfg.lam != 0.0 or cfg.mask is not None:
             return None
-        return factor_design(D.values @ self.B.values.T)
-
-    def settle(self, D, X, block, factored):
-        if factored is None:
-            return super().settle(D, X, block, factored)
-        return fit_least_squares_folds(factored, X.values, block.test, 0, (CLOSED_FORM,),
-                                       screen=True)
+        return D.values @ self.B.values.T
 
 
 class CausalOdeFamily(ModelFamily):
@@ -436,23 +393,44 @@ def fit_blocks(family, D: ConditionMatrix, X: ResponseMatrix, plans):
 
     Each plan has checked that its folds partition its rows, so a fold
     trains on every row it does not test; a plan for another number of rows
-    than D has raises DimensionError before any fold is fitted.  The family
-    factors (D, X) once (its factor hook), and every block reuses that.
-    Yields (block, (predictions, reports)) per FoldBlock of up to _BLOCK
-    consecutive folds of one size, from the family's fit_block: predictions
-    holds each fold's test predictions (an (F, t, p) stack where the
-    family's settle hook stacks them) and reports its FitReport.  Which route
-    fits a fold depends on the fold alone, not on the folds that share its
-    block, so the results do not depend on _BLOCK.  A caller that pools
-    predictions never holds them all.
+    than D has raises DimensionError before any fold is fitted.  Yields
+    (block, (predictions, reports)) per FoldBlock of up to _BLOCK
+    consecutive folds of one size: predictions holds each fold's test
+    predictions and reports its FitReport.
+
+    Where the family states a design (its design hook), that design is
+    factored once (fit.factor_design), and each block's folds that its
+    orthonormal basis certifies as well-conditioned are solved as one (F, t,
+    p) stack by fit.fit_least_squares_folds, reporting the family's
+    closed_form.  The basis never certifies a fold that leaves a drug
+    undosed: that drug's all-zero training column leaves the fold's basis
+    rank-deficient.  Every other fold is fitted by the family's fit_fold and
+    predicted before the next one is fitted, in order, so the first fold
+    that fails is the one that raises.  Which route fits a fold depends on
+    the fold alone, not on the folds that share its block, so the results do
+    not depend on _BLOCK.  A caller that pools predictions never holds them
+    all.
     """
     for plan in plans:
         if plan.n != D.n_conditions:
             raise DimensionError(f"the split plan partitions {plan.n} rows, "
                                  f"but there are {D.n_conditions} conditions")
-    factored = family.factor(D, X)
+    design = family.design(D, X)
+    basis = None if design is None else factor_design(design)
     for block in _blocks(plans):
-        yield block, family.fit_block(D, X, block, factored)
+        if basis is None:
+            preds, reports = [None] * len(block.test), [None] * len(block.test)
+        else:
+            preds, reports = fit_least_squares_folds(basis, X.values, block.test,
+                                                     *family.closed_form)
+        for f, report in enumerate(reports):
+            if report is None:
+                train, test = block.train[f], block.test[f]
+                params, reports[f] = family.fit_fold(
+                    ConditionMatrix(D.values[train], D.drug_names),
+                    ResponseMatrix(X.values[train], X.response_names))
+                preds[f] = family.predict(params, ConditionMatrix(D.values[test], D.drug_names))
+        yield block, (preds, reports)
 
 
 def fit_folds(family, D: ConditionMatrix, X: ResponseMatrix, plans):

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import perturbpred.validate as validate_module
 from perturbpred.cli import (
     EXIT_DIMENSION,
     EXIT_NONCONVERGENCE,
@@ -1116,6 +1117,62 @@ def test_target_map_for_other_data_is_dimension_error(command, model, bad, sim_d
     [record] = caplog.records
     assert record.getMessage() == (f"target map has shape {B.shape}, but the data have "
                                    "5 responses and 15 drugs")
+
+
+@pytest.mark.parametrize("model", ["causal-linear", "causal-ode"])
+@pytest.mark.parametrize("command", [["fit"], ["cv", "--scheme", "rf", "--reps", "2"],
+                                     ["cv", "--scheme", "lodo"]], ids=["fit", "cv-rf", "cv-lodo"])
+def test_mask_for_other_data_is_dimension_error(command, model, sim_dir, tmp_path, caplog,
+                                                monkeypatch):
+    # a 2 x 2 mask against 5 responses killed fit and cv with numpy's
+    # broadcast error; cv now refuses it before any fold, or lambda
+    # selection, runs
+    def no_fold(*args, **kwargs):
+        raise AssertionError("a fold ran")
+
+    monkeypatch.setattr(validate_module, "fit_blocks", no_fold)
+    save_matrix_csv(tmp_path / "mask.csv", np.ones((2, 2)))
+    argv = [*command, "--model", model, "--mask", str(tmp_path / "mask.csv"),
+            *(f"--{k}={sim_dir / f'sim_{k}.csv'}" for k in ("conditions", "responses", "targets")),
+            "--max-iter", "2", "--out-dir", str(tmp_path / "out")]
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(argv) == EXIT_DIMENSION
+    [record] = caplog.records
+    assert record.getMessage() == ("edge mask has shape (2, 2), but the data's 5 responses "
+                                   "give W the shape (5, 5)")
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--responses", "x.csv", "--out-dir", "out"],
+    ["cv", "--scheme", "rf", "--responses", "x.csv", "--out-dir", "out"],
+    ["predict", "--params", "w.csv", "--out", "out"],
+], ids=["fit", "cv", "predict"])
+def test_unknown_envelope_is_config_error(command, tmp_path, caplog, monkeypatch):
+    # checked before any file is read: none of these files exists
+    monkeypatch.chdir(tmp_path)
+    argv = [*command, "--model", "causal-ode", "--envelope", "bogus",
+            "--conditions", "d.csv", "--targets", "b.csv"]
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(argv) == EXIT_PARSE
+    [record] = caplog.records
+    assert record.getMessage() == ("--envelope must be identity|clipped-linear|sigmoid, "
+                                   "got 'bogus'")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("epsilon", [[0.8, 0.0], [-1.0, 1.5]])
+def test_nonpositive_epsilon_file_is_config_error(epsilon, ode_dir, caplog):
+    save_matrix_csv(ode_dir / "w.csv", -np.eye(2), ["r1", "r2"], ["r1", "r2"])
+    save_matrix_csv(ode_dir / "eps.csv", np.array([epsilon]), ["epsilon"], ["r1", "r2"])
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(["predict", "--model", "causal-ode", "--params", str(ode_dir / "w.csv"),
+                 "--conditions", str(ode_dir / "cond.csv"), "--targets",
+                 str(ode_dir / "targets.csv"), "--epsilon", str(ode_dir / "eps.csv"),
+                 "--out", str(ode_dir / "p.csv")]) == EXIT_PARSE
+    [record] = caplog.records
+    assert record.getMessage() == (f"--epsilon {ode_dir / 'eps.csv'}: "
+                                   "epsilon entries must be positive")
+    assert not (ode_dir / "p.csv").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

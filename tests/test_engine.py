@@ -49,11 +49,11 @@ from perturbpred.types import (
 from perturbpred.validate import (
     CausalLinearFamily,
     CausalOdeFamily,
-    FoldBlock,
     MetricReport,
     RegressionFamily,
     SplitPlan,
     averaged_random_fold_eval,
+    fit_blocks,
     fit_folds,
     lodo_eval,
     mae,
@@ -316,7 +316,7 @@ class TestEngineMatchesPerFoldLoop:
         for cfg in (FitConfig(mask=mask, max_iter=50), FitConfig(lam=0.05, max_iter=50),
                     FitConfig(w_init=w_init, max_iter=50)):
             family = CausalLinearFamily(B, cfg)
-            assert family.factor(D, X) is None
+            assert family.design(D, X) is None
             got = outcome(lambda: averaged_random_fold_eval(family, D, X, plan))
             want = outcome(lambda: reference_random_folds(family, D, X, plan, family_fold))
             if isinstance(want[0], type):
@@ -549,15 +549,29 @@ def assert_equal_reports(got, want):
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
 
 
+def settled_folds(family, D, X, tests):
+    """(predictions, reports) of fit.fit_least_squares_folds on a block of
+    folds, in the basis of the family's design, with its closed_form."""
+    basis = factor_design(family.design(D, X))
+    return fit_least_squares_folds(basis, X.values, tests, *family.closed_form)
+
+
+def fit_one_block(family, D, X, train, tests):
+    """(predictions, reports) of fit_blocks on a plan that is one block of
+    folds."""
+    plan = SplitPlan(kind="random-fold", n=D.n_conditions, folds=tuple(zip(train, tests)))
+    ((_, result),) = fit_blocks(family, D, X, [plan])
+    return result
+
+
 def assert_unsettled_folds_fit_alone(family, D, X, train, tests):
-    """Run one block of folds through the family's fit_block.  Each fold
-    that its settle leaves alone must equal family.fit and predict on that
-    fold's rows, bit for bit, and the first of those that fails must raise
-    its error; a settled fold keeps settle's bits."""
-    block = FoldBlock(train, tests)
-    factored = family.factor(D, X)
-    settled_preds, settled = family.settle(D, X, block, factored)
-    got = outcome(lambda: family.fit_block(D, X, block, factored))
+    """Run one block of folds through the engine, fit_blocks.  Each fold
+    that the basis of the family's design leaves alone must equal family.fit
+    and predict on that fold's rows, bit for bit, and the first of those
+    that fails must raise its error; a settled fold keeps the bits of
+    fit.fit_least_squares_folds."""
+    settled_preds, settled = settled_folds(family, D, X, tests)
+    got = outcome(lambda: fit_one_block(family, D, X, train, tests))
     want = outcome(lambda: [None if settled[f] is not None
                             else family_fold(family, D, X, train[f], tests[f])
                             for f in range(len(train))])
@@ -848,14 +862,12 @@ def test_folds_whose_objective_overflows_fit_alone():
     # raises DivergenceError without a numpy warning, as `perturbpred fit` does
     D, X, B = instance(0, 12, 3, 3, rare_drug=False)
     X = ResponseMatrix(1e160 * X.values)
-    plan = random_plan(1, 12, 9, 4)
-    block = FoldBlock(*(np.array(part) for part in zip(*plan.folds)))
+    train, tests = (np.array(part) for part in zip(*random_plan(1, 12, 9, 4).folds))
     family = CausalLinearFamily(B)
-    factored = family.factor(D, X)
-    assert _basis_lstsq(factored, X.values, block.test)[1].all()
-    assert family.settle(D, X, block, factored)[1] == [None] * 4
+    assert _basis_lstsq(factor_design(family.design(D, X)), X.values, tests)[1].all()
+    assert settled_folds(family, D, X, tests)[1] == [None] * 4
     with pytest.raises(DivergenceError, match="overflows at the starting W"):
-        family.fit_block(D, X, block, factored)
+        fit_one_block(family, D, X, train, tests)
 
 
 def test_rank_deficient_stack_names_the_zero_column():

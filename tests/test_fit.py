@@ -10,7 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 import perturbpred.fit as fit_module
 import perturbpred.linear as linear_module
 import perturbpred.ode as ode_module
-from perturbpred.errors import DivergenceError, NonConvergenceError, SingularMatrixError
+from perturbpred.errors import (
+    DimensionError,
+    DivergenceError,
+    NonConvergenceError,
+    SingularMatrixError,
+)
 from perturbpred.fit import (
     LINEAR_FIRST_STEP,
     MAX_ITER_REACHED,
@@ -595,6 +600,21 @@ class TestFitCausalLinear:
         assert np.all(np.diff(report.objective_trace) <= 0)
         with pytest.raises(SingularMatrixError):
             causal_loss_and_gradient(near_singular, D, X, B)
+
+
+@pytest.mark.parametrize("fitter", ["causal-linear", "causal-ode"])
+def test_mask_for_other_responses_is_dimension_error(fitter):
+    # checked with the target map, before the mask is applied to any W
+    D = ConditionMatrix(np.eye(3))
+    X = ResponseMatrix(np.ones((3, 3)))
+    B = TargetMap(np.eye(3))
+    cfg = FitConfig(mask=EdgeMask(np.ones((2, 2))))
+    with pytest.raises(DimensionError, match=r"edge mask has shape \(2, 2\), but the data's "
+                                             r"3 responses give W the shape \(3, 3\)"):
+        if fitter == "causal-linear":
+            fit_causal_linear(D, X, B, cfg)
+        else:
+            fit_causal_ode(D, X, B, OdeModel(InteractionMatrix(-np.eye(3)), B, np.ones(3)), cfg)
 
 
 def test_momentum_restarts_where_the_momentum_point_is_singular(monkeypatch):
