@@ -173,7 +173,12 @@ def _built(build, *args, **kwargs):
 
 
 def _ensure_outdir(path):
-    os.makedirs(path, exist_ok=True)
+    """Make the directory path, with its parents, unless it exists; a path
+    that cannot be made one is a ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from exc
     return path
 
 
@@ -315,6 +320,7 @@ def cmd_predict(args):
         raise ConfigError("predict requires --params, --conditions, and --out")
     _refuse_unused(model, envelope=envelope, epsilon=eps_path)
     _check_envelope(envelope)
+    _ensure_outdir(os.path.dirname(out) or os.curdir)
     opt.log()
 
     D, cond_ids = load_condition_matrix(conditions)
@@ -462,7 +468,7 @@ def cmd_export_network(args):
         raise ConfigError("export-network requires --network")
     form = opt("form", "A-form")
     threshold = opt("threshold", 0.2, float)
-    out_dir = _ensure_outdir(opt("out-dir", default_output_dir()))
+    out_dir = opt("out-dir", default_output_dir())
     opt.log()
 
     if form == W_FORM:
@@ -474,7 +480,8 @@ def cmd_export_network(args):
     else:
         raise ConfigError(f"--form must be {A_FORM!r} or {W_FORM!r}, got {form!r}")
 
-    exported = export_network(A, names, threshold)
+    exported = _built(export_network, A, names, threshold)
+    _ensure_outdir(out_dir)
     exported.write_csv(os.path.join(out_dir, "network_edges.csv"))
     exported.write_dot(os.path.join(out_dir, "network.dot"))
     log.info("exported %d edge(s) at threshold %g", len(exported.edges), threshold)

@@ -86,12 +86,12 @@ class FitConfig:
     w_init: Optional[InteractionMatrix] = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:  # NaN fails every comparison
+            raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -837,12 +837,12 @@ def _loss_and_gradient_at(model: OdeModel, D: ConditionMatrix, X: ResponseMatrix
     loss = float(np.sum(resid * resid))
 
     phi, gain, J = linearize(model, D.values, states)  # gain: d(eps_j phi(s_kj)) / d s_kj
-    rcond = _rcond(J)
-    bad = np.flatnonzero(rcond < RCOND_MIN)
-    if bad.size:
+    ok = _screened_inverse(J, RCOND_MIN)[1]
+    if not ok.all():
+        k = int(np.flatnonzero(~ok)[0])
         raise SingularMatrixError(
-            f"steady-state Jacobian of condition row {bad[0]} is singular or "
-            f"ill-conditioned (rcond {rcond[bad[0]]:.3g})"
+            f"steady-state Jacobian of condition row {k} is singular or "
+            f"ill-conditioned (rcond {_rcond(J[k]):.3g})"
         )
     adj = np.linalg.solve(np.swapaxes(J, 1, 2), (-2.0 * resid)[:, :, None])[:, :, 0]
 
@@ -967,22 +967,15 @@ def fit_causal_ode(
     check_targets(B, D, X, cfg.mask)
     p = B.n_responses
     W = _initial_w(cfg, p)
-    log_eps = np.log(model_template.epsilon.copy())
-
-    free = cfg.mask.allowed.copy() if cfg.mask is not None else np.ones((p, p), dtype=bool)
+    log_eps = np.log(model_template.epsilon)
 
     def evaluate(Wv, log_eps_v, guess=None):
-        model = OdeModel(
-            InteractionMatrix(Wv, form=W_FORM),
-            B,
-            np.exp(log_eps_v),
-            envelope=model_template.envelope,
-            clip_bound=model_template.clip_bound,
-        )
+        model = replace(model_template, W=InteractionMatrix(Wv, form=W_FORM), B=B,
+                        epsilon=np.exp(log_eps_v))
         solved = steady_states(model, D.values, tol=SS_TOL, t_max=SS_T_MAX, dt=SS_DT, guess=guess)
         states = solved.require_converged()
         loss, gW, g_eps = _loss_and_gradient_at(model, D, X, states)
-        return model, states, loss, np.where(free, gW, 0.0), g_eps if fit_epsilon else np.zeros(p)
+        return model, states, loss, gW, g_eps if fit_epsilon else np.zeros(p)
 
     start = None
     if _contracts(W, np.exp(log_eps)):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 from array import array
@@ -267,11 +268,14 @@ class NetworkExport:
 
 
 def export_network(A, names=None, threshold=0.2) -> NetworkExport:
-    """Edge list from an A-form matrix, dropping |weight| below threshold.
+    """Edge list from an A-form matrix, dropping |weight| below threshold, a
+    finite number >= 0 (ValueError otherwise).
 
     A[i, j] is the effect of node j on node i, so the exported edge runs
     from j to i.
     """
+    if not 0.0 <= threshold < math.inf:  # NaN fails every comparison
+        raise ValueError(f"threshold must be nonnegative and finite, got {threshold}")
     A = np.asarray(A)
     p = A.shape[0]
     if names is None:

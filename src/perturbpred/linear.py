@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NotNegativeDefiniteError, SingularMatrixError
+from .errors import (
+    DimensionError,
+    DivergenceError,
+    NotNegativeDefiniteError,
+    SingularMatrixError,
+)
 from .types import (
     A_FORM,
     RCOND_MIN,
@@ -47,6 +52,11 @@ def _screened_inverse(M, threshold, decide=None):
     leaves open or that LU cannot invert.  inv refuses a whole stack if one
     matrix in it is exactly singular; such a stack is screened whole and only
     its passing matrices are inverted.
+
+    The linear fits and safe_inverse screen one matrix at a time.  The stack
+    path serves a cross-validation block's causal-linear closed forms and
+    the causal-ODE path, whose Newton steps and adjoint solves screen their
+    (n, p, p) Jacobians here and keep np.linalg.solve for the step itself.
     """
     bound = 0.25 / threshold**2
     if M.ndim == 2:  # plain floats: the causal-linear fit screens every candidate
@@ -68,9 +78,9 @@ def _screened_inverse(M, threshold, decide=None):
         inv[ok] = np.linalg.inv(M[ok])
         return inv, ok
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN leaves a matrix open
-        ok = np.sum(M * M, axis=(1, 2)) * np.sum(inv * inv, axis=(1, 2)) <= bound
-    open_ = np.flatnonzero(~ok)
-    if open_.size:
+        ok = np.einsum("fij,fij->f", M, M) * np.einsum("fij,fij->f", inv, inv) <= bound
+    if not ok.all():
+        open_ = np.flatnonzero(~ok)
         ok[open_] = _rcond(M[open_]) >= threshold
     return inv, ok
 
@@ -97,7 +107,9 @@ def predict_regression(R: RegressionCoefficients, D: ConditionMatrix) -> Predict
         raise DimensionError(
             f"coefficients expect {R.values.shape[0]} drugs, conditions have {D.n_drugs}"
         )
-    return PredictionResult(D.values @ R.values, "regression")
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = D.values @ R.values
+    return _prediction(predicted, "regression")
 
 
 def predict_causal_linear(
@@ -112,7 +124,9 @@ def predict_causal_linear(
         raise ValueError("predict_causal_linear requires a W-form interaction matrix")
     _check_causal_dims(W, B, D)
     Winv = safe_inverse(W.values, "interaction matrix W")
-    return PredictionResult(D.values @ B.values.T @ (-Winv), "causal-linear")
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = D.values @ B.values.T @ (-Winv)
+    return _prediction(predicted, "causal-linear")
 
 
 def predict_causal_dag(
@@ -128,7 +142,21 @@ def predict_causal_dag(
     _check_causal_dims(A, B, D)
     p = A.size
     inv = safe_inverse(np.eye(p) - A.values, "I - A")
-    return PredictionResult(D.values @ B.values.T @ inv.T, "causal-linear")
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = D.values @ B.values.T @ inv.T
+    return _prediction(predicted, "causal-linear")
+
+
+def _prediction(predicted, model_tag):
+    """PredictionResult(predicted, model_tag), whose finiteness check, the
+    one pass over the predictions, turns a product that overflowed into a
+    DivergenceError."""
+    try:
+        return PredictionResult(predicted, model_tag)
+    except ValueError as exc:
+        raise DivergenceError(
+            f"{model_tag} predictions overflow the floating-point range"
+        ) from exc
 
 
 def _check_causal_dims(M: InteractionMatrix, B: TargetMap, D: ConditionMatrix):

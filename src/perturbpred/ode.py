@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, NonConvergenceError
-from .linear import _rcond
+from .linear import _screened_inverse
 from .types import RCOND_MIN, InteractionMatrix, TargetMap, W_FORM
 
 DEFAULT_DT = 0.01
@@ -70,6 +70,8 @@ class OdeModel:
             )
         if np.any(eps <= 0):
             raise ValueError("epsilon entries must be positive")
+        if not np.all(np.isfinite(eps)):
+            raise ValueError("epsilon entries must be finite")
         eps.setflags(write=False)
         object.__setattr__(self, "epsilon", eps)
         if self.envelope not in ENVELOPES:
@@ -356,7 +358,7 @@ def _newton_rows(model: OdeModel, x, u, tol, dt):
             keep = ~done & np.isfinite(f).all(axis=1)
             if it == NEWTON_MAX_ITER or not keep.any():
                 break
-            keep[keep] = _rcond(J[keep]) >= RCOND_MIN
+            keep[keep] = _screened_inverse(J[keep], RCOND_MIN)[1]
             rows, x, u, f, J = rows[keep], x[keep], u[keep], f[keep], J[keep]
             if not rows.size:
                 break

@@ -15,6 +15,7 @@ reported as 1 instead of 0.5), and leave-one-drug-out.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,8 +47,8 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not 0.0 <= self.noise_sd < math.inf:  # NaN fails every comparison
+            raise ValueError(f"noise_sd must be nonnegative and finite, got {self.noise_sd}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

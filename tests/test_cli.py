@@ -850,6 +850,79 @@ class TestCv:
         ]) == EXIT_PARSE
 
 
+@pytest.fixture(scope="class")
+def sim5_dir(tmp_path_factory):
+    """`simulate --seed 5`, written once per test class."""
+    out = tmp_path_factory.mktemp("sim5")
+    assert main(["simulate", "--seed", "5", "--out-dir", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:.*never appeared in a test set")
+class TestCausalOdeGolden:
+    # exit code and sha256 of each file written by `fit --max-iter 20` and
+    # `cv --scheme rf --reps 2 --max-iter 20` with --model causal-ode on
+    # `simulate --seed 5`, keyed by (command, --envelope, the name of an
+    # extra flag or None); recorded like TestCv.GOLDEN, whose note applies.  Every fit
+    # stops at the cap, so it exits 4 with its files written.  Identity and
+    # clipped-linear write the same bytes: no drive reaches the clip bound.
+    GOLDEN = {
+        ("fit", "identity", None): (EXIT_NONCONVERGENCE, {
+            "epsilon.csv": "03012427eb5febe18a8fe8ef831b1c94a5e4cd992313ace17c81421a82b0c905",
+            "fit_report.json": "cd25a975b24e1586e1af9038d0231008e717fbfa8ba330403bec53db3b1c0531",
+            "interaction_w.csv": "66fb40333094521cf4ce6f32a78191f0abde0bacb50387d880bedefe2d2bb6dc",
+        }),
+        ("fit", "clipped-linear", None): (EXIT_NONCONVERGENCE, {
+            "epsilon.csv": "03012427eb5febe18a8fe8ef831b1c94a5e4cd992313ace17c81421a82b0c905",
+            "fit_report.json": "cd25a975b24e1586e1af9038d0231008e717fbfa8ba330403bec53db3b1c0531",
+            "interaction_w.csv": "66fb40333094521cf4ce6f32a78191f0abde0bacb50387d880bedefe2d2bb6dc",
+        }),
+        ("fit", "sigmoid", None): (EXIT_NONCONVERGENCE, {
+            "epsilon.csv": "03012427eb5febe18a8fe8ef831b1c94a5e4cd992313ace17c81421a82b0c905",
+            "fit_report.json": "2f72865362ddfb5667bfd4007017081278c347cd8896e6f370e48e05deca707c",
+            "interaction_w.csv": "30d1aaeccec8d9d0b07702c7c10c4db1adfcd8aa7de468cfde7d542277b2fa01",
+        }),
+        ("fit", "sigmoid", "fit-epsilon"): (EXIT_NONCONVERGENCE, {
+            "epsilon.csv": "e6bc8c3e264b3d2980344b916af17bcb4ec01125a4dc40cff0bcabac6e65d53d",
+            "fit_report.json": "7610ff3901afd88910631367c6b0eaaf85fda6ff21a8f510fb5611d0ebe80a31",
+            "interaction_w.csv": "0c8ceff35bc200205accd6581ea52fc0e4f59aad6dee610189790a156c448d28",
+        }),
+        ("cv", "identity", None): (EXIT_OK, {
+            "cv_report.json": "c14c1e301cd6d2269b3bba85e0515951755215955549cd637c9864518a0632d0",
+            "scatter.csv": "b6b0abd3d8c5fd23d15b3b0167ae2df31fc34b3755f70dcad7338e78e5b29d43",
+        }),
+        ("cv", "clipped-linear", None): (EXIT_OK, {
+            "cv_report.json": "c14c1e301cd6d2269b3bba85e0515951755215955549cd637c9864518a0632d0",
+            "scatter.csv": "b6b0abd3d8c5fd23d15b3b0167ae2df31fc34b3755f70dcad7338e78e5b29d43",
+        }),
+        ("cv", "sigmoid", None): (EXIT_OK, {
+            "cv_report.json": "1d1c2836e611ee76855320048b26a773a7d31d7a203ffd8e588257afbea63aa7",
+            "scatter.csv": "678fe47d03c237afb22583345a5ed83f975d59db1cdbf8985899d6578b6d34de",
+        }),
+    }
+
+    @pytest.mark.parametrize(
+        "command,envelope,flag",
+        [pytest.param(*key, id="-".join(filter(None, key))) for key in GOLDEN],
+    )
+    def test_outputs_match_golden_hashes(self, command, envelope, flag, sim5_dir, tmp_path):
+        argv = [
+            command, "--model", "causal-ode", "--envelope", envelope, "--max-iter", "20",
+            "--conditions", str(sim5_dir / "sim_conditions.csv"),
+            "--responses", str(sim5_dir / "sim_responses.csv"),
+            "--targets", str(sim5_dir / "sim_targets.csv"),
+            "--out-dir", str(tmp_path),
+        ]
+        if command == "cv":
+            argv += ["--scheme", "rf", "--reps", "2"]
+        if flag is not None:
+            argv.append("--" + flag)
+        code = main(argv)
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in os.listdir(tmp_path)}
+        assert (code, got) == self.GOLDEN[command, envelope, flag]
+
+
 class TestExportNetwork:
     def test_exports_true_network(self, sim_dir, tmp_path):
         out = tmp_path / "net"
@@ -1160,8 +1233,90 @@ def test_unknown_envelope_is_config_error(command, tmp_path, caplog, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("epsilon", [[0.8, 0.0], [-1.0, 1.5]])
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--model", "regression", "--lam", "nan", "{data}"], "lambda must be nonnegative"),
+    (["fit", "--model", "regression", "--config", "{tmp}/nan.cfg", "{data}"],
+     "lambda must be nonnegative"),
+    (["fit", "--model", "regression", "--lam", "inf", "{data}"], "lambda must be nonnegative"),
+    (["fit", "--model", "causal-linear", "--lam", "0.5", "--tol", "inf", "{data}"],
+     "tol must be positive"),
+    (["fit", "--model", "causal-linear", "--lam", "0.5", "--tol", "nan", "{data}"],
+     "tol must be positive"),
+    (["simulate", "--noise-sd", "nan"], "noise_sd must be nonnegative"),
+    (["simulate", "--noise-sd", "inf"], "noise_sd must be nonnegative"),
+    (["export-network", "--network", "{sim}/sim_network_a.csv", "--threshold", "nan"],
+     "threshold must be nonnegative and finite, got nan"),
+    (["export-network", "--network", "{sim}/sim_network_a.csv", "--threshold", "-1"],
+     "threshold must be nonnegative and finite, got -1.0"),
+], ids=["lam-nan", "lam-nan-config", "lam-inf", "tol-inf", "tol-nan", "noise-sd-nan",
+        "noise-sd-inf", "threshold-nan", "threshold-negative"])
+def test_nan_or_infinite_option_is_config_error(argv, message, sim_dir, tmp_path, caplog):
+    # unchecked, these ran: NaN lambda or tol to exit 4, infinite tol to a
+    # one-iteration "converged" fit, NaN noise to noiseless responses, and a
+    # NaN or negative threshold to an edge list of no or every entry
+    (tmp_path / "nan.cfg").write_text("lam = nan\n")
+    data = [f"--{k}={sim_dir / f'sim_{k}.csv'}" for k in ("conditions", "responses", "targets")]
+    argv = [part for arg in argv
+            for part in (data if arg == "{data}" else [arg.format(sim=sim_dir, tmp=tmp_path)])]
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_PARSE
+    [record] = caplog.records
+    assert message in record.getMessage()
+    if argv[0] == "export-network":  # the threshold is checked before the out-dir is made
+        assert not (tmp_path / "out").exists()
+
+
+def test_predictions_that_overflow_exit_4(sim_dir, tmp_path, caplog):
+    # every coefficient 1e308: each prediction sums several of them
+    drugs = load_matrix_csv(sim_dir / "sim_conditions.csv")[2]
+    save_matrix_csv(tmp_path / "r.csv", np.full((15, 5), 1e308), drugs,
+                    [f"X{i}" for i in range(1, 6)], id_header="drug")
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(["predict", "--model", "regression", "--params", str(tmp_path / "r.csv"),
+                 "--conditions", str(sim_dir / "sim_conditions.csv"),
+                 "--out", str(tmp_path / "p.csv")]) == EXIT_NONCONVERGENCE
+    [record] = caplog.records
+    assert record.getMessage() == "regression predictions overflow the floating-point range"
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_predict_makes_the_directory_of_its_output(sim_dir, tmp_path):
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--model", "regression",
+                 "--conditions", str(sim_dir / "sim_conditions.csv"),
+                 "--responses", str(sim_dir / "sim_responses.csv"),
+                 "--out-dir", str(fit_out)]) == EXIT_OK
+    out = tmp_path / "missing" / "dir" / "p.csv"
+    assert main(["predict", "--model", "regression", "--params", str(fit_out / "coefficients.csv"),
+                 "--conditions", str(sim_dir / "sim_conditions.csv"),
+                 "--out", str(out)]) == EXIT_OK
+    assert load_matrix_csv(out)[0].shape == (105, 5)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out-dir", "{out}"],
+    ["fit", "--model", "regression", "--conditions", "{sim}/sim_conditions.csv",
+     "--responses", "{sim}/sim_responses.csv", "--out-dir", "{out}"],
+    ["cv", "--scheme", "lodo", "--model", "regression", "--conditions",
+     "{sim}/sim_conditions.csv", "--responses", "{sim}/sim_responses.csv", "--out-dir", "{out}"],
+    ["export-network", "--network", "{sim}/sim_network_a.csv", "--out-dir", "{out}"],
+    ["predict", "--model", "regression", "--params", "{sim}/sim_network_a.csv",
+     "--conditions", "{sim}/sim_conditions.csv", "--out", "{out}/p.csv"],
+], ids=["simulate", "fit", "cv", "export-network", "predict"])
+def test_out_dir_that_cannot_be_made_is_config_error(command, sim_dir, tmp_path, caplog):
+    # a path below a regular file: each command died in a NotADirectoryError
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    argv = [arg.format(sim=sim_dir, out=out) for arg in command]
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(argv) == EXIT_PARSE
+    [record] = caplog.records
+    assert record.getMessage() == f"cannot make output directory {out}: Not a directory"
+
+
+@pytest.mark.parametrize("epsilon", [[0.8, 0.0], [-1.0, 1.5], [1.0, np.nan]])
 def test_nonpositive_epsilon_file_is_config_error(epsilon, ode_dir, caplog):
+    # a NaN entry, unchecked, exited 4: "trajectory diverged at t = 0.01"
     save_matrix_csv(ode_dir / "w.csv", -np.eye(2), ["r1", "r2"], ["r1", "r2"])
     save_matrix_csv(ode_dir / "eps.csv", np.array([epsilon]), ["epsilon"], ["r1", "r2"])
     caplog.set_level(logging.ERROR, logger="perturbpred")
@@ -1170,8 +1325,8 @@ def test_nonpositive_epsilon_file_is_config_error(epsilon, ode_dir, caplog):
                  str(ode_dir / "targets.csv"), "--epsilon", str(ode_dir / "eps.csv"),
                  "--out", str(ode_dir / "p.csv")]) == EXIT_PARSE
     [record] = caplog.records
-    assert record.getMessage() == (f"--epsilon {ode_dir / 'eps.csv'}: "
-                                   "epsilon entries must be positive")
+    assert record.getMessage() == (f"--epsilon {ode_dir / 'eps.csv'}: epsilon entries must be "
+                                   + ("finite" if np.isnan(epsilon).any() else "positive"))
     assert not (ode_dir / "p.csv").exists()
 
 

@@ -1111,6 +1111,31 @@ class TestFitCausalOde:
         )
         assert ode_report.final_objective <= lin_report.final_objective * 1.01 + 1e-9
 
+    def test_sigmoid_fit_screens_jacobians_without_an_svd(self, monkeypatch):
+        # the Newton steps and the adjoint screen their Jacobians through the
+        # package's one screen, whose inverse bound settles every Jacobian
+        # of the small-amplitude sigmoid instance below
+        calls = []
+        rcond = linear_module._rcond
+
+        def svd_spy(M):
+            calls.append(M)
+            return rcond(M)
+
+        for module in (linear_module, fit_module, ode_module):
+            if hasattr(module, "_rcond"):
+                monkeypatch.setattr(module, "_rcond", svd_spy)
+        rng = np.random.default_rng(16)
+        W_true = random_stable_w(rng, 2, off_scale=0.2)
+        B = TargetMap(0.2 * rng.normal(size=(2, 3)))
+        D = ConditionMatrix(rng.uniform(0, 0.5, (8, 3)))
+        gen = OdeModel(InteractionMatrix(W_true), B, 1.0, envelope="sigmoid")
+        X = ResponseMatrix(steady_states(gen, D.values).states)
+        template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0, envelope="sigmoid")
+        _, report = fit_causal_ode(D, X, B, template, FitConfig(max_iter=10))
+        assert report.iterations == 10
+        assert calls == []
+
     def test_zero_data_zero_loss_at_init(self):
         D = ConditionMatrix(np.zeros((2, 2)))
         X = ResponseMatrix(np.zeros((2, 2)))
@@ -1235,6 +1260,22 @@ class TestCausalOdeGradient:
 
 
 class TestFitCausalOdeFailures:
+    def test_singular_jacobian_names_its_condition_row_and_rcond(self):
+        # W = [[-1, 1], [1, -1]] is singular; at rest, condition 1 (no dose)
+        # sees exactly that Jacobian, while condition 0's drive saturates
+        # the first node's sigmoid and leaves a Jacobian of determinant near 1
+        B = TargetMap([[30.0], [0.0]])
+        model = OdeModel(InteractionMatrix([[-1.0, 1.0], [1.0, -1.0]]), B, 1.0,
+                         envelope="sigmoid")
+        D = ConditionMatrix([[1.0], [0.0]])
+        J = linearize(model, D.values, steady_states(model, D.values).states)[2]
+        rcond = linear_module._rcond(J[1])
+        assert rcond < RCOND_MIN <= linear_module._rcond(J[0])
+        message = (f"steady-state Jacobian of condition row 1 is singular or "
+                   f"ill-conditioned (rcond {rcond:.3g})")
+        with pytest.raises(SingularMatrixError, match=re.escape(message)):
+            causal_ode_loss_and_gradient(model, D, ResponseMatrix(np.ones((2, 2))))
+
     def test_a_form_w_init_rejected_like_the_linear_fit(self):
         B = TargetMap(np.eye(2))
         template = OdeModel(InteractionMatrix(-np.eye(2)), B, 1.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from perturbpred.errors import (
     DimensionError,
+    DivergenceError,
     NotNegativeDefiniteError,
     SingularMatrixError,
 )
@@ -21,6 +22,7 @@ from perturbpred.linear import (
     verify_steady_state_limit,
     w_to_dag,
 )
+from perturbpred.ode import ENVELOPES, OdeModel, linearize
 from perturbpred.types import (
     A_FORM,
     RCOND_MIN,
@@ -154,6 +156,20 @@ class TestPredictCausalDag:
         A = InteractionMatrix(np.eye(2), form=A_FORM)
         with pytest.raises(SingularMatrixError):
             predict_causal_dag(A, TargetMap(np.eye(2)), ConditionMatrix(np.ones((1, 2))))
+
+
+@pytest.mark.parametrize("predict", ["regression", "causal-linear", "causal-dag"])
+def test_predictions_that_overflow_raise_divergence(predict):
+    # every factor is finite, but each prediction sums two terms of 1e308
+    D = ConditionMatrix(np.ones((1, 2)))
+    B = TargetMap(np.full((2, 2), 1e308))
+    args = {
+        "regression": (predict_regression, RegressionCoefficients(np.full((2, 2), 1e308)), D),
+        "causal-linear": (predict_causal_linear, InteractionMatrix(-np.eye(2)), B, D),
+        "causal-dag": (predict_causal_dag, InteractionMatrix(np.zeros((2, 2)), form=A_FORM), B, D),
+    }[predict]
+    with pytest.raises(DivergenceError, match="predictions overflow the floating-point range"):
+        args[0](*args[1:])
 
 
 class TestFormConversion:
@@ -296,13 +312,41 @@ class TestRcond:
         assert rc[0] == s[-1] / s[0]
 
 
-SQUARE_KINDS = ("random", "planted", "boundary", "zero-row", "rank-deficient", "zero")
+SQUARE_KINDS = ("random", "planted", "boundary", "zero-row", "rank-deficient", "zero", "jacobian")
+
+
+def ode_jacobian(rng, k, threshold):
+    """The Jacobian that ode.linearize gives at rest for a k-response model of
+    a random envelope, built to equal a planted matrix: well-conditioned,
+    rcond within 2x of threshold on either side, or with an exactly zero row.
+
+    At x = 0 the Jacobian is diag(g) W_off^T + diag(w_jj), with g = eps
+    phi'(u) at the drive u alone, so W_off = (M_off / g)^T reproduces M's
+    off-diagonal up to rounding, and a zero row of M stays exactly zero.
+    """
+    plant = rng.integers(3)
+    if plant == 0:
+        M = rng.normal(size=(k, k))
+    else:
+        M = planted_matrix(rng, k, k, rng.uniform(0.5, 2.0) / threshold)
+        if plant == 2:
+            M[rng.integers(k)] = 0.0
+    B = TargetMap(np.eye(k))
+    eps = rng.uniform(0.5, 2.0, k)
+    envelope = ENVELOPES[rng.integers(len(ENVELOPES))]
+    u, rest = rng.uniform(-1.0, 1.0, (1, k)), np.zeros((1, k))
+    diag = np.diag(np.diag(M))
+    g = linearize(OdeModel(InteractionMatrix(diag), B, eps, envelope), u, rest)[1][0]
+    W = ((M - diag) / g[:, None]).T + diag
+    return linearize(OdeModel(InteractionMatrix(W), B, eps, envelope), u, rest)[2][0]
 
 
 def square_matrix(rng, kind, k, threshold):
     """A k x k matrix of one kind: well-conditioned, rcond from 1e-16 to 1e-6,
     rcond within 5x of threshold, exactly singular for LU, singular up to
-    rounding, or zero."""
+    rounding, zero, or an ODE Jacobian (:func:`ode_jacobian`)."""
+    if kind == "jacobian":
+        return ode_jacobian(rng, k, threshold)
     if kind == "planted":
         return planted_matrix(rng, k, k, 10.0 ** rng.uniform(6, 16))
     if kind == "boundary":
