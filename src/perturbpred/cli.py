@@ -144,23 +144,32 @@ def _refuse_unused(model, mask=None, envelope="identity", fit_epsilon=False, eps
         raise ConfigError(f"{model} does not use {', '.join(unused)}")
 
 
+def _load_side(path, build):
+    """(build(values), row labels, column labels) of the matrix file at path."""
+    values, rows, cols = load_matrix_csv(path)
+    return build(values), rows, cols
+
+
 def _model_targets(model, targets):
-    """The target map a causal model needs; None for regression."""
+    """The target map a causal model needs, with its row and column labels;
+    None and no labels for regression."""
     if model == "regression":
-        return None
+        return None, (), ()
     if not targets:
         raise ConfigError(f"{model} requires --targets")
-    return TargetMap(load_matrix_csv(targets)[0])
+    return _load_side(targets, TargetMap)
 
 
-def _load_interaction(path, form):
-    values, _, names = load_matrix_csv(path)
-    return InteractionMatrix(values, form=form), names
-
-
-def _load_mask(path):
-    values, _, _ = load_matrix_csv(path)
-    return EdgeMask(values != 0.0)
+def _check_labels(sides):
+    """DimensionError at the first (path, axis, labels, expected) of sides
+    whose labels differ from expected, the data's, naming the file, the axis
+    and that label.  Run only where the shapes agree, so that a shape
+    mismatch keeps its own message."""
+    for path, axis, labels, expected in sides:
+        for k, (got, want) in enumerate(zip(labels, expected), start=1):
+            if got != want:
+                raise DimensionError(f"{path}: {axis} {k} is labelled {got!r}, "
+                                     f"where the data have {want!r}")
 
 
 def _built(build, *args, **kwargs):
@@ -260,15 +269,29 @@ def _fit_inputs(opt, lam_default, own=lambda: None):
     D, cond_ids = load_condition_matrix(conditions)
     X, _ = load_response_matrix(responses)
     check_paired(D, X)
-    mask = _load_mask(mask_path) if mask_path else None
-    B = _model_targets(model, targets)
+    mask, mask_rows, mask_cols = (_load_side(mask_path, lambda v: EdgeMask(v != 0.0))
+                                  if mask_path else (None, (), ()))
+    B, rows, cols = _model_targets(model, targets)
+    resp = X.response_names
+    sides = [(targets, "row", rows, resp), (targets, "column", cols, D.drug_names),
+             (mask_path, "row", mask_rows, resp), (mask_path, "column", mask_cols, resp)]
     cfg = _built(FitConfig, lam=0.0 if lam is None else lam, max_iter=max_iter, tol=tol, mask=mask)
     return argparse.Namespace(model=model, lam=lam, envelope=envelope, fit_epsilon=fit_epsilon,
-                              out_dir=out_dir, D=D, cond_ids=cond_ids, X=X, B=B, cfg=cfg, own=own)
+                              out_dir=out_dir, D=D, cond_ids=cond_ids, X=X, B=B, cfg=cfg,
+                              sides=sides, own=own)
+
+
+def _check_sides(run):
+    """A causal model's target map and mask: their shapes (check_targets),
+    then their labels against the data's drugs and responses."""
+    if run.B is not None:
+        check_targets(run.B, run.D, run.X, run.cfg.mask)
+        _check_labels(run.sides)
 
 
 def cmd_fit(args):
     run = _fit_inputs(_Options(args), 0.0)
+    _check_sides(run)
     model, D, X, out_dir = run.model, run.D, run.X, run.out_dir
     params, report = _make_family(model, run.B, run.cfg, run.envelope, run.fit_epsilon).fit(D, X)
 
@@ -320,24 +343,36 @@ def cmd_predict(args):
         raise ConfigError("predict requires --params, --conditions, and --out")
     _refuse_unused(model, envelope=envelope, epsilon=eps_path)
     _check_envelope(envelope)
+    if os.path.isdir(out):
+        raise ConfigError(f"--out {out} is a directory; it must name the predictions file")
     _ensure_outdir(os.path.dirname(out) or os.curdir)
     opt.log()
 
+    # each side matrix's labels are checked where its shapes agree; elsewhere
+    # the predictor raises its shape mismatch
     D, cond_ids = load_condition_matrix(conditions)
-    B = _model_targets(model, targets)
+    B, b_rows, b_cols = _model_targets(model, targets)
     if model == "regression":
-        values, _, resp_names = load_matrix_csv(params)
-        predicted = predict_regression(RegressionCoefficients(values), D).predicted
+        R, rows, resp_names = _load_side(params, RegressionCoefficients)
+        if R.values.shape[0] == D.n_drugs:
+            _check_labels([(params, "row", rows, D.drug_names)])
+        predicted = predict_regression(R, D).predicted
     else:
-        W, resp_names = _load_interaction(params, W_FORM)
+        W, w_rows, resp_names = _load_side(params, lambda v: InteractionMatrix(v, form=W_FORM))
+        sides = [(params, "row", w_rows, resp_names), (targets, "row", b_rows, resp_names),
+                 (targets, "column", b_cols, D.drug_names)]
+        if model == "causal-ode":
+            eps, _, eps_cols = load_matrix_csv(eps_path) if eps_path else (np.ones(W.size), (), ())
+            try:
+                ode_model = OdeModel(W, B, eps.ravel(), envelope=envelope)
+            except ValueError as exc:  # the envelope is checked, so epsilon is at fault
+                raise ConfigError(f"--epsilon {eps_path}: {exc}") from exc
+            sides.append((eps_path, "column", eps_cols, resp_names))
+        if B.values.shape == (W.size, D.n_drugs):
+            _check_labels(sides)
         if model == "causal-linear":
             predicted = predict_causal_linear(W, B, D).predicted
         else:
-            eps = load_matrix_csv(eps_path)[0].ravel() if eps_path else np.ones(W.size)
-            try:
-                ode_model = OdeModel(W, B, eps, envelope=envelope)
-            except ValueError as exc:  # the envelope is checked, so epsilon is at fault
-                raise ConfigError(f"--epsilon {eps_path}: {exc}") from exc
             predicted = steady_states(ode_model, D.values).require_converged(cond_ids)
     save_matrix_csv(out, predicted, cond_ids, resp_names)
     log.info("wrote predictions to %s", out)
@@ -391,8 +426,7 @@ def cmd_cv(args):
         plan = _built(make_random_folds, D.n_conditions, train_fraction, reps, seed)
     else:
         plans = _built(make_lodo_splits, D)
-    if B is not None:
-        check_targets(B, D, X, cfg.mask)
+    _check_sides(run)
 
     lam_meta = {}
     if lam is None:
@@ -471,14 +505,10 @@ def cmd_export_network(args):
     out_dir = opt("out-dir", default_output_dir())
     opt.log()
 
-    if form == W_FORM:
-        W, names = _load_interaction(network, W_FORM)
-        A = w_to_dag(W).values
-    elif form == A_FORM:
-        M, names = _load_interaction(network, A_FORM)
-        A = M.values
-    else:
+    if form not in (A_FORM, W_FORM):
         raise ConfigError(f"--form must be {A_FORM!r} or {W_FORM!r}, got {form!r}")
+    M, _, names = _load_side(network, lambda v: InteractionMatrix(v, form=form))
+    A = w_to_dag(M).values if form == W_FORM else M.values
 
     exported = _built(export_network, A, names, threshold)
     _ensure_outdir(out_dir)

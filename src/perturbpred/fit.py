@@ -41,7 +41,8 @@ iteration cap says so in its report's status (MAX_ITER_REACHED).
 An objective that falls below the normal floating-point range has its
 residual summed again at a power-of-two scale (:func:`_sum_of_squares`);
 a sum still out of range is reported rounded, with status
-OBJECTIVE_UNDERFLOW, not as an exact fit.
+OBJECTIVE_UNDERFLOW, not as an exact fit.  A fit whose loss or gradient
+overflows at its start raises DivergenceError (:func:`_checked_start`).
 """
 
 from __future__ import annotations
@@ -169,6 +170,28 @@ def _sum_of_squares(total, residual, penalty=lambda: 0.0):
     return loss + penalty(), status
 
 
+def _least_squares_report(total, residual, iterations, status):
+    """The converged FitReport of a least-squares objective that summed to
+    total, re-summed from residual() by :func:`_sum_of_squares`, with the
+    given iterations and status; None where total is not finite."""
+    if not math.isfinite(total):
+        return None
+    obj, underflow = _sum_of_squares(total, residual)
+    return FitReport(obj, iterations, True, [obj], (*status, *underflow))
+
+
+def _checked_start(evaluate, name):
+    """evaluate(), a fit's first evaluation, at its starting name (R or W),
+    with overflow warnings off: DivergenceError unless its loss and gradient,
+    its first two results, are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = evaluate()
+    if not (math.isfinite(first[0]) and np.all(np.isfinite(first[1]))):
+        raise DivergenceError(f"the loss or its gradient overflows at the starting {name}: "
+                              "the doses or responses are too large to fit in floating point")
+    return first
+
+
 def soft_threshold(x, thr):
     """Closed-form proximal operator of thr * |.|: shrink toward 0 by thr.
 
@@ -200,7 +223,8 @@ def _diagonal_metric(h):
     return metric
 
 
-def _fista(loss_and_gradient, start, first, cfg: FitConfig, penalty, proximal_map, metric):
+def _fista(loss_and_gradient, start, first, cfg: FitConfig, penalty, proximal_map, metric,
+           residual, status=()):
     """(x, FitReport) of accelerated proximal gradient (FISTA) on
     loss(x) + penalty(x) from start, in a fixed diagonal metric.
 
@@ -230,7 +254,9 @@ def _fista(loss_and_gradient, start, first, cfg: FitConfig, penalty, proximal_ma
     tol (relative to max(1, objective)); a momentum step that gains that
     little can still be short of a minimum, so it restarts the momentum
     instead.  Each iteration's first trial step is the last accepted one
-    times LINEAR_STEP_GROWTH, LINEAR_FIRST_STEP at the start.
+    times LINEAR_STEP_GROWTH, LINEAR_FIRST_STEP at the start.  The report's
+    status starts with status, and a final objective below the normal range
+    is summed again from the loss's residual(x) (:func:`_sum_of_squares`).
     """
     x = start
     loss, grad = first
@@ -290,8 +316,10 @@ def _fista(loss_and_gradient, start, first, cfg: FitConfig, penalty, proximal_ma
             # a momentum step can gain little far from a minimum; only a
             # plain step's small gain shows x is stationary, so take one next
             t = 1.0
-    status = () if converged else (MAX_ITER_REACHED.format(cfg.max_iter),)
-    return x, FitReport(obj, it, converged, trace, status)
+    if not converged:
+        status = (*status, MAX_ITER_REACHED.format(cfg.max_iter))
+    final, underflow = _sum_of_squares(obj, lambda: residual(x), lambda: penalty(x))
+    return x, FitReport(final, it, converged, trace, (*status, *underflow))
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +501,8 @@ def fit_least_squares_folds(basis, X, tests, iterations, status, screen=False):
         return resid
 
     for f in np.flatnonzero(certified).tolist():
-        obj, underflow = _sum_of_squares(float(objectives[f]), lambda: residual(f))
-        if math.isfinite(obj):
-            reports[f] = FitReport(obj, iterations, True, [obj], (*status, *underflow))
+        reports[f] = _least_squares_report(float(objectives[f]), lambda: residual(f),
+                                           iterations, status)
     return preds, reports
 
 
@@ -505,7 +532,8 @@ def _reduce(A, X):
     if Q.shape[0] == Q.shape[1]:  # Q spans every row: nothing is out of reach
         return ReducedDesign(R, QtX, 0.0)
     orth = X - Q @ QtX
-    return ReducedDesign(R, QtX, float(np.vdot(orth, orth)))
+    with np.errstate(over="ignore"):  # a rest that overflows fails the start's check
+        return ReducedDesign(R, QtX, float(np.vdot(orth, orth)))
 
 
 def _regression_loss_and_gradient(R, reduced):
@@ -532,7 +560,7 @@ def fit_regression(
     ||D[:, i]||^2 on row i.  A never-dosed drug's column of R_D is exactly
     0, so its row of the gradient is 0 and its row of R stays 0.  Either
     objective, where it falls below the normal float range, is handled by
-    :func:`_sum_of_squares`.
+    :func:`_sum_of_squares`, and one that overflows raises DivergenceError.
     """
     check_paired(D, X)
     Dv, Xv = D.values, X.values
@@ -547,30 +575,27 @@ def fit_regression(
             )
         with np.errstate(over="ignore"):  # an overflow raises below
             resid = Xv - Dv @ R
-            obj = float((resid * resid).sum())
-        if not math.isfinite(obj):
+            report = _least_squares_report(float((resid * resid).sum()), lambda: resid, 1, ())
+        if report is None:
             raise DivergenceError(
                 "the least-squares objective overflows: the doses or responses are too "
                 "large to fit in floating point"
             )
-        obj, status = _sum_of_squares(obj, lambda: resid)
-        return RegressionCoefficients(R), FitReport(obj, 1, True, [obj], status)
+        return RegressionCoefficients(R), report
 
     reduced = _reduce(Dv, Xv)
     start = np.zeros((Dv.shape[1], Xv.shape[1]))
     R, report = _fista(
         lambda R: _regression_loss_and_gradient(R, reduced),
         start,
-        _regression_loss_and_gradient(start, reduced),
+        _checked_start(lambda: _regression_loss_and_gradient(start, reduced), "R"),
         cfg,
         lambda R: cfg.lam * float(np.abs(R).sum()),
         lambda R, grad, step: soft_threshold(R - step * grad, step * cfg.lam),
         _diagonal_metric((Dv * Dv).sum(axis=0))[:, None],
+        lambda R: Dv @ R - Xv,
     )
-    obj, underflow = _sum_of_squares(report.final_objective, lambda: Dv @ R - Xv,
-                                     lambda: cfg.lam * float(np.abs(R).sum()))
-    return RegressionCoefficients(R), replace(report, final_objective=obj,
-                                              status=(*report.status, *underflow))
+    return RegressionCoefficients(R), report
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +741,8 @@ def fit_causal_linear(
     safe_inverse does.
     The first evaluates the start: a singular one raises SingularMatrixError
     naming w_init, one whose loss or gradient overflows raises
-    DivergenceError, and its inverse gives the metric, so the start is
-    inverted once.
+    DivergenceError (:func:`_checked_start`), and its inverse gives the
+    metric, so the start is inverted once.
     """
     check_paired(D, X)
     check_targets(B, D, X, cfg.mask)
@@ -731,10 +756,10 @@ def fit_causal_linear(
             start = InteractionMatrix(W, form=W_FORM)
             resid = X.values - C @ M
             with np.errstate(over="ignore"):  # an overflow is reported at the start below
-                obj = float((resid * resid).sum())
-            if math.isfinite(obj):
-                obj, underflow = _sum_of_squares(obj, lambda: resid)
-                return start, FitReport(obj, 0, True, [obj], (CLOSED_FORM, *underflow))
+                report = _least_squares_report(float((resid * resid).sum()), lambda: resid, 0,
+                                               (CLOSED_FORM,))
+            if report is not None:
+                return start, report
     elif cfg.w_init is None:
         start = least_squares_w_init(D, X, B)
     status = ()
@@ -744,12 +769,10 @@ def fit_causal_linear(
                   "unregularized W is not identified",)
 
     W = _initial_w(cfg, p, start)
-    try:
-        # the start's one inverse serves its loss evaluation and the metric;
-        # an overflow there, or in the reduction, is reported below, not warned
-        with np.errstate(over="ignore", invalid="ignore"):
-            reduced = _causal_design(D.values, B.values, C, X.values)
-            loss, grad, Winv = causal_loss_and_gradient(W, D, X, B, reduced, True)
+    reduced = _causal_design(D.values, B.values, C, X.values)
+    try:  # the start's one inverse serves its loss evaluation and the metric
+        loss, grad, Winv = _checked_start(
+            lambda: causal_loss_and_gradient(W, D, X, B, reduced, True), "W")
     except SingularMatrixError as exc:
         # _fista rejects every infeasible candidate itself, so only the start
         # can raise: w_init or the least-squares W as masked (-I keeps its diagonal)
@@ -758,11 +781,6 @@ def fit_causal_linear(
             f"w_init{masked}, the starting W, is singular or ill-conditioned "
             f"(rcond < {RCOND_MIN:g})"
         ) from exc
-    if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
-        raise DivergenceError(
-            "the loss or its gradient overflows at the starting W: the doses or "
-            "responses are too large to fit in floating point"
-        )
     W, report = _fista(
         lambda W: causal_loss_and_gradient(W, D, X, B, reduced),
         W,
@@ -771,11 +789,9 @@ def fit_causal_linear(
         lambda W: _penalty(W, cfg.lam),
         lambda W, grad, step: _proximal_map(W, grad, step, cfg),
         _causal_metric(Winv, reduced.R),
+        lambda W: X.values + C @ np.linalg.inv(W),
+        status,
     )
-    obj, underflow = _sum_of_squares(report.final_objective,
-                                     lambda: X.values + C @ np.linalg.inv(W),
-                                     lambda: _penalty(W, cfg.lam))
-    report = replace(report, final_objective=obj, status=(*status, *report.status, *underflow))
     return InteractionMatrix(W, form=W_FORM), report
 
 
@@ -949,7 +965,8 @@ def fit_causal_ode(
     cannot certify a row.  Each candidate is solved by Newton from the last
     accepted states.  A candidate with an uncertified row or a singular
     Jacobian, or that raises the objective, is rejected and the step halved;
-    a start that RK4 cannot settle, or with a singular Jacobian, raises.
+    a start that RK4 cannot settle, with a singular Jacobian, or whose loss
+    overflows (:func:`_checked_start`), raises.
     Each iteration's first trial step is twice the last accepted one,
     ODE_FIRST_STEP at the start.  If no step is accepted the fit stops with
     "line-search-exhausted" in the report's status.
@@ -975,15 +992,17 @@ def fit_causal_ode(
         solved = steady_states(model, D.values, tol=SS_TOL, t_max=SS_T_MAX, dt=SS_DT, guess=guess)
         states = solved.require_converged()
         loss, gW, g_eps = _loss_and_gradient_at(model, D, X, states)
-        return model, states, loss, gW, g_eps if fit_epsilon else np.zeros(p)
+        return loss, gW, g_eps if fit_epsilon else np.zeros(p), model, states
 
-    start = None
-    if _contracts(W, np.exp(log_eps)):
-        try:
-            start = evaluate(W, log_eps, guess=np.zeros(X.values.shape))
-        except NonConvergenceError:
-            pass
-    model, states, loss, gW, g_eps = start or evaluate(W, log_eps)
+    def first():
+        if _contracts(W, np.exp(log_eps)):
+            try:
+                return evaluate(W, log_eps, guess=np.zeros(X.values.shape))
+            except NonConvergenceError:
+                pass
+        return evaluate(W, log_eps)
+
+    loss, gW, g_eps, model, states = _checked_start(first, "W")
     obj = loss + _penalty(W, cfg.lam)
     trace = [obj]
     status = []
@@ -998,7 +1017,7 @@ def fit_causal_ode(
             W_new = _proximal_map(W, gW, trial, cfg)
             eps_new = log_eps - trial * g_eps
             try:
-                model_new, states_new, loss_new, gW_new, g_eps_new = evaluate(
+                loss_new, gW_new, g_eps_new, model_new, states_new = evaluate(
                     W_new, eps_new, guess=states
                 )
             except (NonConvergenceError, SingularMatrixError):

@@ -269,7 +269,8 @@ class NetworkExport:
 
 def export_network(A, names=None, threshold=0.2) -> NetworkExport:
     """Edge list from an A-form matrix, dropping |weight| below threshold, a
-    finite number >= 0 (ValueError otherwise).
+    finite number >= 0 (ValueError otherwise), and every weight that is
+    exactly 0, so that threshold 0 exports the network's edges alone.
 
     A[i, j] is the effect of node j on node i, so the exported edge runs
     from j to i.
@@ -283,7 +284,7 @@ def export_network(A, names=None, threshold=0.2) -> NetworkExport:
     edges = []
     for i in range(p):
         for j in range(p):
-            if i != j and abs(A[i, j]) >= threshold:
+            if i != j and A[i, j] != 0.0 and abs(A[i, j]) >= threshold:
                 edges.append((names[j], names[i], float(A[i, j])))
     return NetworkExport(tuple(edges), threshold)
 

@@ -36,17 +36,16 @@ W_FORM = "W-form"
 A_FORM = "A-form"
 
 
-def _as_readonly(values, name, ndim=2):
+def _as_readonly(values, name):
+    """values as a read-only 2-D float array; DimensionError for any other
+    number of dimensions, ValueError for a non-finite entry."""
     arr = np.array(values, dtype=float)
-    if arr.ndim != ndim:
-        raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
-def _check_finite(arr, name):
+    if arr.ndim != 2:
+        raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
+    arr.setflags(write=False)
+    return arr
 
 
 def duplicate_labels(labels):
@@ -60,10 +59,17 @@ def duplicate_labels(labels):
     return list(repeated)
 
 
-def _check_unique(labels, what):
-    repeated = duplicate_labels(labels)
+def _labels(names, arr, what, prefix):
+    """arr's column labels, names or else prefix_1, prefix_2, ...: DimensionError
+    unless there is one per column, ValueError naming the first repeat."""
+    m = arr.shape[1]
+    names = tuple(f"{prefix}_{j + 1}" for j in range(m)) if names is None else tuple(names)
+    if len(names) != m:
+        raise DimensionError(f"{len(names)} {what} names for {m} columns")
+    repeated = duplicate_labels(names)
     if repeated:
         raise ValueError(f"duplicate {what} label: {repeated[0]!r}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -75,22 +81,12 @@ class ConditionMatrix:
 
     def __init__(self, values, drug_names: Optional[Sequence[str]] = None):
         arr = _as_readonly(values, "ConditionMatrix")
-        _check_finite(arr, "ConditionMatrix")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionError(f"ConditionMatrix needs n >= 1 and q >= 1, got {arr.shape}")
         if np.any(arr < 0):
             raise ValueError("drug doses must be nonnegative")
-        if drug_names is None:
-            drug_names = tuple(f"drug_{j + 1}" for j in range(arr.shape[1]))
-        else:
-            drug_names = tuple(drug_names)
-        if len(drug_names) != arr.shape[1]:
-            raise DimensionError(
-                f"{len(drug_names)} drug names for {arr.shape[1]} columns"
-            )
-        _check_unique(drug_names, "drug")
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "drug_names", drug_names)
+        object.__setattr__(self, "drug_names", _labels(drug_names, arr, "drug", "drug"))
 
     @property
     def n_conditions(self):
@@ -110,18 +106,8 @@ class ResponseMatrix:
 
     def __init__(self, values, response_names: Optional[Sequence[str]] = None):
         arr = _as_readonly(values, "ResponseMatrix")
-        _check_finite(arr, "ResponseMatrix")
-        if response_names is None:
-            response_names = tuple(f"resp_{j + 1}" for j in range(arr.shape[1]))
-        else:
-            response_names = tuple(response_names)
-        if len(response_names) != arr.shape[1]:
-            raise DimensionError(
-                f"{len(response_names)} response names for {arr.shape[1]} columns"
-            )
-        _check_unique(response_names, "response")
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "response_names", response_names)
+        object.__setattr__(self, "response_names", _labels(response_names, arr, "response", "resp"))
 
     @property
     def n_conditions(self):
@@ -139,9 +125,7 @@ class TargetMap:
     values: np.ndarray
 
     def __init__(self, values):
-        arr = _as_readonly(values, "TargetMap")
-        _check_finite(arr, "TargetMap")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _as_readonly(values, "TargetMap"))
 
     @property
     def n_responses(self):
@@ -161,7 +145,6 @@ class InteractionMatrix:
 
     def __init__(self, values, form: str = W_FORM):
         arr = _as_readonly(values, "InteractionMatrix")
-        _check_finite(arr, "InteractionMatrix")
         if arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"InteractionMatrix must be square, got {arr.shape}")
         if form not in (W_FORM, A_FORM):
@@ -181,9 +164,7 @@ class RegressionCoefficients:
     values: np.ndarray
 
     def __init__(self, values):
-        arr = _as_readonly(values, "RegressionCoefficients")
-        _check_finite(arr, "RegressionCoefficients")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _as_readonly(values, "RegressionCoefficients"))
 
 
 @dataclass(frozen=True)
@@ -214,7 +195,6 @@ class PredictionResult:
 
     def __init__(self, predicted, model_tag):
         arr = _as_readonly(predicted, "PredictionResult")
-        _check_finite(arr, "PredictionResult")
         if model_tag not in ("regression", "causal-linear", "causal-ode"):
             raise ValueError(f"unknown model tag {model_tag!r}")
         object.__setattr__(self, "predicted", arr)

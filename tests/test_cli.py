@@ -171,9 +171,10 @@ class TestFit:
         # starting W overflows, which exits 4 with a message, not a traceback
         rng = np.random.default_rng(0)
         a = rng.uniform(0, 1, 6)
-        save_matrix_csv(tmp_path / "cond.csv", 1e160 * np.column_stack([a, 2 * a]))
-        save_matrix_csv(tmp_path / "resp.csv", rng.normal(size=(6, 2)))
-        save_matrix_csv(tmp_path / "targets.csv", np.eye(2))
+        save_matrix_csv(tmp_path / "cond.csv", 1e160 * np.column_stack([a, 2 * a]),
+                        col_names=["a", "b"])
+        save_matrix_csv(tmp_path / "resp.csv", rng.normal(size=(6, 2)), col_names=["r1", "r2"])
+        save_matrix_csv(tmp_path / "targets.csv", np.eye(2), ["r1", "r2"], ["a", "b"])
         caplog.set_level(logging.ERROR, logger="perturbpred")
         assert main([
             "fit", "--model", "causal-linear",
@@ -185,6 +186,32 @@ class TestFit:
         [record] = caplog.records
         assert record.getMessage().startswith(
             "the loss or its gradient overflows at the starting W")
+
+    @pytest.mark.parametrize("argv, start", [
+        (["fit", "--model", "regression", "--lam", "0.5"], "R"),
+        (["cv", "--scheme", "lodo", "--model", "regression", "--lam", "0.5"], "R"),
+        (["fit", "--model", "causal-ode", "--envelope", "sigmoid", "--max-iter", "50"], "W"),
+    ], ids=["fit-regression", "cv-lodo-regression", "fit-causal-ode"])
+    def test_overflowing_start_exit_code(self, argv, start, sim_dir, tmp_path, caplog):
+        # responses x1e160: every fitter refuses a start whose loss overflows,
+        # with no numpy warning and no report.  The lambda > 0 regression fit
+        # ran 10,000 iterations of an infinite objective and wrote a report
+        # that is not JSON, its lodo cv exited 0, and the causal-ode fit
+        # warned of an overflow and reported objective inf
+        X, ids, names = load_matrix_csv(sim_dir / "sim_responses.csv")
+        save_matrix_csv(tmp_path / "resp.csv", 1e160 * X, ids, names)
+        if "causal-ode" in argv:
+            argv = [*argv, "--targets", str(sim_dir / "sim_targets.csv")]
+        caplog.set_level(logging.ERROR, logger="perturbpred")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--conditions", str(sim_dir / "sim_conditions.csv"),
+                         "--responses", str(tmp_path / "resp.csv"),
+                         "--out-dir", str(tmp_path / "out")]) == EXIT_NONCONVERGENCE
+        [record] = caplog.records
+        assert record.getMessage().startswith(
+            f"the loss or its gradient overflows at the starting {start}")
+        assert os.listdir(tmp_path / "out") == []
 
     def test_overflowing_regression_objective_exit_code(self, sim_dir, tmp_path, caplog):
         # responses x1e160: the lambda = 0 least-squares objective overflows,
@@ -939,6 +966,16 @@ class TestExportNetwork:
         dot = (out / "network.dot").read_text()
         assert dot.count("->") == 3
 
+    def test_threshold_zero_exports_no_zero_weight(self, sim_dir, tmp_path):
+        # threshold 0 exported every off-diagonal entry: 20 edges, 17 of
+        # them of weight 0, for the three true edges
+        out = tmp_path / "net"
+        assert main(["export-network", "--network", str(sim_dir / "sim_network_a.csv"),
+                     "--threshold", "0", "--out-dir", str(out)]) == EXIT_OK
+        with open(out / "network_edges.csv", newline="") as fh:
+            weights = [float(row["weight"]) for row in csv.DictReader(fh)]
+        assert len(weights) == 3 and 0.0 not in weights
+
     def test_w_form_input(self, sim_dir, tmp_path):
         # converting the A-form fixture to W-form by hand and exporting it
         # must yield the same edges
@@ -1022,12 +1059,13 @@ class TestFitThroughFamilies:
 def config_values(sim_dir, tmp_path):
     """A valid value for every config key of every command."""
     sim = {key: str(sim_dir / f"sim_{key}.csv") for key in ("conditions", "responses", "targets")}
+    resp = load_matrix_csv(sim["responses"])[2]
     mask = tmp_path / "mask.csv"
-    save_matrix_csv(mask, np.ones((5, 5)))
+    save_matrix_csv(mask, np.ones((5, 5)), resp, resp)
     assert main(["fit", "--model", "causal-linear", "--out-dir", str(tmp_path / "fitted"),
                  *(f"--{k}={v}" for k, v in sim.items())]) == EXIT_OK
     epsilon = tmp_path / "epsilon.csv"
-    save_matrix_csv(epsilon, np.ones((1, 5)))
+    save_matrix_csv(epsilon, np.ones((1, 5)), ["epsilon"], resp)
     common = {"out-dir": str(tmp_path / "out"), "envelope": "identity", "mask": str(mask),
               "max-iter": "50", "tol": "1e-6", "lam": "0.0"}
     return {
@@ -1122,7 +1160,8 @@ class TestFitEpsilonConfig:
 ])
 def test_option_the_model_ignores_is_config_error(command, model, flag, value, sim_dir, tmp_path,
                                                    caplog):
-    save_matrix_csv(tmp_path / "mask.csv", np.ones((5, 5)))
+    resp = load_matrix_csv(sim_dir / "sim_responses.csv")[2]
+    save_matrix_csv(tmp_path / "mask.csv", np.ones((5, 5)), resp, resp)
     files = {"conditions": "sim_conditions.csv", "responses": "sim_responses.csv",
              "targets": "sim_targets.csv"}
     if command == "predict":
@@ -1215,6 +1254,80 @@ def test_mask_for_other_data_is_dimension_error(command, model, sim_dir, tmp_pat
                                    "give W the shape (5, 5)")
 
 
+def reversed_copy(src, dst, axis):
+    """The matrix file src written to dst with its rows (axis 0) or its
+    columns (axis 1), values and labels alike, in reverse order; returns the
+    labels of that axis as they were."""
+    values, rows, cols = load_matrix_csv(src)
+    if axis == 0:
+        save_matrix_csv(dst, values[::-1], rows[::-1], cols)
+        return rows
+    save_matrix_csv(dst, values[:, ::-1], rows, cols[::-1])
+    return cols
+
+
+PREDICT_CAUSAL = ["--params", "{w}", "--conditions", "{conditions}", "--targets", "{targets}",
+                  "--out", "{out}/p.csv"]
+FIT_CAUSAL = ["--conditions", "{conditions}", "--responses", "{responses}",
+              "--targets", "{targets}", "--out-dir", "{out}"]
+
+
+@pytest.mark.parametrize("argv, reversed_file, axis, named_file, named_axis", [
+    (["predict", "--model", "regression", "--params", "{coefficients}",
+      "--conditions", "{conditions}", "--out", "{out}/p.csv"],
+     "conditions", 1, "coefficients", "row"),
+    (["fit", "--model", "causal-linear", *FIT_CAUSAL], "targets", 0, "targets", "row"),
+    (["cv", "--scheme", "lodo", "--model", "causal-linear", *FIT_CAUSAL],
+     "targets", 1, "targets", "column"),
+    (["fit", "--model", "causal-linear", "--lam", "0.05", "--mask", "{mask}", *FIT_CAUSAL],
+     "mask", 0, "mask", "row"),
+    (["cv", "--scheme", "rf", "--reps", "30", "--model", "causal-ode", "--max-iter", "2",
+      "--mask", "{mask}", *FIT_CAUSAL], "mask", 1, "mask", "column"),
+    (["predict", "--model", "causal-linear", *PREDICT_CAUSAL], "w", 0, "w", "row"),
+    (["predict", "--model", "causal-linear", *PREDICT_CAUSAL], "targets", 0, "targets", "row"),
+    (["predict", "--model", "causal-ode", "--epsilon", "{epsilon}", *PREDICT_CAUSAL],
+     "epsilon", 1, "epsilon", "column"),
+], ids=["predict-regression-drugs", "fit-target-responses", "cv-target-drugs", "fit-mask-rows",
+        "cv-mask-columns", "predict-w-rows", "predict-target-responses", "predict-epsilon"])
+def test_side_matrix_labels_out_of_order_are_dimension_error(
+        argv, reversed_file, axis, named_file, named_axis, sim_dir, tmp_path, caplog):
+    # a side matrix whose shape agrees with the data but whose labels name
+    # the data's drugs or responses in another order was read by position:
+    # each command exited 0 with predictions or a network mislabelled
+    files = {k: str(sim_dir / f"sim_{k}.csv") for k in ("conditions", "responses", "targets")}
+    resp = load_matrix_csv(files["responses"])[2]
+    files.update({k: str(tmp_path / f"{k}.csv") for k in ("mask", "w", "epsilon")})
+    save_matrix_csv(files["mask"], np.ones((5, 5)), resp, resp)
+    save_matrix_csv(files["w"], -np.eye(5) + 0.1 * np.eye(5, k=1), resp, resp)
+    save_matrix_csv(files["epsilon"], np.linspace(0.5, 1.5, 5)[None, :], ["epsilon"], resp)
+    assert main(["fit", "--model", "regression", "--conditions", files["conditions"],
+                 "--responses", files["responses"], "--out-dir", str(tmp_path / "fit")]) == EXIT_OK
+    files["coefficients"] = str(tmp_path / "fit" / "coefficients.csv")
+    labels = reversed_copy(files[reversed_file], tmp_path / "reversed.csv", axis)
+    files[reversed_file] = str(tmp_path / "reversed.csv")
+    got, want = labels[-1], labels[0]
+    if named_file != reversed_file:  # the data were reordered, not the side matrix
+        got, want = want, got
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main([a.format(out=tmp_path / "out", **files) for a in argv]) == EXIT_DIMENSION
+    [record] = caplog.records
+    assert record.getMessage() == (f"{files[named_file]}: {named_axis} 1 is labelled {got!r}, "
+                                   f"where the data have {want!r}")
+
+
+def test_degenerate_split_wins_over_mislabelled_targets(sim_dir, tmp_path, caplog):
+    # cv checks its split before the target map, its shape and its labels
+    reversed_copy(sim_dir / "sim_targets.csv", tmp_path / "b.csv", 0)
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(["cv", "--scheme", "rf", "--model", "causal-linear", "--train-fraction", "0.001",
+                 "--conditions", str(sim_dir / "sim_conditions.csv"),
+                 "--responses", str(sim_dir / "sim_responses.csv"),
+                 "--targets", str(tmp_path / "b.csv"), "--out-dir", str(tmp_path / "out")]) \
+        == EXIT_PARSE
+    [record] = caplog.records
+    assert "degenerate split" in record.getMessage()
+
+
 @pytest.mark.parametrize("command", [
     ["fit", "--responses", "x.csv", "--out-dir", "out"],
     ["cv", "--scheme", "rf", "--responses", "x.csv", "--out-dir", "out"],
@@ -1291,6 +1404,20 @@ def test_predict_makes_the_directory_of_its_output(sim_dir, tmp_path):
                  "--conditions", str(sim_dir / "sim_conditions.csv"),
                  "--out", str(out)]) == EXIT_OK
     assert load_matrix_csv(out)[0].shape == (105, 5)
+
+
+def test_predict_out_that_is_a_directory_is_config_error(tmp_path, caplog):
+    # an --out that names a directory ended in an IsADirectoryError
+    # traceback once the whole prediction had run; it is refused before any
+    # input is read (these inputs do not exist)
+    out = tmp_path / "isdir"
+    out.mkdir()
+    caplog.set_level(logging.ERROR, logger="perturbpred")
+    assert main(["predict", "--model", "causal-linear", "--params", str(tmp_path / "w.csv"),
+                 "--conditions", str(tmp_path / "d.csv"), "--targets", str(tmp_path / "b.csv"),
+                 "--out", str(out)]) == EXIT_PARSE
+    [record] = caplog.records
+    assert record.getMessage() == f"--out {out} is a directory; it must name the predictions file"
 
 
 @pytest.mark.parametrize("command", [

@@ -143,3 +143,25 @@ def test_duplicate_labels_each_once_in_order_of_first_repeat():
     assert duplicate_labels(["c", "a", "b", "a", "c", "a"]) == ["a", "c"]
     assert duplicate_labels(["x", "y"]) == []
     assert duplicate_labels([f"r{i}" for i in range(5000)] + ["r17"]) == ["r17"]
+
+
+# the six matrix types that build their values through one constructor check
+MATRIX_TYPES = {
+    "ConditionMatrix": ConditionMatrix,
+    "ResponseMatrix": ResponseMatrix,
+    "TargetMap": TargetMap,
+    "InteractionMatrix": InteractionMatrix,
+    "RegressionCoefficients": RegressionCoefficients,
+    "PredictionResult": lambda values: PredictionResult(values, "regression"),
+}
+
+
+@pytest.mark.parametrize("values, error, message", [
+    ([[1.0, np.nan], [0.0, 1.0]], ValueError, "contains non-finite entries"),
+    ([1.0, 2.0], DimensionError, r"must be 2-dimensional, got shape \(2,\)"),
+    (np.ones((2, 2, 2)), DimensionError, r"must be 2-dimensional, got shape \(2, 2, 2\)"),
+], ids=["nan", "1-D", "3-D"])
+@pytest.mark.parametrize("name", MATRIX_TYPES)
+def test_every_matrix_type_refuses_nan_and_other_dimensions(name, values, error, message):
+    with pytest.raises(error, match=f"^{name} {message}"):
+        MATRIX_TYPES[name](values)
